@@ -12,35 +12,18 @@ the borrowed bits out of the output. Exactly 2*(ceil(N/lam) - 1) +
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing, new_circuit
+from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing
 from .iteration import IterationSpec, IterationWindow, emit_unary_iteration
 from .qrom import LookupTable, ceil_div, ceil_log2, is_power_of_two, work_size
 
-__all__ = ["SwapNetworkPlan", "build_plain_qrom", "build_selectswap_dirty"]
-
-
-@dataclass(frozen=True, slots=True)
-class SwapNetworkPlan:
-    """Multiplexed-swap parameters: lam registers of b qubits, swapped by the
-    binary digits of r with b*(lam-1) CSWAPs per pass."""
-
-    lam: int
-    bit_width: int
-
-    def __post_init__(self) -> None:
-        if not is_power_of_two(self.lam) or self.lam < 2:
-            raise ValueError(f"lam = {self.lam} must be a power of 2 >= 2")
-        if self.bit_width < 1:
-            raise ValueError("bit_width must be >= 1")
+__all__ = ["build_plain_qrom", "build_selectswap_dirty"]
 
 
 def build_plain_qrom(table: LookupTable) -> Circuit:
     """Unary-iteration lookup over all N addresses; N - 1 Toffolis."""
     n, b = table.n_entries, table.bit_width
     if n == 1:
-        circuit = new_circuit([RegisterSpec("output", b, Role.OUTPUT)])
+        circuit = Circuit([RegisterSpec("output", b, Role.OUTPUT)])
         for j in range(b):
             if (table.entries[0] >> j) & 1:
                 circuit.append(GateKind.X, QubitRef("output", j))
@@ -48,7 +31,7 @@ def build_plain_qrom(table: LookupTable) -> Circuit:
 
     address_bits = ceil_log2(n)
     work_bits = max(address_bits, 2 if n == 2 else 1)
-    circuit = new_circuit(
+    circuit = Circuit(
         [
             RegisterSpec("addr_q", address_bits, Role.ADDRESS_Q),
             RegisterSpec("output", b, Role.OUTPUT),
@@ -72,7 +55,8 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
     borrow discipline: Select, swap-in, buffer copy, swap-out, unloading
     Select, swap-in, buffer copy, swap-out."""
     n, b = table.n_entries, table.bit_width
-    plan = SwapNetworkPlan(lam, b)
+    if not is_power_of_two(lam) or lam < 2:
+        raise ValueError(f"lam = {lam} must be a power of 2 >= 2")
     if not lam < n:
         raise ValueError(f"lam = {lam} violates 1 < lam < N = {n}")
     q_range = ceil_div(n, lam)
@@ -80,13 +64,13 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
     address_bits = max(ceil_log2(n), 1)
     q_bits = address_bits - r_bits
 
-    circuit = new_circuit(
+    circuit = Circuit(
         [
             RegisterSpec("addr_q", q_bits, Role.ADDRESS_Q),
             RegisterSpec("addr_r", r_bits, Role.ADDRESS_R),
             RegisterSpec("output", b, Role.OUTPUT),
             RegisterSpec("buffer", b, Role.WORK),
-            RegisterSpec("dirty", plan.bit_width * (plan.lam - 1), Role.DIRTY),
+            RegisterSpec("dirty", b * (lam - 1), Role.DIRTY),
             RegisterSpec("work", work_size(q_range, lam), Role.WORK),
         ]
     )

@@ -24,8 +24,6 @@ __all__ = [
     "Gate",
     "Circuit",
     "ResourceEstimate",
-    "new_circuit",
-    "append_gate",
     "count_resources",
     "check_temp_and_pairing",
 ]
@@ -215,21 +213,6 @@ class ResourceEstimate:
     total_qubits: int
 
 
-def new_circuit(registers: Iterable[RegisterSpec]) -> Circuit:
-    """Create an empty circuit over the given registers.
-
-    Raises CircuitError on duplicate names or non-positive sizes.
-    """
-    return Circuit(registers)
-
-
-def append_gate(circuit: Circuit, gate: Gate) -> Circuit:
-    """Append a pre-built gate, validating it against the circuit's registers."""
-    circuit._validate(gate)
-    circuit.gates.append(gate)
-    return circuit
-
-
 def count_resources(circuit: Circuit) -> ResourceEstimate:
     """Count gates and qubits exactly; deterministic for a given circuit."""
     toffoli = temp_and = cnot = x = 0
@@ -266,15 +249,17 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
         if gate.kind is GateKind.TEMP_AND:
             target = gate.operands[-1]
             if target in held:
-                raise CircuitError(f"gate {i}: TEMP_AND on already-held target {target}")
+                raise CircuitError(
+                    f"gate {i}: TEMP_AND on already-held target {target.register}[{target.offset}]"
+                )
             held[target] = frozenset(gate.operands[:2])
         elif gate.kind is GateKind.TEMP_AND_UNCOMPUTE:
             target = gate.operands[-1]
             controls = frozenset(gate.operands[:2])
             if held.get(target) != controls:
                 raise CircuitError(
-                    f"gate {i}: TEMP_AND_UNCOMPUTE on {target} does not match a "
-                    "pending TEMP_AND with the same controls"
+                    f"gate {i}: TEMP_AND_UNCOMPUTE on {target.register}[{target.offset}] does "
+                    "not match a pending TEMP_AND with the same controls"
                 )
             del held[target]
     if held:

@@ -1,20 +1,21 @@
 """Command-line front end.
 
 Exit codes: 0 success / verified, 1 I/O or parse failure, 2 invalid
-parameters, 3 verification failure. All randomness is seeded (default 0) and
-every command writes byte-identical output on identical invocations.
+parameters or unpaired temp-ANDs in a gate file, 3 verification failure. All
+randomness is seeded (default 0) and every command writes byte-identical
+output on identical invocations.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .baselines import build_plain_qrom, build_selectswap_dirty
-from .circuit import Role, count_resources
+from .circuit import Role, check_temp_and_pairing, count_resources
 from .costs import (
     cost_bit_packet,
     cost_prior_art,
-    cost_select_copy,
     cost_uncompute,
     improvement_sweep,
     optimize_parameters,
@@ -22,7 +23,7 @@ from .costs import (
 )
 from .gatefile import ParseError, parse_circuit, serialize_circuit
 from .qrom import build_qrom, plan_qrom
-from .simulate import verify_qrom
+from .simulate import SimulationError, verify_qrom
 from .tablefile import load_table_file
 
 EXIT_OK = 0
@@ -59,12 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--lambda", dest="lam", type=int)
     p_est.add_argument("--mu", type=int)
     p_est.add_argument("--budget", type=int)
-    p_est.add_argument(
-        "--all-methods",
-        action="store_true",
-        default=True,
-        help="include prior-art and uncompute rows (already the default)",
-    )
 
     p_sweep = sub.add_parser("sweep", help="improvement-factor sweep to CSV")
     p_sweep.add_argument("--b", type=int, required=True)
@@ -99,6 +94,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def cmd_build(args) -> int:
@@ -130,6 +128,7 @@ def cmd_verify(args) -> int:
     if args.circuit:
         with open(args.circuit, "r", encoding="utf-8") as handle:
             circuit = parse_circuit(handle.read())
+        check_temp_and_pairing(circuit)
     elif args.baseline == "plain":
         circuit = build_plain_qrom(table)
     elif args.baseline == "selectswap":
@@ -178,7 +177,7 @@ def cmd_estimate(args) -> int:
         lam = args.lam
         if args.mu is not None:
             rows.append(cost_bit_packet(n, b, lam, args.mu))
-        rows.append(cost_select_copy(n, b, lam))
+        rows.append(dataclasses.replace(cost_bit_packet(n, b, lam, b), formula_id="select_copy"))
         rows.append(cost_prior_art("berry", n, b, lam))
         rows.append(cost_prior_art("low_dirty", n, b, lam))
         rows.append(cost_prior_art("low_clean", n, b, lam))

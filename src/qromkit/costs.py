@@ -16,7 +16,6 @@ __all__ = [
     "OptimizationResult",
     "SweepRow",
     "cost_bit_packet",
-    "cost_select_copy",
     "cost_power2_packet",
     "cost_sequential_fresh",
     "cost_sequential_inplace",
@@ -74,23 +73,6 @@ def cost_bit_packet(n: int, b: int, lam: int, mu: int) -> CostBreakdown:
         select_toffoli=select,
         copy_toffoli=copy,
         dirty_qubits=mu * (lam - 1),
-        clean_work_qubits=work_size(ceil_div(n, lam), lam),
-        output_qubits=b,
-    )
-
-
-def cost_select_copy(n: int, b: int, lam: int) -> CostBreakdown:
-    """Single full-width round: 2*ceil(N/lam) + 2b(lam-1) + 2lam - 6.
-    Identical to cost_bit_packet with mu = b."""
-    _check_lam(n, lam)
-    select = 2 * (ceil_div(n, lam) + lam - 3)
-    copy = 2 * b * (lam - 1)
-    return CostBreakdown(
-        formula_id="select_copy",
-        toffoli_total=select + copy,
-        select_toffoli=select,
-        copy_toffoli=copy,
-        dirty_qubits=b * (lam - 1),
         clean_work_qubits=work_size(ceil_div(n, lam), lam),
         output_qubits=b,
     )

@@ -1,13 +1,19 @@
-"""Select-and-copy table lookup with sequential bit packets.
+"""Select-and-copy table lookup, built as a run of stages.
 
 The address x splits as x = q*lam + r, with r the low log2(lam) address bits.
-Each round loads one packet of mu output bits: a Select iterates over q,
-writing block-base data f(q*lam) straight into the output slice and writing
-XOR-masked differences into lam-1 borrowed (dirty) mu-bit blocks; a Copy then
-iterates r over 1..lam-1 and Toffoli-copies the addressed block onto the
-output slice. Because consecutive Selects load the XOR of consecutive
-packets' differences, one final unloading Select plus one temp-AND-assisted
-Copy restores every borrowed qubit and completes the output.
+A stage is one output slice of at most mu qubits together with the values
+f(q*lam + l) restricted to that slice. Each stage is one Select and one Copy:
+the Select iterates over q, writing the block-base value f(q*lam) straight
+into the slice and XOR-masked differences into lam-1 borrowed (dirty) mu-bit
+blocks; the Copy then iterates r over 1..lam-1 and Toffoli-copies the
+addressed block onto the slice. Because consecutive Selects load the XOR of
+consecutive stages' differences, one final unloading Select plus one
+temp-AND-assisted Copy restores every borrowed qubit and completes every
+slice.
+
+``build_qrom`` cuts one table's output into mu-bit packets, one stage each;
+``build_sequential_qroms`` gives each of m tables one full-width stage on its
+own output register. Both run the same Select/Copy/restore engine.
 
 Builders are pure functions of (table, plan): no shared mutable state, safe
 to run across a parameter grid in parallel.
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing, new_circuit
+from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing
 from .iteration import IterationSpec, IterationWindow, emit_unary_iteration
 
 __all__ = [
@@ -73,9 +79,10 @@ class LookupTable:
             raise ValueError("bit_width must be >= 1")
         if len(self.entries) < 1:
             raise ValueError("table must have at least one entry")
-        limit = 1 << self.bit_width
         for x, value in enumerate(self.entries):
-            if not 0 <= value < limit:
+            # bit_length, not 1 << bit_width: a huge declared width must not
+            # allocate a huge integer.
+            if value < 0 or value.bit_length() > self.bit_width:
                 raise ValueError(f"entry {x} = {value} does not fit in {self.bit_width} bits")
         object.__setattr__(self, "entries", tuple(self.entries))
 
@@ -150,90 +157,54 @@ def plan_qrom(n_entries: int, bit_width: int, lam: int, mu: int) -> QromPlan:
     )
 
 
+@dataclass(frozen=True, slots=True)
 class XorSchedule:
-    """Per-window classical bit masks driving the Selects.
+    """Per-window classical bit masks of a run of stages.
 
-    For block q and packet p, ``direct_bits(q, p)`` are the packet bits of
-    f(q*lam) written straight to the output. For borrowed block l in
-    1..lam-1, ``delta_bits(q, p, l)`` is what Select p xors into that block:
-    packet 0 loads c(q, l) restricted to packet 0, later packets load the XOR
-    of consecutive packets' c values, where c(q, l) = f(q*lam + l) XOR
-    f(q*lam) bitwise (entries beyond the table read as 0). ``unload_bits``
-    is the final packet's c value, which the restore Select uses to return
-    every borrowed block to its initial state; the masks telescope so that
-    XOR of all deltas equals the unload mask.
+    Stage s sees the values v_s(q, l) = f(q*lam + l) restricted to its output
+    slice, entries beyond the table reading as 0. ``direct[s][q]`` is
+    v_s(q, 0), which Select s writes straight to the slice. For borrowed
+    block l in 1..lam-1 let c_s(q, l) = v_s(q, l) XOR v_s(q, 0);
+    ``delta[s][q][l-1]`` = c_s(q, l) XOR c_{s-1}(q, l), with c_{-1} = 0, is
+    what Select s xors into that block. ``unload[q][l-1]`` is the last
+    stage's c, which the restore Select uses to return every borrowed block
+    to its initial state; the masks telescope so that XOR of all deltas
+    equals the unload mask.
     """
 
-    def __init__(self, plan: QromPlan, direct, delta, unload):
-        self.plan = plan
-        self._direct = direct
-        self._delta = delta
-        self._unload = unload
+    direct: tuple[tuple[int, ...], ...]
+    delta: tuple[tuple[tuple[int, ...], ...], ...]
+    unload: tuple[tuple[int, ...], ...]
 
-    def direct_bits(self, q: int, packet: int) -> int:
-        return self._direct[packet][q]
 
-    def delta_bits(self, q: int, packet: int, block: int) -> int:
-        if not 1 <= block < self.plan.lam:
-            raise ValueError(f"block {block} out of range 1..{self.plan.lam - 1}")
-        return self._delta[packet][q][block - 1]
-
-    def unload_bits(self, q: int, block: int) -> int:
-        if not 1 <= block < self.plan.lam:
-            raise ValueError(f"block {block} out of range 1..{self.plan.lam - 1}")
-        return self._unload[q][block - 1]
+def _stage_schedule(plan: QromPlan, stage_values: list[list[int]]) -> XorSchedule:
+    """Schedule of a run of stages; ``stage_values[s][x]`` is stage s's slice
+    of f(x) for x in [0, q_range * lam)."""
+    lam = plan.lam
+    direct, delta = [], []
+    prev = ((0,) * (lam - 1),) * plan.q_range
+    for values in stage_values:
+        rows = [values[q * lam:(q + 1) * lam] for q in range(plan.q_range)]
+        c = tuple(tuple(v ^ row[0] for v in row[1:]) for row in rows)
+        direct.append(tuple(row[0] for row in rows))
+        delta.append(
+            tuple(tuple(a ^ b for a, b in zip(cur, old)) for cur, old in zip(c, prev))
+        )
+        prev = c
+    return XorSchedule(tuple(direct), tuple(delta), prev)
 
 
 def compute_xor_schedule(table: LookupTable, plan: QromPlan) -> XorSchedule:
+    """Schedule of ``build_qrom``: stage p is packet p of the table."""
     if table.n_entries != plan.n_entries or table.bit_width != plan.bit_width:
         raise ValueError("table dimensions do not match plan")
-    mu, lam = plan.mu, plan.lam
-    alpha = plan.num_packets
-
-    def c_bit(q: int, block: int, bit: int) -> int:
-        if bit >= plan.bit_width:
-            return 0
-        base = table.padded(q * lam)
-        other = table.padded(q * lam + block)
-        return ((other ^ base) >> bit) & 1
-
-    direct = []
-    delta = []
-    for p in range(alpha):
+    padded = [table.padded(x) for x in range(plan.q_range * plan.lam)]
+    stages = []
+    for p in range(plan.num_packets):
         start, end = plan.packet_span(p)
-        width = end - start
-        direct.append(
-            tuple(
-                (table.padded(q * lam) >> start) & ((1 << width) - 1)
-                for q in range(plan.q_range)
-            )
-        )
-        rows = []
-        for q in range(plan.q_range):
-            row = []
-            for block in range(1, lam):
-                mask = 0
-                for j in range(mu):
-                    cur = c_bit(q, block, p * mu + j) if j < width else 0
-                    prev = c_bit(q, block, (p - 1) * mu + j) if p > 0 else 0
-                    mask |= (cur ^ prev) << j
-                row.append(mask)
-            rows.append(tuple(row))
-        delta.append(tuple(rows))
-
-    last = alpha - 1
-    last_width = plan.packet_sizes[last]
-    unload = []
-    for q in range(plan.q_range):
-        row = []
-        for block in range(1, lam):
-            mask = 0
-            for j in range(last_width):
-                mask |= c_bit(q, block, last * mu + j) << j
-            row.append(mask)
-        unload.append(tuple(row))
-
-    return XorSchedule(plan, tuple(direct), tuple(delta), tuple(unload))
+        mask = (1 << (end - start)) - 1
+        stages.append([(v >> start) & mask for v in padded])
+    return _stage_schedule(plan, stages)
 
 
 def registers_for_plan(plan: QromPlan) -> list[RegisterSpec]:
@@ -259,78 +230,74 @@ def _load(circuit: Circuit, wire: QubitRef | None, target: QubitRef) -> None:
         circuit.append(GateKind.CNOT, wire, target)
 
 
-def emit_select(circuit: Circuit, plan: QromPlan, schedule: XorSchedule, packet: int) -> Circuit:
-    """One Select pass for a packet: iterate q over all blocks, CNOT-loading
-    direct bits into the output slice and delta bits into the dirty blocks.
-    Adds no Toffolis beyond the q-iteration scaffold.
-
-    The circuit must carry the ``registers_for_plan`` layout (as must the
-    other emitters); ``build_qrom`` wires this up for the common case.
-    """
-    if not 0 <= packet < plan.num_packets:
-        raise ValueError(f"packet {packet} out of range")
-    start, _ = plan.packet_span(packet)
+def _select(
+    circuit: Circuit,
+    plan: QromPlan,
+    masks: tuple[tuple[int, ...], ...],
+    outputs: list[QubitRef],
+    direct: tuple[int, ...],
+) -> None:
+    """Iterate q over all blocks, loading ``direct[q]`` into ``outputs`` and
+    ``masks[q][l-1]`` into dirty block l."""
 
     def window(win: IterationWindow) -> None:
         q = win.index_value
-        direct = schedule.direct_bits(q, packet)
-        for j in range(plan.packet_sizes[packet]):
-            if (direct >> j) & 1:
-                _load(circuit, win.select_wire, QubitRef("output", start + j))
-        for block in range(1, plan.lam):
-            mask = schedule.delta_bits(q, packet, block)
+        for j, target in enumerate(outputs):
+            if (direct[q] >> j) & 1:
+                _load(circuit, win.select_wire, target)
+        for block, mask in enumerate(masks[q], start=1):
             for j in range(plan.mu):
                 if (mask >> j) & 1:
                     _load(circuit, win.select_wire, _dirty_qubit(plan, block, j))
 
-    spec = IterationSpec("addr_q", 0, plan.q_range)
-    return emit_unary_iteration(circuit, spec, window)
+    emit_unary_iteration(circuit, IterationSpec("addr_q", 0, plan.q_range), window)
 
 
-def emit_copy(circuit: Circuit, plan: QromPlan, packet: int) -> Circuit:
+def emit_select(
+    circuit: Circuit, plan: QromPlan, schedule: XorSchedule, stage: int, outputs: list[QubitRef]
+) -> Circuit:
+    """One Select pass for a stage: iterate q over all blocks, CNOT-loading
+    direct bits into the stage's output slice and delta bits into the dirty
+    blocks. Adds no Toffolis beyond the q-iteration scaffold.
+
+    The circuit must carry the plan's address, dirty and work registers (as
+    must the other emitters); ``build_qrom`` wires this up for the common
+    case.
+    """
+    if not 0 <= stage < len(schedule.direct):
+        raise ValueError(f"stage {stage} out of range 0..{len(schedule.direct) - 1}")
+    _select(circuit, plan, schedule.delta[stage], outputs, schedule.direct[stage])
+    return circuit
+
+
+def emit_copy(circuit: Circuit, plan: QromPlan, outputs: list[QubitRef]) -> Circuit:
     """One multiplexed Copy: iterate r over 1..lam-1 and, per window, Toffoli
-    each dirty block bit onto its output slice bit. (lam-1) * packet size
-    Toffolis plus the lam-2 scaffold; no data CNOTs."""
-    if not 0 <= packet < plan.num_packets:
-        raise ValueError(f"packet {packet} out of range")
-    start, end = plan.packet_span(packet)
+    bit j of the addressed dirty block onto ``outputs[j]``. (lam-1) * slice
+    width Toffolis plus the lam-2 scaffold; no data CNOTs."""
+    if len(outputs) > plan.mu:
+        raise ValueError(f"output slice of {len(outputs)} qubits exceeds mu = {plan.mu}")
 
     def window(win: IterationWindow) -> None:
         block = win.index_value
-        for j in range(end - start):
-            circuit.append(
-                GateKind.TOFFOLI,
-                win.select_wire,
-                _dirty_qubit(plan, block, j),
-                QubitRef("output", start + j),
-            )
+        for j, target in enumerate(outputs):
+            circuit.append(GateKind.TOFFOLI, win.select_wire, _dirty_qubit(plan, block, j), target)
 
-    spec = IterationSpec("addr_r", 1, plan.lam)
-    return emit_unary_iteration(circuit, spec, window)
+    return emit_unary_iteration(circuit, IterationSpec("addr_r", 1, plan.lam), window)
 
 
-def emit_restore(circuit: Circuit, plan: QromPlan, schedule: XorSchedule) -> Circuit:
-    """Unload the final packet's masks from the dirty blocks, then fix the
-    output.
+def emit_restore(
+    circuit: Circuit, plan: QromPlan, schedule: XorSchedule, slices: list[list[QubitRef]]
+) -> Circuit:
+    """Unload the last stage's masks from the dirty blocks, then fix every
+    output slice.
 
     The unloading Select mirrors the loading ones. The final Copy iterates r
     and, for each of the mu dirty bits of the addressed block, holds the bit
-    in a temp-AND and CNOTs it onto every output bit at that position modulo
-    mu, clearing the borrowed-state mask the earlier copies left behind. The
-    temp-AND target reuses the highest work qubit, which the r-iteration
-    never touches.
+    in a temp-AND and CNOTs it onto bit j of every slice, clearing the
+    borrowed-state mask the earlier copies left behind. The temp-AND target
+    reuses the highest work qubit, which the r-iteration never touches.
     """
-
-    def unload_window(win: IterationWindow) -> None:
-        q = win.index_value
-        for block in range(1, plan.lam):
-            mask = schedule.unload_bits(q, block)
-            for j in range(plan.mu):
-                if (mask >> j) & 1:
-                    _load(circuit, win.select_wire, _dirty_qubit(plan, block, j))
-
-    emit_unary_iteration(circuit, IterationSpec("addr_q", 0, plan.q_range), unload_window)
-
+    _select(circuit, plan, schedule.unload, outputs=[], direct=())
     temp = QubitRef("work", plan.work_qubits - 1)
 
     def fix_window(win: IterationWindow) -> None:
@@ -338,29 +305,41 @@ def emit_restore(circuit: Circuit, plan: QromPlan, schedule: XorSchedule) -> Cir
         for j in range(plan.mu):
             source = _dirty_qubit(plan, block, j)
             circuit.append(GateKind.TEMP_AND, win.select_wire, source, temp)
-            for k in range(j, plan.bit_width, plan.mu):
-                circuit.append(GateKind.CNOT, temp, QubitRef("output", k))
+            for outputs in slices:
+                if j < len(outputs):
+                    circuit.append(GateKind.CNOT, temp, outputs[j])
             circuit.append(GateKind.TEMP_AND_UNCOMPUTE, win.select_wire, source, temp)
 
-    emit_unary_iteration(circuit, IterationSpec("addr_r", 1, plan.lam), fix_window)
+    return emit_unary_iteration(circuit, IterationSpec("addr_r", 1, plan.lam), fix_window)
+
+
+def _run_stages(
+    circuit: Circuit, plan: QromPlan, schedule: XorSchedule, slices: list[list[QubitRef]]
+) -> Circuit:
+    """The engine both builders share: Select and Copy per stage, then one
+    restore that fixes every slice."""
+    for stage, outputs in enumerate(slices):
+        emit_select(circuit, plan, schedule, stage, outputs)
+        emit_copy(circuit, plan, outputs)
+    emit_restore(circuit, plan, schedule, slices)
+    check_temp_and_pairing(circuit)
     return circuit
 
 
 def build_qrom(table: LookupTable, plan: QromPlan) -> Circuit:
-    """Full lookup circuit: Select/Copy per packet, then the restore pass.
+    """Full lookup circuit: one stage per mu-bit packet of ``output``, then
+    the restore pass.
 
     The Toffoli count is exactly
     (ceil(b/mu)+1) * (ceil(N/lam) + lam - 3) + (lam-1) * (mu * (b//mu + 1) + b % mu)
     and the register sizes are exactly those of the plan.
     """
     schedule = compute_xor_schedule(table, plan)
-    circuit = new_circuit(registers_for_plan(plan))
-    for packet in range(plan.num_packets):
-        emit_select(circuit, plan, schedule, packet)
-        emit_copy(circuit, plan, packet)
-    emit_restore(circuit, plan, schedule)
-    check_temp_and_pairing(circuit)
-    return circuit
+    slices = [
+        [QubitRef("output", k) for k in range(*plan.packet_span(p))]
+        for p in range(plan.num_packets)
+    ]
+    return _run_stages(Circuit(registers_for_plan(plan)), plan, schedule, slices)
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,85 +367,19 @@ class SequentialSpec:
 def build_sequential_qroms(spec: SequentialSpec) -> Circuit:
     """Back-to-back lookups with one shared unload.
 
-    Select j loads table j's direct bits into output j and the XOR of
-    consecutive tables' masks into the dirty blocks, so m tables need m+1
-    Selects and m+1 Copies (the last Copy fixes all outputs at once):
-    exactly (m+1) * (ceil(N/lam) + b*(lam-1) + lam - 3) Toffolis.
+    Table i is one full-width stage on register ``output_{i+1}``, so m tables
+    need m+1 Selects and m+1 Copies (the last Copy fixes all outputs at
+    once): exactly (m+1) * (ceil(N/lam) + b*(lam-1) + lam - 3) Toffolis.
     """
-    m = len(spec.tables)
     first = spec.tables[0]
-    n, b, lam = first.n_entries, first.bit_width, spec.lam
-    # Full-width packets: each table is one mu = b packet.
-    plan = plan_qrom(n, b, lam, b)
-    schedules = [compute_xor_schedule(t, plan) for t in spec.tables]
-
-    registers = [
-        RegisterSpec("addr_q", plan.q_bits, Role.ADDRESS_Q),
-        RegisterSpec("addr_r", plan.r_bits, Role.ADDRESS_R),
+    plan = plan_qrom(first.n_entries, first.bit_width, spec.lam, first.bit_width)
+    span = range(plan.q_range * plan.lam)
+    schedule = _stage_schedule(plan, [[t.padded(x) for x in span] for t in spec.tables])
+    outputs = [
+        RegisterSpec(f"output_{i + 1}", plan.bit_width, Role.OUTPUT)
+        for i in range(len(spec.tables))
     ]
-    registers += [
-        RegisterSpec(f"output_{i + 1}", b, Role.OUTPUT) for i in range(m)
-    ]
-    registers += [
-        RegisterSpec("dirty", b * (lam - 1), Role.DIRTY),
-        RegisterSpec("work", plan.work_qubits, Role.WORK),
-    ]
-    circuit = new_circuit(registers)
-
-    def dirty_ref(block: int, j: int) -> QubitRef:
-        return QubitRef("dirty", (block - 1) * b + j)
-
-    def select(stage: int) -> None:
-        # stage i in [0, m): load table i direct bits and delta vs table i-1;
-        # stage m: unload table m-1's masks.
-        def window(win: IterationWindow) -> None:
-            q = win.index_value
-            if stage < m:
-                direct = schedules[stage].direct_bits(q, 0)
-                for j in range(b):
-                    if (direct >> j) & 1:
-                        _load(circuit, win.select_wire, QubitRef(f"output_{stage + 1}", j))
-            for block in range(1, lam):
-                mask = schedules[stage].unload_bits(q, block) if stage < m else 0
-                if stage > 0:
-                    mask ^= schedules[stage - 1].unload_bits(q, block)
-                for j in range(b):
-                    if (mask >> j) & 1:
-                        _load(circuit, win.select_wire, dirty_ref(block, j))
-
-        emit_unary_iteration(circuit, IterationSpec("addr_q", 0, plan.q_range), window)
-
-    def copy(stage: int) -> None:
-        def window(win: IterationWindow) -> None:
-            block = win.index_value
-            for j in range(b):
-                circuit.append(
-                    GateKind.TOFFOLI,
-                    win.select_wire,
-                    dirty_ref(block, j),
-                    QubitRef(f"output_{stage + 1}", j),
-                )
-
-        emit_unary_iteration(circuit, IterationSpec("addr_r", 1, lam), window)
-
-    temp = QubitRef("work", plan.work_qubits - 1)
-
-    def fix_all() -> None:
-        def window(win: IterationWindow) -> None:
-            block = win.index_value
-            for j in range(b):
-                source = dirty_ref(block, j)
-                circuit.append(GateKind.TEMP_AND, win.select_wire, source, temp)
-                for i in range(m):
-                    circuit.append(GateKind.CNOT, temp, QubitRef(f"output_{i + 1}", j))
-                circuit.append(GateKind.TEMP_AND_UNCOMPUTE, win.select_wire, source, temp)
-
-        emit_unary_iteration(circuit, IterationSpec("addr_r", 1, lam), window)
-
-    for stage in range(m):
-        select(stage)
-        copy(stage)
-    select(m)
-    fix_all()
-    check_temp_and_pairing(circuit)
-    return circuit
+    registers = registers_for_plan(plan)
+    registers[2:3] = outputs  # one output register per table in place of "output"
+    slices = [[reg[j] for j in range(reg.size)] for reg in outputs]
+    return _run_stages(Circuit(registers), plan, schedule, slices)

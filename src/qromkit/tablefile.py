@@ -37,7 +37,7 @@ def parse_table_text(text: str) -> LookupTable:
             value = int(line, 0)
         except ValueError:
             raise ParseError(lineno, f"bad entry {line!r}") from None
-        if not 0 <= value < 1 << header[1]:
+        if value < 0 or value.bit_length() > header[1]:
             raise ParseError(lineno, f"entry {value} does not fit in {header[1]} bits")
         entries.append(value)
 

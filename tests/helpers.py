@@ -1,7 +1,7 @@
 """Shared test utilities."""
 import random
 
-from qromkit import Circuit, GateKind, LookupTable, new_circuit
+from qromkit import Circuit, GateKind, LookupTable
 
 
 def random_table(n: int, b: int, seed: int) -> LookupTable:
@@ -16,7 +16,7 @@ def inverse_circuit(circuit: Circuit) -> Circuit:
         GateKind.TEMP_AND: GateKind.TEMP_AND_UNCOMPUTE,
         GateKind.TEMP_AND_UNCOMPUTE: GateKind.TEMP_AND,
     }
-    inv = new_circuit(circuit.registers)
+    inv = Circuit(circuit.registers)
     for gate in reversed(circuit.gates):
         inv.append(swap.get(gate.kind, gate.kind), *gate.operands)
     return inv

@@ -1,21 +1,20 @@
 import pytest
 
 from qromkit import (
+    Circuit,
     CircuitError,
     Gate,
     GateKind,
     QubitRef,
     RegisterSpec,
     Role,
-    append_gate,
     check_temp_and_pairing,
     count_resources,
-    new_circuit,
 )
 
 
 def two_reg_circuit():
-    return new_circuit(
+    return Circuit(
         [
             RegisterSpec("a", 3, Role.ADDRESS_Q),
             RegisterSpec("out", 2, Role.OUTPUT),
@@ -25,13 +24,13 @@ def two_reg_circuit():
 
 class TestNewCircuit:
     def test_empty(self):
-        c = new_circuit([RegisterSpec("q", 2, Role.ADDRESS_Q)])
+        c = Circuit([RegisterSpec("q", 2, Role.ADDRESS_Q)])
         assert c.num_qubits == 2
         assert c.gates == []
 
     def test_duplicate_name(self):
         with pytest.raises(CircuitError, match="duplicate"):
-            new_circuit([RegisterSpec("q", 1, Role.WORK), RegisterSpec("q", 2, Role.WORK)])
+            Circuit([RegisterSpec("q", 1, Role.WORK), RegisterSpec("q", 2, Role.WORK)])
 
     def test_zero_size(self):
         with pytest.raises(CircuitError, match="size"):
@@ -67,20 +66,14 @@ class TestAppend:
         with pytest.raises(CircuitError, match="out of range"):
             c.append(GateKind.X, QubitRef("a", 3))
 
-    def test_append_gate_function(self):
-        c = two_reg_circuit()
-        gate = Gate(GateKind.CNOT, (QubitRef("a", 0), QubitRef("out", 1)))
-        append_gate(c, gate)
-        assert c.gates == [gate]
-
     def test_temp_and_pair_validates(self):
-        c = new_circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
+        c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
         c.append(GateKind.TEMP_AND, QubitRef("a", 0), QubitRef("a", 1), QubitRef("w", 0))
         c.append(GateKind.TEMP_AND_UNCOMPUTE, QubitRef("a", 0), QubitRef("a", 1), QubitRef("w", 0))
         check_temp_and_pairing(c)
 
     def test_unbalanced_temp_and_rejected(self):
-        c = new_circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
+        c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
         c.append(GateKind.TEMP_AND, QubitRef("a", 0), QubitRef("a", 1), QubitRef("w", 0))
         with pytest.raises(CircuitError, match="unreleased"):
             check_temp_and_pairing(c)
@@ -97,7 +90,7 @@ class TestCountResources:
     def test_costing_convention(self):
         # Compute side of a temp-AND costs one Toffoli, the uncompute side
         # nothing; CSWAP counts as one.
-        c = new_circuit(
+        c = Circuit(
             [RegisterSpec("a", 3, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)]
         )
         a0, a1, a2, w = QubitRef("a", 0), QubitRef("a", 1), QubitRef("a", 2), QubitRef("w", 0)
@@ -109,7 +102,7 @@ class TestCountResources:
         assert est.temp_and == 1
 
     def test_cswap_counts_one_toffoli(self):
-        c = new_circuit([RegisterSpec("a", 3, Role.ADDRESS_Q)])
+        c = Circuit([RegisterSpec("a", 3, Role.ADDRESS_Q)])
         c.append(GateKind.CSWAP, QubitRef("a", 0), QubitRef("a", 1), QubitRef("a", 2))
         assert count_resources(c).toffoli == 1
 

@@ -86,6 +86,38 @@ class TestVerify:
         assert code == 3
         assert "first_failure" in out
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            # Never released; its target stays 0, so simulation alone passes.
+            ("TEMP_AND addr_q 0 work 1 work 0\n", "unreleased TEMP_AND targets at circuit end: work[0]"),
+            # Releases a temp-AND that was never computed.
+            ("TEMP_AND_UNCOMPUTE addr_q 0 work 1 work 0\n", "TEMP_AND_UNCOMPUTE on work[0] does not match"),
+            ("X work 0\nTEMP_AND_UNCOMPUTE addr_q 0 work 0 work 1\n", "TEMP_AND_UNCOMPUTE on work[1] does not match"),
+        ],
+        ids=["unreleased", "orphan_uncompute", "uncompute_after_x"],
+    )
+    def test_unpaired_temp_and_exits_2(self, table_64, tmp_path, extra, message):
+        out_path = tmp_path / "c.gates"
+        run_cli(["build", "--table", table_64, "--lambda", "4", "--mu", "2", "--out", str(out_path)])
+        with open(out_path, "a") as handle:
+            handle.write(extra)
+        code, out, err = run_cli(["verify", "--table", table_64, "--circuit", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_temp_and_on_nonzero_target_exits_3(self, table_64, tmp_path):
+        out_path = tmp_path / "c.gates"
+        run_cli(["build", "--table", table_64, "--lambda", "4", "--mu", "2", "--out", str(out_path)])
+        with open(out_path, "a") as handle:
+            handle.write(
+                "X work 0\nTEMP_AND addr_q 0 addr_r 0 work 0\n"
+                "TEMP_AND_UNCOMPUTE addr_q 0 addr_r 0 work 0\nX work 0\n"
+            )
+        code, out, err = run_cli(["verify", "--table", table_64, "--circuit", str(out_path)])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: gate ") and "TEMP_AND target is not 0" in err
+
     @pytest.mark.parametrize("baseline", ["selectswap", "plain"])
     def test_baselines(self, table_64, baseline):
         args = ["verify", "--table", table_64, "--baseline", baseline, "--trials", "2", "--seed", "0"]
@@ -100,11 +132,26 @@ class TestVerify:
         assert code == 2
 
 
+ESTIMATE_64_8_4_8 = """\
+method                      toffoli       select         copy      dirty clean_work
+bit_packet                       82           34           48         24          4
+select_copy                      82           34           48         24          4
+berry                           128           32           96         24          0
+low_dirty                       160           32          128         32          0
+low_clean                        48           16           32          0         24
+uncompute_select_copy            34           34            0          3          0
+uncompute_prior                  48           48            0          3          0
+plain                            63           63            0          0          6
+"""
+
+
 class TestEstimate:
+    def test_point_stdout_pinned(self):
+        code, out, err = run_cli(["estimate", "--n", "64", "--b", "8", "--lambda", "4", "--mu", "8"])
+        assert (code, out, err) == (0, ESTIMATE_64_8_4_8, "")
+
     def test_point_costs(self):
-        code, out, _ = run_cli(
-            ["estimate", "--n", "64", "--b", "8", "--lambda", "4", "--mu", "8", "--all-methods"]
-        )
+        code, out, _ = run_cli(["estimate", "--n", "64", "--b", "8", "--lambda", "4", "--mu", "8"])
         assert code == 0
         lines = {line.split()[0]: line.split() for line in out.splitlines()[1:] if line}
         assert lines["bit_packet"][1] == "82"

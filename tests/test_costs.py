@@ -6,7 +6,6 @@ from qromkit import (
     cost_bit_packet,
     cost_power2_packet,
     cost_prior_art,
-    cost_select_copy,
     cost_sequential_fresh,
     cost_sequential_inplace,
     cost_uncompute,
@@ -14,6 +13,7 @@ from qromkit import (
     optimize_parameters,
     sweep_rows_to_csv,
 )
+from qromkit.qrom import ceil_div
 
 
 class TestBitPacket:
@@ -39,12 +39,18 @@ class TestBitPacket:
             cost_bit_packet(64, 8, 4, 0)
 
 
+def select_copy_toffoli(n, b, lam):
+    """Full-width (mu = b) closed form, independent of cost_bit_packet."""
+    return 2 * ceil_div(n, lam) + 2 * b * (lam - 1) + 2 * lam - 6
+
+
 class TestSelectCopy:
     @pytest.mark.parametrize(
         "n,b,lam,expected", [(64, 8, 4, 82), (2**20, 8, 4, 524338), (64, 4, 4, 58)]
     )
     def test_values(self, n, b, lam, expected):
-        assert cost_select_copy(n, b, lam).toffoli_total == expected
+        assert select_copy_toffoli(n, b, lam) == expected
+        assert cost_bit_packet(n, b, lam, b).toffoli_total == expected
 
     @pytest.mark.parametrize("n", [8, 16, 33, 64, 100, 256, 1 << 14])
     @pytest.mark.parametrize("b", [1, 2, 5, 8, 64])
@@ -52,10 +58,11 @@ class TestSelectCopy:
     def test_equals_full_width_packet(self, n, b, lam):
         if lam >= n:
             pytest.skip("lam must stay below n")
-        assert (
-            cost_select_copy(n, b, lam).toffoli_total
-            == cost_bit_packet(n, b, lam, b).toffoli_total
-        )
+        cost = cost_bit_packet(n, b, lam, b)
+        assert cost.toffoli_total == select_copy_toffoli(n, b, lam)
+        assert cost.select_toffoli == 2 * (ceil_div(n, lam) + lam - 3)
+        assert cost.copy_toffoli == 2 * b * (lam - 1)
+        assert cost.dirty_qubits == b * (lam - 1)
 
 
 class TestPower2Packet:
@@ -63,10 +70,8 @@ class TestPower2Packet:
         for n in (64, 1024, 1 << 16):
             for b in (2, 8, 32):
                 for lam in (2, 4, 8):
-                    assert (
-                        cost_power2_packet(n, b, lam, 1).toffoli_total
-                        == cost_select_copy(n, b, lam).toffoli_total
-                    )
+                    want = select_copy_toffoli(n, b, lam)
+                    assert cost_power2_packet(n, b, lam, 1).toffoli_total == want
 
     def test_alpha_b_closed_form(self):
         for n in (1 << 12, 1 << 16):
@@ -109,10 +114,7 @@ class TestSequentialFormulas:
         assert cost_sequential_fresh(64, 4, 4, 0).toffoli_total == 29
 
     def test_fresh_m1_equals_select_copy(self):
-        assert (
-            cost_sequential_fresh(64, 4, 4, 1).toffoli_total
-            == cost_select_copy(64, 4, 4).toffoli_total
-        )
+        assert cost_sequential_fresh(64, 4, 4, 1).toffoli_total == select_copy_toffoli(64, 4, 4)
 
     def test_inplace_values(self):
         assert cost_sequential_inplace(64, 4, 4, 2).toffoli_total == 100

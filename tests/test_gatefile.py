@@ -1,6 +1,7 @@
 import pytest
 
 from qromkit import (
+    Circuit,
     GateKind,
     ParseError,
     QubitRef,
@@ -8,7 +9,6 @@ from qromkit import (
     Role,
     build_qrom,
     count_resources,
-    new_circuit,
     parse_circuit,
     plan_qrom,
     serialize_circuit,
@@ -17,12 +17,12 @@ from helpers import random_table
 
 
 def test_header_only():
-    c = new_circuit([RegisterSpec("q", 2, Role.ADDRESS_Q)])
+    c = Circuit([RegisterSpec("q", 2, Role.ADDRESS_Q)])
     assert serialize_circuit(c) == "REGISTER q 2 address_q\n"
 
 
 def test_gate_line_format():
-    c = new_circuit(
+    c = Circuit(
         [
             RegisterSpec("a", 1, Role.ADDRESS_Q),
             RegisterSpec("b", 2, Role.DIRTY),
@@ -34,7 +34,7 @@ def test_gate_line_format():
 
 
 def test_round_trip_simple():
-    c = new_circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("o", 1, Role.OUTPUT)])
+    c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("o", 1, Role.OUTPUT)])
     c.append(GateKind.X, QubitRef("a", 0))
     c.append(GateKind.CNOT, QubitRef("a", 1), QubitRef("o", 0))
     assert parse_circuit(serialize_circuit(c)) == c

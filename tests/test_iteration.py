@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qromkit import (
+    Circuit,
     GateKind,
     IterationSpec,
     IterationWindow,
@@ -10,7 +11,6 @@ from qromkit import (
     Role,
     count_resources,
     emit_unary_iteration,
-    new_circuit,
 )
 from qromkit.simulate import batch_simulate, qubit_indexer
 
@@ -22,7 +22,7 @@ def iteration_circuit(index_bits, work_bits, probe_bits=0):
     ]
     if probe_bits:
         regs.append(RegisterSpec("probe", probe_bits, Role.OUTPUT))
-    return new_circuit(regs)
+    return Circuit(regs)
 
 
 def run_iteration(lo, hi, index_bits=None, work_bits=None):

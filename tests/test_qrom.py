@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qromkit import (
+    Circuit,
     GateKind,
     LookupTable,
     QubitRef,
@@ -15,7 +16,6 @@ from qromkit import (
     emit_copy,
     emit_restore,
     emit_select,
-    new_circuit,
     plan_qrom,
     registers_for_plan,
     verify_qrom,
@@ -59,7 +59,7 @@ class TestPlan:
 
     def test_register_sizes_sum(self):
         plan = plan_qrom(64, 8, 4, 2)
-        circuit = new_circuit(registers_for_plan(plan))
+        circuit = Circuit(registers_for_plan(plan))
         # 6 address + 8 output + 6 dirty + 4 work
         assert circuit.num_qubits == 24
 
@@ -70,18 +70,17 @@ class TestXorSchedule:
         plan = plan_qrom(8, 2, 4, 2)
         schedule = compute_xor_schedule(table, plan)
         for q in range(plan.q_range):
-            assert schedule.direct_bits(q, 0) == 0b11
-            for block in range(1, 4):
-                assert schedule.delta_bits(q, 0, block) == 0
-                assert schedule.unload_bits(q, block) == 0
+            assert schedule.direct[0][q] == 0b11
+            assert schedule.delta[0][q] == (0, 0, 0)
+            assert schedule.unload[q] == (0, 0, 0)
 
     def test_hand_example(self):
         table = LookupTable((0, 1, 2, 3, 0, 1, 2, 3), 2)
         plan = plan_qrom(8, 2, 4, 2)
         schedule = compute_xor_schedule(table, plan)
-        assert schedule.direct_bits(0, 0) == 0b00
-        for block in (1, 2, 3):
-            assert schedule.delta_bits(0, 0, block) == block
+        assert schedule.direct[0][0] == 0b00
+        # delta[stage][q][block - 1] for blocks 1, 2, 3
+        assert schedule.delta[0][0] == (1, 2, 3)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_deltas_telescope_to_unload(self, seed):
@@ -99,8 +98,41 @@ class TestXorSchedule:
             for block in range(1, lam):
                 acc = 0
                 for p in range(plan.num_packets):
-                    acc ^= schedule.delta_bits(q, p, block)
-                assert acc == schedule.unload_bits(q, block)
+                    acc ^= schedule.delta[p][q][block - 1]
+                assert acc == schedule.unload[q][block - 1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_bit_reference(self, seed):
+        # Bit-by-bit definition: delta bit j of packet p is c(q, l) bit
+        # p*mu + j xor c(q, l) bit (p-1)*mu + j, each read only inside its
+        # own packet.
+        rng = random.Random(seed)
+        n, b = rng.choice([12, 33, 64]), rng.choice([3, 5, 8])
+        lam, mu = rng.choice([2, 4, 8]), rng.randrange(1, b + 1)
+        table = random_table(n, b, seed=seed + 200)
+        plan = plan_qrom(n, b, lam, mu)
+        schedule = compute_xor_schedule(table, plan)
+
+        def c_bit(q, block, p, j):
+            if p < 0 or j >= plan.packet_sizes[p]:
+                return 0
+            diff = table.padded(q * lam + block) ^ table.padded(q * lam)
+            return (diff >> (p * mu + j)) & 1
+
+        last = plan.num_packets - 1
+        for q in range(plan.q_range):
+            for p in range(plan.num_packets):
+                width = plan.packet_sizes[p]
+                want = (table.padded(q * lam) >> (p * mu)) & ((1 << width) - 1)
+                assert schedule.direct[p][q] == want
+            for block in range(1, lam):
+                for p in range(plan.num_packets):
+                    want = sum(
+                        (c_bit(q, block, p, j) ^ c_bit(q, block, p - 1, j)) << j for j in range(mu)
+                    )
+                    assert schedule.delta[p][q][block - 1] == want
+                want = sum(c_bit(q, block, last, j) << j for j in range(mu))
+                assert schedule.unload[q][block - 1] == want
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="match"):
@@ -108,7 +140,15 @@ class TestXorSchedule:
 
 
 def fresh_plan_circuit(plan):
-    return new_circuit(registers_for_plan(plan))
+    return Circuit(registers_for_plan(plan))
+
+
+def packet_slice(plan, packet):
+    return [QubitRef("output", k) for k in range(*plan.packet_span(packet))]
+
+
+def all_packets(plan):
+    return [packet_slice(plan, p) for p in range(plan.num_packets)]
 
 
 class TestEmitters:
@@ -116,7 +156,7 @@ class TestEmitters:
         table = LookupTable((0,) * 64, 8)
         plan = plan_qrom(64, 8, 4, 2)
         circuit = fresh_plan_circuit(plan)
-        emit_select(circuit, plan, compute_xor_schedule(table, plan), 0)
+        emit_select(circuit, plan, compute_xor_schedule(table, plan), 0, packet_slice(plan, 0))
         assert count_resources(circuit).toffoli == 15
         data_cnots = [
             g
@@ -130,27 +170,23 @@ class TestEmitters:
         plan = plan_qrom(64, 8, 4, 2)
         schedule = compute_xor_schedule(table, plan)
         circuit = fresh_plan_circuit(plan)
-        emit_select(circuit, plan, schedule, 1)
+        emit_select(circuit, plan, schedule, 1, packet_slice(plan, 1))
         to_output = sum(
             1 for g in circuit.gates if g.kind is GateKind.CNOT and g.operands[1].register == "output"
         )
         to_dirty = sum(
             1 for g in circuit.gates if g.kind is GateKind.CNOT and g.operands[1].register == "dirty"
         )
-        assert to_output == sum(
-            bin(schedule.direct_bits(q, 1)).count("1") for q in range(plan.q_range)
-        )
+        assert to_output == sum(bin(value).count("1") for value in schedule.direct[1])
         assert to_dirty == sum(
-            bin(schedule.delta_bits(q, 1, block)).count("1")
-            for q in range(plan.q_range)
-            for block in range(1, 4)
+            bin(mask).count("1") for row in schedule.delta[1] for mask in row
         )
 
     def test_select_window_targets_match_deltas(self):
         table = LookupTable((0, 1, 2, 3, 0, 1, 2, 3), 2)
         plan = plan_qrom(8, 2, 4, 2)
         circuit = fresh_plan_circuit(plan)
-        emit_select(circuit, plan, compute_xor_schedule(table, plan), 0)
+        emit_select(circuit, plan, compute_xor_schedule(table, plan), 0, packet_slice(plan, 0))
         # deltas for q = 0 are 1, 2, 3: one set bit in blocks 1 and 2, two in 3.
         dirty_targets = sorted(
             g.operands[1].offset
@@ -173,13 +209,13 @@ class TestEmitters:
         n = 64
         plan = plan_qrom(n, b, lam, mu)
         circuit = fresh_plan_circuit(plan)
-        emit_copy(circuit, plan, packet)
+        emit_copy(circuit, plan, packet_slice(plan, packet))
         assert count_resources(circuit).toffoli == expected
 
     def test_copy_emits_no_data_cnots(self):
         plan = plan_qrom(64, 8, 4, 2)
         circuit = fresh_plan_circuit(plan)
-        emit_copy(circuit, plan, 0)
+        emit_copy(circuit, plan, packet_slice(plan, 0))
         for gate in circuit.gates:
             if gate.kind is GateKind.CNOT:
                 assert gate.operands[1].register == "work"
@@ -187,7 +223,7 @@ class TestEmitters:
     def test_copy_lambda2_controls_on_r_qubit(self):
         plan = plan_qrom(64, 3, 2, 3)
         circuit = fresh_plan_circuit(plan)
-        emit_copy(circuit, plan, 0)
+        emit_copy(circuit, plan, packet_slice(plan, 0))
         toffolis = [g for g in circuit.gates if g.kind is GateKind.TOFFOLI]
         assert len(toffolis) == 3
         assert all(g.operands[0] == QubitRef("addr_r", 0) for g in toffolis)
@@ -196,7 +232,7 @@ class TestEmitters:
         table = random_table(64, 8, seed=3)
         plan = plan_qrom(64, 8, 4, 2)
         circuit = fresh_plan_circuit(plan)
-        emit_restore(circuit, plan, compute_xor_schedule(table, plan))
+        emit_restore(circuit, plan, compute_xor_schedule(table, plan), all_packets(plan))
         # unloading select: 15, fix-up scaffold: 2, temp-ANDs: 3*2
         assert count_resources(circuit).toffoli == 15 + 2 + 6
 
@@ -206,7 +242,7 @@ class TestEmitters:
         table = LookupTable((0b110,) * 64, 3)
         plan = plan_qrom(64, 3, 4, 2)
         circuit = fresh_plan_circuit(plan)
-        emit_restore(circuit, plan, compute_xor_schedule(table, plan))
+        emit_restore(circuit, plan, compute_xor_schedule(table, plan), all_packets(plan))
         dirty_writes = [
             g
             for g in circuit.gates
@@ -219,7 +255,7 @@ class TestEmitters:
         table = random_table(16, 5, seed=4)
         plan = plan_qrom(16, 5, 4, 2)
         circuit = fresh_plan_circuit(plan)
-        emit_restore(circuit, plan, compute_xor_schedule(table, plan))
+        emit_restore(circuit, plan, compute_xor_schedule(table, plan), all_packets(plan))
         fanouts = {}
         current = None
         for gate in circuit.gates:
@@ -233,11 +269,22 @@ class TestEmitters:
                     fanouts[current].add(gate.operands[1].offset)
         assert fanouts == {0: {0, 2, 4}, 1: {1, 3}}
 
-    def test_packet_out_of_range(self):
+    def test_stage_out_of_range(self):
+        table = random_table(16, 4, seed=5)
+        plan = plan_qrom(16, 4, 4, 2)
+        schedule = compute_xor_schedule(table, plan)
+        circuit = fresh_plan_circuit(plan)
+        for stage in (-1, 2):
+            with pytest.raises(ValueError, match="stage"):
+                emit_select(circuit, plan, schedule, stage, packet_slice(plan, 0))
+        assert circuit.gates == []
+
+    def test_copy_rejects_slice_wider_than_mu(self):
         plan = plan_qrom(16, 4, 4, 2)
         circuit = fresh_plan_circuit(plan)
-        with pytest.raises(ValueError, match="packet"):
-            emit_copy(circuit, plan, 2)
+        with pytest.raises(ValueError, match="exceeds mu"):
+            emit_copy(circuit, plan, [QubitRef("output", k) for k in range(3)])
+        assert circuit.gates == []
 
 
 class TestBuildQrom:
@@ -306,11 +353,7 @@ class TestSequential:
         to_dirty = sum(
             1 for g in circuit.gates if g.kind is GateKind.CNOT and g.operands[1].register == "dirty"
         )
-        per_select = sum(
-            bin(schedule.unload_bits(q, block)).count("1")
-            for q in range(plan.q_range)
-            for block in range(1, 4)
-        )
+        per_select = sum(bin(mask).count("1") for row in schedule.unload for mask in row)
         # Only the first load and the final unload touch the dirty blocks.
         assert to_dirty == 2 * per_select
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qromkit import (
+    Circuit,
     BitState,
     GateKind,
     LookupTable,
@@ -11,7 +12,6 @@ from qromkit import (
     SimulationError,
     batch_simulate,
     build_qrom,
-    new_circuit,
     plan_qrom,
     simulate,
     verify_qrom,
@@ -21,7 +21,7 @@ from helpers import inverse_circuit, random_table
 
 
 def single_register(size=4):
-    return new_circuit([RegisterSpec("r", size, Role.DIRTY)])
+    return Circuit([RegisterSpec("r", size, Role.DIRTY)])
 
 
 def test_empty_circuit_identity():

@@ -30,3 +30,11 @@ def test_hex_and_comments():
 def test_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_table_text(text)
+
+
+def test_huge_declared_width_is_checked_without_allocating():
+    # Range checks compare bit lengths; 1 << 10**11 would need ~12 GB.
+    table = parse_table_text("2 100000000000\n1\n0x" + "f" * 40 + "\n")
+    assert table.bit_width == 10**11
+    with pytest.raises(ParseError, match="does not fit"):
+        parse_table_text("1 100000000000\n-1\n")
