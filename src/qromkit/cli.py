@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / verified, 1 I/O or parse failure, 2 invalid
-parameters or unpaired temp-ANDs in a gate file, 3 verification failure. All
+parameters, unpaired temp-ANDs in a gate file or a circuit outside the
+verifier's input contract, 3 verification failure. All
 randomness is seeded (default 0) and every command writes byte-identical
 output on identical invocations.
 """
@@ -162,16 +163,15 @@ def _format_cost_row(cost) -> str:
 
 def cmd_estimate(args) -> int:
     n, b = args.n, args.b
+    if n < 1 or b < 1:
+        raise ValueError("--n and --b must be >= 1")
     if (args.lam is None) != (args.mu is None) and args.lam is None:
         raise ValueError("--mu requires --lambda")
     if args.lam is None and args.budget is None:
         raise ValueError("estimate needs --lambda/--mu or --budget")
 
-    header = (
-        f"{'method':<22} {'toffoli':>12} {'select':>12} {'copy':>12} "
-        f"{'dirty':>10} {'clean_work':>10}"
-    )
-    print(header)
+    # Every row is computed before anything is printed, so a rejected
+    # parameter leaves stdout empty.
     rows = []
     if args.lam is not None:
         lam = args.lam
@@ -184,18 +184,24 @@ def cmd_estimate(args) -> int:
         rows.append(cost_uncompute("select_copy", n, lam))
         rows.append(cost_uncompute("prior", n, lam))
     rows.append(cost_prior_art("plain", n, b))
-    for cost in rows:
-        print(_format_cost_row(cost))
+    lines = [
+        f"{'method':<22} {'toffoli':>12} {'select':>12} {'copy':>12} "
+        f"{'dirty':>10} {'clean_work':>10}"
+    ]
+    lines += [_format_cost_row(cost) for cost in rows]
 
     if args.budget is not None:
         result = optimize_parameters(n, b, args.budget)
         if result.feasible:
-            print(
+            lines.append(
                 f"optimal: lambda={result.lam} mu={result.mu} "
                 f"toffoli={result.cost.toffoli_total} dirty={result.cost.dirty_qubits}"
             )
         else:
-            print(f"optimal: infeasible budget={args.budget}; plain fallback toffoli={n - 1}")
+            lines.append(
+                f"optimal: infeasible budget={args.budget}; plain fallback toffoli={n - 1}"
+            )
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -1,19 +1,19 @@
-"""Exact bit-level simulation of permutation-gate circuits.
+"""Exact bit-level simulation of permutation-gate circuits, and the lookup verifier.
 
 Every gate kind in the IR permutes computational basis states, so simulating
-basis states is exact and, by linearity, determines the action on arbitrary
-superpositions: if each |x>|0>|phi> maps to |x>|f(x)>|phi>, then any
-sum of amplitudes over basis states maps term by term. Amplitudes never
-enter the gate semantics and are not tracked.
+basis states is exact and, by linearity, covers superpositions: if each
+|x>|0>|phi> maps to |x>|f(x)>|phi>, so does any sum of them. Amplitudes are
+not tracked.
 
-Two entry points share the same semantics: ``simulate`` runs one assignment
-through the gate list, ``batch_simulate`` runs a matrix of assignments with
-vectorized bit operations (one row per qubit, one column per case). The
-temp-AND discipline is enforced in both: computing onto a nonzero target or
-uncomputing to a nonzero result raises, since either signals a builder bug.
+``simulate`` runs one assignment through the gate list and is the independent
+oracle; ``batch_simulate`` runs a matrix of assignments (one row per qubit in
+``qubit_indexer`` order, one column per case). Both raise ``SimulationError``
+on a temp-AND computed onto a nonzero target or uncomputed to a nonzero result.
 
-Simulation of independent cases is embarrassingly parallel; a single run is
-sequential by definition of the gate list.
+``verify_qrom`` is the one lookup verifier: one table or one per output
+register, every address times seeded dirty patterns in one ``batch_simulate``
+call, whole-array checks, and Python only over failing cases. It raises
+``ValueError`` before allocating for a circuit it cannot check.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, GateKind, QubitRef, Role
+from .qrom import LookupTable
 
 __all__ = [
     "SimulationError",
@@ -33,6 +34,8 @@ __all__ = [
     "VerificationReport",
     "verify_qrom",
 ]
+
+MAX_STATE_CELLS = 1 << 30  # qubits x cases cap on verify_qrom's uint8 state matrix
 
 
 class SimulationError(RuntimeError):
@@ -178,114 +181,109 @@ class VerificationReport:
 
 
 def verify_qrom(
-    circuit: Circuit,
-    table,
-    plan=None,
-    dirty_trials: int = 10,
-    seed: int = 0,
+    circuit: Circuit, table, plan=None, dirty_trials: int = 10, seed: int = 0
 ) -> VerificationReport:
     """Check the lookup contract for every address against random dirty states.
 
-    For each x in [0, N) and ``dirty_trials`` seeded dirty patterns, the final
-    state must have output = table entry x, every dirty bit back at its
-    initial value, the address unchanged, and all work/temp qubits at 0.
-    Failures are reported, not raised. ``plan``, when given, is only
-    cross-checked against the table dimensions.
+    ``table`` is one ``LookupTable`` or a sequence of them, one per output
+    register in declaration order. For each x in [0, N) and ``dirty_trials``
+    seeded dirty patterns, each output register's low b bits must equal its
+    table's entry x, every dirty bit must be restored, the address unchanged
+    and all work/temp qubits 0. Failures are reported, not raised;
+    ``observed_output`` packs all output registers in declaration order.
+    ``plan``, when given, is only cross-checked against the table dimensions.
 
-    The circuit's registers are located by role, so the same verifier covers
-    the packeted builder, the swap-network baseline, and the plain builder.
+    Input contract, raising ``ValueError`` before any allocation: one table
+    per output register, all with the same N; at most one ``address_q`` and one
+    ``address_r`` register, together at least ceil(log2 N) qubits; each output
+    register at least b wide; ``dirty_trials >= 1``; and at most
+    ``MAX_STATE_CELLS`` qubits times cases.
     """
-    if plan is not None and (plan.n_entries != table.n_entries or plan.bit_width != table.bit_width):
-        raise ValueError("plan dimensions do not match table")
-
-    n = table.n_entries
-    b = table.bit_width
-    index = qubit_indexer(circuit)
-
+    tables = [table] if isinstance(table, LookupTable) else list(table)
+    out_regs = circuit.registers_with_role(Role.OUTPUT)
     q_regs = circuit.registers_with_role(Role.ADDRESS_Q)
     r_regs = circuit.registers_with_role(Role.ADDRESS_R)
-    out_regs = circuit.registers_with_role(Role.OUTPUT)
-    dirty_regs = circuit.registers_with_role(Role.DIRTY)
-    if len(out_regs) != 1:
-        raise ValueError("verify_qrom expects exactly one output register")
-    out_reg = out_regs[0]
-    r_bits = r_regs[0].size if r_regs else 0
-    dirty_bits = sum(reg.size for reg in dirty_regs)
+    if not out_regs or len(tables) != len(out_regs):
+        raise ValueError(f"{len(tables)} tables for {len(out_regs)} output registers")
+    n = tables[0].n_entries
+    if any(t.n_entries != n for t in tables):
+        raise ValueError("tables differ in their number of entries")
+    dims = {(n, t.bit_width) for t in tables}
+    if plan is not None and dims != {(plan.n_entries, plan.bit_width)}:
+        raise ValueError("plan dimensions do not match table")
+    for reg, t in zip(out_regs, tables):
+        if reg.size < t.bit_width:
+            raise ValueError(f"output register {reg.name!r} is narrower than b={t.bit_width}")
+    if len(q_regs) > 1 or len(r_regs) > 1:
+        raise ValueError("verify_qrom expects at most one address_q and one address_r register")
+    address_bits = sum(reg.size for reg in q_regs + r_regs)
+    if (n - 1).bit_length() > address_bits:
+        raise ValueError(f"{address_bits} address qubits cannot address {n} entries")
+    if dirty_trials < 1:
+        raise ValueError("dirty_trials must be >= 1")
+    trials, cases = dirty_trials, n * dirty_trials
+    if circuit.num_qubits * cases > MAX_STATE_CELLS:
+        cells = f"{circuit.num_qubits} qubits x {cases} cases"
+        raise ValueError(f"verifier state of {cells} exceeds {MAX_STATE_CELLS} cells")
 
-    trials = max(1, dirty_trials)
+    index = qubit_indexer(circuit)
+
+    def rows(regs) -> list[int]:
+        return [index[QubitRef(reg.name, off)] for reg in regs for off in range(reg.size)]
+
+    addr_rows = rows(r_regs + q_regs)  # row i holds address bit i
+    dirty_rows = rows(circuit.registers_with_role(Role.DIRTY))
+    clean_rows = rows(reg for reg in circuit.registers if reg.role in (Role.WORK, Role.TEMP))
+    out_rows = [rows([reg]) for reg in out_regs]
+
     rng = np.random.default_rng(seed)
-    patterns = (
-        rng.integers(0, 2, size=(trials, dirty_bits), dtype=np.uint8)
-        if dirty_bits
-        else np.zeros((trials, 0), dtype=np.uint8)
-    )
-
-    cases = n * trials
-    matrix = np.zeros((circuit.num_qubits, cases), dtype=np.uint8)
+    patterns = rng.integers(0, 2, size=(trials, len(dirty_rows)), dtype=np.uint8)
     xs = np.repeat(np.arange(n), trials)
-    trial_ids = np.tile(np.arange(trials), n)
+    matrix = np.zeros((circuit.num_qubits, cases), dtype=np.uint8)
+    for shift, row in enumerate(addr_rows):
+        matrix[row] = (xs >> shift) & 1
+    matrix[dirty_rows] = np.tile(patterns.T, n)
 
-    for j, x in enumerate(xs):
-        q_val, r_val = x >> r_bits, x & ((1 << r_bits) - 1)
-        for reg in q_regs:
-            for off in range(reg.size):
-                matrix[index[QubitRef(reg.name, off)], j] = (q_val >> off) & 1
-        for reg in r_regs:
-            for off in range(reg.size):
-                matrix[index[QubitRef(reg.name, off)], j] = (r_val >> off) & 1
-        pat = patterns[trial_ids[j]]
-        pos = 0
-        for reg in dirty_regs:
-            for off in range(reg.size):
-                matrix[index[QubitRef(reg.name, off)], j] = pat[pos]
-                pos += 1
-
-    initial = matrix.copy()
     final = batch_simulate(circuit, matrix)
 
-    out_rows = [index[QubitRef(out_reg.name, off)] for off in range(out_reg.size)]
-    dirty_rows = [
-        index[QubitRef(reg.name, off)] for reg in dirty_regs for off in range(reg.size)
-    ]
-    addr_rows = [
-        index[QubitRef(reg.name, off)]
-        for reg in q_regs + r_regs
-        for off in range(reg.size)
-    ]
-    clean_rows = [
-        index[QubitRef(reg.name, off)]
-        for reg in circuit.registers
-        if reg.role in (Role.WORK, Role.TEMP)
-        for off in range(reg.size)
-    ]
+    out_bad = [_mismatch(final[r[: t.bit_width]], t, trials) for r, t in zip(out_rows, tables)]
+    dirty_bad = (final[dirty_rows] != matrix[dirty_rows]).any(axis=0)
+    addr_bad = (final[addr_rows] != matrix[addr_rows]).any(axis=0)
+    clean_bad = final[clean_rows].any(axis=0)
 
+    labels = ["output"] if len(out_regs) == 1 else [reg.name for reg in out_regs]
+    all_out_rows = sum(out_rows, [])
     report = VerificationReport(cases_run=cases)
-    for j in range(cases):
-        x = int(xs[j])
-        expected = table.entries[x]
-        observed_out = _pack(final[:, j], out_rows)
-        observed_dirty = _pack(final[:, j], dirty_rows)
-        initial_dirty = _pack(initial[:, j], dirty_rows)
-        problems = []
-        if expected & ((1 << b) - 1) != observed_out & ((1 << b) - 1):
-            problems.append(f"output {observed_out:#x} != f(x) {expected:#x}")
-        if observed_dirty != initial_dirty:
+    for j in np.flatnonzero(np.logical_or.reduce([*out_bad, dirty_bad, addr_bad, clean_bad])):
+        x, column = int(j) // trials, final[:, j]
+        problems = [
+            f"{label} {_pack(column, reg_rows):#x} != f(x) {t.entries[x]:#x}"
+            for label, reg_rows, t, bad in zip(labels, out_rows, tables, out_bad)
+            if bad[j]
+        ]
+        if dirty_bad[j]:
             problems.append("dirty register not restored")
-        if any(final[row, j] != initial[row, j] for row in addr_rows):
+        if addr_bad[j]:
             problems.append("address register changed")
-        if any(final[row, j] for row in clean_rows):
+        if clean_bad[j]:
             problems.append("work/temp qubit left nonzero")
-        if problems:
-            report.failures.append(
-                VerificationFailure(
-                    x=x,
-                    dirty_pattern=initial_dirty,
-                    observed_output=observed_out,
-                    observed_dirty=observed_dirty,
-                    diagnostics="; ".join(problems),
-                )
+        report.failures.append(
+            VerificationFailure(
+                x=x,
+                dirty_pattern=_pack(matrix[:, j], dirty_rows),
+                observed_output=_pack(column, all_out_rows),
+                observed_dirty=_pack(column, dirty_rows),
+                diagnostics="; ".join(problems),
             )
+        )
     return report
+
+
+def _mismatch(observed: np.ndarray, table: LookupTable, trials: int) -> np.ndarray:
+    """Per case, whether the b observed output rows differ from entry x's bits."""
+    values = np.array(table.entries, dtype=np.uint64 if table.bit_width <= 64 else object)
+    expected = np.array([(values >> j) & 1 for j in range(table.bit_width)], dtype=np.uint8)
+    return (observed.reshape(*expected.shape, trials) != expected[..., None]).any(axis=0).ravel()
 
 
 def _pack(column: np.ndarray, rows: list[int]) -> int:

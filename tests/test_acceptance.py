@@ -3,10 +3,7 @@ PASS/FAIL line (run with ``pytest -s`` to see them)."""
 import random
 import time
 
-import numpy as np
-
 from qromkit import (
-    QubitRef,
     SequentialSpec,
     build_qrom,
     build_selectswap_dirty,
@@ -23,7 +20,6 @@ from qromkit import (
 )
 from qromkit.cli import main as cli_main
 from qromkit.qrom import ceil_div, ceil_log2
-from qromkit.simulate import batch_simulate, qubit_indexer
 from helpers import random_table
 
 N_VALUES = (8, 12, 16, 33, 64, 100, 256)
@@ -146,44 +142,9 @@ def test_criterion_6_sequential():
                     if count_resources(circuit).toffoli != want:
                         bad.append(("count", m, n, b, lam))
                         continue
-                    if not _sequential_outputs_ok(circuit, tables, lam):
+                    if not verify_qrom(circuit, tables, dirty_trials=4, seed=42).passed:
                         bad.append(("sim", m, n, b, lam))
     report(6, "sequential lookups: exact (m+1)-round count and simultaneous outputs", not bad)
-
-
-def _sequential_outputs_ok(circuit, tables, lam, trials=4):
-    n, b = tables[0].n_entries, tables[0].bit_width
-    m = len(tables)
-    index = qubit_indexer(circuit)
-    r_bits = lam.bit_length() - 1
-    dirty = circuit.register("dirty")
-    rng = np.random.default_rng(42)
-    patterns = rng.integers(0, 2, size=(trials, dirty.size), dtype=np.uint8)
-    cases = n * trials
-    matrix = np.zeros((circuit.num_qubits, cases), dtype=np.uint8)
-    for j in range(cases):
-        x, t = divmod(j, trials)
-        q, r = x >> r_bits, x & (lam - 1)
-        for off in range(circuit.register("addr_q").size):
-            matrix[index[QubitRef("addr_q", off)], j] = (q >> off) & 1
-        for off in range(r_bits):
-            matrix[index[QubitRef("addr_r", off)], j] = (r >> off) & 1
-        for off in range(dirty.size):
-            matrix[index[QubitRef("dirty", off)], j] = patterns[t][off]
-    initial = matrix.copy()
-    final = batch_simulate(circuit, matrix)
-    dirty_rows = [index[QubitRef("dirty", off)] for off in range(dirty.size)]
-    for j in range(cases):
-        x = j // trials
-        for i in range(m):
-            out = sum(
-                int(final[index[QubitRef(f"output_{i + 1}", off)], j]) << off for off in range(b)
-            )
-            if out != tables[i].entries[x]:
-                return False
-        if not (final[dirty_rows, j] == initial[dirty_rows, j]).all():
-            return False
-    return True
 
 
 def test_criterion_7_baseline_differential():

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 
 import pytest
@@ -86,6 +87,22 @@ class TestVerify:
         assert code == 3
         assert "first_failure" in out
 
+    def test_fault_report_stdout_pinned(self, table_64, tmp_path):
+        out_path = tmp_path / "c.gates"
+        run_cli(["build", "--table", table_64, "--lambda", "4", "--mu", "2", "--out", str(out_path)])
+        with open(out_path, "a") as handle:
+            handle.write("X output 2\nX dirty 1\nX addr_r 0\n")
+        code, out, _ = run_cli(
+            ["verify", "--table", table_64, "--circuit", str(out_path), "--trials", "3", "--seed", "5"]
+        )
+        assert code == 3
+        assert out == (
+            "cases_run=192\n"
+            "failures=192\n"
+            "first_failure: x=0 dirty=0x3f output=0x40 diagnostics=output 0x40 != f(x) 0x44; "
+            "dirty register not restored; address register changed\n"
+        )
+
     @pytest.mark.parametrize(
         "extra,message",
         [
@@ -117,6 +134,49 @@ class TestVerify:
         code, out, err = run_cli(["verify", "--table", table_64, "--circuit", str(out_path)])
         assert (code, out) == (3, "")
         assert err.startswith("error: gate ") and "TEMP_AND target is not 0" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_exit_2(self, table_64, trials):
+        code, out, err = run_cli(
+            ["verify", "--table", table_64, "--lambda", "4", "--mu", "2", "--trials", trials]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: dirty_trials must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "registers,message",
+        [
+            ("addr_q 3 address_q\nREGISTER addr_hi 3 address_q", "at most one address_q"),
+            ("addr_q 5 address_q", "5 address qubits cannot address 64 entries"),
+            ("addr_q 6 address_q\nREGISTER output 7 output", "'output' is narrower than b=8"),
+            ("addr_q 6 address_q\nREGISTER output 8 output\nREGISTER copy 8 output", "1 tables for 2"),
+        ],
+        ids=["two_address_q", "narrow_address", "narrow_output", "extra_output"],
+    )
+    def test_uncheckable_circuit_exits_2(self, table_64, tmp_path, registers, message):
+        path = tmp_path / "c.gates"
+        registers = registers if "output" in registers else registers + "\nREGISTER output 8 output"
+        path.write_text(f"REGISTER {registers}\n")
+        code, out, err = run_cli(["verify", "--table", table_64, "--circuit", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_huge_register_exits_2_before_allocating(self, table_64, tmp_path, monkeypatch):
+        # The state-size cap must fire before rows are indexed or allocated;
+        # a failing guard trips the patched indexer instead of exhausting memory.
+        def indexer_must_not_run(circuit):
+            raise AssertionError("qubit_indexer reached")
+
+        # The package exports a function named ``simulate``, so fetch the module.
+        simulate_module = importlib.import_module("qromkit.simulate")
+        monkeypatch.setattr(simulate_module, "qubit_indexer", indexer_must_not_run)
+        path = tmp_path / "c.gates"
+        path.write_text(
+            "REGISTER addr_q 6 address_q\nREGISTER output 8 output\nREGISTER w 4000000000 work\n"
+        )
+        code, out, err = run_cli(["verify", "--table", table_64, "--circuit", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: verifier state of 4000000014 qubits x 640 cases")
 
     @pytest.mark.parametrize("baseline", ["selectswap", "plain"])
     def test_baselines(self, table_64, baseline):
@@ -179,6 +239,22 @@ class TestEstimate:
         code, _, err = run_cli(["estimate", "--n", "64", "--b", "8", "--mu", "2"])
         assert code == 2
         assert "requires --lambda" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n", "0", "--b", "1", "--budget", "1"],
+            ["--n", "64", "--b", "0", "--lambda", "4"],
+            ["--n", "-5", "--b", "8", "--lambda", "4", "--mu", "2"],
+            ["--n", "2", "--b", "1", "--lambda", "2"],
+            ["--n", "64", "--b", "8", "--lambda", "4", "--mu", "9"],
+        ],
+        ids=["zero_n", "zero_b", "negative_n", "lambda_not_below_n", "mu_above_b"],
+    )
+    def test_invalid_point_exits_2_with_empty_stdout(self, args):
+        code, out, err = run_cli(["estimate", *args])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_point_and_budget_together(self):
         code, out, _ = run_cli(

@@ -7,11 +7,8 @@ failures reproduce exactly.
 import math
 import random
 
-import numpy as np
-
 from qromkit import (
     LookupTable,
-    QubitRef,
     SequentialSpec,
     build_qrom,
     build_selectswap_dirty,
@@ -21,7 +18,6 @@ from qromkit import (
     plan_qrom,
     verify_qrom,
 )
-from qromkit.simulate import batch_simulate, qubit_indexer
 
 
 def test_exhaustive_tiny_parameter_space():
@@ -64,35 +60,7 @@ def test_random_wide_parameters():
         assert (
             count_resources(circuit).toffoli == cost_bit_packet(n, b, lam, mu).toffoli_total
         ), (n, b, lam, mu)
-        _spot_simulate(circuit, table, plan, rng)
-
-
-def _spot_simulate(circuit, table, plan, rng, addresses=5, trials=2):
-    index = qubit_indexer(circuit)
-    xs = sorted(rng.sample(range(table.n_entries), min(table.n_entries, addresses)))
-    patterns = [rng.randrange(1 << plan.dirty_qubits) for _ in range(trials)]
-    cases = len(xs) * trials
-    matrix = np.zeros((circuit.num_qubits, cases), dtype=np.uint8)
-    for j in range(cases):
-        x, t = xs[j // trials], j % trials
-        q, r = x >> plan.r_bits, x & (plan.lam - 1)
-        for off in range(plan.q_bits):
-            matrix[index[QubitRef("addr_q", off)], j] = (q >> off) & 1
-        for off in range(plan.r_bits):
-            matrix[index[QubitRef("addr_r", off)], j] = (r >> off) & 1
-        for off in range(plan.dirty_qubits):
-            matrix[index[QubitRef("dirty", off)], j] = (patterns[t] >> off) & 1
-    initial = matrix.copy()
-    final = batch_simulate(circuit, matrix)
-    dirty_rows = [index[QubitRef("dirty", off)] for off in range(plan.dirty_qubits)]
-    for j in range(cases):
-        x = xs[j // trials]
-        out = sum(
-            int(final[index[QubitRef("output", off)], j]) << off
-            for off in range(table.bit_width)
-        )
-        assert out == table.entries[x], (x, out)
-        assert (final[dirty_rows, j] == initial[dirty_rows, j]).all()
+        assert verify_qrom(circuit, table, plan, dirty_trials=2, seed=trial).passed, (n, b, lam, mu)
 
 
 def test_random_sequential_counts():
@@ -108,6 +76,7 @@ def test_random_sequential_counts():
         circuit = build_sequential_qroms(SequentialSpec(tables, lam))
         expected = (m + 1) * (math.ceil(n / lam) + b * (lam - 1) + lam - 3)
         assert count_resources(circuit).toffoli == expected, (n, b, lam, m)
+        assert verify_qrom(circuit, tables, dirty_trials=2, seed=trial).passed, (n, b, lam, m)
 
 
 def test_random_swap_network_counts():
@@ -120,3 +89,4 @@ def test_random_swap_network_counts():
         circuit = build_selectswap_dirty(table, lam)
         expected = 2 * (math.ceil(n / lam) - 1) + 4 * b * (lam - 1)
         assert count_resources(circuit).toffoli == expected, (n, b, lam)
+        assert verify_qrom(circuit, table, dirty_trials=2, seed=trial).passed, (n, b, lam)
