@@ -165,6 +165,8 @@ def cmd_estimate(args) -> int:
     n, b = args.n, args.b
     if n < 1 or b < 1:
         raise ValueError("--n and --b must be >= 1")
+    if args.budget is not None and args.budget < 0:
+        raise ValueError("--budget must be >= 0")
     if (args.lam is None) != (args.mu is None) and args.lam is None:
         raise ValueError("--mu requires --lambda")
     if args.lam is None and args.budget is None:
@@ -206,6 +208,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.b < 1:
+        raise ValueError("--b must be >= 1")
+    if args.budget < 0:
+        raise ValueError("--budget must be >= 0")
     if args.points < 1:
         raise ValueError("--points must be >= 1")
     if not 1 <= args.n_min <= args.n_max:

@@ -6,9 +6,11 @@ basis states is exact and, by linearity, covers superpositions: if each
 not tracked.
 
 ``simulate`` runs one assignment through the gate list and is the independent
-oracle; ``batch_simulate`` runs a matrix of assignments (one row per qubit in
-``qubit_indexer`` order, one column per case). Both raise ``SimulationError``
-on a temp-AND computed onto a nonzero target or uncomputed to a nonzero result.
+oracle; ``batch_simulate`` runs a 0/1 matrix of assignments (one row per qubit
+in ``qubit_indexer`` order, one column per case) on the one bit-packed engine,
+which holds each qubit row as a Python int with bit j for case j. Both raise
+``SimulationError`` on a temp-AND computed onto a nonzero target or uncomputed
+to a nonzero result.
 
 ``verify_qrom`` is the one lookup verifier: one table or one per output
 register, every address times seeded dirty patterns in one ``batch_simulate``
@@ -123,42 +125,65 @@ def qubit_indexer(circuit: Circuit) -> dict[QubitRef, int]:
 def batch_simulate(circuit: Circuit, bit_matrix: np.ndarray) -> np.ndarray:
     """Run many cases at once.
 
-    ``bit_matrix`` has shape (num_qubits, num_cases) with rows ordered by
-    ``qubit_indexer``; a fresh final matrix is returned. Semantics and
-    temp-AND checks match ``simulate`` exactly, applied across all cases.
+    ``bit_matrix`` is a 2-D 0/1 matrix of integers or bools with shape
+    (num_qubits, num_cases) and rows ordered by ``qubit_indexer``; anything
+    else raises ``ValueError``. A fresh ``uint8`` final matrix is returned.
+    Semantics and temp-AND checks match ``simulate`` exactly, applied across
+    all cases.
+
+    There is one engine: each qubit row is packed into one Python int whose
+    bit j is case j, so every gate is one or two int operations over all
+    cases. The operands are resolved to rows once, before the gate loop.
     """
-    if bit_matrix.shape[0] != circuit.num_qubits:
+    if bit_matrix.ndim != 2 or bit_matrix.shape[0] != circuit.num_qubits:
         raise ValueError(
-            f"bit matrix has {bit_matrix.shape[0]} rows, circuit has {circuit.num_qubits} qubits"
+            f"bit matrix has shape {bit_matrix.shape}, circuit has {circuit.num_qubits} qubits"
         )
-    state = bit_matrix.astype(np.uint8, copy=True)
+    if bit_matrix.dtype.kind not in "biu":
+        raise ValueError(f"bit matrix must hold integers or bools, not {bit_matrix.dtype}")
+    if bit_matrix.size and (bit_matrix.min() < 0 or bit_matrix.max() > 1):
+        raise ValueError("bit matrix entries must be 0 or 1")
+    cases = bit_matrix.shape[1]
+    packed = np.packbits(bit_matrix, axis=1, bitorder="little")
+    state = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    full = (1 << cases) - 1
     index = qubit_indexer(circuit)
-    for i, gate in enumerate(circuit.gates):
+    gates = circuit.gates
+    # One flat comprehension: a per-gate list would cost more than the gates.
+    next_row = iter([index[ref] for gate in gates for ref in gate.operands]).__next__
+    for i, gate in enumerate(gates):
         kind = gate.kind
-        rows = [index[ref] for ref in gate.operands]
-        if kind is GateKind.X:
-            state[rows[0]] ^= 1
-        elif kind is GateKind.CNOT:
-            state[rows[1]] ^= state[rows[0]]
+        if kind is GateKind.CNOT:
+            c, t = next_row(), next_row()
+            state[t] ^= state[c]
+        elif kind is GateKind.X:
+            state[next_row()] ^= full
         elif kind is GateKind.TOFFOLI:
-            state[rows[2]] ^= state[rows[0]] & state[rows[1]]
+            a, b, t = next_row(), next_row(), next_row()
+            state[t] ^= state[a] & state[b]
         elif kind is GateKind.TEMP_AND:
-            if state[rows[2]].any():
+            a, b, t = next_row(), next_row(), next_row()
+            if state[t]:
                 raise SimulationError(f"gate {i}: TEMP_AND target is not 0 in some case")
-            state[rows[2]] = state[rows[0]] & state[rows[1]]
+            state[t] = state[a] & state[b]
         elif kind is GateKind.TEMP_AND_UNCOMPUTE:
-            state[rows[2]] ^= state[rows[0]] & state[rows[1]]
-            if state[rows[2]].any():
+            a, b, t = next_row(), next_row(), next_row()
+            state[t] ^= state[a] & state[b]
+            if state[t]:
                 raise SimulationError(
                     f"gate {i}: TEMP_AND_UNCOMPUTE left target at 1 in some case"
                 )
         elif kind is GateKind.CSWAP:
-            mask = state[rows[0]] & (state[rows[1]] ^ state[rows[2]])
-            state[rows[1]] ^= mask
-            state[rows[2]] ^= mask
+            c, a, b = next_row(), next_row(), next_row()
+            mask = state[c] & (state[a] ^ state[b])
+            state[a] ^= mask
+            state[b] ^= mask
         else:  # pragma: no cover
             raise SimulationError(f"unknown gate kind {kind}")
-    return state
+    width = packed.shape[1]
+    data = b"".join(value.to_bytes(width, "little") for value in state)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(state), width)
+    return np.unpackbits(packed, axis=1, count=cases, bitorder="little")
 
 
 @dataclass(frozen=True, slots=True)

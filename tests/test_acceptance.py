@@ -194,6 +194,21 @@ def test_criterion_8_improvement_factors():
     )
 
 
+def test_headline_point_circuit_verified():
+    # The paper's headline shape at N = 2^16: b = 8 under 31 dirty qubits.
+    n, b = 1 << 16, 8
+    result = optimize_parameters(n, b, 31)
+    assert (result.lam, result.mu) == (32, 1)
+    table = random_table(n, b, seed=16)
+    plan = plan_qrom(n, b, result.lam, result.mu)
+    circuit = build_qrom(table, plan)
+    estimate = count_resources(circuit)
+    assert estimate.toffoli == cost_bit_packet(n, b, 32, 1).toffoli_total
+    assert estimate.dirty_qubits <= 31
+    rep = verify_qrom(circuit, table, plan, dirty_trials=1, seed=16)
+    assert rep.passed and rep.cases_run == n
+
+
 def test_criterion_9_optimizer_matches_independent_search():
     def independent(n, b, budget):
         best = None

@@ -248,8 +248,9 @@ class TestEstimate:
             ["--n", "-5", "--b", "8", "--lambda", "4", "--mu", "2"],
             ["--n", "2", "--b", "1", "--lambda", "2"],
             ["--n", "64", "--b", "8", "--lambda", "4", "--mu", "9"],
+            ["--n", "64", "--b", "8", "--budget", "-1"],
         ],
-        ids=["zero_n", "zero_b", "negative_n", "lambda_not_below_n", "mu_above_b"],
+        ids=["zero_n", "zero_b", "negative_n", "lambda_not_below_n", "mu_above_b", "negative_budget"],
     )
     def test_invalid_point_exits_2_with_empty_stdout(self, args):
         code, out, err = run_cli(["estimate", *args])
@@ -300,6 +301,20 @@ class TestSweep:
              "--points", "2", "--out", str(tmp_path / "s.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "b,budget,message",
+        [("8", "-5", "--budget must be >= 0"), ("0", "5", "--b must be >= 1")],
+        ids=["negative_budget", "zero_b"],
+    )
+    def test_invalid_flag_exits_2_without_output(self, tmp_path, b, budget, message):
+        out_path = tmp_path / "s.csv"
+        code, out, err = run_cli(
+            ["sweep", "--b", b, "--budget", budget, "--n-min", "4", "--n-max", "8",
+             "--points", "2", "--out", str(out_path)]
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_path.exists()
 
     def test_rows_sorted_and_deterministic(self, tmp_path):
         out_path = tmp_path / "sweep.csv"

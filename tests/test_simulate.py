@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qromkit import (
     Circuit,
@@ -16,6 +18,7 @@ from qromkit import (
     simulate,
     verify_qrom,
 )
+from qromkit.circuit import GATE_ARITY
 from qromkit.simulate import qubit_indexer
 from helpers import inverse_circuit, random_table
 
@@ -106,6 +109,94 @@ def test_batch_matches_scalar():
         scalar = simulate(circuit, state)
         for ref, row in index.items():
             assert scalar.bits[ref] == final[row, j], (ref, j)
+
+
+@pytest.mark.parametrize(
+    "matrix,message",
+    [
+        (np.zeros(4, dtype=np.uint8), "shape"),
+        (np.zeros((4, 2, 1), dtype=np.uint8), "shape"),
+        (np.zeros((3, 2), dtype=np.uint8), "shape"),
+        (np.array([[2], [0], [0], [0]], dtype=np.uint8), "0 or 1"),
+        (np.array([[-1], [0], [0], [0]], dtype=np.int8), "0 or 1"),
+        (np.zeros((4, 2)), "integers or bools"),
+    ],
+    ids=["1d", "3d", "wrong_rows", "entry_2", "negative", "float"],
+)
+def test_batch_rejects_malformed_matrix(matrix, message):
+    c = single_register()
+    c.append(GateKind.X, QubitRef("r", 0))
+    with pytest.raises(ValueError, match=message):
+        batch_simulate(c, matrix)
+
+
+def test_batch_accepts_bool_matrix_and_returns_fresh_uint8():
+    c = single_register(2)
+    c.append(GateKind.CNOT, QubitRef("r", 0), QubitRef("r", 1))
+    matrix = np.array([[True, False, True], [False, False, True]])
+    final = batch_simulate(c, matrix)
+    assert final.dtype == np.uint8
+    assert final.tolist() == [[1, 0, 1], [1, 0, 0]]
+    assert matrix.tolist() == [[True, False, True], [False, False, True]]
+
+
+# Case counts on both sides of the packing's byte and 64-bit word edges.
+EDGE_CASE_COUNTS = [1, 7, 8, 9, 63, 64, 65, 203]
+UNCHECKED_KINDS = [GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.CSWAP]
+DIFFERENTIAL_REGISTERS = [
+    RegisterSpec("a", 3, Role.DIRTY),
+    RegisterSpec("t", 2, Role.TEMP),
+    RegisterSpec("o", 2, Role.OUTPUT),
+]
+
+
+@st.composite
+def differential_runs(draw):
+    """A random circuit over every gate kind plus a random 0/1 input matrix."""
+    circuit = Circuit(DIFFERENTIAL_REGISTERS)
+    qubits = [QubitRef(reg.name, off) for reg in DIFFERENTIAL_REGISTERS for off in range(reg.size)]
+    # Half the draws leave out the two checked temp-AND kinds, so that the
+    # full-state comparison runs often on wide inputs too.
+    kinds = draw(st.sampled_from([list(GateKind), UNCHECKED_KINDS]))
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(kinds))
+        arity = GATE_ARITY[kind]
+        operands = draw(st.permutations(qubits))[:arity]
+        circuit.append(kind, *operands)
+    cases = draw(st.sampled_from(EDGE_CASE_COUNTS))
+    # Temp qubits start at 0 in half the draws, so that some temp-ANDs hold.
+    density = draw(st.sampled_from([0.0, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.integers(0, 2, size=(circuit.num_qubits, cases), dtype=np.uint8)
+    index = qubit_indexer(circuit)
+    temp_rows = [index[QubitRef("t", off)] for off in range(2)]
+    matrix[temp_rows] &= rng.random((2, cases)) < density
+    return circuit, matrix
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(differential_runs())
+def test_batch_matches_scalar_property(run):
+    circuit, matrix = run
+    index = qubit_indexer(circuit)
+    scalar_finals, first_error = [], None
+    for j in range(matrix.shape[1]):
+        state = BitState.for_circuit(circuit)
+        for ref, row in index.items():
+            state.bits[ref] = int(matrix[row, j])
+        try:
+            scalar_finals.append(simulate(circuit, state))
+        except SimulationError as exc:
+            gate = int(str(exc).split(":")[0].removeprefix("gate "))
+            first_error = gate if first_error is None else min(first_error, gate)
+    if first_error is not None:
+        with pytest.raises(SimulationError, match=f"^gate {first_error}: "):
+            batch_simulate(circuit, matrix)
+        return
+    final = batch_simulate(circuit, matrix)
+    for j, scalar in enumerate(scalar_finals):
+        for ref, row in index.items():
+            assert final[row, j] == scalar.bits[ref], (ref, j)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
