@@ -7,7 +7,10 @@ return to 0), ``dirty`` registers hold arbitrary borrowed state, and the two
 address roles are inputs.
 
 Circuits are append-only while being built and treated as immutable afterwards,
-so finished circuits can be shared freely between threads.
+so finished circuits can be shared freely between threads. A lookup circuit
+repeats a few hundred distinct gates thousands of times, so each circuit
+interns its gates: equal gates are one shared frozen ``Gate`` object, built
+and validated once.
 """
 from __future__ import annotations
 
@@ -142,6 +145,7 @@ class Circuit:
                 raise CircuitError(f"duplicate register name {reg.name!r}")
             self._by_name[reg.name] = reg
         self.gates: list[Gate] = []
+        self._interned: dict[tuple, Gate] = {}
 
     @property
     def num_qubits(self) -> int:
@@ -165,8 +169,20 @@ class Circuit:
                 yield QubitRef(reg.name, offset)
 
     def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
-        gate = Gate(kind, tuple(operands))
-        self._validate(gate)
+        """Append a gate and return it.
+
+        Equal gates are one shared frozen object: the first append of a
+        ``(kind, operands)`` pair builds and validates the ``Gate``, later ones
+        reuse it. A ``str`` kind equals its ``GateKind``, so both spellings
+        share one gate whose kind is the enum. A gate that fails validation is
+        never stored and raises the same ``CircuitError`` on every append.
+        """
+        key = (kind, operands)
+        gate = self._interned.get(key)
+        if gate is None:
+            gate = Gate(kind, operands)
+            self._validate(gate)
+            self._interned[key] = gate
         self.gates.append(gate)
         return gate
 

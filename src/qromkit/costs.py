@@ -214,6 +214,13 @@ def cost_uncompute(kind: str, n: int, lam_prime: int) -> CostBreakdown:
     )
 
 
+def _check_budget_point(n: int, b: int, dirty_budget: int) -> None:
+    if n < 1 or b < 1:
+        raise ValueError(f"N = {n} and b = {b} must both be >= 1")
+    if dirty_budget < 0:
+        raise ValueError(f"dirty budget = {dirty_budget} must be >= 0")
+
+
 def _plain_fallback(n: int, b: int) -> CostBreakdown:
     return cost_prior_art("plain", n, b)
 
@@ -224,8 +231,10 @@ def optimize_parameters(n: int, b: int, dirty_budget: int) -> OptimizationResult
     Searches every power-of-two lam in (1, N) and every mu in [1, b] with
     mu*(lam-1) <= dirty_budget; ties break toward smaller lam, then smaller
     mu. With no feasible point the result falls back to the plain N - 1
-    lookup and is flagged infeasible.
+    lookup and is flagged infeasible. Raises ValueError for N < 1, b < 1 or
+    a negative budget; a budget of 0 is valid and infeasible.
     """
+    _check_budget_point(n, b, dirty_budget)
     best: tuple[int, int, CostBreakdown] | None = None
     lam = 2
     while lam < n:
@@ -274,8 +283,9 @@ def improvement_sweep(b: int, dirty_budget: int, n_values: list[int]) -> list[Sw
     Columns: the prior headline optimum, the full-width (mu = b) and
     single-bit (mu = 1) optima, the overall optimum with its parameters, and
     the improvement ratio. Infeasible columns fall back to the plain N - 1
-    count.
+    count. Raises ValueError for any N < 1, b < 1 or a negative budget.
     """
+    _check_budget_point(min(n_values, default=1), b, dirty_budget)
     rows = []
     for n in n_values:
         berry = _best_over_lam(

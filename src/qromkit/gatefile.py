@@ -8,7 +8,8 @@ Header lines declare registers, then one gate per line, targets last::
 
 ``#`` starts a comment (full line or trailing); lines are LF-terminated.
 ``parse_circuit(serialize_circuit(c))`` reproduces the register list and gate
-list exactly.
+list exactly. A lookup circuit repeats few distinct gates many times, so each
+distinct gate line is tokenized once and each distinct gate formatted once.
 """
 from __future__ import annotations
 
@@ -29,28 +30,36 @@ def serialize_circuit(circuit: Circuit) -> str:
     lines = [
         f"REGISTER {reg.name} {reg.size} {reg.role.value}" for reg in circuit.registers
     ]
+    # Keyed by id: equal gates are one object, and every key stays alive in
+    # circuit.gates while this runs.
+    formatted: dict[int, str] = {}
     for gate in circuit.gates:
-        parts = [gate.kind.value]
-        for ref in gate.operands:
-            parts.append(ref.register)
-            parts.append(str(ref.offset))
-        lines.append(" ".join(parts))
+        line = formatted.get(id(gate))
+        if line is None:
+            parts = [gate.kind.value]
+            for ref in gate.operands:
+                parts.append(ref.register)
+                parts.append(str(ref.offset))
+            line = formatted[id(gate)] = " ".join(parts)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def parse_circuit(text: str) -> Circuit:
     registers: list[RegisterSpec] = []
     seen_names: set[str] = set()
-    pending_gates: list[tuple[int, str, list[str]]] = []
-    in_header = True
+    gate_lines: list[tuple[int, str]] = []
+    # The header pass covers the whole file, so a misplaced REGISTER line is
+    # reported before any gate error on an earlier line.
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        if tokens[0] == "REGISTER":
-            if not in_header:
+        # startswith first: only REGISTER-like lines pay for a split here.
+        if line.startswith("REGISTER") and line.split(None, 1)[0] == "REGISTER":
+            if gate_lines:
                 raise ParseError(lineno, "REGISTER after first gate line")
+            tokens = line.split()
             if len(tokens) != 4:
                 raise ParseError(lineno, "expected: REGISTER <name> <size> <role>")
             _, name, size_s, role_s = tokens
@@ -67,29 +76,38 @@ def parse_circuit(text: str) -> Circuit:
             seen_names.add(name)
             registers.append(_make_register(lineno, name, size, role))
         else:
-            in_header = False
-            pending_gates.append((lineno, tokens[0], tokens[1:]))
+            gate_lines.append((lineno, line))
 
     circuit = Circuit(registers)
-    for lineno, kind_s, rest in pending_gates:
+    parsed: dict[str, tuple] = {}
+    for lineno, line in gate_lines:
+        gate = parsed.get(line)
+        if gate is None:
+            gate = parsed[line] = _parse_gate(lineno, line)
         try:
-            kind = GateKind(kind_s)
-        except ValueError:
-            raise ParseError(lineno, f"unknown gate kind {kind_s!r}") from None
-        if len(rest) % 2 != 0:
-            raise ParseError(lineno, "operands must be <register> <offset> pairs")
-        operands = []
-        for reg_name, offset_s in zip(rest[::2], rest[1::2]):
-            try:
-                offset = int(offset_s)
-            except ValueError:
-                raise ParseError(lineno, f"bad qubit offset {offset_s!r}") from None
-            operands.append(QubitRef(reg_name, offset))
-        try:
-            circuit.append(kind, *operands)
+            circuit.append(*gate)
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
     return circuit
+
+
+def _parse_gate(lineno: int, line: str) -> tuple:
+    """Map one gate line to ``(kind, *operands)`` for ``Circuit.append``."""
+    kind_s, *rest = line.split()
+    try:
+        kind = GateKind(kind_s)
+    except ValueError:
+        raise ParseError(lineno, f"unknown gate kind {kind_s!r}") from None
+    if len(rest) % 2 != 0:
+        raise ParseError(lineno, "operands must be <register> <offset> pairs")
+    operands = []
+    for reg_name, offset_s in zip(rest[::2], rest[1::2]):
+        try:
+            offset = int(offset_s)
+        except ValueError:
+            raise ParseError(lineno, f"bad qubit offset {offset_s!r}") from None
+        operands.append(QubitRef(reg_name, offset))
+    return (kind, *operands)
 
 
 def _make_register(lineno: int, name: str, size: int, role: Role) -> RegisterSpec:

@@ -3,11 +3,14 @@ PASS/FAIL line (run with ``pytest -s`` to see them)."""
 import random
 import time
 
+import pytest
+
 from qromkit import (
     SequentialSpec,
     build_qrom,
     build_selectswap_dirty,
     build_sequential_qroms,
+    check_temp_and_pairing,
     cost_bit_packet,
     cost_power2_packet,
     cost_uncompute,
@@ -15,7 +18,9 @@ from qromkit import (
     format_table,
     improvement_sweep,
     optimize_parameters,
+    parse_circuit,
     plan_qrom,
+    serialize_circuit,
     verify_qrom,
 )
 from qromkit.cli import main as cli_main
@@ -194,19 +199,32 @@ def test_criterion_8_improvement_factors():
     )
 
 
-def test_headline_point_circuit_verified():
-    # The paper's headline shape at N = 2^16: b = 8 under 31 dirty qubits.
-    n, b = 1 << 16, 8
+def _headline_circuit_round_trip(n, seed):
+    # The paper's headline shape: b = 8 under 31 dirty qubits, built, written
+    # to a gate file, read back and verified over every address.
+    b = 8
     result = optimize_parameters(n, b, 31)
     assert (result.lam, result.mu) == (32, 1)
-    table = random_table(n, b, seed=16)
+    table = random_table(n, b, seed=seed)
     plan = plan_qrom(n, b, result.lam, result.mu)
     circuit = build_qrom(table, plan)
     estimate = count_resources(circuit)
     assert estimate.toffoli == cost_bit_packet(n, b, 32, 1).toffoli_total
     assert estimate.dirty_qubits <= 31
-    rep = verify_qrom(circuit, table, plan, dirty_trials=1, seed=16)
+    parsed = parse_circuit(serialize_circuit(circuit))
+    assert parsed == circuit
+    check_temp_and_pairing(parsed)
+    rep = verify_qrom(parsed, table, plan, dirty_trials=1, seed=seed)
     assert rep.passed and rep.cases_run == n
+
+
+def test_headline_point_circuit_verified():
+    _headline_circuit_round_trip(1 << 16, seed=16)
+
+
+@pytest.mark.slow
+def test_headline_point_circuit_verified_n18():
+    _headline_circuit_round_trip(1 << 18, seed=18)
 
 
 def test_criterion_9_optimizer_matches_independent_search():

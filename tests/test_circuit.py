@@ -9,8 +9,11 @@ from qromkit import (
     RegisterSpec,
     Role,
     check_temp_and_pairing,
+    build_qrom,
     count_resources,
+    plan_qrom,
 )
+from helpers import random_table
 
 
 def two_reg_circuit():
@@ -77,6 +80,50 @@ class TestAppend:
         c.append(GateKind.TEMP_AND, QubitRef("a", 0), QubitRef("a", 1), QubitRef("w", 0))
         with pytest.raises(CircuitError, match="unreleased"):
             check_temp_and_pairing(c)
+
+
+class TestInterning:
+    def test_equal_appends_share_one_gate(self):
+        c = two_reg_circuit()
+        first = c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
+        again = c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
+        assert first is again
+        assert c.gates[0] is c.gates[1]
+        other = c.append(GateKind.CNOT, QubitRef("a", 1), QubitRef("out", 1))
+        assert other is not first
+
+    def test_str_kind_shares_enum_gate(self):
+        c = two_reg_circuit()
+        spelled = c.append("CNOT", QubitRef("a", 0), QubitRef("out", 0))
+        assert spelled.kind is GateKind.CNOT
+        assert c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 0)) is spelled
+        x = c.append(GateKind.X, QubitRef("out", 1))
+        assert c.append("X", QubitRef("out", 1)) is x
+
+    @pytest.mark.parametrize(
+        "kind,operands,fragment",
+        [
+            (GateKind.X, (QubitRef("a", 3),), "out of range"),
+            (GateKind.TOFFOLI, (QubitRef("a", 0), QubitRef("a", 0), QubitRef("out", 0)), "distinct"),
+        ],
+    )
+    def test_failed_append_is_never_stored(self, kind, operands, fragment):
+        c = two_reg_circuit()
+        kept = c.append(GateKind.X, QubitRef("out", 0))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(CircuitError, match=fragment) as err:
+                c.append(kind, *operands)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert c.gates == [kept] and c.gates[0] is kept
+
+    def test_built_lookup_holds_one_object_per_distinct_gate(self):
+        table = random_table(1024, 16, seed=5)
+        circuit = build_qrom(table, plan_qrom(1024, 16, 16, 4))
+        distinct = len(set(circuit.gates))
+        assert len({id(gate) for gate in circuit.gates}) == distinct
+        assert distinct < len(circuit.gates) // 10
 
 
 class TestCountResources:

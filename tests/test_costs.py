@@ -204,6 +204,11 @@ class TestOptimizer:
         assert result.cost.toffoli_total == 2**20 - 1
         assert result.cost.formula_id == "plain"
 
+    @pytest.mark.parametrize("n,b,budget", [(8, 0, 31), (8, 4, -3), (0, 8, 31), (-4, 8, 0)])
+    def test_rejects_invalid_point(self, n, b, budget):
+        with pytest.raises(ValueError, match="must"):
+            optimize_parameters(n, b, budget)
+
     def test_matches_independent_search_on_random_grid(self):
         rng = random.Random(2024)
         for _ in range(200):
@@ -271,6 +276,13 @@ class TestSweep:
         assert rows[0].improvement == 1.0
         assert rows[0].best == 0
         assert all(row.best >= 0 for row in rows)
+
+    @pytest.mark.parametrize(
+        "b,budget,ns", [(8, -5, [8]), (0, 31, [8]), (8, 31, [16, 0]), (8, -1, [])]
+    )
+    def test_rejects_invalid_point(self, b, budget, ns):
+        with pytest.raises(ValueError, match="must"):
+            improvement_sweep(b, budget, ns)
 
     def test_csv_schema(self):
         text = sweep_rows_to_csv(improvement_sweep(8, 31, [2**20]))

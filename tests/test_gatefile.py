@@ -82,6 +82,33 @@ def test_error_line_number_is_exact():
         parse_circuit(text)
 
 
+def test_repeated_invalid_line_reports_first_occurrence():
+    text = "REGISTER a 2 address_q\nX a 0\nX a 5\nX a 1\nX a 5\n"
+    with pytest.raises(ParseError, match="^line 3: qubit a\\[5\\] out of range"):
+        parse_circuit(text)
+    text = "REGISTER a 2 address_q\nX a 0\nCNOT a 0 a\nX a 0\nCNOT a 0 a\n"
+    with pytest.raises(ParseError, match="^line 3: operands"):
+        parse_circuit(text)
+
+
+def test_misplaced_register_outranks_earlier_gate_error():
+    text = "REGISTER a 1 work\nX a 7\nREGISTER b 1 work\n"
+    with pytest.raises(ParseError, match="^line 3: REGISTER after first gate line"):
+        parse_circuit(text)
+
+
+def test_parsed_gates_are_shared_and_equal_to_built():
+    table = random_table(256, 8, seed=9)
+    circuit = build_qrom(table, plan_qrom(256, 8, 8, 2))
+    text = serialize_circuit(circuit)
+    again = parse_circuit(text)
+    assert again == circuit
+    distinct = len(set(again.gates))
+    assert distinct < len(again.gates)
+    assert len({id(gate) for gate in again.gates}) == distinct
+    assert serialize_circuit(again) == text
+
+
 def test_all_roles_round_trip():
     roles = ["address_q", "address_r", "output", "dirty", "work", "temp"]
     text = "".join(f"REGISTER r{i} 1 {role}\n" for i, role in enumerate(roles))
