@@ -13,7 +13,7 @@ the borrowed bits out of the output. Exactly 2*(ceil(N/lam) - 1) +
 from __future__ import annotations
 
 from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing
-from .iteration import IterationSpec, IterationWindow, emit_unary_iteration
+from .iteration import IterationSpec, emit_loads
 from .qrom import LookupTable, ceil_div, ceil_log2, is_power_of_two, work_size
 
 __all__ = ["build_plain_qrom", "build_selectswap_dirty"]
@@ -39,13 +39,8 @@ def build_plain_qrom(table: LookupTable) -> Circuit:
         ]
     )
 
-    def window(win: IterationWindow) -> None:
-        value = table.entries[win.index_value]
-        for j in range(b):
-            if (value >> j) & 1:
-                circuit.append(GateKind.CNOT, win.select_wire, QubitRef("output", j))
-
-    emit_unary_iteration(circuit, IterationSpec("addr_q", 0, n), window)
+    outputs = [QubitRef("output", j) for j in range(b)]
+    emit_loads(circuit, IterationSpec("addr_q", 0, n), outputs, table.entries)
     check_temp_and_pairing(circuit)
     return circuit
 
@@ -75,22 +70,21 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
         ]
     )
 
+    # Block 0 is the clean buffer; blocks 1..lam-1 are borrowed. Window q
+    # loads blocks 0..lam-1 as one word, block l in bits l*b..(l+1)*b.
+    blocks = [QubitRef("buffer", j) for j in range(b)]
+    blocks += [QubitRef("dirty", k) for k in range(b * (lam - 1))]
+
     def block_qubit(block: int, j: int) -> QubitRef:
-        # Block 0 is the clean buffer; blocks 1..lam-1 are borrowed.
-        if block == 0:
-            return QubitRef("buffer", j)
-        return QubitRef("dirty", (block - 1) * b + j)
+        return blocks[block * b + j]
+
+    words = [
+        sum(table.padded(q * lam + block) << (block * b) for block in range(lam))
+        for q in range(q_range)
+    ]
 
     def select() -> None:
-        def window(win: IterationWindow) -> None:
-            q = win.index_value
-            for block in range(lam):
-                value = table.padded(q * lam + block)
-                for j in range(b):
-                    if (value >> j) & 1:
-                        circuit.append(GateKind.CNOT, win.select_wire, block_qubit(block, j))
-
-        emit_unary_iteration(circuit, IterationSpec("addr_q", 0, q_range), window)
+        emit_loads(circuit, IterationSpec("addr_q", 0, q_range), blocks, words)
 
     def swap_network(inverse: bool) -> None:
         # Layer beta halves the distance-2^beta pairs; the forward order

@@ -10,12 +10,19 @@ Circuits are append-only while being built and treated as immutable afterwards,
 so finished circuits can be shared freely between threads. A lookup circuit
 repeats a few hundred distinct gates thousands of times, so each circuit
 interns its gates: equal gates are one shared frozen ``Gate`` object, built
-and validated once.
+and validated once. The builders also record each unary-iteration scaffold
+once per circuit (see ``qromkit.iteration``) and replay its interned gates.
+The whole-circuit passes below leave the per-gate loop to C: resources are
+tallied per gate kind, and the temp-AND pairing check visits only temp-AND
+positions.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -146,6 +153,9 @@ class Circuit:
             self._by_name[reg.name] = reg
         self.gates: list[Gate] = []
         self._interned: dict[tuple, Gate] = {}
+        # Unary-iteration recordings, keyed by (IterationSpec, work register);
+        # owned by ``qromkit.iteration`` and never part of equality.
+        self._scaffolds: dict[tuple, tuple] = {}
 
     @property
     def num_qubits(self) -> int:
@@ -168,14 +178,15 @@ class Circuit:
             for offset in range(reg.size):
                 yield QubitRef(reg.name, offset)
 
-    def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
-        """Append a gate and return it.
+    def intern(self, kind: GateKind, *operands: QubitRef) -> Gate:
+        """Return this circuit's validated gate for ``(kind, operands)``
+        without appending it.
 
-        Equal gates are one shared frozen object: the first append of a
+        Equal gates are one shared frozen object: the first call for a
         ``(kind, operands)`` pair builds and validates the ``Gate``, later ones
         reuse it. A ``str`` kind equals its ``GateKind``, so both spellings
         share one gate whose kind is the enum. A gate that fails validation is
-        never stored and raises the same ``CircuitError`` on every append.
+        never stored and raises the same ``CircuitError`` on every call.
         """
         key = (kind, operands)
         gate = self._interned.get(key)
@@ -183,6 +194,14 @@ class Circuit:
             gate = Gate(kind, operands)
             self._validate(gate)
             self._interned[key] = gate
+        return gate
+
+    def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
+        """Append the interned gate for ``(kind, operands)`` and return it."""
+        # The hit is looked up here, not through ``intern``: the gate-file
+        # parser appends once per line, and the extra call costs that loop
+        # about a third.
+        gate = self._interned.get((kind, operands)) or self.intern(kind, *operands)
         self.gates.append(gate)
         return gate
 
@@ -210,6 +229,10 @@ class Circuit:
         return f"Circuit({len(self.registers)} registers, {len(self.gates)} gates)"
 
 
+_kind = attrgetter("kind")
+_TEMP_KINDS = frozenset({GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE})
+
+
 @dataclass(frozen=True, slots=True)
 class ResourceEstimate:
     """Exact gate and qubit counts for a circuit.
@@ -230,16 +253,12 @@ class ResourceEstimate:
 
 
 def count_resources(circuit: Circuit) -> ResourceEstimate:
-    """Count gates and qubits exactly; deterministic for a given circuit."""
-    toffoli = temp_and = cnot = x = 0
-    for gate in circuit.gates:
-        toffoli += TOFFOLI_COST[gate.kind]
-        if gate.kind is GateKind.TEMP_AND:
-            temp_and += 1
-        elif gate.kind is GateKind.CNOT:
-            cnot += 1
-        elif gate.kind is GateKind.X:
-            x += 1
+    """Count gates and qubits exactly; deterministic for a given circuit.
+
+    Gates are tallied per kind in one C-level pass, then weighted per kind."""
+    kinds = Counter(map(_kind, circuit.gates))
+    toffoli = sum(TOFFOLI_COST[kind] * times for kind, times in kinds.items())
+    temp_and, cnot, x = kinds[GateKind.TEMP_AND], kinds[GateKind.CNOT], kinds[GateKind.X]
     clean = sum(reg.size for reg in circuit.registers if reg.role in CLEAN_ROLES)
     dirty = sum(reg.size for reg in circuit.registers if reg.role is Role.DIRTY)
     return ResourceEstimate(
@@ -259,9 +278,13 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
     Every TEMP_AND must target a qubit not currently held by an earlier
     TEMP_AND, and must be released by a TEMP_AND_UNCOMPUTE with the same
     control pair before circuit end. Raises CircuitError on violation.
+    Only temp-AND positions are visited, found in one C-level pass; other
+    gates cannot affect pairing.
     """
+    gates = circuit.gates
     held: dict[QubitRef, frozenset[QubitRef]] = {}
-    for i, gate in enumerate(circuit.gates):
+    for i in compress(count(), map(_TEMP_KINDS.__contains__, map(_kind, gates))):
+        gate = gates[i]
         if gate.kind is GateKind.TEMP_AND:
             target = gate.operands[-1]
             if target in held:
@@ -269,7 +292,7 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
                     f"gate {i}: TEMP_AND on already-held target {target.register}[{target.offset}]"
                 )
             held[target] = frozenset(gate.operands[:2])
-        elif gate.kind is GateKind.TEMP_AND_UNCOMPUTE:
+        else:
             target = gate.operands[-1]
             controls = frozenset(gate.operands[:2])
             if held.get(target) != controls:

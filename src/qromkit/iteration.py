@@ -20,17 +20,30 @@ select wires for values pruned above ``range_hi`` are not discriminated from
 unreachable larger values. Values below ``range_lo`` are always discriminated
 correctly, which is what the copy stage relies on for index 0.
 
-Emission is pure appending into the caller's circuit; there is no shared
-state, so concurrent emission into distinct circuits is safe.
+A lookup runs the same iteration many times per circuit (one q-iteration
+per Select, one r-iteration per Copy), so each circuit records the scaffold
+of a ``(spec, work register)`` pair once: the tree walk yields, per window,
+the interned gates that precede it, plus the gates after the last window.
+Every emission, the first included, replays that recording, extending the
+gate list segment by segment and calling the emitter between segments, so
+the gate order is exactly that of a fresh walk.
+
+``emit_loads`` is the Select that every lookup builder runs on top of the
+iteration: window v XOR-loads the bits of one classical word onto a fixed
+target list.
+
+Emission is pure appending into the caller's circuit, and the recording is
+private to that circuit; there is no shared state, so concurrent emission
+into distinct circuits is safe.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from .circuit import Circuit, GateKind, QubitRef
+from .circuit import Circuit, Gate, GateKind, QubitRef
 
-__all__ = ["IterationSpec", "IterationWindow", "emit_unary_iteration"]
+__all__ = ["IterationSpec", "IterationWindow", "emit_unary_iteration", "emit_loads"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,9 +83,67 @@ def emit_unary_iteration(
     full iteration every work qubit is back to 0 and the index register is
     unchanged. Scaffolding contributes exactly ``spec.size - 1`` Toffolis.
 
+    The first call for a ``(spec, work_register)`` pair on a circuit
+    validates the range and records the scaffold; every call, the first
+    included, replays that recording. A failed validation records nothing.
+
     Raises ValueError on an empty or out-of-bounds range, on insufficient
     work qubits, and on ranges whose start makes the exact scaffold cost
     unattainable (the builders here only use starts 0 and 1).
+    """
+    key = (spec, work_register)
+    recording = circuit._scaffolds.get(key)
+    if recording is None:
+        recording = circuit._scaffolds[key] = _record_scaffold(circuit, spec, work_register)
+    steps, tail = recording
+    for segment, window in steps:
+        circuit.gates.extend(segment)
+        emitter(window)
+    circuit.gates.extend(tail)
+    return circuit
+
+
+def emit_loads(
+    circuit: Circuit, spec: IterationSpec, targets: list[QubitRef], words: Sequence[int]
+) -> Circuit:
+    """Iterate ``spec`` and, in the window of index value v, XOR bit k of
+    ``words[v]`` onto ``targets[k]``: a CNOT from the select wire, or an X
+    when the window is unconditionally on.
+
+    Set bits are walked in ascending k, and each ``(wire, k)`` gate is
+    interned on first use and reused from then on, so a target is resolved
+    only when some word sets its bit.
+    """
+    rows: dict[QubitRef | None, dict[int, Gate]] = {}
+
+    def window(win: IterationWindow) -> None:
+        wire = win.select_wire
+        row = rows.get(wire)
+        if row is None:
+            row = rows[wire] = {}
+        append = circuit.gates.append
+        bits = words[win.index_value]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            k = low.bit_length() - 1
+            gate = row.get(k)
+            if gate is None:
+                if wire is None:
+                    gate = row[k] = circuit.intern(GateKind.X, targets[k])
+                else:
+                    gate = row[k] = circuit.intern(GateKind.CNOT, wire, targets[k])
+            append(gate)
+
+    return emit_unary_iteration(circuit, spec, window)
+
+
+def _record_scaffold(circuit: Circuit, spec: IterationSpec, work_register: str) -> tuple:
+    """Walk the iteration tree once without appending anything.
+
+    Returns ``(steps, tail)``: ``steps`` is one ``(gates before the window,
+    window)`` pair per index value in ascending order, and ``tail`` the gates
+    after the last window. Every gate is the circuit's interned one.
     """
     reg = circuit.register(spec.index_register)
     lo, hi = spec.range_lo, spec.range_hi
@@ -83,10 +154,32 @@ def emit_unary_iteration(
             f"range [{lo}, {hi}) does not fit in {reg.size}-qubit register {reg.name!r}"
         )
     size = hi - lo
+    steps: list[tuple[tuple[Gate, ...], IterationWindow]] = []
+    pending: list[Gate] = []
+
+    def gate(kind: GateKind, *operands: QubitRef) -> None:
+        pending.append(circuit.intern(kind, *operands))
+
+    def window(value: int, wire: QubitRef | None) -> None:
+        steps.append((tuple(pending), IterationWindow(value, wire)))
+        pending.clear()
 
     if size == 1:
-        _emit_single_window(circuit, reg, lo, emitter)
-        return circuit
+        # Single-value ranges carry no scaffold cost. With a one-qubit
+        # register the register bit itself is an honest wire; otherwise the
+        # window is trivially on and the caller's range promise pins the
+        # register value.
+        if reg.size == 1:
+            wire = reg[0]
+            if lo == 0:
+                gate(GateKind.X, wire)
+                window(lo, wire)
+                gate(GateKind.X, wire)
+            else:
+                window(lo, wire)
+        else:
+            window(lo, None)
+        return tuple(steps), tuple(pending)
 
     levels = (hi - 1).bit_length()
     ands_expected = _scaffold_ands(lo, hi, levels)
@@ -117,7 +210,7 @@ def emit_unary_iteration(
     def walk(height: int, base: int, wire: QubitRef | None) -> None:
         nonlocal ands_spent
         if height == 0:
-            emitter(IterationWindow(base, wire))
+            window(base, wire)
             return
         half = 1 << (height - 1)
         bit = reg[height - 1]
@@ -127,21 +220,21 @@ def emit_unary_iteration(
         if left and right:
             if wire is None:
                 # Root split: the index bit itself is the child wire.
-                circuit.append(GateKind.X, bit)
+                gate(GateKind.X, bit)
                 walk(height - 1, base, bit)
-                circuit.append(GateKind.X, bit)
+                gate(GateKind.X, bit)
                 walk(height - 1, base + half, bit)
                 return
             child = wire_slot(height)
-            circuit.append(GateKind.X, bit)
-            circuit.append(GateKind.TEMP_AND, wire, bit, child)
+            gate(GateKind.X, bit)
+            gate(GateKind.TEMP_AND, wire, bit, child)
             ands_spent += 1
             walk(height - 1, base, child)
-            circuit.append(GateKind.X, bit)
+            gate(GateKind.X, bit)
             # Sibling transition: flips the conditioned bit inside the AND.
-            circuit.append(GateKind.CNOT, wire, child)
+            gate(GateKind.CNOT, wire, child)
             walk(height - 1, base + half, child)
-            circuit.append(GateKind.TEMP_AND_UNCOMPUTE, wire, bit, child)
+            gate(GateKind.TEMP_AND_UNCOMPUTE, wire, bit, child)
             return
 
         if left:
@@ -155,10 +248,10 @@ def emit_unary_iteration(
             walk(height - 1, base + half, bit)
             return
         child = wire_slot(height)
-        circuit.append(GateKind.TEMP_AND, wire, bit, child)
+        gate(GateKind.TEMP_AND, wire, bit, child)
         ands_spent += 1
         walk(height - 1, base + half, child)
-        circuit.append(GateKind.TEMP_AND_UNCOMPUTE, wire, bit, child)
+        gate(GateKind.TEMP_AND_UNCOMPUTE, wire, bit, child)
 
     walk(levels, 0, None)
     assert ands_spent == ands_expected, "scaffold cost precomputation out of sync"
@@ -170,25 +263,9 @@ def emit_unary_iteration(
         else:
             c1, c2 = reg[0], work[1]
         for _ in range(deficit):
-            circuit.append(GateKind.TEMP_AND, c1, c2, target)
-            circuit.append(GateKind.TEMP_AND_UNCOMPUTE, c1, c2, target)
-    return circuit
-
-
-def _emit_single_window(circuit, reg, value, emitter) -> None:
-    # Single-value ranges carry no scaffold cost. With a one-qubit register
-    # the register bit itself is an honest wire; otherwise the window is
-    # trivially on and the caller's range promise pins the register value.
-    if reg.size == 1:
-        wire = reg[0]
-        if value == 0:
-            circuit.append(GateKind.X, wire)
-            emitter(IterationWindow(value, wire))
-            circuit.append(GateKind.X, wire)
-        else:
-            emitter(IterationWindow(value, wire))
-    else:
-        emitter(IterationWindow(value, None))
+            gate(GateKind.TEMP_AND, c1, c2, target)
+            gate(GateKind.TEMP_AND_UNCOMPUTE, c1, c2, target)
+    return tuple(steps), tuple(pending)
 
 
 def _overlaps(a: int, b: int, lo: int, hi: int) -> bool:

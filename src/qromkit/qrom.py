@@ -21,9 +21,11 @@ to run across a parameter grid in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lshift, rshift, xor
 
 from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing
-from .iteration import IterationSpec, IterationWindow, emit_unary_iteration
+from .iteration import IterationSpec, IterationWindow, emit_loads, emit_unary_iteration
 
 __all__ = [
     "LookupTable",
@@ -185,11 +187,9 @@ def _stage_schedule(plan: QromPlan, stage_values: list[list[int]]) -> XorSchedul
     prev = ((0,) * (lam - 1),) * plan.q_range
     for values in stage_values:
         rows = [values[q * lam:(q + 1) * lam] for q in range(plan.q_range)]
-        c = tuple(tuple(v ^ row[0] for v in row[1:]) for row in rows)
+        c = tuple(tuple(map(row[0].__xor__, row[1:])) for row in rows)
         direct.append(tuple(row[0] for row in rows))
-        delta.append(
-            tuple(tuple(a ^ b for a, b in zip(cur, old)) for cur, old in zip(c, prev))
-        )
+        delta.append(tuple(tuple(map(xor, cur, old)) for cur, old in zip(c, prev)))
         prev = c
     return XorSchedule(tuple(direct), tuple(delta), prev)
 
@@ -198,13 +198,18 @@ def compute_xor_schedule(table: LookupTable, plan: QromPlan) -> XorSchedule:
     """Schedule of ``build_qrom``: stage p is packet p of the table."""
     if table.n_entries != plan.n_entries or table.bit_width != plan.bit_width:
         raise ValueError("table dimensions do not match plan")
-    padded = [table.padded(x) for x in range(plan.q_range * plan.lam)]
+    padded = _padded_entries(table, plan)
     stages = []
     for p in range(plan.num_packets):
         start, end = plan.packet_span(p)
         mask = (1 << (end - start)) - 1
-        stages.append([(v >> start) & mask for v in padded])
+        stages.append(list(map(mask.__and__, map(rshift, padded, repeat(start)))))
     return _stage_schedule(plan, stages)
+
+
+def _padded_entries(table: LookupTable, plan: QromPlan) -> list[int]:
+    """f(x) for x in [0, q_range * lam), reading 0 beyond the table."""
+    return list(table.entries) + [0] * (plan.q_range * plan.lam - table.n_entries)
 
 
 def registers_for_plan(plan: QromPlan) -> list[RegisterSpec]:
@@ -219,15 +224,10 @@ def registers_for_plan(plan: QromPlan) -> list[RegisterSpec]:
     ]
 
 
-def _dirty_qubit(plan: QromPlan, block: int, bit: int) -> QubitRef:
-    return QubitRef("dirty", (block - 1) * plan.mu + bit)
-
-
-def _load(circuit: Circuit, wire: QubitRef | None, target: QubitRef) -> None:
-    if wire is None:
-        circuit.append(GateKind.X, target)
-    else:
-        circuit.append(GateKind.CNOT, wire, target)
+def _dirty_block(plan: QromPlan, block: int) -> list[QubitRef]:
+    """The mu qubits of borrowed block ``block`` (1..lam-1)."""
+    start = (block - 1) * plan.mu
+    return [QubitRef("dirty", k) for k in range(start, start + plan.mu)]
 
 
 def _select(
@@ -238,19 +238,21 @@ def _select(
     direct: tuple[int, ...],
 ) -> None:
     """Iterate q over all blocks, loading ``direct[q]`` into ``outputs`` and
-    ``masks[q][l-1]`` into dirty block l."""
+    ``masks[q][l-1]`` into dirty block l.
 
-    def window(win: IterationWindow) -> None:
-        q = win.index_value
-        for j, target in enumerate(outputs):
-            if (direct[q] >> j) & 1:
-                _load(circuit, win.select_wire, target)
-        for block, mask in enumerate(masks[q], start=1):
-            for j in range(plan.mu):
-                if (mask >> j) & 1:
-                    _load(circuit, win.select_wire, _dirty_qubit(plan, block, j))
-
-    emit_unary_iteration(circuit, IterationSpec("addr_q", 0, plan.q_range), window)
+    The targets are ``outputs`` followed by the dirty register, so window q
+    loads one word: ``direct[q]`` in the low bits, then each block mask
+    shifted to its block's place."""
+    width = len(outputs)
+    shifts = range(width, width + plan.dirty_qubits, plan.mu)
+    low, block = (1 << width) - 1, (1 << plan.mu) - 1
+    heads = [d & low for d in direct] if direct else [0] * plan.q_range
+    words = [
+        head | sum(map(lshift, map(block.__and__, row), shifts))
+        for head, row in zip(heads, masks)
+    ]
+    targets = list(outputs) + [QubitRef("dirty", k) for k in range(plan.dirty_qubits)]
+    emit_loads(circuit, IterationSpec("addr_q", 0, plan.q_range), targets, words)
 
 
 def emit_select(
@@ -278,9 +280,9 @@ def emit_copy(circuit: Circuit, plan: QromPlan, outputs: list[QubitRef]) -> Circ
         raise ValueError(f"output slice of {len(outputs)} qubits exceeds mu = {plan.mu}")
 
     def window(win: IterationWindow) -> None:
-        block = win.index_value
-        for j, target in enumerate(outputs):
-            circuit.append(GateKind.TOFFOLI, win.select_wire, _dirty_qubit(plan, block, j), target)
+        sources = _dirty_block(plan, win.index_value)
+        for source, target in zip(sources, outputs):
+            circuit.append(GateKind.TOFFOLI, win.select_wire, source, target)
 
     return emit_unary_iteration(circuit, IterationSpec("addr_r", 1, plan.lam), window)
 
@@ -301,9 +303,7 @@ def emit_restore(
     temp = QubitRef("work", plan.work_qubits - 1)
 
     def fix_window(win: IterationWindow) -> None:
-        block = win.index_value
-        for j in range(plan.mu):
-            source = _dirty_qubit(plan, block, j)
+        for j, source in enumerate(_dirty_block(plan, win.index_value)):
             circuit.append(GateKind.TEMP_AND, win.select_wire, source, temp)
             for outputs in slices:
                 if j < len(outputs):
@@ -373,8 +373,7 @@ def build_sequential_qroms(spec: SequentialSpec) -> Circuit:
     """
     first = spec.tables[0]
     plan = plan_qrom(first.n_entries, first.bit_width, spec.lam, first.bit_width)
-    span = range(plan.q_range * plan.lam)
-    schedule = _stage_schedule(plan, [[t.padded(x) for x in span] for t in spec.tables])
+    schedule = _stage_schedule(plan, [_padded_entries(t, plan) for t in spec.tables])
     outputs = [
         RegisterSpec(f"output_{i + 1}", plan.bit_width, Role.OUTPUT)
         for i in range(len(spec.tables))

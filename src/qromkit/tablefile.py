@@ -1,15 +1,23 @@
 """Text format for lookup tables.
 
-First non-comment line is ``N b``; each of the next N lines holds one entry,
-decimal or hexadecimal with an ``0x`` prefix, below 2^b. ``#`` starts a
-comment.
+First non-comment line is ``N b``, two decimal numbers; each of the next N
+lines holds one entry, decimal (leading zeros allowed) or hexadecimal with an
+``0x``/``0X`` prefix, below 2^b. No other spelling is a number: not
+``0b``/``0o`` prefixes, ``_`` separators, a ``+`` sign or non-ASCII digits. A
+leading ``-`` is read so that a negative value is reported as out of range.
+``#`` starts a comment.
 """
 from __future__ import annotations
+
+import re
 
 from .gatefile import ParseError
 from .qrom import LookupTable
 
 __all__ = ["parse_table_text", "load_table_file", "format_table"]
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+_ENTRY = re.compile(r"(-?)(?:0[xX]([0-9a-fA-F]+)|([0-9]+))")
 
 
 def parse_table_text(text: str) -> LookupTable:
@@ -23,9 +31,11 @@ def parse_table_text(text: str) -> LookupTable:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(lineno, "expected header: <N> <b>")
+            if not all(map(_DECIMAL.fullmatch, parts)):
+                raise ParseError(lineno, f"bad header {line!r}")
             try:
                 n, b = int(parts[0]), int(parts[1])
-            except ValueError:
+            except ValueError:  # past sys.get_int_max_str_digits()
                 raise ParseError(lineno, f"bad header {line!r}") from None
             if n < 1 or b < 1:
                 raise ParseError(lineno, "N and b must be positive")
@@ -33,12 +43,20 @@ def parse_table_text(text: str) -> LookupTable:
             continue
         if len(entries) >= header[0]:
             raise ParseError(lineno, f"more than N = {header[0]} data lines")
+        match = _ENTRY.fullmatch(line)
+        if match is None:
+            raise ParseError(lineno, f"bad entry {line!r}")
+        sign, hex_digits, dec_digits = match.groups()
         try:
-            value = int(line, 0)
+            # int() refuses decimal strings past sys.get_int_max_str_digits().
+            value = int(hex_digits, 16) if hex_digits else int(dec_digits)
         except ValueError:
             raise ParseError(lineno, f"bad entry {line!r}") from None
+        if sign:
+            value = -value
         if value < 0 or value.bit_length() > header[1]:
-            raise ParseError(lineno, f"entry {value} does not fit in {header[1]} bits")
+            # The entry as written: a huge value has no decimal str().
+            raise ParseError(lineno, f"entry {line} does not fit in {header[1]} bits")
         entries.append(value)
 
     if header is None:

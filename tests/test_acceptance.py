@@ -227,6 +227,12 @@ def test_headline_point_circuit_verified_n18():
     _headline_circuit_round_trip(1 << 18, seed=18)
 
 
+@pytest.mark.slow
+def test_headline_point_circuit_verified_n20():
+    # The paper's headline point itself: 295,452 Toffolis.
+    _headline_circuit_round_trip(1 << 20, seed=20)
+
+
 def test_criterion_9_optimizer_matches_independent_search():
     def independent(n, b, budget):
         best = None

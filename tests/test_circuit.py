@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qromkit import (
     Circuit,
@@ -7,12 +11,14 @@ from qromkit import (
     GateKind,
     QubitRef,
     RegisterSpec,
+    ResourceEstimate,
     Role,
     check_temp_and_pairing,
     build_qrom,
     count_resources,
     plan_qrom,
 )
+from qromkit.circuit import CLEAN_ROLES, GATE_ARITY, TOFFOLI_COST
 from helpers import random_table
 
 
@@ -163,3 +169,83 @@ def test_string_kind_and_role_coerced():
         RegisterSpec("a", 2, "mystery")
     with pytest.raises(ValueError):
         Gate("FREDKIN2", (QubitRef("a", 0),))
+
+
+def naive_count_resources(circuit):
+    """Reference: one visit per gate position."""
+    toffoli = temp_and = cnot = x = 0
+    for gate in circuit.gates:
+        toffoli += TOFFOLI_COST[gate.kind]
+        if gate.kind is GateKind.TEMP_AND:
+            temp_and += 1
+        elif gate.kind is GateKind.CNOT:
+            cnot += 1
+        elif gate.kind is GateKind.X:
+            x += 1
+    return ResourceEstimate(
+        toffoli=toffoli,
+        temp_and=temp_and,
+        cnot=cnot,
+        x=x,
+        clean_qubits=sum(r.size for r in circuit.registers if r.role in CLEAN_ROLES),
+        dirty_qubits=sum(r.size for r in circuit.registers if r.role is Role.DIRTY),
+        total_qubits=circuit.num_qubits,
+    )
+
+
+def naive_pairing_error(circuit):
+    """Reference: walk every position; return the error text or None."""
+    held = {}
+    for i, gate in enumerate(circuit.gates):
+        target = gate.operands[-1]
+        if gate.kind is GateKind.TEMP_AND:
+            if target in held:
+                return f"gate {i}: TEMP_AND on already-held target {target.register}[{target.offset}]"
+            held[target] = frozenset(gate.operands[:2])
+        elif gate.kind is GateKind.TEMP_AND_UNCOMPUTE:
+            if held.get(target) != frozenset(gate.operands[:2]):
+                return (
+                    f"gate {i}: TEMP_AND_UNCOMPUTE on {target.register}[{target.offset}] does "
+                    "not match a pending TEMP_AND with the same controls"
+                )
+            del held[target]
+    if held:
+        return "unreleased TEMP_AND targets at circuit end: " + ", ".join(
+            f"{t.register}[{t.offset}]" for t in held
+        )
+    return None
+
+
+POOL_QUBITS = [QubitRef("a", 0), QubitRef("a", 1), QubitRef("out", 0), QubitRef("out", 1)]
+POOL_GATES = [
+    (kind, operands)
+    for kind, arity in GATE_ARITY.items()
+    for operands in itertools.permutations(POOL_QUBITS, arity)
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(POOL_GATES) - 1), st.booleans()),
+        max_size=40,
+    )
+)
+def test_whole_circuit_passes_match_per_position_reference(picks):
+    # Gate lists assigned straight to ``gates`` may hold equal gates that are
+    # separate objects; ``fresh`` picks a new object, otherwise a shared one.
+    circuit = two_reg_circuit()
+    shared = {}
+    gates = []
+    for index, fresh in picks:
+        gate = Gate(*POOL_GATES[index])
+        gates.append(gate if fresh else shared.setdefault(index, gate))
+    circuit.gates = gates
+    assert count_resources(circuit) == naive_count_resources(circuit)
+    expected = naive_pairing_error(circuit)
+    if expected is None:
+        check_temp_and_pairing(circuit)
+    else:
+        with pytest.raises(CircuitError) as info:
+            check_temp_and_pairing(circuit)
+        assert str(info.value) == expected

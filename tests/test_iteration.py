@@ -151,3 +151,79 @@ def test_unsupported_range_start_rejected():
     c = iteration_circuit(3, 3)
     with pytest.raises(ValueError, match="cannot be scaffolded"):
         emit_unary_iteration(c, IterationSpec("idx", 3, 8), lambda w: None)
+
+
+def test_second_emission_replays_the_first():
+    # The scaffold is recorded once per circuit; a second emission of the
+    # same spec sees equal windows in the same order and appends the very
+    # same (interned) scaffold gate objects.
+    c = iteration_circuit(5, 5)
+    spec = IterationSpec("idx", 0, 25)
+    first, second = [], []
+    emit_unary_iteration(c, spec, first.append)
+    gates_first = list(c.gates)
+    emit_unary_iteration(c, spec, second.append)
+    assert second == first
+    assert [w.index_value for w in first] == list(range(25))
+    gates_second = c.gates[len(gates_first):]
+    assert len(gates_second) == len(gates_first)
+    assert all(a is b for a, b in zip(gates_first, gates_second))
+    fresh = iteration_circuit(5, 5)
+    emit_unary_iteration(fresh, spec, lambda w: None)
+    assert fresh.gates == gates_first
+
+
+def test_replay_interleaves_emitter_gates_like_a_fresh_walk():
+    c = iteration_circuit(3, 3, probe_bits=6)
+    emit_probe(c, 0, 6)
+    once = list(c.gates)
+    emit_probe(c, 0, 6)
+    assert c.gates == once + once
+
+
+def test_failed_validation_records_nothing():
+    c = iteration_circuit(4, 1)
+    spec = IterationSpec("idx", 0, 16)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="insufficient work") as info:
+            emit_unary_iteration(c, spec, lambda w: None)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert c.gates == []
+
+
+class Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("emission", [0, 1])
+@pytest.mark.parametrize("stop_at", [0, 1, 5, 12])
+def test_emitter_raising_leaves_the_walk_prefix(emission, stop_at):
+    # Reference: one full run that notes the gate count when each window
+    # opens. An emitter raising at window k must leave exactly the gates
+    # before that point, on the first emission and on a replay alike.
+    lo, hi = 0, 13
+    full = iteration_circuit(4, 4, probe_bits=hi)
+    opened = []
+
+    def noting(win):
+        opened.append(len(full.gates))
+        full.append(GateKind.CNOT, win.select_wire, QubitRef("probe", win.index_value))
+
+    emit_unary_iteration(full, IterationSpec("idx", lo, hi), noting)
+
+    c = iteration_circuit(4, 4, probe_bits=hi)
+    spec = IterationSpec("idx", lo, hi)
+    for _ in range(emission):
+        emit_unary_iteration(c, spec, lambda w: None)
+    start = len(c.gates)
+
+    def stopping(win):
+        if win.index_value == stop_at:
+            raise Stop
+        c.append(GateKind.CNOT, win.select_wire, QubitRef("probe", win.index_value))
+
+    with pytest.raises(Stop):
+        emit_unary_iteration(c, spec, stopping)
+    assert c.gates[start:] == full.gates[: opened[stop_at]]

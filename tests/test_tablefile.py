@@ -25,11 +25,42 @@ def test_hex_and_comments():
         ("2 3\n1\n9\n", "does not fit"),
         ("2 3\nona\n1\n", "bad entry"),
         ("0 3\n", "positive"),
+        ("-2 3\n", "positive"),
+        ("1_0 3\n", "bad header"),
+        ("2 +3\n1\n2\n", "bad header"),
+        ("\u0662 3\n1\n2\n", "bad header"),
+        ("0x2 3\n1\n2\n", "bad header"),
     ],
 )
 def test_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_table_text(text)
+
+
+@pytest.mark.parametrize(
+    "entry,value",
+    [("007", 7), ("0", 0), ("000", 0), ("0x1F", 31), ("0XfF", 255), ("0x00a", 10)],
+)
+def test_entry_grammar_accepts_decimal_and_hex(entry, value):
+    assert parse_table_text(f"1 8\n{entry}\n").entries == (value,)
+
+
+@pytest.mark.parametrize(
+    "entry", ["0b11", "0o7", "1_0", "0x_f", "+5", "0x", "x1", "1e3", "1 2", "\u0663", "- 1"]
+)
+def test_entry_grammar_rejects_other_spellings(entry):
+    with pytest.raises(ParseError, match="bad entry"):
+        parse_table_text(f"1 8\n{entry}\n")
+
+
+def test_out_of_range_entry_is_reported_as_written():
+    # A value past the int-to-str digit limit must still get this message.
+    with pytest.raises(ParseError, match="entry 0x1ff does not fit in 8 bits"):
+        parse_table_text("1 8\n0x1ff\n")
+    with pytest.raises(ParseError, match="does not fit in 8 bits"):
+        parse_table_text("1 8\n0x" + "f" * 5000 + "\n")
+    with pytest.raises(ParseError, match="bad entry"):
+        parse_table_text("1 100000\n" + "9" * 5000 + "\n")
 
 
 def test_huge_declared_width_is_checked_without_allocating():
