@@ -153,9 +153,9 @@ class Circuit:
             self._by_name[reg.name] = reg
         self.gates: list[Gate] = []
         self._interned: dict[tuple, Gate] = {}
-        # Unary-iteration recordings, keyed by (IterationSpec, work register);
-        # owned by ``qromkit.iteration`` and never part of equality.
-        self._scaffolds: dict[tuple, tuple] = {}
+        # Unary-iteration recordings, keyed by IterationSpec; owned by
+        # ``qromkit.iteration`` and never part of equality.
+        self._scaffolds: dict[object, tuple] = {}
 
     @property
     def num_qubits(self) -> int:

@@ -3,13 +3,15 @@
 Formula evaluation is pure; sweeps over address-count grids are independent
 per grid point. Divisions by the block depth are rounded up, which matches
 the circuit builders exactly and reduces to the familiar expressions for
-power-of-two sizes.
+power-of-two sizes. Every row indexed by a block depth lam validates it and
+reads its layout (block count, packets, borrowed and work qubits) from
+``plan_qrom``, the plan the builders use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qrom import ceil_div, ceil_log2, is_power_of_two, work_size
+from .qrom import ceil_div, is_power_of_two, plan_qrom, work_size
 
 __all__ = [
     "CostBreakdown",
@@ -53,27 +55,19 @@ class OptimizationResult:
     feasible: bool
 
 
-def _check_lam(n: int, lam: int) -> None:
-    if not is_power_of_two(lam) or not 1 < lam < n:
-        raise ValueError(f"lam = {lam} violates 1 < lam < N = {n} (power of 2)")
-
-
 def cost_bit_packet(n: int, b: int, lam: int, mu: int) -> CostBreakdown:
     """Packeted select-and-copy lookup:
     (ceil(b/mu)+1)(ceil(N/lam)+lam-3) + (lam-1)(mu(b//mu + 1) + b mod mu)."""
-    _check_lam(n, lam)
-    if not 1 <= mu <= b:
-        raise ValueError(f"mu = {mu} violates 1 <= mu <= b = {b}")
-    rounds = ceil_div(b, mu) + 1
-    select = rounds * (ceil_div(n, lam) + lam - 3)
+    plan = plan_qrom(n, b, lam, mu)
+    select = (plan.num_packets + 1) * (plan.q_range + lam - 3)
     copy = (lam - 1) * (mu * (b // mu + 1) + b % mu)
     return CostBreakdown(
         formula_id="bit_packet",
         toffoli_total=select + copy,
         select_toffoli=select,
         copy_toffoli=copy,
-        dirty_qubits=mu * (lam - 1),
-        clean_work_qubits=work_size(ceil_div(n, lam), lam),
+        dirty_qubits=plan.dirty_qubits,
+        clean_work_qubits=plan.work_qubits,
         output_qubits=b,
     )
 
@@ -82,14 +76,15 @@ def cost_power2_packet(n: int, b: int, lam: int, alpha: int) -> CostBreakdown:
     """Power-of-two form (1+1/alpha)N/lam + (b+b/alpha)(alpha*lam-1)
     + (alpha+1)(alpha*lam-3); alpha rounds of b/alpha bits at depth
     alpha*lam. Equals cost_bit_packet(n, b, alpha*lam, b/alpha) exactly."""
-    for name, value in (("N", n), ("b", b), ("lam", lam), ("alpha", alpha)):
+    for name, value in (("N", n), ("b", b), ("alpha", alpha)):
         if not is_power_of_two(value):
             raise ValueError(f"{name} = {value} is not a power of 2")
     if alpha > b:
         raise ValueError(f"alpha = {alpha} exceeds b = {b}")
     depth = alpha * lam
-    if not 1 < depth < n:
-        raise ValueError(f"alpha*lam = {depth} violates 1 < alpha*lam < N = {n}")
+    # With N, b and alpha powers of two, the plan's checks on depth hold
+    # exactly when lam is a power of two with 1 < alpha*lam < N.
+    plan = plan_qrom(n, b, depth, b // alpha)
     select = (alpha + 1) * (n // depth) + (alpha + 1) * (depth - 3)
     copy = (b + b // alpha) * (depth - 1)
     return CostBreakdown(
@@ -97,8 +92,8 @@ def cost_power2_packet(n: int, b: int, lam: int, alpha: int) -> CostBreakdown:
         toffoli_total=select + copy,
         select_toffoli=select,
         copy_toffoli=copy,
-        dirty_qubits=(b // alpha) * (depth - 1),
-        clean_work_qubits=work_size(ceil_div(n, depth), depth),
+        dirty_qubits=plan.dirty_qubits,
+        clean_work_qubits=plan.work_qubits,
         output_qubits=b,
     )
 
@@ -107,18 +102,18 @@ def cost_sequential_fresh(n: int, b: int, lam: int, m: int) -> CostBreakdown:
     """m back-to-back lookups into fresh outputs:
     (m+1)(ceil(N/lam) + b(lam-1) + lam - 3). m = 0 is the degenerate
     single-load bound, not a physical circuit."""
-    _check_lam(n, lam)
+    plan = plan_qrom(n, b, lam, b)
     if m < 0:
         raise ValueError("m must be >= 0")
-    select = (m + 1) * (ceil_div(n, lam) + lam - 3)
+    select = (m + 1) * (plan.q_range + lam - 3)
     copy = (m + 1) * b * (lam - 1)
     return CostBreakdown(
         formula_id="sequential_fresh",
         toffoli_total=select + copy,
         select_toffoli=select,
         copy_toffoli=copy,
-        dirty_qubits=b * (lam - 1),
-        clean_work_qubits=work_size(ceil_div(n, lam), lam),
+        dirty_qubits=plan.dirty_qubits,
+        clean_work_qubits=plan.work_qubits,
         output_qubits=m * b,
     )
 
@@ -126,18 +121,18 @@ def cost_sequential_fresh(n: int, b: int, lam: int, m: int) -> CostBreakdown:
 def cost_sequential_inplace(n: int, b: int, lam: int, m: int) -> CostBreakdown:
     """m back-to-back lookups rewriting one output register, with a cached
     borrow mask: (m+1)ceil(N/lam) + (m+2)(b(lam-1) + lam - 3)."""
-    _check_lam(n, lam)
+    plan = plan_qrom(n, b, lam, b)
     if m < 0:
         raise ValueError("m must be >= 0")
-    select = (m + 1) * ceil_div(n, lam) + (m + 2) * (lam - 3)
+    select = (m + 1) * plan.q_range + (m + 2) * (lam - 3)
     copy = (m + 2) * b * (lam - 1)
     return CostBreakdown(
         formula_id="sequential_inplace",
         toffoli_total=select + copy,
         select_toffoli=select,
         copy_toffoli=copy,
-        dirty_qubits=b * (lam - 1),
-        clean_work_qubits=work_size(ceil_div(n, lam), lam),
+        dirty_qubits=plan.dirty_qubits,
+        clean_work_qubits=plan.work_qubits,
         output_qubits=b,
     )
 
@@ -145,9 +140,10 @@ def cost_sequential_inplace(n: int, b: int, lam: int, m: int) -> CostBreakdown:
 def cost_prior_art(kind: str, n: int, b: int, lam: int | None = None) -> CostBreakdown:
     """Published headline costs of earlier constructions.
 
-    plain: N - 1 (no ancilla). low_clean: N/lam + b*lam with b(lam-1) clean.
-    low_dirty: 2N/lam + 4b*lam with b*lam dirty. berry: 2N/lam + 4b(lam-1)
-    with b(lam-1) dirty. Divisions round up.
+    plain: N - 1, with the work register of ``build_plain_qrom``.
+    low_clean: N/lam + b*lam with b(lam-1) clean. low_dirty: 2N/lam + 4b*lam
+    with b*lam dirty. berry: 2N/lam + 4b(lam-1) with b(lam-1) dirty, the
+    borrowed register of ``build_selectswap_dirty``. Divisions round up.
     """
     if kind == "plain":
         return CostBreakdown(
@@ -156,15 +152,15 @@ def cost_prior_art(kind: str, n: int, b: int, lam: int | None = None) -> CostBre
             select_toffoli=n - 1,
             copy_toffoli=0,
             dirty_qubits=0,
-            clean_work_qubits=ceil_log2(n),
+            clean_work_qubits=work_size(n, 1),
             output_qubits=b,
         )
     if kind not in PRIOR_ART_KINDS:
         raise ValueError(f"unknown prior-art kind {kind!r}")
     if lam is None:
         raise ValueError(f"kind {kind!r} requires lam")
-    _check_lam(n, lam)
-    blocks = ceil_div(n, lam)
+    plan = plan_qrom(n, b, lam, b)
+    blocks = plan.q_range
     if kind == "low_clean":
         select, copy = blocks, b * lam
         dirty, clean = 0, b * (lam - 1)
@@ -173,7 +169,7 @@ def cost_prior_art(kind: str, n: int, b: int, lam: int | None = None) -> CostBre
         dirty, clean = b * lam, 0
     else:  # berry
         select, copy = 2 * blocks, 4 * b * (lam - 1)
-        dirty, clean = b * (lam - 1), 0
+        dirty, clean = plan.dirty_qubits, 0
     return CostBreakdown(
         formula_id=kind,
         toffoli_total=select + copy,

@@ -7,15 +7,23 @@ Header lines declare registers, then one gate per line, targets last::
     TOFFOLI work 0 dirty 3 output 5
 
 ``#`` starts a comment (full line or trailing); lines are LF-terminated.
-``parse_circuit(serialize_circuit(c))`` reproduces the register list and gate
-list exactly. A lookup circuit repeats few distinct gates many times, so each
-distinct gate line is tokenized once and each distinct gate formatted once.
+Register sizes and qubit offsets are ASCII decimal numbers: no sign other
+than a leading ``-`` (reported as out of range), no ``_`` separators and no
+non-ASCII digits. ``parse_circuit(serialize_circuit(c))`` reproduces the
+register list and gate list exactly. A lookup circuit repeats few distinct
+gates many times, so each distinct gate line is tokenized once and each
+distinct gate formatted once.
 """
 from __future__ import annotations
+
+import re
 
 from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role
 
 __all__ = ["ParseError", "serialize_circuit", "parse_circuit"]
+
+#: A decimal number as the text formats spell it; the table format shares it.
+DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class ParseError(ValueError):
@@ -46,49 +54,86 @@ def serialize_circuit(circuit: Circuit) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
+    """Parse a gate file in one pass: registers up to the first gate line,
+    then each gate as it is read.
+
+    After a gate error the remaining lines are still scanned, so a misplaced
+    REGISTER line is reported before any gate error on an earlier line.
+    """
     registers: list[RegisterSpec] = []
     seen_names: set[str] = set()
-    gate_lines: list[tuple[int, str]] = []
-    # The header pass covers the whole file, so a misplaced REGISTER line is
-    # reported before any gate error on an earlier line.
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    circuit: Circuit | None = None
+    parsed: dict[str, tuple] = {}
+    error: ParseError | None = None
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
         # startswith first: only REGISTER-like lines pay for a split here.
         if line.startswith("REGISTER") and line.split(None, 1)[0] == "REGISTER":
-            if gate_lines:
+            if circuit is not None:
                 raise ParseError(lineno, "REGISTER after first gate line")
-            tokens = line.split()
-            if len(tokens) != 4:
-                raise ParseError(lineno, "expected: REGISTER <name> <size> <role>")
-            _, name, size_s, role_s = tokens
-            try:
-                size = int(size_s)
-            except ValueError:
-                raise ParseError(lineno, f"bad register size {size_s!r}") from None
-            try:
-                role = Role(role_s)
-            except ValueError:
-                raise ParseError(lineno, f"unknown register role {role_s!r}") from None
-            if name in seen_names:
-                raise ParseError(lineno, f"duplicate register name {name!r}")
-            seen_names.add(name)
-            registers.append(_make_register(lineno, name, size, role))
-        else:
-            gate_lines.append((lineno, line))
-
-    circuit = Circuit(registers)
-    parsed: dict[str, tuple] = {}
-    for lineno, line in gate_lines:
+            registers.append(_parse_register(lineno, line, seen_names))
+            continue
+        if circuit is None:
+            circuit = Circuit(registers)
+        if error is not None:
+            continue
         gate = parsed.get(line)
-        if gate is None:
-            gate = parsed[line] = _parse_gate(lineno, line)
         try:
+            if gate is None:
+                gate = parsed[line] = _parse_gate(lineno, line)
             circuit.append(*gate)
+        except ParseError as exc:
+            error = exc
         except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-    return circuit
+            error = ParseError(lineno, str(exc))
+    if error is not None:
+        raise error
+    return Circuit(registers) if circuit is None else circuit
+
+
+def _lines(text: str, chunk: int = 1 << 20):
+    """``text.splitlines()``, produced about ``chunk`` characters at a time.
+
+    Chunks end just after a LF, which ends a line in every split, so the
+    lines are exactly those of one ``splitlines`` call without holding them
+    all at once."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + chunk) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _parse_register(lineno: int, line: str, seen_names: set[str]) -> RegisterSpec:
+    tokens = line.split()
+    if len(tokens) != 4:
+        raise ParseError(lineno, "expected: REGISTER <name> <size> <role>")
+    _, name, size_s, role_s = tokens
+    size = _decimal(lineno, size_s, "bad register size")
+    try:
+        role = Role(role_s)
+    except ValueError:
+        raise ParseError(lineno, f"unknown register role {role_s!r}") from None
+    if name in seen_names:
+        raise ParseError(lineno, f"duplicate register name {name!r}")
+    seen_names.add(name)
+    try:
+        return RegisterSpec(name, size, role)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
+
+
+def _decimal(lineno: int, token: str, what: str) -> int:
+    # int() alone would also take "+1", "1_0" and non-ASCII digits, and it
+    # refuses strings past sys.get_int_max_str_digits().
+    try:
+        if DECIMAL.fullmatch(token):
+            return int(token)
+    except ValueError:
+        pass
+    raise ParseError(lineno, f"{what} {token!r}")
 
 
 def _parse_gate(lineno: int, line: str) -> tuple:
@@ -102,16 +147,5 @@ def _parse_gate(lineno: int, line: str) -> tuple:
         raise ParseError(lineno, "operands must be <register> <offset> pairs")
     operands = []
     for reg_name, offset_s in zip(rest[::2], rest[1::2]):
-        try:
-            offset = int(offset_s)
-        except ValueError:
-            raise ParseError(lineno, f"bad qubit offset {offset_s!r}") from None
-        operands.append(QubitRef(reg_name, offset))
+        operands.append(QubitRef(reg_name, _decimal(lineno, offset_s, "bad qubit offset")))
     return (kind, *operands)
-
-
-def _make_register(lineno: int, name: str, size: int, role: Role) -> RegisterSpec:
-    try:
-        return RegisterSpec(name, size, role)
-    except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from None

@@ -22,8 +22,9 @@ correctly, which is what the copy stage relies on for index 0.
 
 A lookup runs the same iteration many times per circuit (one q-iteration
 per Select, one r-iteration per Copy), so each circuit records the scaffold
-of a ``(spec, work register)`` pair once: the tree walk yields, per window,
-the interned gates that precede it, plus the gates after the last window.
+of a spec once: the tree walk yields, per window, the interned gates that
+precede it, plus the gates after the last window. The same walk counts the
+temp-ANDs it spends, which fixes the alignment pairs and the work qubits.
 Every emission, the first included, replays that recording, extending the
 gate list segment by segment and calling the emitter between segments, so
 the gate order is exactly that of a fresh walk.
@@ -73,28 +74,26 @@ def emit_unary_iteration(
     circuit: Circuit,
     spec: IterationSpec,
     emitter: Callable[[IterationWindow], None],
-    *,
-    work_register: str = "work",
 ) -> Circuit:
     """Emit the iteration scaffold, invoking ``emitter`` once per index value.
 
     The emitter appends its own gates to the circuit; gates controlled on the
     window's select wire fire only for the window's index value. After the
-    full iteration every work qubit is back to 0 and the index register is
-    unchanged. Scaffolding contributes exactly ``spec.size - 1`` Toffolis.
+    full iteration every qubit of the circuit's ``work`` register is back to
+    0 and the index register is unchanged. Scaffolding contributes exactly
+    ``spec.size - 1`` Toffolis.
 
-    The first call for a ``(spec, work_register)`` pair on a circuit
-    validates the range and records the scaffold; every call, the first
-    included, replays that recording. A failed validation records nothing.
+    The first call for a spec on a circuit validates the range and records
+    the scaffold; every call, the first included, replays that recording. A
+    failed validation records nothing.
 
     Raises ValueError on an empty or out-of-bounds range, on insufficient
     work qubits, and on ranges whose start makes the exact scaffold cost
     unattainable (the builders here only use starts 0 and 1).
     """
-    key = (spec, work_register)
-    recording = circuit._scaffolds.get(key)
+    recording = circuit._scaffolds.get(spec)
     if recording is None:
-        recording = circuit._scaffolds[key] = _record_scaffold(circuit, spec, work_register)
+        recording = circuit._scaffolds[spec] = _record_scaffold(circuit, spec)
     steps, tail = recording
     for segment, window in steps:
         circuit.gates.extend(segment)
@@ -138,12 +137,14 @@ def emit_loads(
     return emit_unary_iteration(circuit, spec, window)
 
 
-def _record_scaffold(circuit: Circuit, spec: IterationSpec, work_register: str) -> tuple:
+def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
     """Walk the iteration tree once without appending anything.
 
     Returns ``(steps, tail)``: ``steps`` is one ``(gates before the window,
     window)`` pair per index value in ascending order, and ``tail`` the gates
-    after the last window. Every gate is the circuit's interned one.
+    after the last window. The walk records ``(kind, *operands)`` tuples and
+    counts its temp-ANDs; only once the cost and the work register check out
+    are the tuples turned into the circuit's interned gates.
     """
     reg = circuit.register(spec.index_register)
     lo, hi = spec.range_lo, spec.range_hi
@@ -154,11 +155,11 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec, work_register: str) 
             f"range [{lo}, {hi}) does not fit in {reg.size}-qubit register {reg.name!r}"
         )
     size = hi - lo
-    steps: list[tuple[tuple[Gate, ...], IterationWindow]] = []
-    pending: list[Gate] = []
+    steps: list[tuple[tuple[tuple, ...], IterationWindow]] = []
+    pending: list[tuple] = []
 
     def gate(kind: GateKind, *operands: QubitRef) -> None:
-        pending.append(circuit.intern(kind, *operands))
+        pending.append((kind, *operands))
 
     def window(value: int, wire: QubitRef | None) -> None:
         steps.append((tuple(pending), IterationWindow(value, wire)))
@@ -179,36 +180,19 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec, work_register: str) 
                 window(lo, wire)
         else:
             window(lo, None)
-        return tuple(steps), tuple(pending)
+        return _intern(circuit, steps, pending)
 
     levels = (hi - 1).bit_length()
-    ands_expected = _scaffold_ands(lo, hi, levels)
-    deficit = (size - 1) - ands_expected
-    if deficit < 0:
-        raise ValueError(
-            f"range [{lo}, {hi}) cannot be scaffolded in exactly {size - 1} Toffolis"
-        )
-
-    work = circuit.register(work_register)
-    needed = levels - 1
-    if deficit:
-        # Alignment pair target, plus a second control when the index
-        # register cannot supply two.
-        needed = max(needed, levels, 2 if reg.size < 2 else 0)
-    if work.size < needed:
-        raise ValueError(
-            f"insufficient work qubits: need {needed}, register {work.name!r} has {work.size}"
-        )
-
-    ands_spent = 0
+    ands = 0
 
     def wire_slot(parent_height: int) -> QubitRef:
         # Child wires of a height-h parent live in slot levels-1-h; slots
         # increase toward the leaves, so they are disjoint along any path.
-        return work[levels - 1 - parent_height]
+        # The work register is checked once the walk has sized it.
+        return QubitRef("work", levels - 1 - parent_height)
 
     def walk(height: int, base: int, wire: QubitRef | None) -> None:
-        nonlocal ands_spent
+        nonlocal ands
         if height == 0:
             window(base, wire)
             return
@@ -228,7 +212,7 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec, work_register: str) 
             child = wire_slot(height)
             gate(GateKind.X, bit)
             gate(GateKind.TEMP_AND, wire, bit, child)
-            ands_spent += 1
+            ands += 1
             walk(height - 1, base, child)
             gate(GateKind.X, bit)
             # Sibling transition: flips the conditioned bit inside the AND.
@@ -249,12 +233,27 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec, work_register: str) 
             return
         child = wire_slot(height)
         gate(GateKind.TEMP_AND, wire, bit, child)
-        ands_spent += 1
+        ands += 1
         walk(height - 1, base + half, child)
         gate(GateKind.TEMP_AND_UNCOMPUTE, wire, bit, child)
 
     walk(levels, 0, None)
-    assert ands_spent == ands_expected, "scaffold cost precomputation out of sync"
+
+    deficit = (size - 1) - ands
+    if deficit < 0:
+        raise ValueError(
+            f"range [{lo}, {hi}) cannot be scaffolded in exactly {size - 1} Toffolis"
+        )
+    work = circuit.register("work")
+    needed = levels - 1
+    if deficit:
+        # Alignment pair target, plus a second control when the index
+        # register cannot supply two.
+        needed = max(needed, levels, 2 if reg.size < 2 else 0)
+    if work.size < needed:
+        raise ValueError(
+            f"insufficient work qubits: need {needed}, register {work.name!r} has {work.size}"
+        )
 
     if deficit:
         target = work[levels - 1]
@@ -265,28 +264,18 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec, work_register: str) 
         for _ in range(deficit):
             gate(GateKind.TEMP_AND, c1, c2, target)
             gate(GateKind.TEMP_AND_UNCOMPUTE, c1, c2, target)
-    return tuple(steps), tuple(pending)
+    return _intern(circuit, steps, pending)
+
+
+def _intern(circuit: Circuit, steps: list, tail: list) -> tuple:
+    """The recording with each ``(kind, *operands)`` tuple replaced by the
+    circuit's interned gate."""
+
+    def gates(specs) -> tuple[Gate, ...]:
+        return tuple(circuit.intern(*spec) for spec in specs)
+
+    return tuple((gates(segment), win) for segment, win in steps), gates(tail)
 
 
 def _overlaps(a: int, b: int, lo: int, hi: int) -> bool:
     return max(a, lo) < min(b, hi)
-
-
-def _scaffold_ands(lo: int, hi: int, levels: int) -> int:
-    """Temp-AND count of the bare tree walk (no alignment pair)."""
-
-    def rec(height: int, base: int, has_wire: bool) -> int:
-        if height == 0:
-            return 0
-        half = 1 << (height - 1)
-        left = _overlaps(base, base + half, lo, hi)
-        right = _overlaps(base + half, base + 2 * half, lo, hi)
-        if left and right:
-            pay = 1 if has_wire else 0
-            return pay + rec(height - 1, base, True) + rec(height - 1, base + half, True)
-        if left:
-            return rec(height - 1, base, has_wire)
-        pay = 1 if has_wire else 0
-        return pay + rec(height - 1, base + half, True)
-
-    return rec(levels, 0, False)

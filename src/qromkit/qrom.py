@@ -20,7 +20,7 @@ to run across a parameter grid in parallel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import lshift, rshift, xor
 
@@ -59,8 +59,8 @@ def work_size(q_range: int, lam: int) -> int:
     """Clean work qubits: max(ceil(log2(N/lam rounded up)), log2(lam)).
 
     With a one-bit q register the select's alignment pair needs a second
-    work qubit for its control, so the degenerate q_range == 2, lam == 2
-    corner is padded to two (visible in the resource estimate).
+    work qubit for its control, so the degenerate q_range == 2 corner is
+    padded to two. The plain lookup is the lam == 1 case, q_range == N.
     """
     w = max(ceil_log2(q_range), lam.bit_length() - 1)
     if q_range == 2:
@@ -92,10 +92,6 @@ class LookupTable:
     def n_entries(self) -> int:
         return len(self.entries)
 
-    def padded(self, x: int) -> int:
-        """Entry value with f(x) := 0 beyond the table (partial last block)."""
-        return self.entries[x] if x < len(self.entries) else 0
-
 
 @dataclass(frozen=True, slots=True)
 class QromPlan:
@@ -105,14 +101,16 @@ class QromPlan:
     bit_width: int
     lam: int
     mu: int
-    num_packets: int
     packet_sizes: tuple[int, ...]
     q_range: int
-    address_bits: int
     q_bits: int
     r_bits: int
     dirty_qubits: int
     work_qubits: int
+
+    @property
+    def num_packets(self) -> int:
+        return len(self.packet_sizes)
 
     def packet_span(self, packet: int) -> tuple[int, int]:
         """Output bit range [start, end) covered by a packet."""
@@ -124,7 +122,8 @@ def plan_qrom(n_entries: int, bit_width: int, lam: int, mu: int) -> QromPlan:
     """Validate parameters and derive the packet layout and register sizes.
 
     Requires lam a power of two with 1 < lam < N and 1 <= mu <= b. The dirty
-    block depth is mu*(lam-1); work qubits follow ``work_size``.
+    block depth is mu*(lam-1); work qubits follow ``work_size``. Every
+    builder and every lam-indexed cost row takes its layout from here.
     """
     if n_entries < 1 or bit_width < 1:
         raise ValueError("table dimensions must be positive")
@@ -135,24 +134,19 @@ def plan_qrom(n_entries: int, bit_width: int, lam: int, mu: int) -> QromPlan:
     if not 1 <= mu <= bit_width:
         raise ValueError(f"mu = {mu} violates 1 <= mu <= b = {bit_width}")
 
-    num_packets = ceil_div(bit_width, mu)
     sizes = [mu] * (bit_width // mu)
     if bit_width % mu:
         sizes.append(bit_width % mu)
     q_range = ceil_div(n_entries, lam)
-    address_bits = max(ceil_log2(n_entries), 1)
     r_bits = lam.bit_length() - 1
-    q_bits = address_bits - r_bits
     return QromPlan(
         n_entries=n_entries,
         bit_width=bit_width,
         lam=lam,
         mu=mu,
-        num_packets=num_packets,
         packet_sizes=tuple(sizes),
         q_range=q_range,
-        address_bits=address_bits,
-        q_bits=q_bits,
+        q_bits=max(ceil_log2(n_entries), 1) - r_bits,
         r_bits=r_bits,
         dirty_qubits=mu * (lam - 1),
         work_qubits=work_size(q_range, lam),
@@ -198,7 +192,7 @@ def compute_xor_schedule(table: LookupTable, plan: QromPlan) -> XorSchedule:
     """Schedule of ``build_qrom``: stage p is packet p of the table."""
     if table.n_entries != plan.n_entries or table.bit_width != plan.bit_width:
         raise ValueError("table dimensions do not match plan")
-    padded = _padded_entries(table, plan)
+    padded = padded_entries(table, plan)
     stages = []
     for p in range(plan.num_packets):
         start, end = plan.packet_span(p)
@@ -207,7 +201,7 @@ def compute_xor_schedule(table: LookupTable, plan: QromPlan) -> XorSchedule:
     return _stage_schedule(plan, stages)
 
 
-def _padded_entries(table: LookupTable, plan: QromPlan) -> list[int]:
+def padded_entries(table: LookupTable, plan: QromPlan) -> list[int]:
     """f(x) for x in [0, q_range * lam), reading 0 beyond the table."""
     return list(table.entries) + [0] * (plan.q_range * plan.lam - table.n_entries)
 
@@ -345,10 +339,12 @@ def build_qrom(table: LookupTable, plan: QromPlan) -> Circuit:
 @dataclass(frozen=True, slots=True)
 class SequentialSpec:
     """A run of lookups over tables of identical shape, sharing one address
-    register and one set of dirty blocks, writing to fresh output registers."""
+    register and one set of dirty blocks, writing to fresh output registers.
+    ``plan`` is the full-width plan (mu = b) of one table."""
 
     tables: tuple[LookupTable, ...]
     lam: int
+    plan: QromPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.tables) < 1:
@@ -358,10 +354,8 @@ class SequentialSpec:
         for t in self.tables[1:]:
             if t.n_entries != first.n_entries or t.bit_width != first.bit_width:
                 raise ValueError("all tables must share N and b")
-        if not is_power_of_two(self.lam):
-            raise ValueError(f"lam = {self.lam} is not a power of 2")
-        if not 1 < self.lam < first.n_entries:
-            raise ValueError(f"lam = {self.lam} violates 1 < lam < N")
+        plan = plan_qrom(first.n_entries, first.bit_width, self.lam, first.bit_width)
+        object.__setattr__(self, "plan", plan)
 
 
 def build_sequential_qroms(spec: SequentialSpec) -> Circuit:
@@ -371,9 +365,8 @@ def build_sequential_qroms(spec: SequentialSpec) -> Circuit:
     need m+1 Selects and m+1 Copies (the last Copy fixes all outputs at
     once): exactly (m+1) * (ceil(N/lam) + b*(lam-1) + lam - 3) Toffolis.
     """
-    first = spec.tables[0]
-    plan = plan_qrom(first.n_entries, first.bit_width, spec.lam, first.bit_width)
-    schedule = _stage_schedule(plan, [_padded_entries(t, plan) for t in spec.tables])
+    plan = spec.plan
+    schedule = _stage_schedule(plan, [padded_entries(t, plan) for t in spec.tables])
     outputs = [
         RegisterSpec(f"output_{i + 1}", plan.bit_width, Role.OUTPUT)
         for i in range(len(spec.tables))

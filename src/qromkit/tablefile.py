@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import re
 
-from .gatefile import ParseError
+from .gatefile import DECIMAL, ParseError
 from .qrom import LookupTable
 
 __all__ = ["parse_table_text", "load_table_file", "format_table"]
 
-_DECIMAL = re.compile(r"-?[0-9]+")
 _ENTRY = re.compile(r"(-?)(?:0[xX]([0-9a-fA-F]+)|([0-9]+))")
 
 
@@ -31,7 +30,7 @@ def parse_table_text(text: str) -> LookupTable:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(lineno, "expected header: <N> <b>")
-            if not all(map(_DECIMAL.fullmatch, parts)):
+            if not all(map(DECIMAL.fullmatch, parts)):
                 raise ParseError(lineno, f"bad header {line!r}")
             try:
                 n, b = int(parts[0]), int(parts[1])

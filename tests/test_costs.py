@@ -3,6 +3,12 @@ import random
 import pytest
 
 from qromkit import (
+    Role,
+    SequentialSpec,
+    build_plain_qrom,
+    build_qrom,
+    build_selectswap_dirty,
+    build_sequential_qroms,
     cost_bit_packet,
     cost_power2_packet,
     cost_prior_art,
@@ -10,10 +16,13 @@ from qromkit import (
     cost_sequential_inplace,
     cost_uncompute,
     improvement_sweep,
+    count_resources,
     optimize_parameters,
+    plan_qrom,
     sweep_rows_to_csv,
 )
 from qromkit.qrom import ceil_div
+from helpers import random_table
 
 
 class TestBitPacket:
@@ -292,3 +301,58 @@ class TestSweep:
         assert fields[0] == str(2**20)
         assert fields[5] == "32" and fields[6] == "1"
         assert fields[7] == "1.774853"
+
+
+ACCEPTANCE_GRID = [
+    (n, b, lam)
+    for n in (8, 12, 16, 33, 64, 100, 256)
+    for b in (1, 2, 3, 5, 8, 16)
+    for lam in (2, 4, 8)
+    if lam < n
+]
+
+
+def register_size(circuit, name):
+    return circuit.register(name).size if circuit.has_register(name) else 0
+
+
+class TestCostsMatchCircuits:
+    """The qubit columns of a cost row are those of the circuit it names."""
+
+    def test_bit_packet_registers(self):
+        for n, b, lam in ACCEPTANCE_GRID:
+            table = random_table(n, b, seed=n + b + lam)
+            for mu in range(1, b + 1):
+                cost = cost_bit_packet(n, b, lam, mu)
+                circuit = build_qrom(table, plan_qrom(n, b, lam, mu))
+                assert cost.dirty_qubits == register_size(circuit, "dirty"), (n, b, lam, mu)
+                assert cost.clean_work_qubits == register_size(circuit, "work"), (n, b, lam, mu)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_sequential_fresh_registers(self, m):
+        for n, b, lam in ACCEPTANCE_GRID:
+            tables = tuple(random_table(n, b, seed=n + b + lam + i) for i in range(m))
+            circuit = build_sequential_qroms(SequentialSpec(tables, lam))
+            cost = cost_sequential_fresh(n, b, lam, m)
+            assert cost.toffoli_total == count_resources(circuit).toffoli, (n, b, lam, m)
+            assert cost.dirty_qubits == register_size(circuit, "dirty"), (n, b, lam, m)
+            assert cost.clean_work_qubits == register_size(circuit, "work"), (n, b, lam, m)
+            assert cost.output_qubits == sum(
+                reg.size for reg in circuit.registers_with_role(Role.OUTPUT)
+            )
+
+    def test_berry_dirty_is_swap_network_dirty_register(self):
+        for n, b, lam in ACCEPTANCE_GRID:
+            circuit = build_selectswap_dirty(random_table(n, b, seed=n * b + lam), lam)
+            cost = cost_prior_art("berry", n, b, lam)
+            assert cost.dirty_qubits == register_size(circuit, "dirty"), (n, b, lam)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_plain_row_is_plain_circuit(self, n):
+        circuit = build_plain_qrom(random_table(n, 3, seed=n))
+        cost = cost_prior_art("plain", n, 3)
+        counts = count_resources(circuit)
+        assert cost.toffoli_total == counts.toffoli
+        assert cost.dirty_qubits == counts.dirty_qubits == 0
+        assert cost.clean_work_qubits == register_size(circuit, "work")
+        assert cost.output_qubits == register_size(circuit, "output")

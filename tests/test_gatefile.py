@@ -13,6 +13,7 @@ from qromkit import (
     plan_qrom,
     serialize_circuit,
 )
+from qromkit.gatefile import _lines
 from helpers import random_table
 
 
@@ -68,6 +69,18 @@ def test_comments_and_blank_lines():
         ("REGISTER a 2 address_q\nX a zero\n", "bad qubit offset"),
         ("REGISTER a 2 address_q\nREGISTER a 1 work\n", "line 2: duplicate register"),
         ("REGISTER a 1 work\nX a 0\nREGISTER b 1 work\n", "REGISTER after first gate"),
+        # Sizes and offsets are ASCII decimal: int() alone would take these.
+        ("REGISTER a +1_0 output\n", "bad register size"),
+        ("REGISTER a 1_0 output\n", "bad register size"),
+        ("REGISTER a +2 output\n", "bad register size"),
+        ("REGISTER a \u0661 output\n", "bad register size"),
+        ("REGISTER a 2 output\nX a 0_1\n", "bad qubit offset"),
+        ("REGISTER a 2 output\nX a +1\n", "bad qubit offset"),
+        ("REGISTER a 2 output\nX a \u0660\n", "bad qubit offset"),
+        ("REGISTER a 2 output\nX a \uff11\n", "bad qubit offset"),
+        ("REGISTER a 2 output\nX a " + "9" * 5000 + "\n", "bad qubit offset"),
+        ("REGISTER a 2 output\nX a -1\n", "out of range"),
+        ("REGISTER a -1 output\n", "size >= 1"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -95,6 +108,13 @@ def test_misplaced_register_outranks_earlier_gate_error():
     text = "REGISTER a 1 work\nX a 7\nREGISTER b 1 work\n"
     with pytest.raises(ParseError, match="^line 3: REGISTER after first gate line"):
         parse_circuit(text)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 20])
+def test_chunked_lines_equal_splitlines(chunk):
+    text = "REGISTER a 2 work\r\nX a 0\n\nX a 1\rX a 0\x0cX a 1\u2028\n# end\r\n\n"
+    assert list(_lines(text, chunk)) == text.splitlines()
+    assert list(_lines("", chunk)) == []
 
 
 def test_parsed_gates_are_shared_and_equal_to_built():

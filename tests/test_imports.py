@@ -1,0 +1,52 @@
+"""Every name a qromkit module imports is used there or re-exported.
+
+No linter ships with the project, so this ``ast`` walk catches the imports
+that a deletion leaves behind.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+import qromkit
+
+MODULES = sorted(Path(qromkit.__file__).parent.glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import, mapped to the import's line number."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used_or_exported(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {
+        name: line
+        for name, line in imported_names(tree).items()
+        if name not in used and name not in exported_names(tree)
+    }
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_check_sees_an_unused_import():
+    tree = ast.parse("import os\nfrom re import compile as c, escape\nescape('x')\n")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(set(imported_names(tree)) - used) == ["c", "os"]

@@ -16,6 +16,7 @@ from qromkit import (
     serialize_circuit,
 )
 from qromkit.circuit import GATE_ARITY
+from qromkit.gatefile import _lines
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -29,7 +30,7 @@ def token_lines(tokens):
 
 GATE_TOKENS = [
     "REGISTER", "X", "CNOT", "TOFFOLI", "CSWAP", "TEMP_AND", "TEMP_AND_UNCOMPUTE",
-    "q", "w", "o", "0", "1", "2", "3", "-1", "0x1", "1_0", "address_q", "address_r",
+    "q", "w", "o", "0", "1", "2", "3", "-1", "+1", "0x1", "1_0", "\u0663", "address_q", "address_r",
     "output", "dirty", "work", "temp", "#", "a-b", "",
 ]
 TABLE_TOKENS = ["0", "1", "2", "3", "8", "-1", "0x3", "0b11", "1_0", "x", "#", "1e3", ""]
@@ -44,6 +45,12 @@ def test_parse_circuit_raises_only_parse_error(text):
         return
     canonical = serialize_circuit(circuit)
     assert serialize_circuit(parse_circuit(canonical)) == canonical
+
+
+@PROPERTY_SETTINGS
+@given(st.text(), st.integers(1, 16))
+def test_chunked_gate_file_lines_equal_splitlines(text, chunk):
+    assert list(_lines(text, chunk)) == text.splitlines()
 
 
 @PROPERTY_SETTINGS

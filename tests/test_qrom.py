@@ -20,7 +20,7 @@ from qromkit import (
     registers_for_plan,
     verify_qrom,
 )
-from qromkit.qrom import ceil_div
+from qromkit.qrom import ceil_div, padded_entries
 from helpers import random_table
 
 
@@ -56,6 +56,11 @@ class TestPlan:
     def test_rejects_bad_parameters(self, args, fragment):
         with pytest.raises(ValueError, match=fragment):
             plan_qrom(*args)
+
+    def test_padded_entries_fill_last_block(self):
+        table = LookupTable((3, 1, 2, 0, 1), 2)
+        assert padded_entries(table, plan_qrom(5, 2, 2, 1)) == [3, 1, 2, 0, 1, 0]
+        assert padded_entries(table, plan_qrom(5, 2, 4, 1)) == [3, 1, 2, 0, 1, 0, 0, 0]
 
     def test_register_sizes_sum(self):
         plan = plan_qrom(64, 8, 4, 2)
@@ -113,17 +118,20 @@ class TestXorSchedule:
         plan = plan_qrom(n, b, lam, mu)
         schedule = compute_xor_schedule(table, plan)
 
+        def padded(x):
+            return table.entries[x] if x < n else 0
+
         def c_bit(q, block, p, j):
             if p < 0 or j >= plan.packet_sizes[p]:
                 return 0
-            diff = table.padded(q * lam + block) ^ table.padded(q * lam)
+            diff = padded(q * lam + block) ^ padded(q * lam)
             return (diff >> (p * mu + j)) & 1
 
         last = plan.num_packets - 1
         for q in range(plan.q_range):
             for p in range(plan.num_packets):
                 width = plan.packet_sizes[p]
-                want = (table.padded(q * lam) >> (p * mu)) & ((1 << width) - 1)
+                want = (padded(q * lam) >> (p * mu)) & ((1 << width) - 1)
                 assert schedule.direct[p][q] == want
             for block in range(1, lam):
                 for p in range(plan.num_packets):
@@ -403,8 +411,3 @@ class TestLookupTable:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             LookupTable((), 2)
-
-    def test_padding_accessor(self):
-        table = LookupTable((3, 1), 2)
-        assert table.padded(1) == 1
-        assert table.padded(5) == 0
