@@ -198,9 +198,8 @@ class Circuit:
 
     def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
         """Append the interned gate for ``(kind, operands)`` and return it."""
-        # The hit is looked up here, not through ``intern``: the gate-file
-        # parser appends once per line, and the extra call costs that loop
-        # about a third.
+        # The hit is looked up here, not through ``intern``, to save a Python
+        # call per appended gate.
         gate = self._interned.get((kind, operands)) or self.intern(kind, *operands)
         self.gates.append(gate)
         return gate

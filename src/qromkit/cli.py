@@ -124,6 +124,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.circuit:
+        flags = {"--lambda": args.lam, "--mu": args.mu, "--baseline": args.baseline}
+        ignored = [flag for flag, value in flags.items() if value is not None]
+        if ignored:
+            raise ValueError(f"--circuit cannot be combined with {', '.join(ignored)}")
     table = load_table_file(args.table)
     plan = None
     if args.circuit:

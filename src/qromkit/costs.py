@@ -146,6 +146,8 @@ def cost_prior_art(kind: str, n: int, b: int, lam: int | None = None) -> CostBre
     borrowed register of ``build_selectswap_dirty``. Divisions round up.
     """
     if kind == "plain":
+        if n < 1 or b < 1:
+            raise ValueError("table dimensions must be positive")
         return CostBreakdown(
             formula_id="plain",
             toffoli_total=n - 1,

@@ -11,19 +11,22 @@ Register sizes and qubit offsets are ASCII decimal numbers: no sign other
 than a leading ``-`` (reported as out of range), no ``_`` separators and no
 non-ASCII digits. ``parse_circuit(serialize_circuit(c))`` reproduces the
 register list and gate list exactly. A lookup circuit repeats few distinct
-gates many times, so each distinct gate line is tokenized once and each
-distinct gate formatted once.
+gates many times, so each distinct gate is formatted once, and the parser
+maps the raw text of each gate line it has accepted to the circuit's interned
+gate: a repeated line costs one dict hit, and only a new line is stripped,
+tokenized and validated.
 """
 from __future__ import annotations
 
 import re
 
-from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role
+from .circuit import Circuit, Gate, GateKind, QubitRef, RegisterSpec, Role
 
 __all__ = ["ParseError", "serialize_circuit", "parse_circuit"]
 
 #: A decimal number as the text formats spell it; the table format shares it.
 DECIMAL = re.compile(r"-?[0-9]+")
+_KINDS = {kind.value: kind for kind in GateKind}
 
 
 class ParseError(ValueError):
@@ -57,15 +60,25 @@ def parse_circuit(text: str) -> Circuit:
     """Parse a gate file in one pass: registers up to the first gate line,
     then each gate as it is read.
 
+    A gate line seen before costs one dict hit: each parse maps the raw text
+    of every gate line it accepted, and its text with comment and spaces
+    stripped, to the circuit's interned gate. REGISTER, blank, comment and
+    failed lines never enter that map, so they always take the full path.
     After a gate error the remaining lines are still scanned, so a misplaced
     REGISTER line is reported before any gate error on an earlier line.
     """
     registers: list[RegisterSpec] = []
     seen_names: set[str] = set()
     circuit: Circuit | None = None
-    parsed: dict[str, tuple] = {}
+    known: dict[str, Gate] = {}
     error: ParseError | None = None
     for lineno, raw in enumerate(_lines(text), start=1):
+        # ``known`` stays empty until the first gate line has made the
+        # circuit and bound ``append``.
+        gate = known.get(raw)
+        if gate is not None:
+            append(gate)
+            continue
         line = raw.partition("#")[0].strip()
         if not line:
             continue
@@ -77,17 +90,22 @@ def parse_circuit(text: str) -> Circuit:
             continue
         if circuit is None:
             circuit = Circuit(registers)
+            append = circuit.gates.append
         if error is not None:
             continue
-        gate = parsed.get(line)
-        try:
-            if gate is None:
-                gate = parsed[line] = _parse_gate(lineno, line)
-            circuit.append(*gate)
-        except ParseError as exc:
-            error = exc
-        except ValueError as exc:
-            error = ParseError(lineno, str(exc))
+        gate = known.get(line)
+        if gate is None:
+            try:
+                gate = circuit.intern(*_parse_gate(lineno, line))
+            except ParseError as exc:
+                error = exc
+                continue
+            except ValueError as exc:
+                error = ParseError(lineno, str(exc))
+                continue
+            known[line] = gate
+        known[raw] = gate
+        append(gate)
     if error is not None:
         raise error
     return Circuit(registers) if circuit is None else circuit
@@ -137,12 +155,11 @@ def _decimal(lineno: int, token: str, what: str) -> int:
 
 
 def _parse_gate(lineno: int, line: str) -> tuple:
-    """Map one gate line to ``(kind, *operands)`` for ``Circuit.append``."""
+    """Map one gate line to ``(kind, *operands)`` for ``Circuit.intern``."""
     kind_s, *rest = line.split()
-    try:
-        kind = GateKind(kind_s)
-    except ValueError:
-        raise ParseError(lineno, f"unknown gate kind {kind_s!r}") from None
+    kind = _KINDS.get(kind_s)
+    if kind is None:
+        raise ParseError(lineno, f"unknown gate kind {kind_s!r}")
     if len(rest) % 2 != 0:
         raise ParseError(lineno, "operands must be <register> <offset> pairs")
     operands = []

@@ -6,16 +6,19 @@ basis states is exact and, by linearity, covers superpositions: if each
 not tracked.
 
 ``simulate`` runs one assignment through the gate list and is the independent
-oracle; ``batch_simulate`` runs a 0/1 matrix of assignments (one row per qubit
-in ``qubit_indexer`` order, one column per case) on the one bit-packed engine,
-which holds each qubit row as a Python int with bit j for case j. Both raise
-``SimulationError`` on a temp-AND computed onto a nonzero target or uncomputed
-to a nonzero result.
+oracle. The batch engine holds each qubit row as one Python int with bit j for
+case j and runs the gate list once over all cases; it has one gate loop and
+two callers. ``batch_simulate`` takes and returns a 0/1 matrix (one row per
+qubit in ``qubit_indexer`` order, one column per case) and packs it into rows
+for the engine. Both raise ``SimulationError`` on a temp-AND computed onto a
+nonzero target or uncomputed to a nonzero result.
 
 ``verify_qrom`` is the one lookup verifier: one table or one per output
-register, every address times seeded dirty patterns in one ``batch_simulate``
-call, whole-array checks, and Python only over failing cases. It raises
-``ValueError`` before allocating for a circuit it cannot check.
+register, every address times seeded dirty patterns in one engine run. It
+builds only the address and dirty rows, compares final rows with expected rows
+by XOR/OR into one failure mask per check, and reaches Python per case only
+for failing cases. It raises ``ValueError`` before allocating for a circuit or
+seed it cannot check.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ __all__ = [
     "verify_qrom",
 ]
 
-MAX_STATE_CELLS = 1 << 30  # qubits x cases cap on verify_qrom's uint8 state matrix
+MAX_STATE_CELLS = 1 << 30  # qubits x cases cap on verify_qrom's state, one bit per cell
 
 
 class SimulationError(RuntimeError):
@@ -129,11 +132,8 @@ def batch_simulate(circuit: Circuit, bit_matrix: np.ndarray) -> np.ndarray:
     (num_qubits, num_cases) and rows ordered by ``qubit_indexer``; anything
     else raises ``ValueError``. A fresh ``uint8`` final matrix is returned.
     Semantics and temp-AND checks match ``simulate`` exactly, applied across
-    all cases.
-
-    There is one engine: each qubit row is packed into one Python int whose
-    bit j is case j, so every gate is one or two int operations over all
-    cases. The operands are resolved to rows once, before the gate loop.
+    all cases. The matrix is packed into rows, run on the bit-packed engine
+    and unpacked.
     """
     if bit_matrix.ndim != 2 or bit_matrix.shape[0] != circuit.num_qubits:
         raise ValueError(
@@ -144,10 +144,21 @@ def batch_simulate(circuit: Circuit, bit_matrix: np.ndarray) -> np.ndarray:
     if bit_matrix.size and (bit_matrix.min() < 0 or bit_matrix.max() > 1):
         raise ValueError("bit matrix entries must be 0 or 1")
     cases = bit_matrix.shape[1]
-    packed = np.packbits(bit_matrix, axis=1, bitorder="little")
-    state = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    state = _pack_rows(bit_matrix)
+    _run_packed(circuit, qubit_indexer(circuit), state, cases)
+    return _unpack_rows(state, cases)
+
+
+def _run_packed(
+    circuit: Circuit, index: dict[QubitRef, int], state: list[int], cases: int
+) -> None:
+    """The one gate loop: apply ``circuit.gates`` in place to ``state``, one
+    Python int per qubit row (``index`` order) whose bit j is case j.
+
+    Every gate is one or two int operations over all cases. The operands are
+    resolved to rows once, before the loop.
+    """
     full = (1 << cases) - 1
-    index = qubit_indexer(circuit)
     gates = circuit.gates
     # One flat comprehension: a per-gate list would cost more than the gates.
     next_row = iter([index[ref] for gate in gates for ref in gate.operands]).__next__
@@ -180,9 +191,19 @@ def batch_simulate(circuit: Circuit, bit_matrix: np.ndarray) -> np.ndarray:
             state[b] ^= mask
         else:  # pragma: no cover
             raise SimulationError(f"unknown gate kind {kind}")
-    width = packed.shape[1]
-    data = b"".join(value.to_bytes(width, "little") for value in state)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(state), width)
+
+
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """One int per row of a 2-D 0/1 matrix, bit j taken from column j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack_rows(rows: list[int], cases: int) -> np.ndarray:
+    """The ``uint8`` 0/1 matrix with one row per int, inverse of ``_pack_rows``."""
+    width = (cases + 7) // 8
+    data = b"".join(value.to_bytes(width, "little") for value in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
     return np.unpackbits(packed, axis=1, count=cases, bitorder="little")
 
 
@@ -221,7 +242,7 @@ def verify_qrom(
     Input contract, raising ``ValueError`` before any allocation: one table
     per output register, all with the same N; at most one ``address_q`` and one
     ``address_r`` register, together at least ceil(log2 N) qubits; each output
-    register at least b wide; ``dirty_trials >= 1``; and at most
+    register at least b wide; ``dirty_trials >= 1``; ``seed >= 0``; and at most
     ``MAX_STATE_CELLS`` qubits times cases.
     """
     tables = [table] if isinstance(table, LookupTable) else list(table)
@@ -246,6 +267,8 @@ def verify_qrom(
         raise ValueError(f"{address_bits} address qubits cannot address {n} entries")
     if dirty_trials < 1:
         raise ValueError("dirty_trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     trials, cases = dirty_trials, n * dirty_trials
     if circuit.num_qubits * cases > MAX_STATE_CELLS:
         cells = f"{circuit.num_qubits} qubits x {cases} cases"
@@ -263,56 +286,81 @@ def verify_qrom(
 
     rng = np.random.default_rng(seed)
     patterns = rng.integers(0, 2, size=(trials, len(dirty_rows)), dtype=np.uint8)
-    xs = np.repeat(np.arange(n), trials)
-    matrix = np.zeros((circuit.num_qubits, cases), dtype=np.uint8)
-    for shift, row in enumerate(addr_rows):
-        matrix[row] = (xs >> shift) & 1
-    matrix[dirty_rows] = np.tile(patterns.T, n)
+    # Case j is address j // trials with dirty pattern j % trials.
+    addr_init = _case_rows(range(n), address_bits, trials)
+    dirty_init = _pack_rows(np.tile(patterns.T, n))
+    state = [0] * circuit.num_qubits
+    for row, value in zip(addr_rows + dirty_rows, addr_init + dirty_init):
+        state[row] = value
+    _run_packed(circuit, index, state, cases)
 
-    final = batch_simulate(circuit, matrix)
-
-    out_bad = [_mismatch(final[r[: t.bit_width]], t, trials) for r, t in zip(out_rows, tables)]
-    dirty_bad = (final[dirty_rows] != matrix[dirty_rows]).any(axis=0)
-    addr_bad = (final[addr_rows] != matrix[addr_rows]).any(axis=0)
-    clean_bad = final[clean_rows].any(axis=0)
-
-    labels = ["output"] if len(out_regs) == 1 else [reg.name for reg in out_regs]
-    all_out_rows = sum(out_rows, [])
+    # One mask per check, bit j set where case j fails it.
+    masks = [
+        _differ(state, reg_rows[: t.bit_width], _case_rows(t.entries, t.bit_width, trials))
+        for reg_rows, t in zip(out_rows, tables)
+    ]
+    masks.append(_differ(state, dirty_rows, dirty_init))
+    masks.append(_differ(state, addr_rows, addr_init))
+    masks.append(_differ(state, clean_rows, [0] * len(clean_rows)))
     report = VerificationReport(cases_run=cases)
-    for j in np.flatnonzero(np.logical_or.reduce([*out_bad, dirty_bad, addr_bad, clean_bad])):
-        x, column = int(j) // trials, final[:, j]
+    if not any(masks):
+        return report
+
+    # Only failing cases reach Python, read from unpacked flags and rows.
+    flags = _unpack_rows(masks, cases)
+    *out_flags, dirty_flags, addr_flags, clean_flags = flags
+    all_out_rows = sum(out_rows, [])
+    observed = _unpack_rows([state[row] for row in all_out_rows + dirty_rows], cases)
+    labels = ["output"] if len(out_regs) == 1 else [reg.name for reg in out_regs]
+    spans, start = [], 0
+    for reg_rows in out_rows:
+        spans.append(slice(start, start + len(reg_rows)))
+        start += len(reg_rows)
+    for j in np.flatnonzero(flags.any(axis=0)):
+        x, column = int(j) // trials, observed[:, j]
         problems = [
-            f"{label} {_pack(column, reg_rows):#x} != f(x) {t.entries[x]:#x}"
-            for label, reg_rows, t, bad in zip(labels, out_rows, tables, out_bad)
+            f"{label} {_pack(column[span]):#x} != f(x) {t.entries[x]:#x}"
+            for label, span, t, bad in zip(labels, spans, tables, out_flags)
             if bad[j]
         ]
-        if dirty_bad[j]:
+        if dirty_flags[j]:
             problems.append("dirty register not restored")
-        if addr_bad[j]:
+        if addr_flags[j]:
             problems.append("address register changed")
-        if clean_bad[j]:
+        if clean_flags[j]:
             problems.append("work/temp qubit left nonzero")
         report.failures.append(
             VerificationFailure(
                 x=x,
-                dirty_pattern=_pack(matrix[:, j], dirty_rows),
-                observed_output=_pack(column, all_out_rows),
-                observed_dirty=_pack(column, dirty_rows),
+                dirty_pattern=_pack(patterns[int(j) % trials]),
+                observed_output=_pack(column[:start]),
+                observed_dirty=_pack(column[start:]),
                 diagnostics="; ".join(problems),
             )
         )
     return report
 
 
-def _mismatch(observed: np.ndarray, table: LookupTable, trials: int) -> np.ndarray:
-    """Per case, whether the b observed output rows differ from entry x's bits."""
-    values = np.array(table.entries, dtype=np.uint64 if table.bit_width <= 64 else object)
-    expected = np.array([(values >> j) & 1 for j in range(table.bit_width)], dtype=np.uint8)
-    return (observed.reshape(*expected.shape, trials) != expected[..., None]).any(axis=0).ravel()
+def _case_rows(values, width: int, trials: int) -> list[int]:
+    """``width`` rows whose bit j is bit i of ``values[j // trials]``, built
+    from ``uint8`` bits."""
+    nbytes = width // 8 + 1  # at least one byte, so width 0 still has n values
+    data = b"".join(value.to_bytes(nbytes, "little") for value in values)
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
+    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little").T
+    return _pack_rows(np.repeat(bits, trials, axis=1))
 
 
-def _pack(column: np.ndarray, rows: list[int]) -> int:
+def _differ(state: list[int], rows: list[int], expected: list[int]) -> int:
+    """Mask of the cases where any of ``rows`` differs from its expected row."""
+    mask = 0
+    for row, value in zip(rows, expected):
+        mask |= state[row] ^ value
+    return mask
+
+
+def _pack(bits) -> int:
     value = 0
-    for j, row in enumerate(rows):
-        value |= int(column[row]) << j
+    for j, bit in enumerate(bits):
+        value |= int(bit) << j
     return value

@@ -143,6 +143,32 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: dirty_trials must be >= 1\n"
 
+    def test_negative_seed_exits_2(self, table_64):
+        code, out, err = run_cli(
+            ["verify", "--table", table_64, "--lambda", "4", "--mu", "2", "--seed", "-1"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be >= 0\n"
+
+    @pytest.mark.parametrize(
+        "extra,named",
+        [
+            (["--lambda", "4", "--mu", "9"], "--lambda, --mu"),
+            (["--mu", "2"], "--mu"),
+            (["--baseline", "plain"], "--baseline"),
+            (["--baseline", "selectswap", "--lambda", "4"], "--lambda, --baseline"),
+        ],
+    )
+    def test_circuit_rejects_build_flags(self, table_64, tmp_path, extra, named):
+        path = tmp_path / "c.gates"
+        code, _, _ = run_cli(
+            ["build", "--table", table_64, "--lambda", "4", "--mu", "2", "--out", str(path)]
+        )
+        assert code == 0
+        code, out, err = run_cli(["verify", "--table", table_64, "--circuit", str(path), *extra])
+        assert (code, out) == (2, "")
+        assert err == f"error: --circuit cannot be combined with {named}\n"
+
     @pytest.mark.parametrize(
         "registers,message",
         [

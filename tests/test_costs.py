@@ -154,6 +154,11 @@ class TestPriorArt:
         with pytest.raises(ValueError):
             cost_prior_art("bogus", 64, 8, 4)
 
+    @pytest.mark.parametrize("n,b", [(0, 1), (-3, 0), (5, 0), (1, -1)])
+    def test_plain_rejects_nonpositive_dimensions(self, n, b):
+        with pytest.raises(ValueError, match="table dimensions must be positive"):
+            cost_prior_art("plain", n, b)
+
 
 class TestUncompute:
     def test_values(self):

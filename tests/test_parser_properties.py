@@ -2,21 +2,31 @@
 
 Whatever the input, the parsers either return a value or raise ParseError,
 and a parsed circuit serializes to a fixed point of serialize -> parse.
+Decorated gate files (comments, spaces, blank and repeated lines) parse like
+their plain form, and their errors match a per-line reference parser.
 """
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qromkit import (
     Circuit,
+    GateKind,
     ParseError,
+    QubitRef,
     RegisterSpec,
     Role,
+    build_qrom,
+    build_selectswap_dirty,
     parse_circuit,
     parse_table_text,
+    plan_qrom,
     serialize_circuit,
 )
 from qromkit.circuit import GATE_ARITY
 from qromkit.gatefile import _lines
+from helpers import random_table
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -91,3 +101,131 @@ def test_serialize_parse_serialize_is_identity(circuit):
     parsed = parse_circuit(text)
     assert parsed == circuit
     assert serialize_circuit(parsed) == text
+
+
+BUILT_FILES = [
+    serialize_circuit(build_qrom(random_table(8, 2, seed=1), plan_qrom(8, 2, 2, 1))),
+    serialize_circuit(build_qrom(random_table(13, 3, seed=2), plan_qrom(13, 3, 4, 2))),
+    serialize_circuit(build_selectswap_dirty(random_table(9, 2, seed=3), 4)),
+]
+COMMENT_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8)
+SPACES = st.text(" \t", min_size=1, max_size=3)
+#: Replacements for one gate line, each of which the parser must reject.
+BREAKERS = [
+    lambda tokens: ["NOT_A_GATE", *tokens[1:]],
+    lambda tokens: tokens[:-1],
+    lambda tokens: [*tokens, tokens[1], tokens[2]],
+    lambda tokens: [*tokens[:-1], "99"],
+    lambda tokens: [*tokens[:-1], "x"],
+    lambda tokens: [*tokens[:-1], "+1"],
+    lambda tokens: [*tokens[:-1], "-1"],
+    lambda tokens: [tokens[0], "nope", *tokens[2:]],
+    lambda tokens: ["REGISTER", "extra", "1", "work"],
+]
+
+
+def split_file(text):
+    lines = text.splitlines()
+    gates_from = next(i for i, line in enumerate(lines) if not line.startswith("REGISTER"))
+    return lines[:gates_from], lines[gates_from:]
+
+
+@st.composite
+def decorated_gate_lines(draw, gate_lines):
+    """(plain, decorated) line lists: every decoration (comment, leading,
+    trailing or inner spaces, blank line, repeat) keeps the parsed circuit,
+    and a repeated line is repeated in both."""
+    plain = [[line] for line in gate_lines]
+    decorated = [[line] for line in gate_lines]
+    edits = st.tuples(st.integers(0, len(gate_lines) - 1), st.sampled_from("ctlibr"))
+    for at, edit in draw(st.lists(edits, max_size=40)):
+        last = decorated[at][-1]
+        if edit == "c":
+            gap = draw(st.sampled_from(["", " ", "\t"]))
+            decorated[at][-1] = f"{last}{gap}#{draw(COMMENT_TEXT)}"
+        elif edit == "t":
+            decorated[at][-1] = last + draw(SPACES)
+        elif edit == "l":
+            decorated[at][-1] = draw(SPACES) + last
+        elif edit == "i":
+            decorated[at][-1] = last.replace(" ", draw(SPACES), 1)
+        elif edit == "b":
+            decorated[at].insert(0, draw(st.sampled_from(["", " ", "\t", "# note", "  #"])))
+        else:
+            plain[at].append(plain[at][-1])
+            decorated[at].append(draw(st.sampled_from(["", " "])) + plain[at][-1])
+    return sum(plain, []), sum(decorated, [])
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_decorated_gate_file_parses_like_plain(data):
+    header, gate_lines = split_file(data.draw(st.sampled_from(BUILT_FILES), label="file"))
+    plain, decorated = data.draw(decorated_gate_lines(gate_lines), label="lines")
+    expected = parse_circuit("\n".join(header + plain) + "\n")
+    parsed = parse_circuit("\n".join(header + decorated) + "\n")
+    assert parsed == expected
+    assert len(set(map(id, parsed.gates))) == len(set(parsed.gates))
+
+
+def reference_parse(text):
+    """Every line parsed on its own, with no caching: the first gate error is
+    kept, but a later misplaced REGISTER line outranks it."""
+    registers, circuit, error = [], None, None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if tokens[0] == "REGISTER":
+            if circuit is not None:
+                raise ParseError(lineno, "REGISTER after first gate line")
+            registers.append(RegisterSpec(tokens[1], int(tokens[2]), Role(tokens[3])))
+            continue
+        if circuit is None:
+            circuit = Circuit(registers)
+        if error is not None:
+            continue
+        kind, *rest = tokens
+        try:
+            if kind not in {k.value for k in GateKind}:
+                raise ParseError(lineno, f"unknown gate kind {kind!r}")
+            if len(rest) % 2:
+                raise ParseError(lineno, "operands must be <register> <offset> pairs")
+            operands = []
+            for name, offset in zip(rest[::2], rest[1::2]):
+                if not re.fullmatch(r"-?[0-9]+", offset):
+                    raise ParseError(lineno, f"bad qubit offset {offset!r}")
+                operands.append(QubitRef(name, int(offset)))
+            circuit.append(GateKind(kind), *operands)
+        except ParseError as exc:
+            error = exc
+        except ValueError as exc:
+            error = ParseError(lineno, str(exc))
+    if error is not None:
+        raise error
+    return circuit
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_decorated_gate_file_errors_match_reference(data):
+    header, gate_lines = split_file(data.draw(st.sampled_from(BUILT_FILES), label="file"))
+    # Past the first gate line, so that a REGISTER line is misplaced.
+    at = data.draw(st.integers(1, len(gate_lines) - 1), label="at")
+    breaker = data.draw(st.sampled_from(BREAKERS), label="breaker")
+    gate_lines = list(gate_lines)
+    gate_lines[at] = " ".join(breaker(gate_lines[at].split()))
+    _, decorated = data.draw(decorated_gate_lines(gate_lines), label="lines")
+    text = "\n".join(header + decorated) + "\n"
+    try:
+        reference_parse(text)
+    except ParseError as exc:
+        expected = (exc.line, str(exc))
+    else:
+        raise AssertionError("reference parser accepted a broken line")
+    try:
+        parse_circuit(text)
+    except ParseError as exc:
+        assert (exc.line, str(exc)) == expected
+    else:
+        raise AssertionError(f"parse_circuit accepted {expected}")

@@ -1,5 +1,6 @@
 """The lookup verifier: pinned fault reports, the input contract, a scalar
-differential, multi-output faults and a build -> verify round trip.
+differential, multi-output faults, a build -> verify round trip, and reports
+equal to a matrix-based reference at case counts around byte edges.
 
 ``FAULT_REPORT_DIGEST`` pins every field of every failure that ``verify_qrom``
 reports on a fixed set of fault-injected circuits (an X on an output, dirty,
@@ -22,16 +23,20 @@ from qromkit import (
     Circuit,
     Gate,
     GateKind,
+    LookupTable,
     QubitRef,
     RegisterSpec,
     Role,
     SequentialSpec,
     SimulationError,
+    VerificationFailure,
+    batch_simulate,
     build_plain_qrom,
     build_qrom,
     build_selectswap_dirty,
     build_sequential_qroms,
     plan_qrom,
+    qubit_indexer,
     simulate,
     verify_qrom,
 )
@@ -114,6 +119,15 @@ class TestContract:
     def test_nonpositive_trials(self, trials):
         with pytest.raises(ValueError, match="dirty_trials must be >= 1"):
             verify_qrom(self.circuit, self.table, self.plan, dirty_trials=trials)
+
+    def test_negative_seed_rejected_before_indexing(self, monkeypatch):
+        def indexer_must_not_run(circuit):
+            raise AssertionError("qubit_indexer reached")
+
+        monkeypatch.setattr(simulate_module, "qubit_indexer", indexer_must_not_run)
+        for seed in (-1, -(2**70)):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                verify_qrom(self.circuit, self.table, self.plan, seed=seed)
 
     def test_table_count_must_match_outputs(self):
         with pytest.raises(ValueError, match="2 tables for 1 output registers"):
@@ -227,3 +241,118 @@ def test_build_verify_round_trip(data):
         assert len(report.failures) == report.cases_run
         assert all(f.diagnostics.startswith(ROLE_DIAGNOSTICS[reg.role]) for f in report.failures)
         assert all(";" not in f.diagnostics for f in report.failures)
+
+
+def reference_failures(circuit, tables, trials, seed):
+    """The lookup contract checked on a 0/1 matrix: every address times the
+    verifier's seeded dirty patterns through ``batch_simulate``, then
+    whole-array numpy checks per case. ``verify_qrom`` runs on packed rows
+    and must report exactly these failures."""
+    index = qubit_indexer(circuit)
+
+    def rows(regs):
+        return [index[QubitRef(reg.name, off)] for reg in regs for off in range(reg.size)]
+
+    out_regs = circuit.registers_with_role(Role.OUTPUT)
+    addr_rows = rows(
+        circuit.registers_with_role(Role.ADDRESS_R) + circuit.registers_with_role(Role.ADDRESS_Q)
+    )
+    dirty_rows = rows(circuit.registers_with_role(Role.DIRTY))
+    clean_rows = rows(reg for reg in circuit.registers if reg.role in (Role.WORK, Role.TEMP))
+    out_rows = [rows([reg]) for reg in out_regs]
+    n = tables[0].n_entries
+    rng = np.random.default_rng(seed)
+    patterns = rng.integers(0, 2, size=(trials, len(dirty_rows)), dtype=np.uint8)
+    xs = np.repeat(np.arange(n), trials)
+    matrix = np.zeros((circuit.num_qubits, n * trials), dtype=np.uint8)
+    for shift, row in enumerate(addr_rows):
+        matrix[row] = (xs >> shift) & 1
+    matrix[dirty_rows] = np.tile(patterns.T, n)
+    final = batch_simulate(circuit, matrix)
+
+    def pack(column, reg_rows):
+        return sum(int(column[row]) << j for j, row in enumerate(reg_rows))
+
+    expected = [
+        np.array([[(v >> j) & 1 for v in t.entries] for j in range(t.bit_width)]) for t in tables
+    ]
+    out_bad = [
+        (final[r[: t.bit_width]] != np.repeat(e, trials, axis=1)).any(axis=0)
+        for r, t, e in zip(out_rows, tables, expected)
+    ]
+    dirty_bad = (final[dirty_rows] != matrix[dirty_rows]).any(axis=0)
+    addr_bad = (final[addr_rows] != matrix[addr_rows]).any(axis=0)
+    clean_bad = final[clean_rows].any(axis=0)
+    labels = ["output"] if len(out_regs) == 1 else [reg.name for reg in out_regs]
+    failures = []
+    for j in np.flatnonzero(np.logical_or.reduce([*out_bad, dirty_bad, addr_bad, clean_bad])):
+        x, column = int(j) // trials, final[:, j]
+        problems = [
+            f"{label} {pack(column, r):#x} != f(x) {t.entries[x]:#x}"
+            for label, r, t, bad in zip(labels, out_rows, tables, out_bad)
+            if bad[j]
+        ]
+        problems += [
+            text
+            for text, bad in [
+                ("dirty register not restored", dirty_bad),
+                ("address register changed", addr_bad),
+                ("work/temp qubit left nonzero", clean_bad),
+            ]
+            if bad[j]
+        ]
+        failures.append(
+            VerificationFailure(
+                x=x,
+                dirty_pattern=pack(matrix[:, j], dirty_rows),
+                observed_output=pack(column, sum(out_rows, [])),
+                observed_dirty=pack(column, dirty_rows),
+                diagnostics="; ".join(problems),
+            )
+        )
+    return failures
+
+
+def byte_edge_circuits():
+    """(label, circuit, tables, trials) with n * trials on both sides of a
+    byte and a 64-bit word: 1, 7, 8, 9, 63, 64 and 65 cases."""
+    shapes = [
+        ("plain", 1, 1), ("qrom", 7, 1), ("qrom", 8, 1), ("plain", 2, 4), ("qrom", 9, 1),
+        ("qrom", 3, 3), ("qrom", 63, 1), ("qrom", 21, 3), ("swap", 9, 7), ("plain", 7, 9),
+        ("qrom", 64, 1), ("seq", 16, 4), ("swap", 8, 8), ("qrom", 65, 1), ("seq", 13, 5),
+        ("plain", 5, 13),
+    ]
+    for kind, n, trials in shapes:
+        tables = (random_table(n, 3, seed=n), random_table(n, 3, seed=n + 100))
+        if kind == "plain":
+            circuit, tables = build_plain_qrom(tables[0]), tables[:1]
+        elif kind == "swap":
+            circuit, tables = build_selectswap_dirty(tables[0], 4), tables[:1]
+        elif kind == "seq":
+            circuit = build_sequential_qroms(SequentialSpec(tables, 4))
+        else:
+            circuit, tables = build_qrom(tables[0], plan_qrom(n, 3, 2, 2)), tables[:1]
+        yield f"{kind}-{n}x{trials}", circuit, tables, trials
+
+
+@pytest.mark.parametrize(
+    "circuit,tables,trials",
+    [pytest.param(*case, id=label) for label, *case in byte_edge_circuits()],
+)
+def test_packed_report_matches_matrix_reference(circuit, tables, trials):
+    # The X goes last, so every variant simulates through and reports.
+    n = tables[0].n_entries
+    faulty = Circuit(circuit.registers)
+    qubit = list(circuit.qubits())[n % circuit.num_qubits]
+    faulty.gates = circuit.gates + [Gate(GateKind.X, (qubit,))]
+    wrong = [
+        LookupTable(tuple(v ^ (x % 2) for x, v in enumerate(t.entries)), t.bit_width)
+        for t in tables
+    ]
+    for variant in (circuit, faulty):
+        for table_set in (tables, wrong):
+            report = verify_qrom(variant, table_set, dirty_trials=trials, seed=n)
+            assert report.cases_run == n * trials
+            assert report.failures == reference_failures(variant, table_set, trials, n)
+    assert verify_qrom(circuit, tables, dirty_trials=trials, seed=n).passed
+    assert not verify_qrom(faulty, tables, dirty_trials=trials, seed=n).passed
