@@ -124,11 +124,18 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # A flag the chosen circuit source would ignore is an error, not a no-op.
+    flags = {"--lambda": args.lam, "--mu": args.mu, "--baseline": args.baseline}
     if args.circuit:
-        flags = {"--lambda": args.lam, "--mu": args.mu, "--baseline": args.baseline}
-        ignored = [flag for flag, value in flags.items() if value is not None]
-        if ignored:
-            raise ValueError(f"--circuit cannot be combined with {', '.join(ignored)}")
+        source, unused = "--circuit", flags
+    elif args.baseline:
+        source = f"--baseline {args.baseline}"
+        unused = ["--mu"] if args.baseline == "selectswap" else ["--lambda", "--mu"]
+    else:
+        source, unused = "", []
+    ignored = [flag for flag in unused if flags[flag] is not None]
+    if ignored:
+        raise ValueError(f"{source} cannot be combined with {', '.join(ignored)}")
     table = load_table_file(args.table)
     plan = None
     if args.circuit:

@@ -8,10 +8,13 @@ not tracked.
 ``simulate`` runs one assignment through the gate list and is the independent
 oracle. The batch engine holds each qubit row as one Python int with bit j for
 case j and runs the gate list once over all cases; it has one gate loop and
-two callers. ``batch_simulate`` takes and returns a 0/1 matrix (one row per
-qubit in ``qubit_indexer`` order, one column per case) and packs it into rows
-for the engine. Both raise ``SimulationError`` on a temp-AND computed onto a
-nonzero target or uncomputed to a nonzero result.
+two callers. The loop resolves operands to rows once per distinct gate object
+(a lookup repeats a few hundred objects thousands of times) and then streams
+one ``(code, a, b, t)`` row-index op per gate. ``batch_simulate`` takes and
+returns a 0/1 matrix (one row per qubit in ``qubit_indexer`` order, one column
+per case) and packs it into rows for the engine. Both raise
+``SimulationError`` on a temp-AND computed onto a nonzero target or uncomputed
+to a nonzero result.
 
 ``verify_qrom`` is the one lookup verifier: one table or one per output
 register, every address times seeded dirty patterns in one engine run. It
@@ -149,48 +152,60 @@ def batch_simulate(circuit: Circuit, bit_matrix: np.ndarray) -> np.ndarray:
     return _unpack_rows(state, cases)
 
 
+# Op code of each gate kind in the gate loop, in the order it tests them:
+# most frequent first.
+_OP_CODES = {
+    GateKind.CNOT: 0,
+    GateKind.X: 1,
+    GateKind.TOFFOLI: 2,
+    GateKind.TEMP_AND: 3,
+    GateKind.TEMP_AND_UNCOMPUTE: 4,
+    GateKind.CSWAP: 5,
+}
+
+
 def _run_packed(
     circuit: Circuit, index: dict[QubitRef, int], state: list[int], cases: int
 ) -> None:
     """The one gate loop: apply ``circuit.gates`` in place to ``state``, one
     Python int per qubit row (``index`` order) whose bit j is case j.
 
-    Every gate is one or two int operations over all cases. The operands are
-    resolved to rows once, before the loop.
+    Every gate is one or two int operations over all cases. Operands are
+    resolved to rows once per distinct gate object, keyed by ``id`` (so gates
+    appended without interning work too), into one ``(code, a, b, t)`` op:
+    the operand rows in gate order, X and CNOT padded with None at the end.
+    The loop then reads one op per gate.
     """
     full = (1 << cases) - 1
     gates = circuit.gates
-    # One flat comprehension: a per-gate list would cost more than the gates.
-    next_row = iter([index[ref] for gate in gates for ref in gate.operands]).__next__
-    for i, gate in enumerate(gates):
-        kind = gate.kind
-        if kind is GateKind.CNOT:
-            c, t = next_row(), next_row()
-            state[t] ^= state[c]
-        elif kind is GateKind.X:
-            state[next_row()] ^= full
-        elif kind is GateKind.TOFFOLI:
-            a, b, t = next_row(), next_row(), next_row()
+    row = index.__getitem__
+    # ``gates`` keeps every keyed object alive, so no id is reused meanwhile.
+    # The None padding makes a gate short of operands fail, not read row 0.
+    ops = {
+        key: (_OP_CODES[gate.kind], *map(row, gate.operands), None, None)[:4]
+        for key, gate in dict(zip(map(id, gates), gates)).items()
+    }
+    for i, (code, a, b, t) in enumerate(map(ops.__getitem__, map(id, gates))):
+        if code == 0:  # CNOT, control a, target b
+            state[b] ^= state[a]
+        elif code == 1:  # X on a
+            state[a] ^= full
+        elif code == 2:  # TOFFOLI
             state[t] ^= state[a] & state[b]
-        elif kind is GateKind.TEMP_AND:
-            a, b, t = next_row(), next_row(), next_row()
+        elif code == 3:  # TEMP_AND
             if state[t]:
                 raise SimulationError(f"gate {i}: TEMP_AND target is not 0 in some case")
             state[t] = state[a] & state[b]
-        elif kind is GateKind.TEMP_AND_UNCOMPUTE:
-            a, b, t = next_row(), next_row(), next_row()
+        elif code == 4:  # TEMP_AND_UNCOMPUTE
             state[t] ^= state[a] & state[b]
             if state[t]:
                 raise SimulationError(
                     f"gate {i}: TEMP_AND_UNCOMPUTE left target at 1 in some case"
                 )
-        elif kind is GateKind.CSWAP:
-            c, a, b = next_row(), next_row(), next_row()
-            mask = state[c] & (state[a] ^ state[b])
-            state[a] ^= mask
+        else:  # CSWAP of rows b and t, controlled by a
+            mask = state[a] & (state[b] ^ state[t])
             state[b] ^= mask
-        else:  # pragma: no cover
-            raise SimulationError(f"unknown gate kind {kind}")
+            state[t] ^= mask
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:

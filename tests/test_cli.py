@@ -217,6 +217,21 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--table", table_64, "--baseline", "selectswap"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "baseline,extra,named",
+        [
+            ("plain", ["--lambda", "3", "--mu", "99"], "--lambda, --mu"),
+            ("plain", ["--lambda", "4"], "--lambda"),
+            ("plain", ["--mu", "2"], "--mu"),
+            ("selectswap", ["--lambda", "2", "--mu", "99"], "--mu"),
+        ],
+        ids=["plain_lambda_mu", "plain_lambda", "plain_mu", "selectswap_mu"],
+    )
+    def test_baseline_rejects_unused_flags(self, table_64, baseline, extra, named):
+        code, out, err = run_cli(["verify", "--table", table_64, "--baseline", baseline, *extra])
+        assert (code, out) == (2, "")
+        assert err == f"error: --baseline {baseline} cannot be combined with {named}\n"
+
 
 ESTIMATE_64_8_4_8 = """\
 method                      toffoli       select         copy      dirty clean_work

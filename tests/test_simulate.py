@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qromkit import (
     Circuit,
     BitState,
+    Gate,
     GateKind,
     LookupTable,
     QubitRef,
@@ -158,11 +159,22 @@ def differential_runs(draw):
     # Half the draws leave out the two checked temp-AND kinds, so that the
     # full-state comparison runs often on wide inputs too.
     kinds = draw(st.sampled_from([list(GateKind), UNCHECKED_KINDS]))
+    # The engine resolves operands once per gate object, so gates also come
+    # as fresh objects equal to interned ones but never interned, and some
+    # objects repeat at several positions (a later repeat of a temp-AND can
+    # fail where an earlier one held).
     for _ in range(draw(st.integers(0, 24))):
+        how = draw(st.sampled_from(["intern", "fresh", "repeat"]))
+        if how == "repeat" and circuit.gates:
+            circuit.gates.append(draw(st.sampled_from(tuple(circuit.gates))))
+            continue
         kind = draw(st.sampled_from(kinds))
         arity = GATE_ARITY[kind]
         operands = draw(st.permutations(qubits))[:arity]
-        circuit.append(kind, *operands)
+        if how == "fresh":
+            circuit.gates.append(Gate(kind, tuple(operands)))
+        else:
+            circuit.append(kind, *operands)
     cases = draw(st.sampled_from(EDGE_CASE_COUNTS))
     # Temp qubits start at 0 in half the draws, so that some temp-ANDs hold.
     density = draw(st.sampled_from([0.0, 0.5]))

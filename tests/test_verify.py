@@ -1,6 +1,7 @@
 """The lookup verifier: pinned fault reports, the input contract, a scalar
 differential, multi-output faults, a build -> verify round trip, and reports
-equal to a matrix-based reference at case counts around byte edges.
+equal to a matrix-based reference at case counts around byte edges, also for
+one fault gate object at two positions.
 
 ``FAULT_REPORT_DIGEST`` pins every field of every failure that ``verify_qrom``
 reports on a fixed set of fault-injected circuits (an X on an output, dirty,
@@ -345,14 +346,28 @@ def test_packed_report_matches_matrix_reference(circuit, tables, trials):
     faulty = Circuit(circuit.registers)
     qubit = list(circuit.qubits())[n % circuit.num_qubits]
     faulty.gates = circuit.gates + [Gate(GateKind.X, (qubit,))]
+    # One X object, never interned, at two positions: it flips address bit 0
+    # (the output at N=1) before and after the lookup, which then reads entry
+    # x ^ 1. The engine resolves the object once and must apply it at both
+    # positions, as two equal objects would be.
+    roles = (Role.ADDRESS_R, Role.ADDRESS_Q, Role.OUTPUT)
+    low = next(reg for role in roles for reg in circuit.registers_with_role(role))
+    flip = Gate(GateKind.X, (QubitRef(low.name, 0),))
+    twice, pair = Circuit(circuit.registers), Circuit(circuit.registers)
+    twice.gates = [flip, *circuit.gates, flip]
+    pair.gates = [flip, *circuit.gates, Gate(GateKind.X, (QubitRef(low.name, 0),))]
     wrong = [
         LookupTable(tuple(v ^ (x % 2) for x, v in enumerate(t.entries)), t.bit_width)
         for t in tables
     ]
-    for variant in (circuit, faulty):
+    for variant in (circuit, faulty, twice):
         for table_set in (tables, wrong):
             report = verify_qrom(variant, table_set, dirty_trials=trials, seed=n)
             assert report.cases_run == n * trials
             assert report.failures == reference_failures(variant, table_set, trials, n)
     assert verify_qrom(circuit, tables, dirty_trials=trials, seed=n).passed
     assert not verify_qrom(faulty, tables, dirty_trials=trials, seed=n).passed
+    assert (
+        verify_qrom(twice, tables, dirty_trials=trials, seed=n).failures
+        == verify_qrom(pair, tables, dirty_trials=trials, seed=n).failures
+    )
