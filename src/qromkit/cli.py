@@ -213,7 +213,8 @@ def cmd_estimate(args) -> int:
             )
         else:
             lines.append(
-                f"optimal: infeasible budget={args.budget}; plain fallback toffoli={n - 1}"
+                f"optimal: infeasible budget={args.budget}; "
+                f"plain fallback toffoli={result.cost.toffoli_total}"
             )
     print("\n".join(lines))
     return EXIT_OK
@@ -228,6 +229,11 @@ def cmd_sweep(args) -> int:
         raise ValueError("--points must be >= 1")
     if not 1 <= args.n_min <= args.n_max:
         raise ValueError("need 1 <= --n-min <= --n-max")
+    # The grid is spaced in floating point. Below 2**1023 no grid point can
+    # round past the largest float.
+    for flag, value in (("--n-min", args.n_min), ("--n-max", args.n_max)):
+        if value >= 2**1023:
+            raise ValueError(f"{flag} must be < 2**1023")
     if args.points == 1:
         n_values = [args.n_min]
     else:

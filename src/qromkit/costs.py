@@ -5,13 +5,16 @@ per grid point. Divisions by the block depth are rounded up, which matches
 the circuit builders exactly and reduces to the familiar expressions for
 power-of-two sizes. Every row indexed by a block depth lam validates it and
 reads its layout (block count, packets, borrowed and work qubits) from
-``plan_qrom``, the plan the builders use.
+``plan_qrom``, the plan the builders use. The circuit-backed rows of the
+Select/Copy/restore engine share one stage count, ``_stage_toffolis``, which
+the optimizer also scans.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .qrom import ceil_div, is_power_of_two, plan_qrom, work_size
+from .qrom import QromPlan, ceil_div, is_power_of_two, plan_qrom, work_size
 
 __all__ = [
     "CostBreakdown",
@@ -55,21 +58,44 @@ class OptimizationResult:
     feasible: bool
 
 
-def cost_bit_packet(n: int, b: int, lam: int, mu: int) -> CostBreakdown:
-    """Packeted select-and-copy lookup:
-    (ceil(b/mu)+1)(ceil(N/lam)+lam-3) + (lam-1)(mu(b//mu + 1) + b mod mu)."""
-    plan = plan_qrom(n, b, lam, mu)
-    select = (plan.num_packets + 1) * (plan.q_range + lam - 3)
-    copy = (lam - 1) * (mu * (b // mu + 1) + b % mu)
+def _row(
+    formula_id: str, select: int, copy: int, dirty: int, clean: int, output: int
+) -> CostBreakdown:
+    """The one place a cost row is made: the total is select + copy."""
     return CostBreakdown(
-        formula_id="bit_packet",
+        formula_id=formula_id,
         toffoli_total=select + copy,
         select_toffoli=select,
         copy_toffoli=copy,
-        dirty_qubits=plan.dirty_qubits,
-        clean_work_qubits=plan.work_qubits,
-        output_qubits=b,
+        dirty_qubits=dirty,
+        clean_work_qubits=clean,
+        output_qubits=output,
     )
+
+
+def _stage_toffolis(n: int, lam: int, mu: int, stages: int, copied: int) -> tuple[int, int]:
+    """Select and copy Toffolis of ``stages`` Select/Copy pairs plus one
+    restore, the run ``qrom._run_stages`` emits.
+
+    Each of the stages + 1 passes pays the ceil(N/lam) - 1 q-iteration and
+    the lam - 2 r-iteration scaffold; the Copies move ``copied`` output bits
+    and the restore's temp-ANDs mu bits, each lam - 1 times.
+    """
+    return (stages + 1) * (ceil_div(n, lam) + lam - 3), (lam - 1) * (copied + mu)
+
+
+def _select_copy(formula_id: str, plan: QromPlan, stages: int, outputs: int) -> CostBreakdown:
+    """Row of a stage run over ``plan`` that writes ``outputs`` bits, each
+    copied once."""
+    select, copy = _stage_toffolis(plan.n_entries, plan.lam, plan.mu, stages, outputs)
+    return _row(formula_id, select, copy, plan.dirty_qubits, plan.work_qubits, outputs)
+
+
+def cost_bit_packet(n: int, b: int, lam: int, mu: int) -> CostBreakdown:
+    """Packeted select-and-copy lookup:
+    (ceil(b/mu)+1)(ceil(N/lam)+lam-3) + (lam-1)(b+mu)."""
+    plan = plan_qrom(n, b, lam, mu)
+    return _select_copy("bit_packet", plan, plan.num_packets, b)
 
 
 def cost_power2_packet(n: int, b: int, lam: int, alpha: int) -> CostBreakdown:
@@ -87,15 +113,7 @@ def cost_power2_packet(n: int, b: int, lam: int, alpha: int) -> CostBreakdown:
     plan = plan_qrom(n, b, depth, b // alpha)
     select = (alpha + 1) * (n // depth) + (alpha + 1) * (depth - 3)
     copy = (b + b // alpha) * (depth - 1)
-    return CostBreakdown(
-        formula_id="power2_packet",
-        toffoli_total=select + copy,
-        select_toffoli=select,
-        copy_toffoli=copy,
-        dirty_qubits=plan.dirty_qubits,
-        clean_work_qubits=plan.work_qubits,
-        output_qubits=b,
-    )
+    return _row("power2_packet", select, copy, plan.dirty_qubits, plan.work_qubits, b)
 
 
 def cost_sequential_fresh(n: int, b: int, lam: int, m: int) -> CostBreakdown:
@@ -105,17 +123,7 @@ def cost_sequential_fresh(n: int, b: int, lam: int, m: int) -> CostBreakdown:
     plan = plan_qrom(n, b, lam, b)
     if m < 0:
         raise ValueError("m must be >= 0")
-    select = (m + 1) * (plan.q_range + lam - 3)
-    copy = (m + 1) * b * (lam - 1)
-    return CostBreakdown(
-        formula_id="sequential_fresh",
-        toffoli_total=select + copy,
-        select_toffoli=select,
-        copy_toffoli=copy,
-        dirty_qubits=plan.dirty_qubits,
-        clean_work_qubits=plan.work_qubits,
-        output_qubits=m * b,
-    )
+    return _select_copy("sequential_fresh", plan, m, m * b)
 
 
 def cost_sequential_inplace(n: int, b: int, lam: int, m: int) -> CostBreakdown:
@@ -126,15 +134,7 @@ def cost_sequential_inplace(n: int, b: int, lam: int, m: int) -> CostBreakdown:
         raise ValueError("m must be >= 0")
     select = (m + 1) * plan.q_range + (m + 2) * (lam - 3)
     copy = (m + 2) * b * (lam - 1)
-    return CostBreakdown(
-        formula_id="sequential_inplace",
-        toffoli_total=select + copy,
-        select_toffoli=select,
-        copy_toffoli=copy,
-        dirty_qubits=plan.dirty_qubits,
-        clean_work_qubits=plan.work_qubits,
-        output_qubits=b,
-    )
+    return _row("sequential_inplace", select, copy, plan.dirty_qubits, plan.work_qubits, b)
 
 
 def cost_prior_art(kind: str, n: int, b: int, lam: int | None = None) -> CostBreakdown:
@@ -148,15 +148,7 @@ def cost_prior_art(kind: str, n: int, b: int, lam: int | None = None) -> CostBre
     if kind == "plain":
         if n < 1 or b < 1:
             raise ValueError("table dimensions must be positive")
-        return CostBreakdown(
-            formula_id="plain",
-            toffoli_total=n - 1,
-            select_toffoli=n - 1,
-            copy_toffoli=0,
-            dirty_qubits=0,
-            clean_work_qubits=work_size(n, 1),
-            output_qubits=b,
-        )
+        return _row("plain", n - 1, 0, 0, work_size(n, 1), b)
     if kind not in PRIOR_ART_KINDS:
         raise ValueError(f"unknown prior-art kind {kind!r}")
     if lam is None:
@@ -172,23 +164,16 @@ def cost_prior_art(kind: str, n: int, b: int, lam: int | None = None) -> CostBre
     else:  # berry
         select, copy = 2 * blocks, 4 * b * (lam - 1)
         dirty, clean = plan.dirty_qubits, 0
-    return CostBreakdown(
-        formula_id=kind,
-        toffoli_total=select + copy,
-        select_toffoli=select,
-        copy_toffoli=copy,
-        dirty_qubits=dirty,
-        clean_work_qubits=clean,
-        output_qubits=b,
-    )
+    return _row(kind, select, copy, dirty, clean, b)
 
 
 def cost_uncompute(kind: str, n: int, lam_prime: int) -> CostBreakdown:
     """Measurement-based uncomputation of a lookup.
 
     select_copy: 2*ceil(N/lam') + 2*lam' - 6; prior: 2*ceil(N/lam') + 4*lam'.
-    Both borrow lam' - 1 qubits. Formula-level evaluation: any integer depth
-    in (1, N) is accepted, with divisions rounding up.
+    Both borrow lam' - 1 qubits and are all select. Formula-level
+    evaluation: any integer depth in (1, N) is accepted, with divisions
+    rounding up.
     """
     if kind not in UNCOMPUTE_KINDS:
         raise ValueError(f"unknown uncompute kind {kind!r}")
@@ -196,20 +181,10 @@ def cost_uncompute(kind: str, n: int, lam_prime: int) -> CostBreakdown:
         raise ValueError(f"lam' = {lam_prime} violates 1 < lam' < N = {n}")
     blocks = ceil_div(n, lam_prime)
     if kind == "select_copy":
-        total = 2 * blocks + 2 * lam_prime - 6
-        select = 2 * (blocks + lam_prime - 3)
+        select = 2 * blocks + 2 * lam_prime - 6
     else:
-        total = 2 * blocks + 4 * lam_prime
-        select = total
-    return CostBreakdown(
-        formula_id=f"uncompute_{kind}",
-        toffoli_total=total,
-        select_toffoli=select,
-        copy_toffoli=total - select,
-        dirty_qubits=lam_prime - 1,
-        clean_work_qubits=0,
-        output_qubits=0,
-    )
+        select = 2 * blocks + 4 * lam_prime
+    return _row(f"uncompute_{kind}", select, 0, lam_prime - 1, 0, 0)
 
 
 def _check_budget_point(n: int, b: int, dirty_budget: int) -> None:
@@ -219,8 +194,17 @@ def _check_budget_point(n: int, b: int, dirty_budget: int) -> None:
         raise ValueError(f"dirty budget = {dirty_budget} must be >= 0")
 
 
-def _plain_fallback(n: int, b: int) -> CostBreakdown:
-    return cost_prior_art("plain", n, b)
+def _feasible_points(n: int, b: int, dirty_budget: int) -> Iterator[tuple[int, int, int]]:
+    """(toffoli, lam, mu) of every bit-packet point within the budget:
+    power-of-two lam in (1, N) and mu in [1, b] with mu*(lam-1) <= budget,
+    lam then mu ascending, so ``min`` breaks ties toward smaller lam, then
+    smaller mu."""
+    lam = 2
+    while lam < n and lam - 1 <= dirty_budget:
+        for mu in range(1, min(b, dirty_budget // (lam - 1)) + 1):
+            select, copy = _stage_toffolis(n, lam, mu, ceil_div(b, mu), b)
+            yield select + copy, lam, mu
+        lam *= 2
 
 
 def optimize_parameters(n: int, b: int, dirty_budget: int) -> OptimizationResult:
@@ -233,18 +217,11 @@ def optimize_parameters(n: int, b: int, dirty_budget: int) -> OptimizationResult
     a negative budget; a budget of 0 is valid and infeasible.
     """
     _check_budget_point(n, b, dirty_budget)
-    best: tuple[int, int, CostBreakdown] | None = None
-    lam = 2
-    while lam < n:
-        mu_cap = min(b, dirty_budget // (lam - 1)) if dirty_budget else 0
-        for mu in range(1, mu_cap + 1):
-            cost = cost_bit_packet(n, b, lam, mu)
-            if best is None or cost.toffoli_total < best[2].toffoli_total:
-                best = (lam, mu, cost)
-        lam *= 2
+    best = min(_feasible_points(n, b, dirty_budget), default=None)
     if best is None:
-        return OptimizationResult(lam=None, mu=None, cost=_plain_fallback(n, b), feasible=False)
-    return OptimizationResult(lam=best[0], mu=best[1], cost=best[2], feasible=True)
+        return OptimizationResult(None, None, cost_prior_art("plain", n, b), feasible=False)
+    _, lam, mu = best
+    return OptimizationResult(lam, mu, cost_bit_packet(n, b, lam, mu), feasible=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,18 +239,6 @@ class SweepRow:
 CSV_HEADER = "N,berry,alpha1,alphab,best,lambda,mu,improvement"
 
 
-def _best_over_lam(n: int, budget_ok, cost_of) -> int | None:
-    best = None
-    lam = 2
-    while lam < n:
-        if budget_ok(lam):
-            value = cost_of(lam)
-            if best is None or value < best:
-                best = value
-        lam *= 2
-    return best
-
-
 def improvement_sweep(b: int, dirty_budget: int, n_values: list[int]) -> list[SweepRow]:
     """Compare the previous best dirty-ancilla cost against this package's
     optimum at equal budget, per address count.
@@ -286,36 +251,28 @@ def improvement_sweep(b: int, dirty_budget: int, n_values: list[int]) -> list[Sw
     _check_budget_point(min(n_values, default=1), b, dirty_budget)
     rows = []
     for n in n_values:
-        berry = _best_over_lam(
-            n,
-            lambda lam: b * (lam - 1) <= dirty_budget,
-            lambda lam: cost_prior_art("berry", n, b, lam).toffoli_total,
+        points = list(_feasible_points(n, b, dirty_budget))
+        plain = cost_prior_art("plain", n, b).toffoli_total
+        # The prior art borrows b(lam-1) qubits, so it fits the budget at
+        # exactly the depths of the mu = b points.
+        full_width = [(toffoli, lam) for toffoli, lam, mu in points if mu == b]
+        single_bit = [toffoli for toffoli, _, mu in points if mu == 1]
+        berry = min(
+            (cost_prior_art("berry", n, b, lam).toffoli_total for _, lam in full_width),
+            default=plain,
         )
-        alpha1 = _best_over_lam(
-            n,
-            lambda lam: b * (lam - 1) <= dirty_budget,
-            lambda lam: cost_bit_packet(n, b, lam, b).toffoli_total,
-        )
-        alphab = _best_over_lam(
-            n,
-            lambda lam: (lam - 1) <= dirty_budget,
-            lambda lam: cost_bit_packet(n, b, lam, 1).toffoli_total,
-        )
-        result = optimize_parameters(n, b, dirty_budget)
-        fallback = n - 1
-        berry_v = berry if berry is not None else fallback
-        best_v = result.cost.toffoli_total
+        best = min(points, default=(plain, 0, 0))
         rows.append(
             SweepRow(
                 n=n,
-                berry=berry_v,
-                alpha1=alpha1 if alpha1 is not None else fallback,
-                alphab=alphab if alphab is not None else fallback,
-                best=best_v,
-                lam=result.lam or 0,
-                mu=result.mu or 0,
+                berry=berry,
+                alpha1=min((toffoli for toffoli, _ in full_width), default=plain),
+                alphab=min(single_bit, default=plain),
+                best=best[0],
+                lam=best[1],
+                mu=best[2],
                 # A single-entry table costs nothing either way.
-                improvement=berry_v / best_v if best_v else 1.0,
+                improvement=berry / best[0] if best[0] else 1.0,
             )
         )
     return rows

@@ -38,8 +38,10 @@ class ParseError(ValueError):
 
 
 def serialize_circuit(circuit: Circuit) -> str:
+    # Each line carries its own LF, so the text is made by one join and never
+    # copied again; an empty circuit is the single empty line "\n".
     lines = [
-        f"REGISTER {reg.name} {reg.size} {reg.role.value}" for reg in circuit.registers
+        f"REGISTER {reg.name} {reg.size} {reg.role.value}\n" for reg in circuit.registers
     ]
     # Keyed by id: equal gates are one object, and every key stays alive in
     # circuit.gates while this runs.
@@ -51,9 +53,9 @@ def serialize_circuit(circuit: Circuit) -> str:
             for ref in gate.operands:
                 parts.append(ref.register)
                 parts.append(str(ref.offset))
-            line = formatted[id(gate)] = " ".join(parts)
+            line = formatted[id(gate)] = " ".join(parts) + "\n"
         lines.append(line)
-    return "\n".join(lines) + "\n"
+    return "".join(lines) or "\n"
 
 
 def parse_circuit(text: str) -> Circuit:

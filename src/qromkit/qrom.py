@@ -325,8 +325,8 @@ def build_qrom(table: LookupTable, plan: QromPlan) -> Circuit:
     the restore pass.
 
     The Toffoli count is exactly
-    (ceil(b/mu)+1) * (ceil(N/lam) + lam - 3) + (lam-1) * (mu * (b//mu + 1) + b % mu)
-    and the register sizes are exactly those of the plan.
+    (ceil(b/mu)+1)(ceil(N/lam)+lam-3) + (lam-1)(b+mu), the ``cost_bit_packet``
+    row, and the register sizes are exactly those of the plan.
     """
     schedule = compute_xor_schedule(table, plan)
     slices = [

@@ -357,6 +357,33 @@ class TestSweep:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "n_min,n_max,flag",
+        [("1", "1" + "0" * 400, "--n-max"), ("1" + "0" * 400, "1" + "0" * 401, "--n-min"),
+         ("3", str(2**1023), "--n-max")],
+        ids=["huge_n_max", "huge_n_min", "n_max_at_limit"],
+    )
+    def test_n_beyond_float_grid_exits_2_without_output(self, tmp_path, n_min, n_max, flag):
+        out_path = tmp_path / "s.csv"
+        code, out, err = run_cli(
+            ["sweep", "--b", "8", "--budget", "31", "--n-min", n_min, "--n-max", n_max,
+             "--points", "2", "--out", str(out_path)]
+        )
+        assert (code, out, err) == (2, "", f"error: {flag} must be < 2**1023\n")
+        assert not out_path.exists()
+
+    def test_n_just_below_limit_sweeps(self, tmp_path):
+        # 3 * (n_max / 3) rounds past the largest float when n_max is the
+        # largest float itself; just below the limit every point is finite.
+        out_path = tmp_path / "s.csv"
+        code, out, _ = run_cli(
+            ["sweep", "--b", "8", "--budget", "31", "--n-min", "3",
+             "--n-max", str(2**1023 - 1), "--points", "3", "--out", str(out_path)]
+        )
+        assert (code, out) == (0, "rows=3\n")
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 4 and lines[1].startswith("3,")
+
     def test_rows_sorted_and_deterministic(self, tmp_path):
         out_path = tmp_path / "sweep.csv"
         args = ["sweep", "--b", "4", "--budget", "16", "--n-min", "64",

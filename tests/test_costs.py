@@ -259,7 +259,51 @@ class TestOptimizer:
         assert optimize_parameters(n, b, budget).cost.toffoli_total <= berry_best
 
 
+def exhaustive_sweep_row(n, b, budget):
+    """Test-local brute force for one improvement_sweep row, written from
+    the formulas directly: (N, berry, alpha1, alphab, best, lam, mu,
+    improvement)."""
+    berry, alpha1, alphab = [], [], []
+    lam = 2
+    while lam < n:
+        blocks = -(-n // lam)
+        if b * (lam - 1) <= budget:
+            berry.append(2 * blocks + 4 * b * (lam - 1))
+            alpha1.append(2 * blocks + 2 * b * (lam - 1) + 2 * lam - 6)
+        if lam - 1 <= budget:
+            alphab.append((b + 1) * (blocks + lam - 3) + (b + 1) * (lam - 1))
+        lam *= 2
+    plain = n - 1
+    best, lam, mu = exhaustive_best(n, b, budget) or (plain, 0, 0)
+    berry_v = min(berry, default=plain)
+    return (
+        n,
+        berry_v,
+        min(alpha1, default=plain),
+        min(alphab, default=plain),
+        best,
+        lam,
+        mu,
+        berry_v / best if best else 1.0,
+    )
+
+
 class TestSweep:
+    def test_matches_brute_force_on_random_grid(self):
+        rng = random.Random(2026)
+        cases = [(b, budget, [1, 2, 3, 4, 64]) for b in (1, 2, 8) for budget in (0, 1, 7, 31)]
+        for _ in range(120):
+            ns = [rng.randrange(1, 4)]
+            ns += [rng.randrange(1, 1 << rng.randrange(2, 24)) for _ in range(3)]
+            cases.append((rng.randrange(1, 20), rng.choice([0, rng.randrange(0, 300)]), ns))
+        for b, budget, ns in cases:
+            rows = improvement_sweep(b, budget, ns)
+            got = [
+                (r.n, r.berry, r.alpha1, r.alphab, r.best, r.lam, r.mu, r.improvement)
+                for r in rows
+            ]
+            assert got == [exhaustive_sweep_row(n, b, budget) for n in ns], (b, budget, ns)
+
     def test_single_point_budget_31(self):
         rows = improvement_sweep(8, 31, [2**20])
         row = rows[0]

@@ -22,6 +22,11 @@ def test_header_only():
     assert serialize_circuit(c) == "REGISTER q 2 address_q\n"
 
 
+def test_empty_circuit_is_one_empty_line():
+    assert serialize_circuit(Circuit([])) == "\n"
+    assert parse_circuit("\n") == Circuit([])
+
+
 def test_gate_line_format():
     c = Circuit(
         [
