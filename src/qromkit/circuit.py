@@ -213,6 +213,8 @@ class Circuit:
         if len(set(gate.operands)) != len(gate.operands):
             raise CircuitError(f"{gate.kind.value} operands must be pairwise distinct")
         for ref in gate.operands:
+            if not isinstance(ref, QubitRef):
+                raise CircuitError(f"{gate.kind.value} operand {ref!r} is not a QubitRef")
             reg = self.register(ref.register)
             if not 0 <= ref.offset < reg.size:
                 raise CircuitError(

@@ -237,18 +237,32 @@ def cmd_sweep(args) -> int:
     if args.points == 1:
         n_values = [args.n_min]
     else:
-        ratio = args.n_max / args.n_min
-        raw = [
-            round(args.n_min * ratio ** (i / (args.points - 1)))
-            for i in range(args.points)
-        ]
-        n_values = sorted(set(raw))
+        n_values = sorted(_sweep_grid(args.n_min, args.n_max, args.points))
     rows = improvement_sweep(args.b, args.budget, n_values)
     csv_text = sweep_rows_to_csv(rows)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(csv_text)
     print(f"rows={len(rows)}")
     return EXIT_OK
+
+
+def _sweep_grid(n_min: int, n_max: int, points: int) -> set[int]:
+    """The distinct N among ``points`` >= 2 log-spaced grid points from
+    ``n_min`` to ``n_max``, generated one at a time so that memory follows
+    the distinct N, not ``points``.
+
+    The scan stops once every integer of the range has appeared. Below 2**50
+    each grid float lies within half a unit of its exact value, which is in
+    the range, so no later point can add an N; above it the scan runs on.
+    """
+    ratio, last = n_max / n_min, points - 1
+    width = n_max - n_min + 1 if n_max < 2**50 else None
+    seen: set[int] = set()
+    for i in range(points):
+        seen.add(round(n_min * ratio ** (i / last)))
+        if len(seen) == width:
+            break
+    return seen
 
 
 def entry_point() -> None:

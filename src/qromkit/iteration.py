@@ -5,7 +5,9 @@ wire that is 1 exactly when the index register holds that value. Windows are
 realized by a depth-first walk of the bit-prefix tree: the first child of a
 node is computed with a temp-AND, its sibling is reached with a single CNOT,
 and the temp-AND is released for free on the way back up. At the root the
-index bits themselves serve as wires (X-conjugated for the 0 branch).
+index bits themselves serve as wires (X-conjugated for the 0 branch). Every
+range therefore needs at least one index bit to branch on, so ``[0, 1)`` is
+rejected, and every window has a wire.
 
 Costing convention: scaffolding spends exactly ``range_size - 1`` Toffolis.
 The bare tree needs one less than that for ranges starting at 0, so the
@@ -50,11 +52,10 @@ __all__ = ["IterationSpec", "IterationWindow", "emit_unary_iteration", "emit_loa
 @dataclass(frozen=True, slots=True)
 class IterationWindow:
     """One activation window: ``select_wire`` is 1 iff the register holds
-    ``index_value``. A ``None`` wire means the window is unconditionally on
-    (single-value ranges where the register is promised to hold that value)."""
+    ``index_value``."""
 
     index_value: int
-    select_wire: QubitRef | None
+    select_wire: QubitRef
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,10 +65,6 @@ class IterationSpec:
     index_register: str
     range_lo: int
     range_hi: int
-
-    @property
-    def size(self) -> int:
-        return self.range_hi - self.range_lo
 
 
 def emit_unary_iteration(
@@ -81,15 +78,16 @@ def emit_unary_iteration(
     window's select wire fire only for the window's index value. After the
     full iteration every qubit of the circuit's ``work`` register is back to
     0 and the index register is unchanged. Scaffolding contributes exactly
-    ``spec.size - 1`` Toffolis.
+    ``range_hi - range_lo - 1`` Toffolis.
 
     The first call for a spec on a circuit validates the range and records
     the scaffold; every call, the first included, replays that recording. A
     failed validation records nothing.
 
-    Raises ValueError on an empty or out-of-bounds range, on insufficient
-    work qubits, and on ranges whose start makes the exact scaffold cost
-    unattainable (the builders here only use starts 0 and 1).
+    Raises ValueError on an empty or out-of-bounds range, on ``[0, 1)``
+    (no index bit to branch on), on insufficient work qubits, and on ranges
+    whose start makes the exact scaffold cost unattainable (the builders here
+    only use starts 0 and 1).
     """
     recording = circuit._scaffolds.get(spec)
     if recording is None:
@@ -106,20 +104,17 @@ def emit_loads(
     circuit: Circuit, spec: IterationSpec, targets: list[QubitRef], words: Sequence[int]
 ) -> Circuit:
     """Iterate ``spec`` and, in the window of index value v, XOR bit k of
-    ``words[v]`` onto ``targets[k]``: a CNOT from the select wire, or an X
-    when the window is unconditionally on.
+    ``words[v]`` onto ``targets[k]`` with a CNOT from the select wire.
 
     Set bits are walked in ascending k, and each ``(wire, k)`` gate is
     interned on first use and reused from then on, so a target is resolved
     only when some word sets its bit.
     """
-    rows: dict[QubitRef | None, dict[int, Gate]] = {}
+    rows: dict[QubitRef, dict[int, Gate]] = {}
 
     def window(win: IterationWindow) -> None:
         wire = win.select_wire
-        row = rows.get(wire)
-        if row is None:
-            row = rows[wire] = {}
+        row = rows.setdefault(wire, {})
         append = circuit.gates.append
         bits = words[win.index_value]
         while bits:
@@ -128,10 +123,7 @@ def emit_loads(
             k = low.bit_length() - 1
             gate = row.get(k)
             if gate is None:
-                if wire is None:
-                    gate = row[k] = circuit.intern(GateKind.X, targets[k])
-                else:
-                    gate = row[k] = circuit.intern(GateKind.CNOT, wire, targets[k])
+                gate = row[k] = circuit.intern(GateKind.CNOT, wire, targets[k])
             append(gate)
 
     return emit_unary_iteration(circuit, spec, window)
@@ -150,37 +142,21 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
     lo, hi = spec.range_lo, spec.range_hi
     if not 0 <= lo < hi:
         raise ValueError(f"empty or negative range [{lo}, {hi})")
+    if hi == 1:
+        raise ValueError("range [0, 1) has no index bit to branch on")
     if hi > 1 << reg.size:
         raise ValueError(
             f"range [{lo}, {hi}) does not fit in {reg.size}-qubit register {reg.name!r}"
         )
-    size = hi - lo
     steps: list[tuple[tuple[tuple, ...], IterationWindow]] = []
     pending: list[tuple] = []
 
     def gate(kind: GateKind, *operands: QubitRef) -> None:
         pending.append((kind, *operands))
 
-    def window(value: int, wire: QubitRef | None) -> None:
+    def window(value: int, wire: QubitRef) -> None:
         steps.append((tuple(pending), IterationWindow(value, wire)))
         pending.clear()
-
-    if size == 1:
-        # Single-value ranges carry no scaffold cost. With a one-qubit
-        # register the register bit itself is an honest wire; otherwise the
-        # window is trivially on and the caller's range promise pins the
-        # register value.
-        if reg.size == 1:
-            wire = reg[0]
-            if lo == 0:
-                gate(GateKind.X, wire)
-                window(lo, wire)
-                gate(GateKind.X, wire)
-            else:
-                window(lo, wire)
-        else:
-            window(lo, None)
-        return _intern(circuit, steps, pending)
 
     levels = (hi - 1).bit_length()
     ands = 0
@@ -192,6 +168,7 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
         return QubitRef("work", levels - 1 - parent_height)
 
     def walk(height: int, base: int, wire: QubitRef | None) -> None:
+        # ``wire`` is None only at the root, which has height levels >= 1.
         nonlocal ands
         if height == 0:
             window(base, wire)
@@ -239,11 +216,10 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
 
     walk(levels, 0, None)
 
-    deficit = (size - 1) - ands
+    cost = hi - lo - 1
+    deficit = cost - ands
     if deficit < 0:
-        raise ValueError(
-            f"range [{lo}, {hi}) cannot be scaffolded in exactly {size - 1} Toffolis"
-        )
+        raise ValueError(f"range [{lo}, {hi}) cannot be scaffolded in exactly {cost} Toffolis")
     work = circuit.register("work")
     needed = levels - 1
     if deficit:

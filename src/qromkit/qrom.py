@@ -160,30 +160,36 @@ class XorSchedule:
     Stage s sees the values v_s(q, l) = f(q*lam + l) restricted to its output
     slice, entries beyond the table reading as 0. ``direct[s][q]`` is
     v_s(q, 0), which Select s writes straight to the slice. For borrowed
-    block l in 1..lam-1 let c_s(q, l) = v_s(q, l) XOR v_s(q, 0);
-    ``delta[s][q][l-1]`` = c_s(q, l) XOR c_{s-1}(q, l), with c_{-1} = 0, is
-    what Select s xors into that block. ``unload[q][l-1]`` is the last
-    stage's c, which the restore Select uses to return every borrowed block
-    to its initial state; the masks telescope so that XOR of all deltas
-    equals the unload mask.
+    block l in 1..lam-1 let c_s(q, l) = v_s(q, l) XOR v_s(q, 0). Masks are
+    one int per window in the dirty register's layout, block l at bits
+    (l-1)*mu: Select s xors ``delta[s][q]``, packing c_s(q, l) XOR
+    c_{s-1}(q, l) with c_{-1} = 0, into the blocks, and the restore Select
+    xors ``unload[q]``, packing the last stage's c, to return every block to
+    its initial state. The masks telescope: XOR of all ``delta[s][q]`` equals
+    ``unload[q]``.
     """
 
     direct: tuple[tuple[int, ...], ...]
-    delta: tuple[tuple[tuple[int, ...], ...], ...]
-    unload: tuple[tuple[int, ...], ...]
+    delta: tuple[tuple[int, ...], ...]
+    unload: tuple[int, ...]
 
 
 def _stage_schedule(plan: QromPlan, stage_values: list[list[int]]) -> XorSchedule:
     """Schedule of a run of stages; ``stage_values[s][x]`` is stage s's slice
     of f(x) for x in [0, q_range * lam)."""
-    lam = plan.lam
+    lam, shifts = plan.lam, range(0, plan.dirty_qubits, plan.mu)
+    # Heads fit in mu bits, so head * spread is the head copied into every block.
+    spread = sum(1 << shift for shift in shifts)
     direct, delta = [], []
-    prev = ((0,) * (lam - 1),) * plan.q_range
+    prev = (0,) * plan.q_range
     for values in stage_values:
-        rows = [values[q * lam:(q + 1) * lam] for q in range(plan.q_range)]
-        c = tuple(tuple(map(row[0].__xor__, row[1:])) for row in rows)
-        direct.append(tuple(row[0] for row in rows))
-        delta.append(tuple(tuple(map(xor, cur, old)) for cur, old in zip(c, prev)))
+        heads = values[::lam]
+        c = tuple(
+            sum(map(lshift, values[q * lam + 1:(q + 1) * lam], shifts)) ^ head * spread
+            for q, head in enumerate(heads)
+        )
+        direct.append(tuple(heads))
+        delta.append(tuple(map(xor, c, prev)))
         prev = c
     return XorSchedule(tuple(direct), tuple(delta), prev)
 
@@ -227,24 +233,17 @@ def _dirty_block(plan: QromPlan, block: int) -> list[QubitRef]:
 def _select(
     circuit: Circuit,
     plan: QromPlan,
-    masks: tuple[tuple[int, ...], ...],
+    masks: tuple[int, ...],
     outputs: list[QubitRef],
     direct: tuple[int, ...],
 ) -> None:
     """Iterate q over all blocks, loading ``direct[q]`` into ``outputs`` and
-    ``masks[q][l-1]`` into dirty block l.
+    the packed ``masks[q]`` into the dirty register.
 
     The targets are ``outputs`` followed by the dirty register, so window q
-    loads one word: ``direct[q]`` in the low bits, then each block mask
-    shifted to its block's place."""
+    loads one word: ``direct[q]`` in the low bits, then ``masks[q]``."""
     width = len(outputs)
-    shifts = range(width, width + plan.dirty_qubits, plan.mu)
-    low, block = (1 << width) - 1, (1 << plan.mu) - 1
-    heads = [d & low for d in direct] if direct else [0] * plan.q_range
-    words = [
-        head | sum(map(lshift, map(block.__and__, row), shifts))
-        for head, row in zip(heads, masks)
-    ]
+    words = [head | mask << width for head, mask in zip(direct, masks)] if direct else masks
     targets = list(outputs) + [QubitRef("dirty", k) for k in range(plan.dirty_qubits)]
     emit_loads(circuit, IterationSpec("addr_q", 0, plan.q_range), targets, words)
 

@@ -75,6 +75,15 @@ class TestAppend:
         with pytest.raises(CircuitError, match="out of range"):
             c.append(GateKind.X, QubitRef("a", 3))
 
+    @pytest.mark.parametrize("operand", [None, ("a", 0), "a0"], ids=["none", "tuple", "str"])
+    def test_malformed_operand_named(self, operand):
+        c = two_reg_circuit()
+        for emit in (c.append, c.intern):
+            with pytest.raises(CircuitError, match="is not a QubitRef") as err:
+                emit(GateKind.CNOT, operand, QubitRef("out", 0))
+            assert repr(operand) in str(err.value)
+        assert c.gates == []
+
     def test_temp_and_pair_validates(self):
         c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
         c.append(GateKind.TEMP_AND, QubitRef("a", 0), QubitRef("a", 1), QubitRef("w", 0))

@@ -1,11 +1,13 @@
 import contextlib
 import importlib
 import io
+import random
+import tracemalloc
 
 import pytest
 
-from qromkit import format_table, parse_circuit
-from qromkit.cli import main
+from qromkit import format_table, improvement_sweep, parse_circuit, sweep_rows_to_csv
+from qromkit.cli import _sweep_grid, main
 from helpers import random_table
 
 
@@ -383,6 +385,60 @@ class TestSweep:
         assert (code, out) == (0, "rows=3\n")
         lines = out_path.read_text().splitlines()
         assert len(lines) == 4 and lines[1].startswith("3,")
+
+    def test_memory_follows_distinct_rows_not_points(self, tmp_path):
+        # 64 rows from 300,000 points: a list of every point would peak
+        # near 2.7 MB.
+        out_path = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(
+                ["sweep", "--b", "8", "--budget", "31", "--n-min", "1", "--n-max", "64",
+                 "--points", "300000", "--out", str(out_path)]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (0, "rows=64\n")
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_matches_every_point_listed(self, tmp_path, seed):
+        # Reference: list every grid point, then dedupe. Ranges near 2**50
+        # straddle the early stop; ranges near 2**1023 never fill up.
+        rng = random.Random(seed)
+        cases = []
+        for _ in range(60):
+            pick = rng.randrange(4)
+            if pick == 0:
+                n_min = rng.randrange(1, 100)
+                n_max = n_min + rng.randrange(300)
+            elif pick == 1:
+                n_min = 2 ** rng.choice([49, 50, 51, 53]) - rng.randrange(300)
+                n_max = n_min + rng.randrange(300)
+            elif pick == 2:
+                n_max = 2**1023 - 1 - rng.randrange(2**1000)
+                n_min = max(1, n_max - rng.randrange(2 ** rng.randrange(1, 1023)))
+            else:
+                n_min = rng.randrange(1, 2**rng.randrange(1, 1022))
+                n_max = rng.randrange(n_min, 2**1023)
+            cases.append((n_min, n_max, rng.choice([2, 3, rng.randrange(2, 2000)])))
+
+        def listed(n_min, n_max, points):
+            ratio = n_max / n_min
+            return sorted({round(n_min * ratio ** (i / (points - 1))) for i in range(points)})
+
+        for n_min, n_max, points in cases:
+            assert sorted(_sweep_grid(n_min, n_max, points)) == listed(n_min, n_max, points)
+        n_min, n_max, points = cases[0]
+        out_path = tmp_path / "s.csv"
+        code, _, _ = run_cli(
+            ["sweep", "--b", "8", "--budget", "31", "--n-min", str(n_min), "--n-max", str(n_max),
+             "--points", str(points), "--out", str(out_path)]
+        )
+        assert code == 0
+        expected = sweep_rows_to_csv(improvement_sweep(8, 31, listed(n_min, n_max, points)))
+        assert out_path.read_text() == expected
 
     def test_rows_sorted_and_deterministic(self, tmp_path):
         out_path = tmp_path / "sweep.csv"

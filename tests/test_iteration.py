@@ -34,7 +34,7 @@ def run_iteration(lo, hi, index_bits=None, work_bits=None):
     return c, seen
 
 
-@pytest.mark.parametrize("size", list(range(1, 65)))
+@pytest.mark.parametrize("size", list(range(2, 65)))
 def test_scaffold_cost_is_size_minus_one(size):
     c, seen = run_iteration(0, size)
     assert count_resources(c).toffoli == size - 1
@@ -49,13 +49,20 @@ def test_copy_style_range_costs_lam_minus_two(lam):
     assert seen == list(range(1, lam))
 
 
-def test_single_value_range_is_free():
+def test_zero_one_range_rejected():
+    # [0, 1) leaves the tree walk no index bit to branch on.
+    c = iteration_circuit(2, 2)
+    with pytest.raises(ValueError, match="no index bit"):
+        emit_unary_iteration(c, IterationSpec("idx", 0, 1), lambda w: None)
+    assert c.gates == []
+
+
+def test_single_value_range_off_the_tree_rejected():
+    # [5, 6) on 3 bits needs temp-ANDs to discriminate 5 from 4 and 7, so it
+    # cannot cost the 0 Toffolis a single window is charged.
     c = iteration_circuit(3, 2)
-    windows = []
-    emit_unary_iteration(c, IterationSpec("idx", 5, 6), windows.append)
-    assert count_resources(c).toffoli == 0
-    assert len(windows) == 1 and windows[0].index_value == 5
-    assert windows[0].select_wire is None
+    with pytest.raises(ValueError, match="cannot be scaffolded"):
+        emit_unary_iteration(c, IterationSpec("idx", 5, 6), lambda w: None)
 
 
 def test_two_value_range_uses_index_bit_as_wire():
@@ -70,37 +77,48 @@ def test_two_value_range_uses_index_bit_as_wire():
 
 
 def emit_probe(circuit, lo, hi):
+    """Iterate [lo, hi) with window v flipping probe v - lo; returns the
+    windows in the order they opened."""
+    windows = []
+
     def emitter(win: IterationWindow):
-        target = QubitRef("probe", win.index_value - lo)
-        if win.select_wire is None:
-            circuit.append(GateKind.X, target)
-        else:
-            circuit.append(GateKind.CNOT, win.select_wire, target)
+        windows.append(win)
+        circuit.append(GateKind.CNOT, win.select_wire, QubitRef("probe", win.index_value - lo))
 
     emit_unary_iteration(circuit, IterationSpec("idx", lo, hi), emitter)
+    return windows
+
+
+def check_probes(lo, hi, index_bits, work_bits):
+    """Exhaustive over every register value y below ``hi``: probe v - lo is
+    flipped iff y == v, every window has a wire and opens once, the scaffold
+    costs hi - lo - 1 Toffolis, all work qubits return to 0 and the register
+    is preserved."""
+    c = iteration_circuit(index_bits, work_bits, probe_bits=hi - lo)
+    windows = emit_probe(c, lo, hi)
+    assert [w.index_value for w in windows] == list(range(lo, hi))
+    assert all(isinstance(w.select_wire, QubitRef) for w in windows)
+    assert count_resources(c).toffoli == hi - lo - 1
+    index = qubit_indexer(c)
+    matrix = np.zeros((c.num_qubits, hi), dtype=np.uint8)
+    for y in range(hi):
+        for off in range(index_bits):
+            matrix[index[QubitRef("idx", off)], y] = (y >> off) & 1
+    initial = matrix.copy()
+    final = batch_simulate(c, matrix)
+    for y in range(hi):
+        for v in range(lo, hi):
+            assert final[index[QubitRef("probe", v - lo)], y] == (1 if y == v else 0)
+    for off in range(c.register("work").size):
+        assert not final[index[QubitRef("work", off)]].any()
+    for off in range(index_bits):
+        assert (final[index[QubitRef("idx", off)]] == initial[index[QubitRef("idx", off)]]).all()
 
 
 @pytest.mark.parametrize("index_bits", [1, 2, 3, 4, 5, 6])
 def test_windows_fire_exactly_once_per_index(index_bits):
-    # Exhaustive: every window v flips its probe iff the register holds v;
-    # all work qubits return to 0 and the register is preserved.
     for hi in range(2, (1 << index_bits) + 1):
-        c = iteration_circuit(index_bits, max(2, index_bits), probe_bits=hi)
-        emit_probe(c, 0, hi)
-        index = qubit_indexer(c)
-        matrix = np.zeros((c.num_qubits, hi), dtype=np.uint8)
-        for y in range(hi):
-            for off in range(index_bits):
-                matrix[index[QubitRef("idx", off)], y] = (y >> off) & 1
-        initial = matrix.copy()
-        final = batch_simulate(c, matrix)
-        for y in range(hi):
-            for v in range(hi):
-                assert final[index[QubitRef("probe", v)], y] == (1 if y == v else 0)
-        for off in range(c.register("work").size):
-            assert not final[index[QubitRef("work", off)]].any()
-        for off in range(index_bits):
-            assert (final[index[QubitRef("idx", off)]] == initial[index[QubitRef("idx", off)]]).all()
+        check_probes(0, hi, index_bits, max(2, index_bits))
 
 
 @pytest.mark.parametrize("lam", [2, 4, 8, 16, 32, 64])
@@ -108,17 +126,18 @@ def test_copy_style_windows_stay_closed_at_zero(lam):
     # The r = 0 input must open no window: the whole register domain is
     # discriminated for ranges starting at 1.
     bits = lam.bit_length() - 1
-    c = iteration_circuit(bits, max(1, bits), probe_bits=lam - 1)
-    emit_probe(c, 1, lam)
-    index = qubit_indexer(c)
-    matrix = np.zeros((c.num_qubits, lam), dtype=np.uint8)
-    for y in range(lam):
-        for off in range(bits):
-            matrix[index[QubitRef("idx", off)], y] = (y >> off) & 1
-    final = batch_simulate(c, matrix)
-    for y in range(lam):
-        for v in range(1, lam):
-            assert final[index[QubitRef("probe", v - 1)], y] == (1 if y == v else 0)
+    check_probes(1, lam, bits, max(1, bits))
+
+
+@pytest.mark.parametrize("extra", [1, 2])
+@pytest.mark.parametrize("lam", [2, 4, 8, 16, 32])
+def test_copy_style_windows_on_wider_registers(lam, extra):
+    # An r register may be wider than the range needs; under the promise
+    # that it holds a value below lam, no window may depend on the extra
+    # bits. (Ranges [0, K) on wider registers are covered above: each width
+    # there runs every K up to its full range.)
+    bits = lam.bit_length() - 1 + extra
+    check_probes(1, lam, bits, bits)
 
 
 def test_emitter_order_strictly_ascending():

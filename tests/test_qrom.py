@@ -7,6 +7,8 @@ from qromkit import (
     GateKind,
     LookupTable,
     QubitRef,
+    RegisterSpec,
+    Role,
     SequentialSpec,
     build_qrom,
     build_sequential_qroms,
@@ -69,6 +71,13 @@ class TestPlan:
         assert circuit.num_qubits == 24
 
 
+def block_masks(plan, packed):
+    """Unpack a schedule mask into its lam-1 mu-bit blocks, block 1 first."""
+    width = (1 << plan.mu) - 1
+    assert packed >> plan.dirty_qubits == 0
+    return [(packed >> ((block - 1) * plan.mu)) & width for block in range(1, plan.lam)]
+
+
 class TestXorSchedule:
     def test_constant_table_all_deltas_zero(self):
         table = LookupTable((0b11,) * 8, 2)
@@ -76,16 +85,17 @@ class TestXorSchedule:
         schedule = compute_xor_schedule(table, plan)
         for q in range(plan.q_range):
             assert schedule.direct[0][q] == 0b11
-            assert schedule.delta[0][q] == (0, 0, 0)
-            assert schedule.unload[q] == (0, 0, 0)
+            assert schedule.delta[0][q] == 0
+            assert schedule.unload[q] == 0
 
     def test_hand_example(self):
         table = LookupTable((0, 1, 2, 3, 0, 1, 2, 3), 2)
         plan = plan_qrom(8, 2, 4, 2)
         schedule = compute_xor_schedule(table, plan)
         assert schedule.direct[0][0] == 0b00
-        # delta[stage][q][block - 1] for blocks 1, 2, 3
-        assert schedule.delta[0][0] == (1, 2, 3)
+        # Blocks 1, 2, 3 hold 1, 2, 3 at bits 0, 2 and 4 of the packed mask.
+        assert schedule.delta[0][0] == 0b11_10_01
+        assert block_masks(plan, schedule.delta[0][0]) == [1, 2, 3]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_deltas_telescope_to_unload(self, seed):
@@ -100,11 +110,10 @@ class TestXorSchedule:
         plan = plan_qrom(n, b, lam, mu)
         schedule = compute_xor_schedule(table, plan)
         for q in range(plan.q_range):
-            for block in range(1, lam):
-                acc = 0
-                for p in range(plan.num_packets):
-                    acc ^= schedule.delta[p][q][block - 1]
-                assert acc == schedule.unload[q][block - 1]
+            acc = 0
+            for p in range(plan.num_packets):
+                acc ^= schedule.delta[p][q]
+            assert acc == schedule.unload[q]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_bit_reference(self, seed):
@@ -133,14 +142,16 @@ class TestXorSchedule:
                 width = plan.packet_sizes[p]
                 want = (padded(q * lam) >> (p * mu)) & ((1 << width) - 1)
                 assert schedule.direct[p][q] == want
+            deltas = [block_masks(plan, schedule.delta[p][q]) for p in range(plan.num_packets)]
+            unload = block_masks(plan, schedule.unload[q])
             for block in range(1, lam):
                 for p in range(plan.num_packets):
                     want = sum(
                         (c_bit(q, block, p, j) ^ c_bit(q, block, p - 1, j)) << j for j in range(mu)
                     )
-                    assert schedule.delta[p][q][block - 1] == want
+                    assert deltas[p][block - 1] == want
                 want = sum(c_bit(q, block, last, j) << j for j in range(mu))
-                assert schedule.unload[q][block - 1] == want
+                assert unload[block - 1] == want
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="match"):
@@ -186,9 +197,7 @@ class TestEmitters:
             1 for g in circuit.gates if g.kind is GateKind.CNOT and g.operands[1].register == "dirty"
         )
         assert to_output == sum(bin(value).count("1") for value in schedule.direct[1])
-        assert to_dirty == sum(
-            bin(mask).count("1") for row in schedule.delta[1] for mask in row
-        )
+        assert to_dirty == sum(bin(mask).count("1") for mask in schedule.delta[1])
 
     def test_select_window_targets_match_deltas(self):
         table = LookupTable((0, 1, 2, 3, 0, 1, 2, 3), 2)
@@ -235,6 +244,30 @@ class TestEmitters:
         toffolis = [g for g in circuit.gates if g.kind is GateKind.TOFFOLI]
         assert len(toffolis) == 3
         assert all(g.operands[0] == QubitRef("addr_r", 0) for g in toffolis)
+
+    def test_lambda2_wide_addr_r_controls_on_low_bit(self):
+        # An addr_r wider than log2(lam) must still give the lam = 2 Copy and
+        # restore a real wire: addr_r[0], which under the promise r < 2 is 1
+        # exactly in window 1.
+        table = random_table(8, 4, seed=6)
+        plan = plan_qrom(8, 4, 2, 2)
+        registers = registers_for_plan(plan)
+        registers[1] = RegisterSpec("addr_r", 2, Role.ADDRESS_R)
+        schedule = compute_xor_schedule(table, plan)
+        # The Copy is 2 Toffolis, the restore's fix-up 2 temp-AND pairs.
+        for emit, reads in (
+            (lambda c: emit_copy(c, plan, packet_slice(plan, 0)), 2),
+            (lambda c: emit_restore(c, plan, schedule, all_packets(plan)), 4),
+        ):
+            circuit = Circuit(registers)
+            emit(circuit)
+            dirty_reads = [
+                g for g in circuit.gates
+                if g.kind in (GateKind.TOFFOLI, GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE)
+                and g.operands[1].register == "dirty"
+            ]
+            assert len(dirty_reads) == reads
+            assert all(g.operands[0] == QubitRef("addr_r", 0) for g in dirty_reads)
 
     def test_restore_cost(self):
         table = random_table(64, 8, seed=3)
@@ -361,7 +394,7 @@ class TestSequential:
         to_dirty = sum(
             1 for g in circuit.gates if g.kind is GateKind.CNOT and g.operands[1].register == "dirty"
         )
-        per_select = sum(bin(mask).count("1") for row in schedule.unload for mask in row)
+        per_select = sum(bin(mask).count("1") for mask in schedule.unload)
         # Only the first load and the final unload touch the dirty blocks.
         assert to_dirty == 2 * per_select
 
