@@ -186,40 +186,63 @@ class Circuit:
         ``(kind, operands)`` pair builds and validates the ``Gate``, later ones
         reuse it. A ``str`` kind equals its ``GateKind``, so both spellings
         share one gate whose kind is the enum. A gate that fails validation is
-        never stored and raises the same ``CircuitError`` on every call.
+        never stored and raises the same ``CircuitError`` on every call, so
+        every stored operand is a ``QubitRef`` of a ``str`` and an ``int``.
+        Lookup is by equality: ``QubitRef("a", 1.0)`` finds a stored gate on
+        ``QubitRef("a", 1)``, and would fail validation otherwise.
         """
         key = (kind, operands)
-        gate = self._interned.get(key)
-        if gate is None:
-            gate = Gate(kind, operands)
-            self._validate(gate)
-            self._interned[key] = gate
-        return gate
+        try:
+            gate = self._interned.get(key)
+        except TypeError:  # an unhashable operand, which _validate names
+            gate = None
+        return gate or self._add(key)
 
     def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
         """Append the interned gate for ``(kind, operands)`` and return it."""
-        # The hit is looked up here, not through ``intern``, to save a Python
-        # call per appended gate.
-        gate = self._interned.get((kind, operands)) or self.intern(kind, *operands)
+        # Inlines ``intern``, to save a Python call per appended gate.
+        key = (kind, operands)
+        try:
+            gate = self._interned.get(key) or self._add(key)
+        except TypeError:  # an unhashable operand, which _validate names
+            gate = self._add(key)
         self.gates.append(gate)
         return gate
 
+    def _add(self, key: tuple) -> Gate:
+        """Build, validate and store the gate for an interning key."""
+        gate = Gate(*key)
+        self._validate(gate)
+        self._interned[key] = gate
+        return gate
+
     def _validate(self, gate: Gate) -> None:
+        operands = gate.operands
         arity = GATE_ARITY[gate.kind]
-        if len(gate.operands) != arity:
-            raise CircuitError(
-                f"{gate.kind.value} takes {arity} operands, got {len(gate.operands)}"
-            )
-        if len(set(gate.operands)) != len(gate.operands):
-            raise CircuitError(f"{gate.kind.value} operands must be pairwise distinct")
-        for ref in gate.operands:
+        if len(operands) != arity:
+            raise CircuitError(f"{gate.kind.value} takes {arity} operands, got {len(operands)}")
+        # One pass checks types and ranges; a range error is raised only after
+        # the distinctness check, which outranks it.
+        in_range, by_name = True, self._by_name
+        for ref in operands:
             if not isinstance(ref, QubitRef):
                 raise CircuitError(f"{gate.kind.value} operand {ref!r} is not a QubitRef")
-            reg = self.register(ref.register)
-            if not 0 <= ref.offset < reg.size:
+            register, offset = ref
+            # Not isinstance: a bool offset would be written as "True".
+            if type(register) is not str or type(offset) is not int:
                 raise CircuitError(
-                    f"qubit {ref.register}[{ref.offset}] out of range (size {reg.size})"
+                    f"{gate.kind.value} operand {ref!r} needs a str register and an int offset"
                 )
+            reg = by_name.get(register)
+            if reg is None or not 0 <= offset < reg.size:
+                in_range = False
+        if len(set(operands)) != arity:
+            raise CircuitError(f"{gate.kind.value} operands must be pairwise distinct")
+        if not in_range:
+            for register, offset in operands:
+                size = self.register(register).size
+                if not 0 <= offset < size:
+                    raise CircuitError(f"qubit {register}[{offset}] out of range (size {size})")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .baselines import build_plain_qrom, build_selectswap_dirty
@@ -33,7 +34,10 @@ EXIT_PARAMS = 2
 EXIT_VERIFY = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main``
+    call in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qromkit",
         description="Synthesize, verify, and cost table-lookup circuits.",
@@ -73,9 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARAMS if exc.code else EXIT_OK
     handler = {

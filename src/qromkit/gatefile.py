@@ -12,9 +12,9 @@ than a leading ``-`` (reported as out of range), no ``_`` separators and no
 non-ASCII digits. ``parse_circuit(serialize_circuit(c))`` reproduces the
 register list and gate list exactly. A lookup circuit repeats few distinct
 gates many times, so each distinct gate is formatted once, and the parser
-maps the raw text of each gate line it has accepted to the circuit's interned
-gate: a repeated line costs one dict hit, and only a new line is stripped,
-tokenized and validated.
+pays Python work per distinct line: it reads gate lines a chunk at a time,
+parses each raw line not seen before into the circuit's interned gate, and
+appends the whole chunk in one C-level pass.
 """
 from __future__ import annotations
 
@@ -59,62 +59,84 @@ def serialize_circuit(circuit: Circuit) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse a gate file in one pass: registers up to the first gate line,
-    then each gate as it is read.
+    """Parse a gate file: registers line by line up to the first gate line,
+    then the gate lines a chunk at a time.
 
-    A gate line seen before costs one dict hit: each parse maps the raw text
-    of every gate line it accepted, and its text with comment and spaces
-    stripped, to the circuit's interned gate. REGISTER, blank, comment and
-    failed lines never enter that map, so they always take the full path.
-    After a gate error the remaining lines are still scanned, so a misplaced
-    REGISTER line is reported before any gate error on an earlier line.
+    Python work is paid per distinct line, not per line. In each chunk of
+    about a megabyte, only the raw lines not seen before are parsed, in order
+    of first occurrence; each maps to the circuit's interned gate, or to None
+    for a blank or comment line. The whole chunk is then appended in one
+    C-level pass. A line whose text, with comment and spaces stripped, was
+    seen before costs one dict hit, and each ``(register, offset)`` token pair
+    is turned into a ``QubitRef`` once. Errors keep the line-by-line
+    precedence: the first gate error, unless a REGISTER line comes after the
+    first gate line, which is reported instead. A line number is worked out
+    only for the error reported.
     """
+    return _parse_circuit(text, _CHUNK)
+
+
+#: Characters per chunk of gate lines, give or take one line.
+_CHUNK = 1 << 20
+
+
+def _parse_circuit(text: str, chunk: int) -> Circuit:
     registers: list[RegisterSpec] = []
     seen_names: set[str] = set()
     circuit: Circuit | None = None
-    known: dict[str, Gate] = {}
+    # Raw text, and stripped text, of every accepted line: its gate, or None.
+    known: dict[str, Gate | None] = {}
+    refs: dict[tuple[str, str], QubitRef] = {}
     error: ParseError | None = None
-    for lineno, raw in enumerate(_lines(text), start=1):
-        # ``known`` stays empty until the first gate line has made the
-        # circuit and bound ``append``.
-        gate = known.get(raw)
-        if gate is not None:
-            append(gate)
-            continue
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
-        # startswith first: only REGISTER-like lines pay for a split here.
-        if line.startswith("REGISTER") and line.split(None, 1)[0] == "REGISTER":
-            if circuit is not None:
-                raise ParseError(lineno, "REGISTER after first gate line")
-            registers.append(_parse_register(lineno, line, seen_names))
-            continue
+    before = 0  # lines before the current chunk
+    for lines in _line_chunks(text, chunk):
+        body = lines
         if circuit is None:
-            circuit = Circuit(registers)
-            append = circuit.gates.append
-        if error is not None:
-            continue
-        gate = known.get(line)
-        if gate is None:
-            try:
-                gate = circuit.intern(*_parse_gate(lineno, line))
-            except ParseError as exc:
-                error = exc
+            for at, raw in enumerate(lines):
+                line = raw.partition("#")[0].strip()
+                if not line:
+                    continue
+                if not _is_register(line):
+                    circuit = Circuit(registers)
+                    body = lines[at:]
+                    break
+                try:
+                    registers.append(_parse_register(line, seen_names))
+                except ValueError as exc:
+                    raise ParseError(before + at + 1, str(exc)) from None
+            else:
+                before += len(lines)
                 continue
-            except ValueError as exc:
-                error = ParseError(lineno, str(exc))
+        first = before + len(lines) - len(body) + 1  # line number of body[0]
+        before += len(lines)
+        for raw in dict.fromkeys(body):
+            if raw in known:
                 continue
-            known[line] = gate
-        known[raw] = gate
-        append(gate)
+            line = raw.partition("#")[0].strip()
+            if _is_register(line):
+                raise ParseError(first + body.index(raw), "REGISTER after first gate line")
+            if error is not None:
+                continue
+            gate = None
+            if line:
+                gate = known.get(line)
+                if gate is None:
+                    try:
+                        gate = known[line] = _parse_gate(circuit, line, refs)
+                    except ValueError as exc:
+                        error = ParseError(first + body.index(raw), str(exc))
+                        continue
+            known[raw] = gate
+        if error is None:
+            circuit.gates.extend(filter(None, map(known.get, body)))
     if error is not None:
         raise error
     return Circuit(registers) if circuit is None else circuit
 
 
-def _lines(text: str, chunk: int = 1 << 20):
-    """``text.splitlines()``, produced about ``chunk`` characters at a time.
+def _line_chunks(text: str, chunk: int):
+    """``text.splitlines()`` as consecutive lists of lines, each from about
+    ``chunk`` characters of text.
 
     Chunks end just after a LF, which ends a line in every split, so the
     lines are exactly those of one ``splitlines`` call without holding them
@@ -122,30 +144,32 @@ def _lines(text: str, chunk: int = 1 << 20):
     start = 0
     while start < len(text):
         end = text.find("\n", start + chunk) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        yield text[start:end].splitlines()
         start = end
 
 
-def _parse_register(lineno: int, line: str, seen_names: set[str]) -> RegisterSpec:
+def _is_register(line: str) -> bool:
+    # startswith first: only REGISTER-like lines pay for a split.
+    return line.startswith("REGISTER") and line.split(None, 1)[0] == "REGISTER"
+
+
+def _parse_register(line: str, seen_names: set[str]) -> RegisterSpec:
     tokens = line.split()
     if len(tokens) != 4:
-        raise ParseError(lineno, "expected: REGISTER <name> <size> <role>")
+        raise ValueError("expected: REGISTER <name> <size> <role>")
     _, name, size_s, role_s = tokens
-    size = _decimal(lineno, size_s, "bad register size")
+    size = _decimal(size_s, "bad register size")
     try:
         role = Role(role_s)
     except ValueError:
-        raise ParseError(lineno, f"unknown register role {role_s!r}") from None
+        raise ValueError(f"unknown register role {role_s!r}") from None
     if name in seen_names:
-        raise ParseError(lineno, f"duplicate register name {name!r}")
+        raise ValueError(f"duplicate register name {name!r}")
     seen_names.add(name)
-    try:
-        return RegisterSpec(name, size, role)
-    except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from None
+    return RegisterSpec(name, size, role)
 
 
-def _decimal(lineno: int, token: str, what: str) -> int:
+def _decimal(token: str, what: str) -> int:
     # int() alone would also take "+1", "1_0" and non-ASCII digits, and it
     # refuses strings past sys.get_int_max_str_digits().
     try:
@@ -153,18 +177,23 @@ def _decimal(lineno: int, token: str, what: str) -> int:
             return int(token)
     except ValueError:
         pass
-    raise ParseError(lineno, f"{what} {token!r}")
+    raise ValueError(f"{what} {token!r}")
 
 
-def _parse_gate(lineno: int, line: str) -> tuple:
-    """Map one gate line to ``(kind, *operands)`` for ``Circuit.intern``."""
+def _parse_gate(circuit: Circuit, line: str, refs: dict) -> Gate:
+    """The interned gate of one gate line; ``refs`` caches the ``QubitRef``
+    of each ``(register, offset)`` token pair. Raises ``ValueError`` with the
+    message of a ``ParseError``."""
     kind_s, *rest = line.split()
     kind = _KINDS.get(kind_s)
     if kind is None:
-        raise ParseError(lineno, f"unknown gate kind {kind_s!r}")
+        raise ValueError(f"unknown gate kind {kind_s!r}")
     if len(rest) % 2 != 0:
-        raise ParseError(lineno, "operands must be <register> <offset> pairs")
+        raise ValueError("operands must be <register> <offset> pairs")
     operands = []
-    for reg_name, offset_s in zip(rest[::2], rest[1::2]):
-        operands.append(QubitRef(reg_name, _decimal(lineno, offset_s, "bad qubit offset")))
-    return (kind, *operands)
+    for pair in zip(rest[::2], rest[1::2]):
+        ref = refs.get(pair)
+        if ref is None:
+            ref = refs[pair] = QubitRef(pair[0], _decimal(pair[1], "bad qubit offset"))
+        operands.append(ref)
+    return circuit.intern(kind, *operands)

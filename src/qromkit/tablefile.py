@@ -6,6 +6,10 @@ lines holds one entry, decimal (leading zeros allowed) or hexadecimal with an
 ``0b``/``0o`` prefixes, ``_`` separators, a ``+`` sign or non-ASCII digits. A
 leading ``-`` is read so that a negative value is reported as out of range.
 ``#`` starts a comment.
+
+A file as ``format_table`` writes it, the header and N bare decimal lines, is
+checked and converted in C-level passes. Any other file, and every file with
+an error, is read line by line, which alone reports ``ParseError``.
 """
 from __future__ import annotations
 
@@ -20,9 +24,38 @@ _ENTRY = re.compile(r"(-?)(?:0[xX]([0-9a-fA-F]+)|([0-9]+))")
 
 
 def parse_table_text(text: str) -> LookupTable:
+    lines = text.splitlines()
+    table = _parse_plain(text, lines)
+    return _parse_lines(lines) if table is None else table
+
+
+def _parse_plain(text: str, lines: list[str]) -> LookupTable | None:
+    """The table of an ASCII file as ``format_table`` writes it: header
+    ``N b`` and N bare decimal lines, checked and converted in C-level
+    passes. None for any other file, including every file with an error, so
+    that ``_parse_lines`` stays the one source of ``ParseError``."""
+    # isascii() reads a flag of the string; it keeps out the non-ASCII
+    # digits that isdecimal() accepts.
+    if not (lines and text.isascii()):
+        return None
+    n_s, _, b_s = lines[0].partition(" ")
+    body = lines[1:]
+    if not (n_s.isdecimal() and b_s.isdecimal() and all(map(str.isdecimal, body))):
+        return None
+    try:
+        # int() refuses decimal strings past sys.get_int_max_str_digits().
+        n, b, entries = int(n_s), int(b_s), list(map(int, body))
+    except ValueError:
+        return None
+    if n != len(entries) or n < 1 or b < 1 or max(entries).bit_length() > b:
+        return None
+    return LookupTable(tuple(entries), b)
+
+
+def _parse_lines(lines: list[str]) -> LookupTable:
     header: tuple[int, int] | None = None
     entries: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -62,7 +95,7 @@ def parse_table_text(text: str) -> LookupTable:
         raise ParseError(1, "missing header line")
     if len(entries) != header[0]:
         raise ParseError(
-            len(text.splitlines()) or 1,
+            len(lines) or 1,
             f"expected {header[0]} data lines, found {len(entries)}",
         )
     return LookupTable(tuple(entries), header[1])

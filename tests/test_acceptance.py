@@ -13,6 +13,7 @@ from qromkit import (
     check_temp_and_pairing,
     cost_bit_packet,
     cost_power2_packet,
+    cost_prior_art,
     cost_uncompute,
     count_resources,
     format_table,
@@ -324,3 +325,39 @@ def test_criterion_11_cli_end_to_end(tmp_path):
                        "--trials", "4", "--seed", "0"])
         ok = ok and code == 0
     report(11, "build -> file -> verify pipeline on 5 tables, byte-identical reruns", ok)
+
+
+def test_criterion_12_dirty_lookup_approaches_clean_qubit_cost():
+    # Circuit vs published formula: the dirty side is optimize_parameters'
+    # bit-packet row, whose circuits build_qrom builds and verifies; the
+    # clean side is the published low_clean row, with no circuit here. With
+    # B = 31 qubits either way and N >> B^2, the ratio falls toward
+    # 1 + 1/b, the N/lam prefactor at packet width mu = 1.
+    budget = 31
+    expected = {
+        4: (1.282, 1.252, 1.250),
+        8: (1.156, 1.127, 1.125),
+        16: (1.093, 1.064, 1.063),
+    }
+    lines, ok = [], True
+    for b, targets in expected.items():
+        limit = 1 + 1 / b
+        ratios = []
+        for n in (2**16, 2**20, 2**24):
+            dirty = optimize_parameters(n, b, budget).cost.toffoli_total
+            clean = min(
+                cost_prior_art("low_clean", n, b, 2**k).toffoli_total
+                for k in range(1, n.bit_length() - 1)
+                if b * (2**k - 1) <= budget
+            )
+            ratios.append(dirty / clean)
+        ok = ok and all(abs(r - t) <= 0.0005 for r, t in zip(ratios, targets))
+        ok = ok and ratios[0] > ratios[1] > ratios[2] >= limit
+        ok = ok and ratios[2] <= limit * 1.005
+        lines.append(f"b={b}: " + " / ".join(f"{r:.3f}" for r in ratios) + f" -> {limit:.4f}")
+    report(
+        12,
+        "circuit vs published formula: dirty bit-packet / clean low_clean Toffolis at "
+        f"B={budget}, N=2^16/2^20/2^24 ({'; '.join(lines)})",
+        ok,
+    )

@@ -84,6 +84,33 @@ class TestAppend:
             assert repr(operand) in str(err.value)
         assert c.gates == []
 
+    @pytest.mark.parametrize(
+        "operand,fragment",
+        [
+            (["a", 0], "is not a QubitRef"),
+            (QubitRef("a", "0"), "int offset"),
+            (QubitRef("a", 1.0), "int offset"),
+            (QubitRef("a", True), "int offset"),
+        ],
+        ids=["list", "str-offset", "float-offset", "bool-offset"],
+    )
+    def test_ill_typed_operand_raises_circuit_error(self, operand, fragment):
+        c = two_reg_circuit()
+        for emit in (c.append, c.intern):
+            with pytest.raises(CircuitError, match=fragment) as err:
+                emit(GateKind.CNOT, operand, QubitRef("out", 0))
+            assert repr(operand) in str(err.value)
+        assert c.gates == [] and c._interned == {}
+
+    def test_equal_spelling_of_a_stored_operand_finds_its_gate(self):
+        # Lookup is by equality, and 1.0 == True == 1; the gate found holds
+        # the int offset it was stored with.
+        c = two_reg_circuit()
+        gate = c.append(GateKind.X, QubitRef("a", 1))
+        for offset in (1.0, True):
+            assert c.append(GateKind.X, QubitRef("a", offset)) is gate
+        assert [type(ref.offset) for g in c.gates for ref in g.operands] == [int] * 3
+
     def test_temp_and_pair_validates(self):
         c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
         c.append(GateKind.TEMP_AND, QubitRef("a", 0), QubitRef("a", 1), QubitRef("w", 0))

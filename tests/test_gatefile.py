@@ -13,7 +13,7 @@ from qromkit import (
     plan_qrom,
     serialize_circuit,
 )
-from qromkit.gatefile import _lines
+from qromkit.gatefile import _line_chunks
 from helpers import random_table
 
 
@@ -118,8 +118,8 @@ def test_misplaced_register_outranks_earlier_gate_error():
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 20])
 def test_chunked_lines_equal_splitlines(chunk):
     text = "REGISTER a 2 work\r\nX a 0\n\nX a 1\rX a 0\x0cX a 1\u2028\n# end\r\n\n"
-    assert list(_lines(text, chunk)) == text.splitlines()
-    assert list(_lines("", chunk)) == []
+    assert sum(_line_chunks(text, chunk), []) == text.splitlines()
+    assert list(_line_chunks("", chunk)) == []
 
 
 def test_parsed_gates_are_shared_and_equal_to_built():

@@ -3,7 +3,9 @@
 Whatever the input, the parsers either return a value or raise ParseError,
 and a parsed circuit serializes to a fixed point of serialize -> parse.
 Decorated gate files (comments, spaces, blank and repeated lines) parse like
-their plain form, and their errors match a per-line reference parser.
+their plain form, and their errors match a per-line reference parser at any
+chunk size of the per-distinct-line parse. The table parser's fast path and
+its per-line path agree on every input.
 """
 import re
 
@@ -19,13 +21,15 @@ from qromkit import (
     Role,
     build_qrom,
     build_selectswap_dirty,
+    format_table,
     parse_circuit,
     parse_table_text,
     plan_qrom,
     serialize_circuit,
 )
 from qromkit.circuit import GATE_ARITY
-from qromkit.gatefile import _lines
+from qromkit.gatefile import _CHUNK, _line_chunks, _parse_circuit
+from qromkit.tablefile import _parse_lines, _parse_plain
 from helpers import random_table
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
@@ -60,7 +64,7 @@ def test_parse_circuit_raises_only_parse_error(text):
 @PROPERTY_SETTINGS
 @given(st.text(), st.integers(1, 16))
 def test_chunked_gate_file_lines_equal_splitlines(text, chunk):
-    assert list(_lines(text, chunk)) == text.splitlines()
+    assert sum(_line_chunks(text, chunk), []) == text.splitlines()
 
 
 @PROPERTY_SETTINGS
@@ -229,3 +233,91 @@ def test_decorated_gate_file_errors_match_reference(data):
         assert (exc.line, str(exc)) == expected
     else:
         raise AssertionError(f"parse_circuit accepted {expected}")
+
+
+def outcome(parse, text):
+    """What a parser makes of ``text``: its result, or its error."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("error", exc.line, str(exc))
+
+
+@st.composite
+def two_phase_files(draw):
+    """A built file, decorated, with at most one broken line copied before
+    and after its own place, and maybe a header line repeated past the first
+    gate line."""
+    header, gate_lines = split_file(draw(st.sampled_from(BUILT_FILES)))
+    gate_lines = list(gate_lines)
+    if draw(st.booleans()):
+        # Past the first gate line, so that a broken REGISTER is misplaced.
+        at = draw(st.integers(1, len(gate_lines) - 1))
+        broken = " ".join(draw(st.sampled_from(BREAKERS))(gate_lines[at].split()))
+        gate_lines[at] = broken
+        copies = [draw(st.integers(1, at)), draw(st.integers(at + 1, len(gate_lines)))]
+        copies += draw(st.lists(st.integers(1, len(gate_lines)), max_size=2))
+        for place in sorted(copies, reverse=True):
+            gate_lines.insert(place, broken)
+    if draw(st.booleans()):
+        place = draw(st.integers(1, len(gate_lines)))
+        gate_lines.insert(place, draw(st.sampled_from(header)))
+    _, decorated = draw(decorated_gate_lines(gate_lines))
+    return "\n".join(header + decorated) + "\n"
+
+
+@PROPERTY_SETTINGS
+@given(two_phase_files())
+def test_two_phase_parse_matches_reference_at_any_chunk_size(text):
+    expected = outcome(reference_parse, text)
+    for chunk in (1, 7, _CHUNK):
+        assert outcome(lambda t: _parse_circuit(t, chunk), text) == expected
+
+
+TABLE_EDITS = {
+    "comment": lambda line, draw: line + draw(st.sampled_from([" # c", "#", "\t# x 1"])),
+    "blank": lambda line, draw: draw(st.sampled_from(["", " ", "# note"])) + "\n" + line,
+    "pad": lambda line, draw: draw(SPACES) + line + draw(st.sampled_from(["", " ", "\t"])),
+    "hex": lambda line, draw: hex(int(line)) if line.isdecimal() else line,
+    "zeros": lambda line, draw: "0" * draw(st.integers(1, 3)) + line,
+    "non_ascii": lambda line, draw: line.replace(
+        draw(st.sampled_from("0123456789")), draw(st.sampled_from(["\u0663", "\uff11"]))
+    ),
+    "long": lambda line, draw: draw(st.sampled_from(["0" * 4999 + "1", "1" * 5000])),
+    "range": lambda line, draw: draw(st.sampled_from(["-1", "4096", "0x1000", str(1 << 64)])),
+}
+
+
+@st.composite
+def table_texts(draw):
+    """A table file as ``format_table`` writes it, with a few line edits and
+    maybe a line too many or too few."""
+    b = draw(st.integers(1, 12))
+    entries = draw(st.lists(st.integers(0, (1 << b) - 1), min_size=1, max_size=6))
+    lines = [f"{len(entries)} {b}", *map(str, entries)]
+    edits = st.tuples(st.integers(0, len(entries)), st.sampled_from(sorted(TABLE_EDITS)))
+    for at, edit in draw(st.lists(edits, max_size=3)):
+        lines[at] = TABLE_EDITS[edit](lines[at], draw)
+    count = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    if count > 0:
+        lines.append("1")
+    elif count < 0:
+        lines.pop()
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
+
+
+@PROPERTY_SETTINGS
+@given(table_texts())
+def test_table_fast_path_agrees_with_per_line_path(text):
+    lines = text.splitlines()
+    expected = outcome(lambda _: _parse_lines(lines), text)
+    assert outcome(parse_table_text, text) == expected
+    fast = _parse_plain(text, lines)
+    if fast is not None:
+        assert fast == expected
+
+
+def test_table_fast_path_takes_format_table_output():
+    table = random_table(64, 12, seed=4)
+    text = format_table(table)
+    assert _parse_plain(text, text.splitlines()) == table
