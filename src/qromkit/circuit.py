@@ -10,8 +10,10 @@ Circuits are append-only while being built and treated as immutable afterwards,
 so finished circuits can be shared freely between threads. A lookup circuit
 repeats a few hundred distinct gates thousands of times, so each circuit
 interns its gates: equal gates are one shared frozen ``Gate`` object, built
-and validated once. The builders also record each unary-iteration scaffold
-once per circuit (see ``qromkit.iteration``) and replay its interned gates.
+and validated once; passes that work per gate run once per distinct gate
+through ``Circuit.per_gate``, the only code that keys gates by identity. The
+builders also record each unary-iteration scaffold once per circuit (see
+``qromkit.iteration``) and replay its interned gates.
 The whole-circuit passes below leave the per-gate loop to C: resources are
 tallied per gate kind, and the temp-AND pairing check visits only temp-AND
 positions.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 __all__ = [
     "CircuitError",
@@ -63,6 +65,10 @@ class GateKind(str, Enum):
     CSWAP = "CSWAP"
     TEMP_AND = "TEMP_AND"
     TEMP_AND_UNCOMPUTE = "TEMP_AND_UNCOMPUTE"
+
+    @classmethod
+    def _missing_(cls, value: object) -> "GateKind":
+        raise CircuitError(f"unknown gate kind {value!r}")
 
 
 GATE_ARITY = {
@@ -209,6 +215,16 @@ class Circuit:
         self.gates.append(gate)
         return gate
 
+    def per_gate(self, fn: Callable[[Gate], object]) -> Iterator:
+        """``fn(gate)`` for every gate in list order, with ``fn`` run once per
+        distinct gate object: up front for each interned gate, and when first
+        met for a gate put into ``gates`` by hand, which is cached by ``id``."""
+        results = _PerGate(fn, self.gates)
+        # Interned gates live as long as the circuit, so no id is reused.
+        for gate in self._interned.values():
+            results[id(gate)] = fn(gate)
+        return map(results.__getitem__, map(id, self.gates))
+
     def _add(self, key: tuple) -> Gate:
         """Build, validate and store the gate for an interning key."""
         gate = Gate(*key)
@@ -251,6 +267,21 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit({len(self.registers)} registers, {len(self.gates)} gates)"
+
+
+class _PerGate(dict):
+    """``fn`` of each gate, keyed by ``id``; a missing gate is mapped on lookup.
+    ``gates`` keeps every keyed object alive, so no id is reused meanwhile."""
+
+    def __init__(self, fn: Callable, gates: list[Gate]) -> None:
+        super().__init__()
+        self.fn, self.gates, self.by_id = fn, gates, None
+
+    def __missing__(self, key: int):
+        if self.by_id is None:  # only gates put into the list by hand get here
+            self.by_id = dict(zip(map(id, self.gates), self.gates))
+        result = self[key] = self.fn(self.by_id[key])
+        return result
 
 
 _kind = attrgetter("kind")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 
 from .baselines import build_plain_qrom, build_selectswap_dirty
@@ -251,20 +252,36 @@ def cmd_sweep(args) -> int:
 
 def _sweep_grid(n_min: int, n_max: int, points: int) -> set[int]:
     """The distinct N among ``points`` >= 2 log-spaced grid points from
-    ``n_min`` to ``n_max``, generated one at a time so that memory follows
-    the distinct N, not ``points``.
+    ``n_min`` to ``n_max``, each evaluated as if all were listed.
 
-    The scan stops once every integer of the range has appeared. Below 2**50
-    each grid float lies within half a unit of its exact value, which is in
-    the range, so no later point can add an N; above it the scan runs on.
+    Exact points rise with the index, and a computed one is off by a factor
+    of at most 1 +- ``slack``. So once a point rounds to v, the points before
+    the first whose exact value could reach v + 0.5 round to v, or to v - 1
+    if this one lies within the slack of v - 0.5. When those N are seen, the
+    scan jumps there, less a margin of two indices. Time then follows the
+    distinct N, not ``points``, where points are denser than N and finer
+    than their slack.
     """
     ratio, last = n_max / n_min, points - 1
-    width = n_max - n_min + 1 if n_max < 2**50 else None
+    if ratio == 1:  # every point is the float n_min
+        return {round(n_min * ratio)}
+    # A few roundings, one of them scaled by ln(ratio); it also bounds the
+    # error of the log below, and scale is shrunk past its own rounding.
+    slack = (16 + 4 * math.log(ratio)) * 2**-53
+    scale = last / math.log(ratio) * (1 - 2**-50)
+    # Jump only where points are denser than N and finer than their slack.
+    jumps_below = min(scale / 2, 0.125 / slack)
     seen: set[int] = set()
-    for i in range(points):
-        seen.add(round(n_min * ratio ** (i / last)))
-        if len(seen) == width:
-            break
+    i = 0
+    while i < points:
+        point = n_min * ratio ** (i / last)
+        value = round(point)
+        seen.add(value)
+        i += 1
+        if value < jumps_below and (value - 1 in seen or point * (1 - 3 * slack) > value - 0.5):
+            # ln((value + 0.5) / n_min), from a correctly rounded quotient.
+            reach = math.log1p((2 * value + 1 - 2 * n_min) / (2 * n_min)) - 2 * slack
+            i = max(i, math.ceil(scale * reach) - 2)
     return seen
 
 

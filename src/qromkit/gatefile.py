@@ -11,10 +11,11 @@ Register sizes and qubit offsets are ASCII decimal numbers: no sign other
 than a leading ``-`` (reported as out of range), no ``_`` separators and no
 non-ASCII digits. ``parse_circuit(serialize_circuit(c))`` reproduces the
 register list and gate list exactly. A lookup circuit repeats few distinct
-gates many times, so each distinct gate is formatted once, and the parser
-pays Python work per distinct line: it reads gate lines a chunk at a time,
-parses each raw line not seen before into the circuit's interned gate, and
-appends the whole chunk in one C-level pass.
+gates many times, so the serializer formats each distinct gate once through
+``Circuit.per_gate``, and the parser pays Python work per distinct line: it
+reads gate lines a chunk at a time, parses each raw line not seen before into
+the circuit's interned gate (``Circuit.intern`` makes two spellings of one gate
+one object), and appends the whole chunk in one C-level pass.
 """
 from __future__ import annotations
 
@@ -38,24 +39,18 @@ class ParseError(ValueError):
 
 
 def serialize_circuit(circuit: Circuit) -> str:
-    # Each line carries its own LF, so the text is made by one join and never
-    # copied again; an empty circuit is the single empty line "\n".
-    lines = [
-        f"REGISTER {reg.name} {reg.size} {reg.role.value}\n" for reg in circuit.registers
-    ]
-    # Keyed by id: equal gates are one object, and every key stays alive in
-    # circuit.gates while this runs.
-    formatted: dict[int, str] = {}
-    for gate in circuit.gates:
-        line = formatted.get(id(gate))
-        if line is None:
-            parts = [gate.kind.value]
-            for ref in gate.operands:
-                parts.append(ref.register)
-                parts.append(str(ref.offset))
-            line = formatted[id(gate)] = " ".join(parts) + "\n"
-        lines.append(line)
-    return "".join(lines) or "\n"
+    # Each line carries its own LF, so the text is made by one join; an empty
+    # circuit is the single empty line "\n".
+    header = [f"REGISTER {reg.name} {reg.size} {reg.role.value}\n" for reg in circuit.registers]
+    return "".join([*header, *circuit.per_gate(_gate_line)]) or "\n"
+
+
+def _gate_line(gate: Gate) -> str:
+    parts = [gate.kind.value]
+    for ref in gate.operands:
+        parts.append(ref.register)
+        parts.append(str(ref.offset))
+    return " ".join(parts) + "\n"
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -66,12 +61,11 @@ def parse_circuit(text: str) -> Circuit:
     about a megabyte, only the raw lines not seen before are parsed, in order
     of first occurrence; each maps to the circuit's interned gate, or to None
     for a blank or comment line. The whole chunk is then appended in one
-    C-level pass. A line whose text, with comment and spaces stripped, was
-    seen before costs one dict hit, and each ``(register, offset)`` token pair
-    is turned into a ``QubitRef`` once. Errors keep the line-by-line
-    precedence: the first gate error, unless a REGISTER line comes after the
-    first gate line, which is reported instead. A line number is worked out
-    only for the error reported.
+    C-level pass. Each ``(register, offset)`` token pair is turned into a
+    ``QubitRef`` once. Errors keep the line-by-line precedence: the first
+    gate error, unless a REGISTER line comes after the first gate line, which
+    is reported instead. A line number is worked out only for the error
+    reported.
     """
     return _parse_circuit(text, _CHUNK)
 
@@ -84,7 +78,7 @@ def _parse_circuit(text: str, chunk: int) -> Circuit:
     registers: list[RegisterSpec] = []
     seen_names: set[str] = set()
     circuit: Circuit | None = None
-    # Raw text, and stripped text, of every accepted line: its gate, or None.
+    # Raw text of every accepted line: its gate, or None.
     known: dict[str, Gate | None] = {}
     refs: dict[tuple[str, str], QubitRef] = {}
     error: ParseError | None = None
@@ -119,13 +113,11 @@ def _parse_circuit(text: str, chunk: int) -> Circuit:
                 continue
             gate = None
             if line:
-                gate = known.get(line)
-                if gate is None:
-                    try:
-                        gate = known[line] = _parse_gate(circuit, line, refs)
-                    except ValueError as exc:
-                        error = ParseError(first + body.index(raw), str(exc))
-                        continue
+                try:
+                    gate = _parse_gate(circuit, line, refs)
+                except ValueError as exc:
+                    error = ParseError(first + body.index(raw), str(exc))
+                    continue
             known[raw] = gate
         if error is None:
             circuit.gates.extend(filter(None, map(known.get, body)))

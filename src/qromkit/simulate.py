@@ -8,10 +8,10 @@ not tracked.
 ``simulate`` runs one assignment through the gate list and is the independent
 oracle. The batch engine holds each qubit row as one Python int with bit j for
 case j and runs the gate list once over all cases; it has one gate loop and
-two callers. The loop resolves each of the circuit's interned gates to one
-``(code, a, b, t)`` row-index op (a lookup repeats a few hundred gates
-thousands of times) and then streams one op per gate through a C-level map
-over gate ids. ``batch_simulate`` takes and returns a 0/1 matrix (one row per
+two callers. The loop resolves each distinct gate to one ``(code, a, b, t)``
+row-index op (a lookup repeats a few hundred gates thousands of times) through
+``Circuit.per_gate``, which owns the per-gate memo, and then streams one op
+per gate. ``batch_simulate`` takes and returns a 0/1 matrix (one row per
 qubit in ``qubit_indexer`` order, one column per case) and packs it into rows
 for the engine. Both raise ``SimulationError`` on a temp-AND computed onto a
 nonzero target or uncomputed to a nonzero result.
@@ -170,20 +170,19 @@ def _run_packed(
     """The one gate loop: apply ``circuit.gates`` in place to ``state``, one
     Python int per qubit row (``index`` order) whose bit j is case j.
 
-    Every gate is one or two int operations over all cases. Each of the
-    circuit's interned gates is resolved to one ``(code, a, b, t)`` op up
-    front: the operand rows in gate order, X and CNOT padded with None at the
-    end. The loop then streams one op per gate through a C-level ``map`` over
-    gate ids. A gate that was never interned (one put into ``circuit.gates``
-    by hand) is resolved when first met and cached by ``id`` as well.
+    Every gate is one or two int operations over all cases. Each distinct
+    gate is resolved once, through ``Circuit.per_gate``, to one
+    ``(code, a, b, t)`` op: the operand rows in gate order, X and CNOT padded
+    with None at the end. The loop then streams one op per gate.
     """
     full = (1 << cases) - 1
-    gates = circuit.gates
-    ops = _Ops(index, gates)
-    # Interned gates live as long as the circuit, so no id is reused meanwhile.
-    for gate in circuit._interned.values():
-        ops[id(gate)] = ops.resolve(gate)
-    for i, (code, a, b, t) in enumerate(map(ops.__getitem__, map(id, gates))):
+    row = index.__getitem__
+
+    def resolve(gate) -> tuple:
+        # The None padding makes a gate short of operands fail, not read row 0.
+        return (_OP_CODES[gate.kind], *map(row, gate.operands), None, None)[:4]
+
+    for i, (code, a, b, t) in enumerate(circuit.per_gate(resolve)):
         if code == 0:  # CNOT, control a, target b
             state[b] ^= state[a]
         elif code == 1:  # X on a
@@ -204,28 +203,6 @@ def _run_packed(
             mask = state[a] & (state[b] ^ state[t])
             state[b] ^= mask
             state[t] ^= mask
-
-
-class _Ops(dict):
-    """Op of each gate, keyed by ``id``; a missing gate is resolved on lookup."""
-
-    def __init__(self, index: dict[QubitRef, int], gates: list) -> None:
-        super().__init__()
-        self.row = index.__getitem__
-        self.gates = gates
-        self.by_id: dict[int, object] | None = None
-
-    def resolve(self, gate) -> tuple:
-        # The None padding makes a gate short of operands fail, not read row 0.
-        return (_OP_CODES[gate.kind], *map(self.row, gate.operands), None, None)[:4]
-
-    def __missing__(self, key: int) -> tuple:
-        # Only gates put into the list by hand get here. ``gates`` keeps every
-        # keyed object alive, so no id is reused meanwhile.
-        if self.by_id is None:
-            self.by_id = dict(zip(map(id, self.gates), self.gates))
-        op = self[key] = self.resolve(self.by_id[key])
-        return op
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:

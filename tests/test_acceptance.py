@@ -361,3 +361,37 @@ def test_criterion_12_dirty_lookup_approaches_clean_qubit_cost():
         f"B={budget}, N=2^16/2^20/2^24 ({'; '.join(lines)})",
         ok,
     )
+
+
+def test_criterion_13_per_mu_prefactor_approaches_one_plus_mu_over_b():
+    # The abstract's N/lam prefactor: with D = mu(lam-1) dirty qubits and
+    # lam = D/b, the bit-packet cost times D/(N b) falls toward 1 + mu/b,
+    # from 1 + 1/b at mu = 1 to 2 at full-width packets (mu = b).
+    b, lam = 8, 1024
+    expected = {
+        1: (3.3673, 1.2641, 1.1261),
+        2: (4.9890, 1.4825, 1.2524),
+        4: (8.9810, 1.9662, 1.5058),
+        8: (19.9590, 3.1206, 2.0156),
+    }
+    sizes = (2**20, 2**24, 2**30)
+    table, ok = {}, True
+    for mu, targets in expected.items():
+        dirty = mu * (lam - 1)
+        table[mu] = [
+            cost_bit_packet(n, b, lam, mu).toffoli_total * dirty / (n * b) for n in sizes
+        ]
+        limit = 1 + mu / b
+        factors = table[mu]
+        ok = ok and all(abs(f - t) <= 0.00005 for f, t in zip(factors, targets))
+        ok = ok and factors[0] > factors[1] > factors[2] > limit * (1 - 1 / lam)
+        ok = ok and abs(factors[2] - limit) <= 0.01 * limit
+    for column in range(len(sizes)):
+        ok = ok and all(table[mu][column] < table[2 * mu][column] for mu in (1, 2, 4))
+    lines = [f"mu={mu}: " + " / ".join(f"{f:.4f}" for f in table[mu]) for mu in expected]
+    report(
+        13,
+        f"per-mu N/lam prefactor at b={b}, lam={lam}, N=2^20/2^24/2^30 falls to 1 + mu/b "
+        f"({'; '.join(lines)})",
+        ok,
+    )

@@ -102,6 +102,13 @@ class TestAppend:
             assert repr(operand) in str(err.value)
         assert c.gates == [] and c._interned == {}
 
+    def test_unknown_kind_raises_circuit_error(self):
+        c = two_reg_circuit()
+        for emit in (c.append, c.intern):
+            with pytest.raises(CircuitError, match="unknown gate kind 'FOO'"):
+                emit("FOO", QubitRef("a", 0))
+        assert c.gates == [] and c._interned == {}
+
     def test_equal_spelling_of_a_stored_operand_finds_its_gate(self):
         # Lookup is by equality, and 1.0 == True == 1; the gate found holds
         # the int offset it was stored with.
@@ -166,6 +173,29 @@ class TestInterning:
         distinct = len(set(circuit.gates))
         assert len({id(gate) for gate in circuit.gates}) == distinct
         assert distinct < len(circuit.gates) // 10
+
+    def test_per_gate_maps_every_gate_once_per_object(self):
+        # Interned gates, a fresh object equal to one of them, and a gate
+        # never interned that sits at two positions, as fault injection
+        # leaves them.
+        c = two_reg_circuit()
+        cnot = c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
+        x = c.append(GateKind.X, QubitRef("out", 0))
+        unused = c.intern(GateKind.X, QubitRef("a", 2))
+        fresh = Gate(GateKind.CNOT, (QubitRef("a", 0), QubitRef("out", 1)))
+        stray = Gate(GateKind.X, (QubitRef("a", 1),))
+        c.gates = [cnot, stray, x, fresh, cnot, stray, x]
+        calls = []
+
+        def fn(gate):
+            calls.append(gate)
+            return gate
+
+        mapped = c.per_gate(fn)
+        assert [id(g) for g in calls] == [id(cnot), id(x), id(unused)]
+        assert [id(g) for g in mapped] == [id(g) for g in c.gates]
+        assert sorted(map(id, calls)) == sorted({id(g) for g in [*c.gates, unused]})
+        assert list(two_reg_circuit().per_gate(fn)) == []
 
 
 class TestCountResources:

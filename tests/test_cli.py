@@ -405,7 +405,9 @@ class TestSweep:
     @pytest.mark.parametrize("seed", range(4))
     def test_grid_matches_every_point_listed(self, tmp_path, seed):
         # Reference: list every grid point, then dedupe. Ranges near 2**50
-        # straddle the early stop; ranges near 2**1023 never fill up.
+        # have float points as coarse as their spacing; ranges near 2**1023
+        # never fill up; dense grids (points >> range) are where the scan
+        # jumps furthest.
         rng = random.Random(seed)
         cases = []
         for _ in range(60):
@@ -423,6 +425,9 @@ class TestSweep:
                 n_min = rng.randrange(1, 2**rng.randrange(1, 1022))
                 n_max = rng.randrange(n_min, 2**1023)
             cases.append((n_min, n_max, rng.choice([2, 3, rng.randrange(2, 2000)])))
+        for _ in range(30):
+            n_min = rng.choice([rng.randrange(1, 1000), 2 ** rng.randrange(20, 56)])
+            cases.append((n_min, n_min + rng.randrange(40), rng.randrange(2, 6000)))
 
         def listed(n_min, n_max, points):
             ratio = n_max / n_min
@@ -439,6 +444,10 @@ class TestSweep:
         assert code == 0
         expected = sweep_rows_to_csv(improvement_sweep(8, 31, listed(n_min, n_max, points)))
         assert out_path.read_text() == expected
+
+    def test_grid_time_follows_distinct_n_not_points(self):
+        # Listing 10**12 points would take hours.
+        assert _sweep_grid(1, 64, 10**12) == set(range(1, 65))
 
     def test_rows_sorted_and_deterministic(self, tmp_path):
         out_path = tmp_path / "sweep.csv"

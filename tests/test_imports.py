@@ -1,7 +1,9 @@
-"""Every name a qromkit module imports is used there or re-exported.
+"""Every name a qromkit module imports is used there or re-exported, and
+only ``circuit`` knows that gates are shared objects.
 
 No linter ships with the project, so this ``ast`` walk catches the imports
-that a deletion leaves behind.
+that a deletion leaves behind, and any module that keys gates by ``id`` or
+reads ``Circuit._interned`` instead of going through ``Circuit.per_gate``.
 """
 import ast
 from pathlib import Path
@@ -44,6 +46,29 @@ def test_every_import_is_used_or_exported(path):
         if name not in used and name not in exported_names(tree)
     }
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def gate_identity_uses(tree: ast.Module) -> list[int]:
+    """Line numbers that read ``_interned`` or use the builtin ``id``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_interned"
+        or isinstance(node, ast.Name) and node.id == "id"
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "circuit.py"], ids=lambda p: p.name
+)
+def test_only_circuit_knows_gate_identity(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not gate_identity_uses(tree), f"{path.name}: gate identity used outside circuit.py"
+
+
+def test_identity_check_sees_id_and_interned():
+    tree = ast.parse("ops = dict(zip(map(id, gates), gates))\nc._interned.values()\nid(g)\n")
+    assert gate_identity_uses(tree) == [1, 2, 3]
 
 
 def test_check_sees_an_unused_import():

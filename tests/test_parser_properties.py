@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qromkit import (
     Circuit,
+    Gate,
     GateKind,
     ParseError,
     QubitRef,
@@ -98,13 +99,28 @@ def circuits(draw):
     return circuit
 
 
+def line_per_gate(circuit):
+    """Reference serializer: one formatted line per register and per gate."""
+    lines = [f"REGISTER {reg.name} {reg.size} {reg.role.value}" for reg in circuit.registers]
+    for gate in circuit.gates:
+        lines.append(" ".join([gate.kind.value, *(f"{r} {o}" for r, o in gate.operands)]))
+    return "\n".join(lines) + "\n"
+
+
 @PROPERTY_SETTINGS
 @given(circuits())
 def test_serialize_parse_serialize_is_identity(circuit):
     text = serialize_circuit(circuit)
+    assert text == line_per_gate(circuit)
     parsed = parse_circuit(text)
     assert parsed == circuit
     assert serialize_circuit(parsed) == text
+    # A hand-assembled list: fresh objects equal to interned gates, one
+    # object at two positions, and gates that were never interned.
+    fresh = [Gate(gate.kind, gate.operands) for gate in parsed.gates]
+    stray = Gate(GateKind.X, (next(parsed.qubits()),))
+    parsed.gates = [*fresh, stray, *reversed(parsed.gates), *fresh[:1], stray]
+    assert serialize_circuit(parsed) == line_per_gate(parsed)
 
 
 BUILT_FILES = [
