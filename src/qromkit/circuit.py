@@ -218,8 +218,9 @@ class Circuit:
     def per_gate(self, fn: Callable[[Gate], object]) -> Iterator:
         """``fn(gate)`` for every gate in list order, with ``fn`` run once per
         distinct gate object: up front for each interned gate, and when first
-        met for a gate put into ``gates`` by hand, which is cached by ``id``."""
-        results = _PerGate(fn, self.gates)
+        met for a gate put into ``gates`` by hand, which is validated first and
+        cached by ``id``."""
+        results = _PerGate(fn, self.gates, self._validate)
         # Interned gates live as long as the circuit, so no id is reused.
         for gate in self._interned.values():
             results[id(gate)] = fn(gate)
@@ -270,17 +271,20 @@ class Circuit:
 
 
 class _PerGate(dict):
-    """``fn`` of each gate, keyed by ``id``; a missing gate is mapped on lookup.
-    ``gates`` keeps every keyed object alive, so no id is reused meanwhile."""
+    """``fn`` of each gate, keyed by ``id``; a missing gate is validated and
+    mapped on lookup. ``gates`` keeps every keyed object alive, so no id is
+    reused meanwhile."""
 
-    def __init__(self, fn: Callable, gates: list[Gate]) -> None:
+    def __init__(self, fn: Callable, gates: list[Gate], validate: Callable) -> None:
         super().__init__()
-        self.fn, self.gates, self.by_id = fn, gates, None
+        self.fn, self.gates, self.validate, self.by_id = fn, gates, validate, None
 
     def __missing__(self, key: int):
         if self.by_id is None:  # only gates put into the list by hand get here
             self.by_id = dict(zip(map(id, self.gates), self.gates))
-        result = self[key] = self.fn(self.by_id[key])
+        gate = self.by_id[key]
+        self.validate(gate)
+        result = self[key] = self.fn(gate)
         return result
 
 

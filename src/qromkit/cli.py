@@ -90,10 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
@@ -234,9 +231,9 @@ def cmd_sweep(args) -> int:
     if not 1 <= args.n_min <= args.n_max:
         raise ValueError("need 1 <= --n-min <= --n-max")
     # The grid is spaced in floating point. Below 2**1023 no grid point can
-    # round past the largest float.
-    for flag, value in (("--n-min", args.n_min), ("--n-max", args.n_max)):
-        if value >= 2**1023:
+    # round past the largest float, and the point count converts to a float.
+    for flag, n in (("--n-min", args.n_min), ("--n-max", args.n_max), ("--points", args.points)):
+        if n >= 2**1023:
             raise ValueError(f"{flag} must be < 2**1023")
     if args.points == 1:
         n_values = [args.n_min]
@@ -254,35 +251,33 @@ def _sweep_grid(n_min: int, n_max: int, points: int) -> set[int]:
     """The distinct N among ``points`` >= 2 log-spaced grid points from
     ``n_min`` to ``n_max``, each evaluated as if all were listed.
 
-    Exact points rise with the index, and a computed one is off by a factor
-    of at most 1 +- ``slack``. So once a point rounds to v, the points before
-    the first whose exact value could reach v + 0.5 round to v, or to v - 1
-    if this one lies within the slack of v - 0.5. When those N are seen, the
-    scan jumps there, less a margin of two indices. Time then follows the
-    distinct N, not ``points``, where points are denser than N and finer
-    than their slack.
+    Below ``dense``, exact points are under 1/2 apart and computed ones off
+    by under 1/8, so consecutive points round at most 1 apart. The points
+    before ``start`` are below ``dense`` and the first is exactly ``n_min``
+    (< 2**46), so they round to every integer from ``n_min`` to some M. The
+    tail stays in that regime up to M + 1 and ends within a few ulps of
+    ``n_max``, so it takes every integer from its least N to M.
     """
     ratio, last = n_max / n_min, points - 1
     if ratio == 1:  # every point is the float n_min
         return {round(n_min * ratio)}
-    # A few roundings, one of them scaled by ln(ratio); it also bounds the
-    # error of the log below, and scale is shrunk past its own rounding.
+    # A computed point is off by a factor of at most 1 +- slack, which also
+    # bounds the log below; scale is shrunk past its own rounding.
     slack = (16 + 4 * math.log(ratio)) * 2**-53
     scale = last / math.log(ratio) * (1 - 2**-50)
-    # Jump only where points are denser than N and finer than their slack.
-    jumps_below = min(scale / 2, 0.125 / slack)
-    seen: set[int] = set()
-    i = 0
-    while i < points:
-        point = n_min * ratio ** (i / last)
-        value = round(point)
-        seen.add(value)
-        i += 1
-        if value < jumps_below and (value - 1 in seen or point * (1 - 3 * slack) > value - 0.5):
-            # ln((value + 0.5) / n_min), from a correctly rounded quotient.
-            reach = math.log1p((2 * value + 1 - 2 * n_min) / (2 * n_min)) - 2 * slack
-            i = max(i, math.ceil(scale * reach) - 2)
-    return seen
+    dense = min(scale / 2, 0.125 / slack)
+    start = 0
+    if dense > n_min:  # else points are sparse or coarser than floats: list all
+        # Two indices before the first whose exact point could reach dense.
+        reach = scale * (math.log1p((dense - n_min) / n_min) - 2 * slack)
+        if reach >= last:  # scale may be inf: compare before rounding
+            start = last
+        elif reach > 2:  # false for -inf or nan, from inf * (<= 0)
+            start = math.ceil(reach) - 2
+    tail = {round(n_min * ratio ** (i / last)) for i in range(start, points)}
+    if start:
+        tail.update(range(n_min, min(tail)))
+    return tail
 
 
 def entry_point() -> None:

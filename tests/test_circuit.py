@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,9 @@ from qromkit import (
     build_qrom,
     count_resources,
     plan_qrom,
+    batch_simulate,
+    serialize_circuit,
+    verify_qrom,
 )
 from qromkit.circuit import CLEAN_ROLES, GATE_ARITY, TOFFOLI_COST
 from helpers import random_table
@@ -44,6 +48,16 @@ class TestNewCircuit:
     def test_zero_size(self):
         with pytest.raises(CircuitError, match="size"):
             RegisterSpec("q", 0, Role.WORK)
+
+    @pytest.mark.parametrize("name", ["", "a-b", "a b"])
+    def test_name_not_identifier(self, name):
+        with pytest.raises(CircuitError, match="is not an identifier"):
+            RegisterSpec(name, 1, Role.WORK)
+
+    @pytest.mark.parametrize("offset", [-1, 3])
+    def test_offset_out_of_range(self, offset):
+        with pytest.raises(CircuitError, match=f"offset {offset} out of range for register 'a'"):
+            RegisterSpec("a", 3, Role.ADDRESS_Q)[offset]
 
     def test_register_lookup(self):
         c = two_reg_circuit()
@@ -196,6 +210,30 @@ class TestInterning:
         assert [id(g) for g in mapped] == [id(g) for g in c.gates]
         assert sorted(map(id, calls)) == sorted({id(g) for g in [*c.gates, unused]})
         assert list(two_reg_circuit().per_gate(fn)) == []
+
+    @pytest.mark.parametrize(
+        "gate,message",
+        [
+            (Gate(GateKind.X, (QubitRef("nowhere", 0),)), "unknown register 'nowhere'"),
+            (Gate(GateKind.X, (QubitRef("output", 99),)), r"qubit output\[99\] out of range"),
+            (Gate(GateKind.CNOT, (QubitRef("output", 0),)), "CNOT takes 2 operands, got 1"),
+        ],
+        ids=["unknown_register", "offset_out_of_range", "wrong_arity"],
+    )
+    def test_gate_put_in_by_hand_is_validated(self, gate, message):
+        # The circuit would refuse these through append; a gate list edited
+        # by hand must not reach the simulator or the gate-file writer.
+        table = random_table(8, 3, seed=2)
+        circuit = build_qrom(table, plan_qrom(8, 3, 2, 1))
+        circuit.gates.append(gate)
+        matrix = np.zeros((circuit.num_qubits, 2), dtype=np.uint8)
+        for run in (
+            lambda: verify_qrom(circuit, table),
+            lambda: batch_simulate(circuit, matrix),
+            lambda: serialize_circuit(circuit),
+        ):
+            with pytest.raises(CircuitError, match=message):
+                run()
 
 
 class TestCountResources:

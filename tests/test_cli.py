@@ -26,6 +26,11 @@ def table_64(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("args,code", [(["sweep"], 2), (["--help"], 0)], ids=["usage_error", "help"])
+def test_argparse_exit_becomes_return_code(args, code):
+    assert run_cli(args)[0] == code
+
+
 class TestBuild:
     def test_build_writes_circuit_and_summary(self, table_64, tmp_path):
         out_path = tmp_path / "c.gates"
@@ -215,6 +220,12 @@ class TestVerify:
         assert code == 0
         assert "failures=0" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--lambda", "4"], ["--mu", "2"]], ids=["none", "lambda", "mu"])
+    def test_rebuild_needs_lambda_and_mu(self, table_64, extra):
+        code, out, err = run_cli(["verify", "--table", table_64, *extra])
+        assert (code, out) == (2, "")
+        assert err == "error: verify requires --lambda and --mu (or --baseline/--circuit)\n"
+
     def test_selectswap_needs_lambda(self, table_64):
         code, _, err = run_cli(["verify", "--table", table_64, "--baseline", "selectswap"])
         assert code == 2
@@ -360,16 +371,16 @@ class TestSweep:
         assert not out_path.exists()
 
     @pytest.mark.parametrize(
-        "n_min,n_max,flag",
-        [("1", "1" + "0" * 400, "--n-max"), ("1" + "0" * 400, "1" + "0" * 401, "--n-min"),
-         ("3", str(2**1023), "--n-max")],
-        ids=["huge_n_max", "huge_n_min", "n_max_at_limit"],
+        "n_min,n_max,points,flag",
+        [("1", "1" + "0" * 400, "2", "--n-max"), ("1" + "0" * 400, "1" + "0" * 401, "2", "--n-min"),
+         ("3", str(2**1023), "2", "--n-max"), ("1", "64", str(2**1023), "--points")],
+        ids=["huge_n_max", "huge_n_min", "n_max_at_limit", "points_at_limit"],
     )
-    def test_n_beyond_float_grid_exits_2_without_output(self, tmp_path, n_min, n_max, flag):
+    def test_n_beyond_float_grid_exits_2_without_output(self, tmp_path, n_min, n_max, points, flag):
         out_path = tmp_path / "s.csv"
         code, out, err = run_cli(
             ["sweep", "--b", "8", "--budget", "31", "--n-min", n_min, "--n-max", n_max,
-             "--points", "2", "--out", str(out_path)]
+             "--points", points, "--out", str(out_path)]
         )
         assert (code, out, err) == (2, "", f"error: {flag} must be < 2**1023\n")
         assert not out_path.exists()
@@ -406,8 +417,8 @@ class TestSweep:
     def test_grid_matches_every_point_listed(self, tmp_path, seed):
         # Reference: list every grid point, then dedupe. Ranges near 2**50
         # have float points as coarse as their spacing; ranges near 2**1023
-        # never fill up; dense grids (points >> range) are where the scan
-        # jumps furthest.
+        # never fill up; dense grids (points >> range) are where most N come
+        # from the range, and wide ones pair a dense prefix with a sparse tail.
         rng = random.Random(seed)
         cases = []
         for _ in range(60):
@@ -428,6 +439,14 @@ class TestSweep:
         for _ in range(30):
             n_min = rng.choice([rng.randrange(1, 1000), 2 ** rng.randrange(20, 56)])
             cases.append((n_min, n_min + rng.randrange(40), rng.randrange(2, 6000)))
+        for _ in range(4):
+            n_min = rng.randrange(1, 1000)
+            cases.append((n_min, n_min + rng.randrange(1, 3000), rng.randrange(2, 50_000)))
+            n_min = rng.randrange(1, 100)
+            n_max = rng.randrange(10**6, 2 ** rng.randrange(21, 1023))
+            cases.append((n_min, n_max, rng.randrange(2, 50_000)))
+            n_min = 2 ** rng.randrange(30, 50) + rng.randrange(-300, 300)
+            cases.append((n_min, n_min + rng.randrange(1, 100), rng.randrange(2, 50_000)))
 
         def listed(n_min, n_max, points):
             ratio = n_max / n_min
@@ -446,8 +465,10 @@ class TestSweep:
         assert out_path.read_text() == expected
 
     def test_grid_time_follows_distinct_n_not_points(self):
-        # Listing 10**12 points would take hours.
+        # Listing 10**12 points would take hours; 2**1023 - 1 of them, forever.
         assert _sweep_grid(1, 64, 10**12) == set(range(1, 65))
+        assert _sweep_grid(2**40, 2**40 + 50, 10**12) == set(range(2**40, 2**40 + 51))
+        assert _sweep_grid(1, 64, 2**1023 - 1) == set(range(1, 65))
 
     def test_rows_sorted_and_deterministic(self, tmp_path):
         out_path = tmp_path / "sweep.csv"

@@ -53,6 +53,8 @@ class TestPlan:
             ((64, 8, 128, 2), "1 < lam < N"),
             ((64, 8, 4, 0), "1 <= mu <= b"),
             ((64, 8, 4, 9), "1 <= mu <= b"),
+            ((0, 8, 4, 2), "table dimensions must be positive"),
+            ((64, 0, 4, 1), "table dimensions must be positive"),
         ],
     )
     def test_rejects_bad_parameters(self, args, fragment):
@@ -429,6 +431,10 @@ class TestSequential:
         with pytest.raises(ValueError, match="share"):
             SequentialSpec((random_table(8, 2, 0), random_table(16, 2, 0)), 2)
 
+    def test_no_tables_rejected(self):
+        with pytest.raises(ValueError, match="need at least one table"):
+            SequentialSpec((), 2)
+
     def test_bad_lambda_rejected(self):
         with pytest.raises(ValueError, match="power of 2"):
             SequentialSpec((random_table(8, 2, 0),), 3)
@@ -444,3 +450,7 @@ class TestLookupTable:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             LookupTable((), 2)
+
+    def test_zero_width_rejected(self):
+        with pytest.raises(ValueError, match="bit_width must be >= 1"):
+            LookupTable((0,), 0)

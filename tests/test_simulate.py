@@ -34,6 +34,17 @@ def test_empty_circuit_identity():
     assert simulate(c, state).register_value("r") == 0b1010
 
 
+@pytest.mark.parametrize(
+    "values,message",
+    [({"r": 16}, "value 16 does not fit register 'r'"), ({"r": -1}, "value -1 does not fit"),
+     ({"s": 1}, r"unknown registers: \['s'\]")],
+    ids=["too_wide", "negative", "unknown_register"],
+)
+def test_state_rejects_values_outside_the_circuit(values, message):
+    with pytest.raises(ValueError, match=message):
+        BitState.for_circuit(single_register(), values)
+
+
 def test_x_involution():
     c = single_register(1)
     c.append(GateKind.X, QubitRef("r", 0))

@@ -30,6 +30,8 @@ def test_hex_and_comments():
         ("2 +3\n1\n2\n", "bad header"),
         ("\u0662 3\n1\n2\n", "bad header"),
         ("0x2 3\n1\n2\n", "bad header"),
+        # Past the int-to-str digit limit, which int() refuses.
+        pytest.param("9" * 5000 + " 3\n", "bad header", id="header_past_digit_limit"),
     ],
 )
 def test_errors(text, fragment):
