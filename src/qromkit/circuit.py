@@ -283,9 +283,17 @@ class _PerGate(dict):
         if self.by_id is None:  # only gates put into the list by hand get here
             self.by_id = dict(zip(map(id, self.gates), self.gates))
         gate = self.by_id[key]
+        if not isinstance(gate, Gate):  # met in list order: the first such entry
+            raise _not_a_gate(self.gates)
         self.validate(gate)
         result = self[key] = self.fn(gate)
         return result
+
+
+def _not_a_gate(gates: list) -> CircuitError:
+    """The error for the first entry of ``gates`` that is not a ``Gate``."""
+    entry = next(gate for gate in gates if not isinstance(gate, Gate))
+    return CircuitError(f"gate list entry {entry!r} is not a Gate")
 
 
 _kind = attrgetter("kind")
@@ -315,7 +323,10 @@ def count_resources(circuit: Circuit) -> ResourceEstimate:
     """Count gates and qubits exactly; deterministic for a given circuit.
 
     Gates are tallied per kind in one C-level pass, then weighted per kind."""
-    kinds = Counter(map(_kind, circuit.gates))
+    try:
+        kinds = Counter(map(_kind, circuit.gates))
+    except AttributeError:  # an entry with no kind
+        raise _not_a_gate(circuit.gates) from None
     toffoli = sum(TOFFOLI_COST[kind] * times for kind, times in kinds.items())
     temp_and, cnot, x = kinds[GateKind.TEMP_AND], kinds[GateKind.CNOT], kinds[GateKind.X]
     clean = sum(reg.size for reg in circuit.registers if reg.role in CLEAN_ROLES)
@@ -342,17 +353,20 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
     """
     gates = circuit.gates
     held: dict[QubitRef, frozenset[QubitRef]] = {}
-    for i in compress(count(), map(_TEMP_KINDS.__contains__, map(_kind, gates))):
+    try:
+        temps = list(compress(count(), map(_TEMP_KINDS.__contains__, map(_kind, gates))))
+    except AttributeError:  # an entry with no kind
+        raise _not_a_gate(gates) from None
+    for i in temps:
         gate = gates[i]
+        target = gate.operands[-1]
         if gate.kind is GateKind.TEMP_AND:
-            target = gate.operands[-1]
             if target in held:
                 raise CircuitError(
                     f"gate {i}: TEMP_AND on already-held target {target.register}[{target.offset}]"
                 )
             held[target] = frozenset(gate.operands[:2])
         else:
-            target = gate.operands[-1]
             controls = frozenset(gate.operands[:2])
             if held.get(target) != controls:
                 raise CircuitError(

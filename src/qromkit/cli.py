@@ -230,11 +230,14 @@ def cmd_sweep(args) -> int:
         raise ValueError("--points must be >= 1")
     if not 1 <= args.n_min <= args.n_max:
         raise ValueError("need 1 <= --n-min <= --n-max")
-    # The grid is spaced in floating point. Below 2**1023 no grid point can
-    # round past the largest float, and the point count converts to a float.
-    for flag, n in (("--n-min", args.n_min), ("--n-max", args.n_max), ("--points", args.points)):
-        if n >= 2**1023:
-            raise ValueError(f"{flag} must be < 2**1023")
+    # The grid is spaced in floating point. Below 2**42 every N is a float, the
+    # last point is within n_max * 2**-52 < 1/2 of n_max, and _sweep_grid's dense
+    # range reaches n_max unless points are sparser than N, so rows run from n_min
+    # to n_max in time that follows them. The point count is a float below 2**1023.
+    for flag, n, bits in (("--n-min", args.n_min, 42), ("--n-max", args.n_max, 42),
+                          ("--points", args.points, 1023)):
+        if n >= 2**bits:
+            raise ValueError(f"{flag} must be < 2**{bits}")
     if args.points == 1:
         n_values = [args.n_min]
     else:

@@ -15,7 +15,8 @@ gates many times, so the serializer formats each distinct gate once through
 ``Circuit.per_gate``, and the parser pays Python work per distinct line: it
 reads gate lines a chunk at a time, parses each raw line not seen before into
 the circuit's interned gate (``Circuit.intern`` makes two spellings of one gate
-one object), and appends the whole chunk in one C-level pass.
+one object), and appends the whole chunk in one C-level pass. Errors name the
+first bad line: past the header, a line's validity does not depend on its place.
 """
 from __future__ import annotations
 
@@ -62,10 +63,8 @@ def parse_circuit(text: str) -> Circuit:
     of first occurrence; each maps to the circuit's interned gate, or to None
     for a blank or comment line. The whole chunk is then appended in one
     C-level pass. Each ``(register, offset)`` token pair is turned into a
-    ``QubitRef`` once. Errors keep the line-by-line precedence: the first
-    gate error, unless a REGISTER line comes after the first gate line, which
-    is reported instead. A line number is worked out only for the error
-    reported.
+    ``QubitRef`` once. The first bad line is reported, and the parse stops
+    in the chunk that holds it; its line number is worked out only then.
     """
     return _parse_circuit(text, _CHUNK)
 
@@ -81,48 +80,35 @@ def _parse_circuit(text: str, chunk: int) -> Circuit:
     # Raw text of every accepted line: its gate, or None.
     known: dict[str, Gate | None] = {}
     refs: dict[tuple[str, str], QubitRef] = {}
-    error: ParseError | None = None
-    before = 0  # lines before the current chunk
-    for lines in _line_chunks(text, chunk):
-        body = lines
+    end = 0  # body ends on line end, so body[k] is on line end - len(body) + k + 1
+    for body in _line_chunks(text, chunk):
+        end += len(body)
         if circuit is None:
-            for at, raw in enumerate(lines):
+            for at, raw in enumerate(body):
                 line = raw.partition("#")[0].strip()
                 if not line:
                     continue
                 if not _is_register(line):
                     circuit = Circuit(registers)
-                    body = lines[at:]
+                    body = body[at:]
                     break
                 try:
                     registers.append(_parse_register(line, seen_names))
                 except ValueError as exc:
-                    raise ParseError(before + at + 1, str(exc)) from None
+                    raise ParseError(end - len(body) + at + 1, str(exc)) from None
             else:
-                before += len(lines)
                 continue
-        first = before + len(lines) - len(body) + 1  # line number of body[0]
-        before += len(lines)
         for raw in dict.fromkeys(body):
             if raw in known:
                 continue
             line = raw.partition("#")[0].strip()
-            if _is_register(line):
-                raise ParseError(first + body.index(raw), "REGISTER after first gate line")
-            if error is not None:
-                continue
-            gate = None
-            if line:
-                try:
-                    gate = _parse_gate(circuit, line, refs)
-                except ValueError as exc:
-                    error = ParseError(first + body.index(raw), str(exc))
-                    continue
-            known[raw] = gate
-        if error is None:
-            circuit.gates.extend(filter(None, map(known.get, body)))
-    if error is not None:
-        raise error
+            try:
+                if _is_register(line):
+                    raise ValueError("REGISTER after first gate line")
+                known[raw] = _parse_gate(circuit, line, refs) if line else None
+            except ValueError as exc:
+                raise ParseError(end - len(body) + body.index(raw) + 1, str(exc)) from None
+        circuit.gates.extend(filter(None, map(known.get, body)))
     return Circuit(registers) if circuit is None else circuit
 
 

@@ -121,11 +121,7 @@ def simulate(circuit: Circuit, initial: BitState) -> BitState:
 
 def qubit_indexer(circuit: Circuit) -> dict[QubitRef, int]:
     """Flat row index for every qubit, in register declaration order."""
-    index: dict[QubitRef, int] = {}
-    for reg in circuit.registers:
-        for offset in range(reg.size):
-            index[QubitRef(reg.name, offset)] = len(index)
-    return index
+    return {qubit: row for row, qubit in enumerate(circuit.qubits())}
 
 
 def batch_simulate(circuit: Circuit, bit_matrix: np.ndarray) -> np.ndarray:

@@ -235,6 +235,29 @@ class TestInterning:
             with pytest.raises(CircuitError, match=message):
                 run()
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            count_resources,
+            check_temp_and_pairing,
+            lambda circuit: verify_qrom(circuit, random_table(8, 3, seed=2)),
+            lambda circuit: batch_simulate(
+                circuit, np.zeros((circuit.num_qubits, 2), dtype=np.uint8)
+            ),
+            serialize_circuit,
+        ],
+        ids=["count_resources", "check_temp_and_pairing", "verify_qrom", "batch_simulate",
+             "serialize_circuit"],
+    )
+    def test_entry_that_is_not_a_gate_is_a_circuit_error(self, run):
+        circuit = build_qrom(random_table(8, 3, seed=2), plan_qrom(8, 3, 2, 1))
+        entry = (GateKind.X, (QubitRef("output", 0),))
+        circuit.gates.insert(5, entry)
+        circuit.gates.append(("second", "entry"))
+        with pytest.raises(CircuitError) as err:
+            run(circuit)
+        assert str(err.value) == f"gate list entry {entry!r} is not a Gate"
+
 
 class TestCountResources:
     def test_empty(self):

@@ -371,31 +371,54 @@ class TestSweep:
         assert not out_path.exists()
 
     @pytest.mark.parametrize(
-        "n_min,n_max,points,flag",
-        [("1", "1" + "0" * 400, "2", "--n-max"), ("1" + "0" * 400, "1" + "0" * 401, "2", "--n-min"),
-         ("3", str(2**1023), "2", "--n-max"), ("1", "64", str(2**1023), "--points")],
-        ids=["huge_n_max", "huge_n_min", "n_max_at_limit", "points_at_limit"],
+        "n_min,n_max,points,message",
+        [("1", "1" + "0" * 400, "2", "--n-max must be < 2**42"),
+         ("1" + "0" * 400, "1" + "0" * 401, "2", "--n-min must be < 2**42"),
+         ("3", str(2**42), "2", "--n-max must be < 2**42"),
+         (str(2**42), str(2**42), "1", "--n-min must be < 2**42"),
+         ("1", "64", str(2**1023), "--points must be < 2**1023")],
+        ids=["huge_n_max", "huge_n_min", "n_max_at_limit", "n_min_at_limit", "points_at_limit"],
     )
-    def test_n_beyond_float_grid_exits_2_without_output(self, tmp_path, n_min, n_max, points, flag):
+    def test_n_beyond_float_grid_exits_2_without_output(self, tmp_path, n_min, n_max, points, message):
         out_path = tmp_path / "s.csv"
         code, out, err = run_cli(
             ["sweep", "--b", "8", "--budget", "31", "--n-min", n_min, "--n-max", n_max,
              "--points", points, "--out", str(out_path)]
         )
-        assert (code, out, err) == (2, "", f"error: {flag} must be < 2**1023\n")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_path.exists()
 
     def test_n_just_below_limit_sweeps(self, tmp_path):
-        # 3 * (n_max / 3) rounds past the largest float when n_max is the
-        # largest float itself; just below the limit every point is finite.
         out_path = tmp_path / "s.csv"
         code, out, _ = run_cli(
             ["sweep", "--b", "8", "--budget", "31", "--n-min", "3",
-             "--n-max", str(2**1023 - 1), "--points", "3", "--out", str(out_path)]
+             "--n-max", str(2**42 - 1), "--points", "3", "--out", str(out_path)]
         )
         assert (code, out) == (0, "rows=3\n")
         lines = out_path.read_text().splitlines()
         assert len(lines) == 4 and lines[1].startswith("3,")
+        assert lines[-1].startswith(f"{2**42 - 1},")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_run_from_n_min_to_n_max(self, tmp_path, seed):
+        # Below 2**42 the first grid point is n_min and the last rounds to
+        # n_max, at any point count and however narrow the range. Each case
+        # writes at most 100 rows: few points or a narrow range.
+        rng = random.Random(seed)
+        out_path = tmp_path / "s.csv"
+        for _ in range(8):
+            n_max = rng.randrange(1, 2 ** rng.randrange(1, 43))
+            if rng.randrange(2):
+                n_min, points = rng.randrange(1, n_max + 1), rng.randrange(2, 100)
+            else:
+                n_min, points = max(1, n_max - rng.randrange(100)), rng.randrange(2, 10**15)
+            code, out, _ = run_cli(
+                ["sweep", "--b", "8", "--budget", "31", "--n-min", str(n_min),
+                 "--n-max", str(n_max), "--points", str(points), "--out", str(out_path)]
+            )
+            ns = [int(line.split(",")[0]) for line in out_path.read_text().splitlines()[1:]]
+            assert (code, out) == (0, f"rows={len(ns)}\n")
+            assert (ns[0], ns[-1]) == (n_min, n_max), (n_min, n_max, points)
 
     def test_memory_follows_distinct_rows_not_points(self, tmp_path):
         # 64 rows from 300,000 points: a list of every point would peak
@@ -454,7 +477,8 @@ class TestSweep:
 
         for n_min, n_max, points in cases:
             assert sorted(_sweep_grid(n_min, n_max, points)) == listed(n_min, n_max, points)
-        n_min, n_max, points = cases[0]
+        # The CLI takes N below 2**42 only.
+        n_min, n_max, points = next(case for case in cases if case[1] < 2**42)
         out_path = tmp_path / "s.csv"
         code, _, _ = run_cli(
             ["sweep", "--b", "8", "--budget", "31", "--n-min", str(n_min), "--n-max", str(n_max),

@@ -13,7 +13,8 @@ from qromkit import (
     plan_qrom,
     serialize_circuit,
 )
-from qromkit.gatefile import _line_chunks
+from qromkit import gatefile
+from qromkit.gatefile import _CHUNK, _line_chunks, _parse_circuit
 from helpers import random_table
 
 
@@ -109,10 +110,35 @@ def test_repeated_invalid_line_reports_first_occurrence():
         parse_circuit(text)
 
 
-def test_misplaced_register_outranks_earlier_gate_error():
-    text = "REGISTER a 1 work\nX a 7\nREGISTER b 1 work\n"
-    with pytest.raises(ParseError, match="^line 3: REGISTER after first gate line"):
-        parse_circuit(text)
+def _first_bad_line_cases():
+    yield "REGISTER a 1 work\nX a 7\nREGISTER b 1 work\n", 2, "qubit a[7] out of range (size 1)"
+    yield ("REGISTER a 1 work\nX a 0\nREGISTER b 1 work\nX a 7\n", 3,
+           "REGISTER after first gate line")
+    # A bad gate line in the first chunk, the first header line repeated last.
+    circuit = build_qrom(random_table(256, 8, seed=4), plan_qrom(256, 8, 8, 2))
+    lines = serialize_circuit(circuit).splitlines()
+    at = next(i for i, line in enumerate(lines) if not line.startswith("REGISTER")) + 5
+    lines[at] = "X nowhere 0"
+    yield "\n".join(lines + lines[:1]) + "\n", at + 1, "unknown register 'nowhere'"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, _CHUNK])
+def test_first_bad_line_wins(chunk, monkeypatch):
+    read = []
+
+    def counted_chunks(text, size):
+        for lines in _line_chunks(text, size):
+            read.append(len(lines))
+            yield lines
+
+    monkeypatch.setattr(gatefile, "_line_chunks", counted_chunks)
+    for text, line, message in _first_bad_line_cases():
+        read.clear()
+        with pytest.raises(ParseError) as err:
+            _parse_circuit(text, chunk)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+        # Reading stops in the chunk that holds the bad line.
+        assert sum(read[:-1]) < line <= sum(read)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 20])

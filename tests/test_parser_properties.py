@@ -189,9 +189,9 @@ def test_decorated_gate_file_parses_like_plain(data):
 
 
 def reference_parse(text):
-    """Every line parsed on its own, with no caching: the first gate error is
-    kept, but a later misplaced REGISTER line outranks it."""
-    registers, circuit, error = [], None, None
+    """Every line parsed on its own, with no caching; raises at the first bad
+    line."""
+    registers, circuit = [], None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -203,26 +203,20 @@ def reference_parse(text):
             continue
         if circuit is None:
             circuit = Circuit(registers)
-        if error is not None:
-            continue
         kind, *rest = tokens
+        if kind not in {k.value for k in GateKind}:
+            raise ParseError(lineno, f"unknown gate kind {kind!r}")
+        if len(rest) % 2:
+            raise ParseError(lineno, "operands must be <register> <offset> pairs")
+        operands = []
+        for name, offset in zip(rest[::2], rest[1::2]):
+            if not re.fullmatch(r"-?[0-9]+", offset):
+                raise ParseError(lineno, f"bad qubit offset {offset!r}")
+            operands.append(QubitRef(name, int(offset)))
         try:
-            if kind not in {k.value for k in GateKind}:
-                raise ParseError(lineno, f"unknown gate kind {kind!r}")
-            if len(rest) % 2:
-                raise ParseError(lineno, "operands must be <register> <offset> pairs")
-            operands = []
-            for name, offset in zip(rest[::2], rest[1::2]):
-                if not re.fullmatch(r"-?[0-9]+", offset):
-                    raise ParseError(lineno, f"bad qubit offset {offset!r}")
-                operands.append(QubitRef(name, int(offset)))
             circuit.append(GateKind(kind), *operands)
-        except ParseError as exc:
-            error = exc
         except ValueError as exc:
-            error = ParseError(lineno, str(exc))
-    if error is not None:
-        raise error
+            raise ParseError(lineno, str(exc)) from None
     return circuit
 
 
