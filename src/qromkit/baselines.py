@@ -52,6 +52,7 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
     registers = registers_for_plan(plan)
     registers.insert(3, RegisterSpec("buffer", b, Role.WORK))  # after "output"
     circuit = Circuit(registers)
+    append, gate = circuit.gates.append, circuit._lookup
 
     # Block 0 is the clean buffer; blocks 1..lam-1 are borrowed. Window q
     # loads blocks 0..lam-1 as one word, block l in bits l*b..(l+1)*b.
@@ -75,19 +76,15 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
         # routes block r to the buffer, the reversed order undoes it.
         layers = range(plan.r_bits - 1, -1, -1) if inverse else range(plan.r_bits)
         for beta in layers:
-            step = 1 << beta
+            step, control = 1 << beta, QubitRef("addr_r", beta)
             for base in range(0, lam, 2 * step):
                 for j in range(b):
-                    circuit.append(
-                        GateKind.CSWAP,
-                        QubitRef("addr_r", beta),
-                        block_qubit(base, j),
-                        block_qubit(base + step, j),
-                    )
+                    pair = block_qubit(base, j), block_qubit(base + step, j)
+                    append(gate(GateKind.CSWAP, control, *pair))
 
     def buffer_copy() -> None:
         for j in range(b):
-            circuit.append(GateKind.CNOT, QubitRef("buffer", j), QubitRef("output", j))
+            append(gate(GateKind.CNOT, QubitRef("buffer", j), QubitRef("output", j)))
 
     select()
     swap_network(inverse=False)

@@ -9,14 +9,15 @@ address roles are inputs.
 Circuits are append-only while being built and treated as immutable afterwards,
 so finished circuits can be shared freely between threads. A lookup circuit
 repeats a few hundred distinct gates thousands of times, so each circuit
-interns its gates: equal gates are one shared frozen ``Gate`` object, built
-and validated once; passes that work per gate run once per distinct gate
-through ``Circuit.per_gate``, the only code that keys gates by identity. The
-builders also record each unary-iteration scaffold once per circuit (see
-``qromkit.iteration``) and replay its interned gates.
-The whole-circuit passes below leave the per-gate loop to C: resources are
-tallied per gate kind, and the temp-AND pairing check visits only temp-AND
-positions.
+interns its gates: equal gates are one shared frozen ``Gate`` object. Gates
+come in through ``Circuit.intern``, which validates every call, and every
+pass reads them through ``Circuit.per_gate``, which runs once per distinct
+gate, validates entries put into the list by hand, and is the only code that
+keys gates by identity. The builders also record each unary-iteration
+scaffold once per circuit (see ``qromkit.iteration``) and replay its interned
+gates. The whole-circuit passes below leave the per-gate loop to C: resources
+are tallied per gate kind, and the temp-AND pairing check visits only
+temp-AND positions.
 """
 from __future__ import annotations
 
@@ -145,9 +146,9 @@ class Gate:
 class Circuit:
     """Ordered gate list over named registers.
 
-    Gates are validated on append: operand arity must match the kind, operands
-    must be pairwise distinct, and every operand must resolve to a declared
-    register qubit.
+    Gates are validated on every ``append`` and ``intern``: operand arity must
+    match the kind, operands must be pairwise distinct, and every operand must
+    resolve to a declared register qubit.
     """
 
     def __init__(self, registers: Iterable[RegisterSpec]):
@@ -188,50 +189,36 @@ class Circuit:
         """Return this circuit's validated gate for ``(kind, operands)``
         without appending it.
 
-        Equal gates are one shared frozen object: the first call for a
-        ``(kind, operands)`` pair builds and validates the ``Gate``, later ones
-        reuse it. A ``str`` kind equals its ``GateKind``, so both spellings
-        share one gate whose kind is the enum. A gate that fails validation is
-        never stored and raises the same ``CircuitError`` on every call, so
-        every stored operand is a ``QubitRef`` of a ``str`` and an ``int``.
-        Lookup is by equality: ``QubitRef("a", 1.0)`` finds a stored gate on
-        ``QubitRef("a", 1)``, and would fail validation otherwise.
+        Every call is validated, so ``QubitRef("a", 1.0)`` raises even once a
+        gate on ``QubitRef("a", 1)`` is stored. Equal gates are one shared
+        frozen object; a ``str`` kind equals its ``GateKind``, so both
+        spellings share one gate whose kind is the enum.
         """
-        key = (kind, operands)
-        try:
-            gate = self._interned.get(key)
-        except TypeError:  # an unhashable operand, which _validate names
-            gate = None
-        return gate or self._add(key)
+        gate = Gate(kind, operands)
+        self._validate(gate)
+        return self._interned.setdefault((gate.kind, operands), gate)
 
     def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
         """Append the interned gate for ``(kind, operands)`` and return it."""
-        # Inlines ``intern``, to save a Python call per appended gate.
-        key = (kind, operands)
-        try:
-            gate = self._interned.get(key) or self._add(key)
-        except TypeError:  # an unhashable operand, which _validate names
-            gate = self._add(key)
+        gate = self.intern(kind, *operands)
         self.gates.append(gate)
         return gate
+
+    def _lookup(self, kind: GateKind, *operands: QubitRef) -> Gate:
+        """``intern`` for the builders, which resolve each gate many times and
+        pass only well-typed operands: a stored gate is returned unchecked."""
+        return self._interned.get((kind, operands)) or self.intern(kind, *operands)
 
     def per_gate(self, fn: Callable[[Gate], object]) -> Iterator:
         """``fn(gate)`` for every gate in list order, with ``fn`` run once per
         distinct gate object: up front for each interned gate, and when first
-        met for a gate put into ``gates`` by hand, which is validated first and
-        cached by ``id``."""
+        met for an entry put into ``gates`` by hand, which is validated first
+        and cached by ``id``; the first bad entry raises here."""
         results = _PerGate(fn, self.gates, self._validate)
         # Interned gates live as long as the circuit, so no id is reused.
         for gate in self._interned.values():
             results[id(gate)] = fn(gate)
         return map(results.__getitem__, map(id, self.gates))
-
-    def _add(self, key: tuple) -> Gate:
-        """Build, validate and store the gate for an interning key."""
-        gate = Gate(*key)
-        self._validate(gate)
-        self._interned[key] = gate
-        return gate
 
     def _validate(self, gate: Gate) -> None:
         operands = gate.operands
@@ -283,21 +270,22 @@ class _PerGate(dict):
         if self.by_id is None:  # only gates put into the list by hand get here
             self.by_id = dict(zip(map(id, self.gates), self.gates))
         gate = self.by_id[key]
-        if not isinstance(gate, Gate):  # met in list order: the first such entry
-            raise _not_a_gate(self.gates)
+        if not isinstance(gate, Gate):
+            raise CircuitError(f"gate list entry {gate!r} is not a Gate")
         self.validate(gate)
         result = self[key] = self.fn(gate)
         return result
 
 
-def _not_a_gate(gates: list) -> CircuitError:
-    """The error for the first entry of ``gates`` that is not a ``Gate``."""
-    entry = next(gate for gate in gates if not isinstance(gate, Gate))
-    return CircuitError(f"gate list entry {entry!r} is not a Gate")
-
-
 _kind = attrgetter("kind")
 _TEMP_KINDS = frozenset({GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE})
+
+
+def _temp_op(gate: Gate) -> tuple[bool, QubitRef, frozenset[QubitRef]] | None:
+    """(computes, target, control pair) of a temp-AND gate; None otherwise."""
+    if gate.kind in _TEMP_KINDS:
+        return gate.kind is GateKind.TEMP_AND, gate.operands[-1], frozenset(gate.operands[:2])
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,10 +311,7 @@ def count_resources(circuit: Circuit) -> ResourceEstimate:
     """Count gates and qubits exactly; deterministic for a given circuit.
 
     Gates are tallied per kind in one C-level pass, then weighted per kind."""
-    try:
-        kinds = Counter(map(_kind, circuit.gates))
-    except AttributeError:  # an entry with no kind
-        raise _not_a_gate(circuit.gates) from None
+    kinds = Counter(circuit.per_gate(_kind))
     toffoli = sum(TOFFOLI_COST[kind] * times for kind, times in kinds.items())
     temp_and, cnot, x = kinds[GateKind.TEMP_AND], kinds[GateKind.CNOT], kinds[GateKind.X]
     clean = sum(reg.size for reg in circuit.registers if reg.role in CLEAN_ROLES)
@@ -348,31 +333,25 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
     Every TEMP_AND must target a qubit not currently held by an earlier
     TEMP_AND, and must be released by a TEMP_AND_UNCOMPUTE with the same
     control pair before circuit end. Raises CircuitError on violation.
-    Only temp-AND positions are visited, found in one C-level pass; other
-    gates cannot affect pairing.
+    Only temp-AND positions are visited, found in one C-level pass that
+    validates every entry first; other gates cannot affect pairing.
     """
-    gates = circuit.gates
+    ops = list(circuit.per_gate(_temp_op))
     held: dict[QubitRef, frozenset[QubitRef]] = {}
-    try:
-        temps = list(compress(count(), map(_TEMP_KINDS.__contains__, map(_kind, gates))))
-    except AttributeError:  # an entry with no kind
-        raise _not_a_gate(gates) from None
-    for i in temps:
-        gate = gates[i]
-        target = gate.operands[-1]
-        if gate.kind is GateKind.TEMP_AND:
+    for i in compress(count(), ops):
+        computes, target, controls = ops[i]
+        if computes:
             if target in held:
                 raise CircuitError(
                     f"gate {i}: TEMP_AND on already-held target {target.register}[{target.offset}]"
                 )
-            held[target] = frozenset(gate.operands[:2])
+            held[target] = controls
+        elif held.get(target) != controls:
+            raise CircuitError(
+                f"gate {i}: TEMP_AND_UNCOMPUTE on {target.register}[{target.offset}] does "
+                "not match a pending TEMP_AND with the same controls"
+            )
         else:
-            controls = frozenset(gate.operands[:2])
-            if held.get(target) != controls:
-                raise CircuitError(
-                    f"gate {i}: TEMP_AND_UNCOMPUTE on {target.register}[{target.offset}] does "
-                    "not match a pending TEMP_AND with the same controls"
-                )
             del held[target]
     if held:
         targets = ", ".join(f"{t.register}[{t.offset}]" for t in held)

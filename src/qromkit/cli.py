@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_PARAMS = 2
 EXIT_VERIFY = 3
+MAX_SWEEP_ROWS = 1 << 20  # every N up to the paper's headline 2**20
 
 
 @functools.cache
@@ -259,7 +260,8 @@ def _sweep_grid(n_min: int, n_max: int, points: int) -> set[int]:
     before ``start`` are below ``dense`` and the first is exactly ``n_min``
     (< 2**46), so they round to every integer from ``n_min`` to some M. The
     tail stays in that regime up to M + 1 and ends within a few ulps of
-    ``n_max``, so it takes every integer from its least N to M.
+    ``n_max``, so it takes every integer from its least N to M. The range
+    and the tail are counted before either is built.
     """
     ratio, last = n_max / n_min, points - 1
     if ratio == 1:  # every point is the float n_min
@@ -277,6 +279,10 @@ def _sweep_grid(n_min: int, n_max: int, points: int) -> set[int]:
             start = last
         elif reach > 2:  # false for -inf or nan, from inf * (<= 0)
             start = math.ceil(reach) - 2
+    rows = points - start + (round(n_min * ratio ** (start / last)) - n_min if start else 0)
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"the grid holds up to {rows} N values; sweep writes at most "
+                         f"{MAX_SWEEP_ROWS} rows")
     tail = {round(n_min * ratio ** (i / last)) for i in range(start, points)}
     if start:
         tail.update(range(n_min, min(tail)))

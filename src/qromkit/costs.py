@@ -195,24 +195,30 @@ def _check_budget_point(n: int, b: int, dirty_budget: int) -> None:
 
 
 def _feasible_points(n: int, b: int, dirty_budget: int) -> Iterator[tuple[int, int, int]]:
-    """(toffoli, lam, mu) of every bit-packet point within the budget:
-    power-of-two lam in (1, N) and mu in [1, b] with mu*(lam-1) <= budget,
-    lam then mu ascending, so ``min`` breaks ties toward smaller lam, then
-    smaller mu."""
+    """(toffoli, lam, mu) of the bit-packet points within the budget that
+    can be optimal: power-of-two lam in (1, N) and, of the mu in [1, b] with
+    mu*(lam-1) <= budget, the least of each packet count ceil(b/mu), since
+    at one packet count each unit of mu costs lam - 1 more Toffolis. That is
+    about 2*sqrt(b) points per lam, mu = 1 and mu = b among them; lam then mu
+    ascend, so ``min`` breaks ties toward smaller lam, then smaller mu."""
     lam = 2
     while lam < n and lam - 1 <= dirty_budget:
-        for mu in range(1, min(b, dirty_budget // (lam - 1)) + 1):
-            select, copy = _stage_toffolis(n, lam, mu, ceil_div(b, mu), b)
+        mu, top = 1, min(b, dirty_budget // (lam - 1))
+        while mu <= top:
+            packets = ceil_div(b, mu)
+            select, copy = _stage_toffolis(n, lam, mu, packets, b)
             yield select + copy, lam, mu
+            mu = ceil_div(b, packets - 1) if packets > 1 else b + 1  # next packet count
         lam *= 2
 
 
 def optimize_parameters(n: int, b: int, dirty_budget: int) -> OptimizationResult:
-    """Exhaustively minimize cost_bit_packet under a dirty-qubit budget.
+    """Exactly minimize cost_bit_packet under a dirty-qubit budget.
 
-    Searches every power-of-two lam in (1, N) and every mu in [1, b] with
-    mu*(lam-1) <= dirty_budget; ties break toward smaller lam, then smaller
-    mu. With no feasible point the result falls back to the plain N - 1
+    Covers every power-of-two lam in (1, N) and every mu in [1, b] with
+    mu*(lam-1) <= dirty_budget, scanning only the points that can win (see
+    ``_feasible_points``); ties break toward smaller lam, then smaller mu.
+    With no feasible point the result falls back to the plain N - 1
     lookup and is flagged infeasible. Raises ValueError for N < 1, b < 1 or
     a negative budget; a budget of 0 is valid and infeasible.
     """

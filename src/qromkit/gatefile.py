@@ -28,7 +28,6 @@ __all__ = ["ParseError", "serialize_circuit", "parse_circuit"]
 
 #: A decimal number as the text formats spell it; the table format shares it.
 DECIMAL = re.compile(r"-?[0-9]+")
-_KINDS = {kind.value: kind for kind in GateKind}
 
 
 class ParseError(ValueError):
@@ -163,9 +162,7 @@ def _parse_gate(circuit: Circuit, line: str, refs: dict) -> Gate:
     of each ``(register, offset)`` token pair. Raises ``ValueError`` with the
     message of a ``ParseError``."""
     kind_s, *rest = line.split()
-    kind = _KINDS.get(kind_s)
-    if kind is None:
-        raise ValueError(f"unknown gate kind {kind_s!r}")
+    kind = GateKind(kind_s)  # raises CircuitError, a ValueError, on an unknown kind
     if len(rest) % 2 != 0:
         raise ValueError("operands must be <register> <offset> pairs")
     operands = []

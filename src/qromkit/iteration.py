@@ -123,7 +123,7 @@ def emit_loads(
             k = low.bit_length() - 1
             gate = row.get(k)
             if gate is None:
-                gate = row[k] = circuit.intern(GateKind.CNOT, wire, targets[k])
+                gate = row[k] = circuit._lookup(GateKind.CNOT, wire, targets[k])
             append(gate)
 
     return emit_unary_iteration(circuit, spec, window)
@@ -248,7 +248,7 @@ def _intern(circuit: Circuit, steps: list, tail: list) -> tuple:
     circuit's interned gate."""
 
     def gates(specs) -> tuple[Gate, ...]:
-        return tuple(circuit.intern(*spec) for spec in specs)
+        return tuple(circuit._lookup(*spec) for spec in specs)
 
     return tuple((gates(segment), win) for segment, win in steps), gates(tail)
 

@@ -272,10 +272,12 @@ def emit_copy(circuit: Circuit, plan: QromPlan, outputs: list[QubitRef]) -> Circ
     if len(outputs) > plan.mu:
         raise ValueError(f"output slice of {len(outputs)} qubits exceeds mu = {plan.mu}")
 
+    append, gate = circuit.gates.append, circuit._lookup
+
     def window(win: IterationWindow) -> None:
         sources = _dirty_block(plan, win.index_value)
         for source, target in zip(sources, outputs):
-            circuit.append(GateKind.TOFFOLI, win.select_wire, source, target)
+            append(gate(GateKind.TOFFOLI, win.select_wire, source, target))
 
     return emit_unary_iteration(circuit, IterationSpec("addr_r", 1, plan.lam), window)
 
@@ -294,14 +296,15 @@ def emit_restore(
     """
     _select(circuit, plan, schedule.unload, outputs=[], direct=())
     temp = QubitRef("work", plan.work_qubits - 1)
+    append, gate = circuit.gates.append, circuit._lookup
 
     def fix_window(win: IterationWindow) -> None:
         for j, source in enumerate(_dirty_block(plan, win.index_value)):
-            circuit.append(GateKind.TEMP_AND, win.select_wire, source, temp)
+            append(gate(GateKind.TEMP_AND, win.select_wire, source, temp))
             for outputs in slices:
                 if j < len(outputs):
-                    circuit.append(GateKind.CNOT, temp, outputs[j])
-            circuit.append(GateKind.TEMP_AND_UNCOMPUTE, win.select_wire, source, temp)
+                    append(gate(GateKind.CNOT, temp, outputs[j]))
+            append(gate(GateKind.TEMP_AND_UNCOMPUTE, win.select_wire, source, temp))
 
     return emit_unary_iteration(circuit, IterationSpec("addr_r", 1, plan.lam), fix_window)
 

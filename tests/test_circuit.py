@@ -123,14 +123,20 @@ class TestAppend:
                 emit("FOO", QubitRef("a", 0))
         assert c.gates == [] and c._interned == {}
 
-    def test_equal_spelling_of_a_stored_operand_finds_its_gate(self):
-        # Lookup is by equality, and 1.0 == True == 1; the gate found holds
-        # the int offset it was stored with.
-        c = two_reg_circuit()
-        gate = c.append(GateKind.X, QubitRef("a", 1))
-        for offset in (1.0, True):
-            assert c.append(GateKind.X, QubitRef("a", offset)) is gate
-        assert [type(ref.offset) for g in c.gates for ref in g.operands] == [int] * 3
+    def test_equal_spelling_of_a_stored_operand_raises(self):
+        # Each spelling equals QubitRef("a", 1), yet raises the same error
+        # whether or not the gate on QubitRef("a", 1) is stored.
+        fresh, holding = two_reg_circuit(), two_reg_circuit()
+        gate = holding.append(GateKind.X, QubitRef("a", 1))
+        for operand in (QubitRef("a", 1.0), QubitRef("a", True), ("a", 1)):
+            messages = set()
+            for emit in (fresh.append, fresh.intern, holding.append, holding.intern):
+                with pytest.raises(CircuitError) as err:
+                    emit(GateKind.X, operand)
+                messages.add(str(err.value))
+            assert len(messages) == 1 and repr(operand) in messages.pop()
+        assert fresh.gates == [] and fresh._interned == {}
+        assert holding.gates == [gate] and list(holding._interned.values()) == [gate]
 
     def test_temp_and_pair_validates(self):
         c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
@@ -143,6 +149,20 @@ class TestAppend:
         c.append(GateKind.TEMP_AND, QubitRef("a", 0), QubitRef("a", 1), QubitRef("w", 0))
         with pytest.raises(CircuitError, match="unreleased"):
             check_temp_and_pairing(c)
+
+
+def passes_over_lookup(table):
+    """The five passes that read a circuit's gate list, each as a function
+    of a circuit built over ``table``."""
+    return [
+        count_resources,
+        check_temp_and_pairing,
+        lambda circuit: verify_qrom(circuit, table),
+        lambda circuit: batch_simulate(
+            circuit, np.zeros((circuit.num_qubits, 2), dtype=np.uint8)
+        ),
+        serialize_circuit,
+    ]
 
 
 class TestInterning:
@@ -217,35 +237,28 @@ class TestInterning:
             (Gate(GateKind.X, (QubitRef("nowhere", 0),)), "unknown register 'nowhere'"),
             (Gate(GateKind.X, (QubitRef("output", 99),)), r"qubit output\[99\] out of range"),
             (Gate(GateKind.CNOT, (QubitRef("output", 0),)), "CNOT takes 2 operands, got 1"),
+            (Gate(GateKind.TOFFOLI, (QubitRef("nowhere", 0),)), "TOFFOLI takes 3 operands, got 1"),
+            (Gate(GateKind.TEMP_AND, (QubitRef("output", 99),)), "TEMP_AND takes 3 operands, got 1"),
         ],
-        ids=["unknown_register", "offset_out_of_range", "wrong_arity"],
+        ids=["unknown_register", "offset_out_of_range", "wrong_arity", "short_toffoli",
+             "short_temp_and"],
     )
     def test_gate_put_in_by_hand_is_validated(self, gate, message):
         # The circuit would refuse these through append; a gate list edited
-        # by hand must not reach the simulator or the gate-file writer.
+        # by hand must not be counted, paired, simulated or written.
         table = random_table(8, 3, seed=2)
         circuit = build_qrom(table, plan_qrom(8, 3, 2, 1))
         circuit.gates.append(gate)
-        matrix = np.zeros((circuit.num_qubits, 2), dtype=np.uint8)
-        for run in (
-            lambda: verify_qrom(circuit, table),
-            lambda: batch_simulate(circuit, matrix),
-            lambda: serialize_circuit(circuit),
-        ):
-            with pytest.raises(CircuitError, match=message):
-                run()
+        messages = set()
+        for run in passes_over_lookup(table):
+            with pytest.raises(CircuitError, match=message) as err:
+                run(circuit)
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
     @pytest.mark.parametrize(
         "run",
-        [
-            count_resources,
-            check_temp_and_pairing,
-            lambda circuit: verify_qrom(circuit, random_table(8, 3, seed=2)),
-            lambda circuit: batch_simulate(
-                circuit, np.zeros((circuit.num_qubits, 2), dtype=np.uint8)
-            ),
-            serialize_circuit,
-        ],
+        passes_over_lookup(random_table(8, 3, seed=2)),
         ids=["count_resources", "check_temp_and_pairing", "verify_qrom", "batch_simulate",
              "serialize_circuit"],
     )
@@ -257,6 +270,49 @@ class TestInterning:
         with pytest.raises(CircuitError) as err:
             run(circuit)
         assert str(err.value) == f"gate list entry {entry!r} is not a Gate"
+
+
+LOOKUP_TABLE = random_table(8, 3, seed=2)
+
+
+@st.composite
+def bad_entry(draw):
+    """A gate-list entry that append would refuse, with the error it gets."""
+    pick, k = draw(st.integers(0, 3)), draw(st.integers(0, 50))
+    if pick == 0:
+        return Gate(GateKind.X, (QubitRef(f"nowhere{k}", 0),)), f"unknown register 'nowhere{k}'"
+    if pick == 1:
+        return (
+            Gate(GateKind.CNOT, (QubitRef("dirty", 0), QubitRef("output", 3 + k))),
+            f"qubit output[{3 + k}] out of range (size 3)",
+        )
+    if pick == 2:
+        kind = draw(st.sampled_from(list(GateKind)))
+        got = draw(st.integers(0, 4).filter(lambda m: m != GATE_ARITY[kind]))
+        operands = tuple(QubitRef("addr_q", j) for j in range(got))
+        return Gate(kind, operands), f"{kind.value} takes {GATE_ARITY[kind]} operands, got {got}"
+    entry = ("entry", k)
+    return entry, f"gate list entry {entry!r} is not a Gate"
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_every_pass_names_the_first_bad_entry(data):
+    circuit = build_qrom(LOOKUP_TABLE, plan_qrom(8, 3, 2, 1))
+    entries = data.draw(st.lists(bad_entry(), min_size=1, max_size=3))
+    size = len(circuit.gates) + len(entries)
+    positions = data.draw(
+        st.lists(st.integers(0, size - 1), min_size=len(entries), max_size=len(entries),
+                 unique=True)
+    )
+    placed = sorted(zip(positions, range(len(entries))))
+    for position, which in placed:  # ascending, so each lands at its position
+        circuit.gates.insert(position, entries[which][0])
+    expected = entries[placed[0][1]][1]
+    for run in passes_over_lookup(LOOKUP_TABLE):
+        with pytest.raises(CircuitError) as err:
+            run(circuit)
+        assert str(err.value) == expected
 
 
 class TestCountResources:

@@ -2,12 +2,15 @@ import contextlib
 import importlib
 import io
 import random
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from qromkit import format_table, improvement_sweep, parse_circuit, sweep_rows_to_csv
-from qromkit.cli import _sweep_grid, main
+from qromkit.cli import MAX_SWEEP_ROWS, _sweep_grid, main
 from helpers import random_table
 
 
@@ -493,6 +496,40 @@ class TestSweep:
         assert _sweep_grid(1, 64, 10**12) == set(range(1, 65))
         assert _sweep_grid(2**40, 2**40 + 50, 10**12) == set(range(2**40, 2**40 + 51))
         assert _sweep_grid(1, 64, 2**1023 - 1) == set(range(1, 65))
+
+    @pytest.mark.parametrize(
+        "n_min,n_max,points,rows",
+        [(1, 2199023255552, 10**15, 2199023255552),
+         (2199023255552, 4398046511103, 10**12, 10**12)],
+        ids=["dense_range", "listed_points"],
+    )
+    def test_grid_over_row_cap_exits_2_before_allocating(self, tmp_path, n_min, n_max, points,
+                                                         rows):
+        # A child limited to 1.5 GB of address space: building either grid
+        # would take gigabytes.
+        out_path = tmp_path / "s.csv"
+        limit = 1500 << 20
+        child = subprocess.run(
+            [sys.executable, "-m", "qromkit", "sweep", "--b", "8", "--budget", "31",
+             "--n-min", str(n_min), "--n-max", str(n_max), "--points", str(points),
+             "--out", str(out_path)],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (
+            2, "", f"error: the grid holds up to {rows} N values; sweep writes at most "
+            f"{MAX_SWEEP_ROWS} rows\n"
+        )
+        assert not out_path.exists()
+
+    def test_row_cap_counts_the_dense_range_and_the_listed_points(self):
+        # Dense: every N from 1 to n_max. Listed: points sparser than N.
+        assert len(_sweep_grid(1, MAX_SWEEP_ROWS, 10**15)) == MAX_SWEEP_ROWS
+        assert len(_sweep_grid(2**41, 2**42 - 1, MAX_SWEEP_ROWS)) == MAX_SWEEP_ROWS
+        for n_min, n_max, points in ((1, MAX_SWEEP_ROWS + 1, 10**15),
+                                     (2**41, 2**42 - 1, MAX_SWEEP_ROWS + 1)):
+            with pytest.raises(ValueError, match=f"holds up to {MAX_SWEEP_ROWS + 1} N values"):
+                _sweep_grid(n_min, n_max, points)
 
     def test_rows_sorted_and_deterministic(self, tmp_path):
         out_path = tmp_path / "sweep.csv"

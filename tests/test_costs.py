@@ -189,7 +189,7 @@ def exhaustive_best(n, b, budget):
     while lam < n:
         for mu in range(1, b + 1):
             if mu * (lam - 1) > budget:
-                continue
+                break  # so is every larger mu
             alpha = -(-b // mu)
             cost = (alpha + 1) * (-(-n // lam) + lam - 3) + (lam - 1) * (
                 mu * (b // mu + 1) + b % mu
@@ -303,6 +303,22 @@ class TestSweep:
                 for r in rows
             ]
             assert got == [exhaustive_sweep_row(n, b, budget) for n in ns], (b, budget, ns)
+
+    def test_wide_words_match_brute_force(self):
+        # The scan skips every mu but the least of each packet count; the
+        # brute force tries every mu in [1, b].
+        rng = random.Random(16)
+        for _ in range(4000):
+            n, b, budget = rng.randrange(1, 5001), rng.randrange(1, 301), rng.randrange(0, 2001)
+            row = improvement_sweep(b, budget, [n])[0]
+            got = (row.n, row.berry, row.alpha1, row.alphab, row.best, row.lam, row.mu,
+                   row.improvement)
+            assert got == exhaustive_sweep_row(n, b, budget), (n, b, budget)
+
+    def test_huge_word_finishes(self):
+        # A scan of every mu would take 10**8 steps per lam.
+        result = optimize_parameters(10**6, 10**8, 10**8)
+        assert (result.lam, result.mu, result.cost.toffoli_total) == (2, 7142858, 114642843)
 
     def test_single_point_budget_31(self):
         rows = improvement_sweep(8, 31, [2**20])
