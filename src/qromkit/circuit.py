@@ -10,19 +10,22 @@ Circuits are append-only while being built and treated as immutable afterwards,
 so finished circuits can be shared freely between threads. A lookup circuit
 repeats a few hundred distinct gates thousands of times, so each circuit
 interns its gates: equal gates are one shared frozen ``Gate`` object. Gates
-come in through ``Circuit.intern``, which validates every call, and every
-pass reads them through ``Circuit.per_gate``, which runs once per distinct
+come in through ``Circuit.intern``, which validates every call, and passes
+read them through ``Circuit.per_gate``, which runs once per distinct
 gate, validates entries put into the list by hand, and is the only code that
 keys gates by identity. The builders also record each unary-iteration
 scaffold once per circuit (see ``qromkit.iteration``) and replay its interned
-gates. The whole-circuit passes below leave the per-gate loop to C: resources
-are tallied per gate kind, and the temp-AND pairing check visits only
+gates. The whole-circuit passes below need only each gate's kind, so they
+leave the per-position loop to C: ``intern`` stamps every gate it stores with
+the circuit's own stamp object for its kind, and one pass reads the stamps,
+falling back to ``per_gate`` when an entry lacks the circuit's stamp.
+Resources are a tally of stamps, and the temp-AND pairing check visits only
 temp-AND positions.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
 from operator import attrgetter
@@ -135,12 +138,19 @@ class Gate:
 
     kind: GateKind
     operands: tuple[QubitRef, ...]
+    # The kind stamp of the circuit that stored this gate (see
+    # ``Circuit._kind_stamps``); never part of equality, hash or repr.
+    _stamp: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Simulation dispatches on identity, so bare strings must become
         # enum members here.
         if not isinstance(self.kind, GateKind):
             object.__setattr__(self, "kind", GateKind(self.kind))
+
+
+_set_kind, _set_operands, _set_stamp = (
+    Gate.kind.__set__, Gate.operands.__set__, Gate._stamp.__set__)
 
 
 class Circuit:
@@ -160,6 +170,9 @@ class Circuit:
             self._by_name[reg.name] = reg
         self.gates: list[Gate] = []
         self._interned: dict[tuple, Gate] = {}
+        # One stamp per kind, set on every gate this circuit stores.
+        self._stamp_of = {kind: _Stamp(kind) for kind in GateKind}
+        self._stamps = frozenset(self._stamp_of.values())
         # Unary-iteration recordings, keyed by IterationSpec; owned by
         # ``qromkit.iteration`` and never part of equality.
         self._scaffolds: dict[object, tuple] = {}
@@ -194,9 +207,21 @@ class Circuit:
         frozen object; a ``str`` kind equals its ``GateKind``, so both
         spellings share one gate whose kind is the enum.
         """
-        gate = Gate(kind, operands)
-        self._validate(gate)
-        return self._interned.setdefault((gate.kind, operands), gate)
+        if not isinstance(kind, GateKind):
+            kind = GateKind(kind)
+        self._validate(kind, operands)
+        key = (kind, operands)
+        gate = self._interned.get(key)
+        if gate is None:
+            # Gate(kind, operands) with this circuit's stamp. The kind is
+            # already coerced, so the slots are written directly: __init__
+            # would also write the default stamp, and with the stamp write
+            # after it a stored gate took 2.5x as long.
+            gate = self._interned[key] = object.__new__(Gate)
+            _set_kind(gate, kind)
+            _set_operands(gate, operands)
+            _set_stamp(gate, self._stamp_of[kind])
+        return gate
 
     def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
         """Append the interned gate for ``(kind, operands)`` and return it."""
@@ -220,28 +245,43 @@ class Circuit:
             results[id(gate)] = fn(gate)
         return map(results.__getitem__, map(id, self.gates))
 
-    def _validate(self, gate: Gate) -> None:
-        operands = gate.operands
-        arity = GATE_ARITY[gate.kind]
+    def _kind_stamps(self) -> list[_Stamp]:
+        """This circuit's kind stamp of the gate at every position.
+
+        One C-level pass reads the stamps; only gates this circuit stored
+        carry its own. When any entry lacks one (a non-``Gate``, a gate made
+        by hand or stored by another circuit), the whole list goes through
+        ``per_gate`` instead, which validates such entries and raises for
+        the first bad one."""
+        try:
+            stamps = list(map(_stamp, self.gates))
+        except AttributeError:  # an entry that is not a Gate
+            stamps = None
+        if stamps is None or not self._stamps.issuperset(stamps):
+            stamps = list(self.per_gate(lambda gate: self._stamp_of[gate.kind]))
+        return stamps
+
+    def _validate(self, kind: GateKind, operands: tuple) -> None:
+        arity = GATE_ARITY[kind]
         if len(operands) != arity:
-            raise CircuitError(f"{gate.kind.value} takes {arity} operands, got {len(operands)}")
+            raise CircuitError(f"{kind.value} takes {arity} operands, got {len(operands)}")
         # One pass checks types and ranges; a range error is raised only after
         # the distinctness check, which outranks it.
         in_range, by_name = True, self._by_name
         for ref in operands:
             if not isinstance(ref, QubitRef):
-                raise CircuitError(f"{gate.kind.value} operand {ref!r} is not a QubitRef")
+                raise CircuitError(f"{kind.value} operand {ref!r} is not a QubitRef")
             register, offset = ref
             # Not isinstance: a bool offset would be written as "True".
             if type(register) is not str or type(offset) is not int:
                 raise CircuitError(
-                    f"{gate.kind.value} operand {ref!r} needs a str register and an int offset"
+                    f"{kind.value} operand {ref!r} needs a str register and an int offset"
                 )
             reg = by_name.get(register)
             if reg is None or not 0 <= offset < reg.size:
                 in_range = False
         if len(set(operands)) != arity:
-            raise CircuitError(f"{gate.kind.value} operands must be pairwise distinct")
+            raise CircuitError(f"{kind.value} operands must be pairwise distinct")
         if not in_range:
             for register, offset in operands:
                 size = self.register(register).size
@@ -255,6 +295,20 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit({len(self.registers)} registers, {len(self.gates)} gates)"
+
+
+class _Stamp:
+    """A gate kind as stamped by one circuit. Stamps compare by identity, so
+    a gate stored by another circuit is never taken for one of this
+    circuit's."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: GateKind) -> None:
+        self.kind = kind
+
+
+_stamp = attrgetter("_stamp")
 
 
 class _PerGate(dict):
@@ -272,20 +326,9 @@ class _PerGate(dict):
         gate = self.by_id[key]
         if not isinstance(gate, Gate):
             raise CircuitError(f"gate list entry {gate!r} is not a Gate")
-        self.validate(gate)
+        self.validate(gate.kind, gate.operands)
         result = self[key] = self.fn(gate)
         return result
-
-
-_kind = attrgetter("kind")
-_TEMP_KINDS = frozenset({GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE})
-
-
-def _temp_op(gate: Gate) -> tuple[bool, QubitRef, frozenset[QubitRef]] | None:
-    """(computes, target, control pair) of a temp-AND gate; None otherwise."""
-    if gate.kind in _TEMP_KINDS:
-        return gate.kind is GateKind.TEMP_AND, gate.operands[-1], frozenset(gate.operands[:2])
-    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,8 +353,10 @@ class ResourceEstimate:
 def count_resources(circuit: Circuit) -> ResourceEstimate:
     """Count gates and qubits exactly; deterministic for a given circuit.
 
-    Gates are tallied per kind in one C-level pass, then weighted per kind."""
-    kinds = Counter(circuit.per_gate(_kind))
+    Gates are tallied per kind stamp in one C-level pass, then weighted per
+    kind."""
+    stamps = Counter(circuit._kind_stamps())
+    kinds = Counter({stamp.kind: times for stamp, times in stamps.items()})
     toffoli = sum(TOFFOLI_COST[kind] * times for kind, times in kinds.items())
     temp_and, cnot, x = kinds[GateKind.TEMP_AND], kinds[GateKind.CNOT], kinds[GateKind.X]
     clean = sum(reg.size for reg in circuit.registers if reg.role in CLEAN_ROLES)
@@ -333,26 +378,34 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
     Every TEMP_AND must target a qubit not currently held by an earlier
     TEMP_AND, and must be released by a TEMP_AND_UNCOMPUTE with the same
     control pair before circuit end. Raises CircuitError on violation.
-    Only temp-AND positions are visited, found in one C-level pass that
-    validates every entry first; other gates cannot affect pairing.
+    Only temp-AND positions are visited, found in one C-level pass over the
+    kind stamps, which validates every entry first; other gates cannot
+    affect pairing. Controls match in either order.
     """
-    ops = list(circuit.per_gate(_temp_op))
-    held: dict[QubitRef, frozenset[QubitRef]] = {}
-    for i in compress(count(), ops):
-        computes, target, controls = ops[i]
-        if computes:
+    stamps = circuit._kind_stamps()
+    temps = {circuit._stamp_of[GateKind.TEMP_AND], circuit._stamp_of[GateKind.TEMP_AND_UNCOMPUTE]}
+    gates = circuit.gates
+    held: dict[QubitRef, Gate] = {}  # target -> pending TEMP_AND
+    for i in compress(count(), map(temps.__contains__, stamps)):
+        gate = gates[i]
+        target = gate.operands[-1]
+        if gate.kind is GateKind.TEMP_AND:
             if target in held:
                 raise CircuitError(
                     f"gate {i}: TEMP_AND on already-held target {target.register}[{target.offset}]"
                 )
-            held[target] = controls
-        elif held.get(target) != controls:
+            held[target] = gate
+            continue
+        pending = held.get(target)
+        if pending is None or (
+            pending.operands[:2] != gate.operands[:2]
+            and frozenset(pending.operands[:2]) != frozenset(gate.operands[:2])
+        ):
             raise CircuitError(
                 f"gate {i}: TEMP_AND_UNCOMPUTE on {target.register}[{target.offset}] does "
                 "not match a pending TEMP_AND with the same controls"
             )
-        else:
-            del held[target]
+        del held[target]
     if held:
         targets = ", ".join(f"{t.register}[{t.offset}]" for t in held)
         raise CircuitError(f"unreleased TEMP_AND targets at circuit end: {targets}")

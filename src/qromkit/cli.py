@@ -34,6 +34,7 @@ EXIT_IO = 1
 EXIT_PARAMS = 2
 EXIT_VERIFY = 3
 MAX_SWEEP_ROWS = 1 << 20  # every N up to the paper's headline 2**20
+SWEEP_BATCH = 4096  # N values per batch of rows that sweep makes and writes
 
 
 @functools.cache
@@ -243,11 +244,13 @@ def cmd_sweep(args) -> int:
         n_values = [args.n_min]
     else:
         n_values = sorted(_sweep_grid(args.n_min, args.n_max, args.points))
-    rows = improvement_sweep(args.b, args.budget, n_values)
-    csv_text = sweep_rows_to_csv(rows)
+    # Rows are made and written a batch at a time, so memory stays flat.
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(csv_text)
-    print(f"rows={len(rows)}")
+        handle.write(sweep_rows_to_csv([]))
+        for start in range(0, len(n_values), SWEEP_BATCH):
+            rows = improvement_sweep(args.b, args.budget, n_values[start:start + SWEEP_BATCH])
+            handle.write(sweep_rows_to_csv(rows, header=False))
+    print(f"rows={len(n_values)}")
     return EXIT_OK
 
 

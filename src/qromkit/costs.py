@@ -284,11 +284,13 @@ def improvement_sweep(b: int, dirty_budget: int, n_values: list[int]) -> list[Sw
     return rows
 
 
-def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
-    lines = [CSV_HEADER]
+def sweep_rows_to_csv(rows: list[SweepRow], header: bool = True) -> str:
+    """CSV text of ``rows``, one line each, after the ``CSV_HEADER`` line
+    unless ``header`` is false."""
+    lines = [CSV_HEADER] if header else []
     for row in rows:
         lines.append(
             f"{row.n},{row.berry},{row.alpha1},{row.alphab},{row.best},"
             f"{row.lam},{row.mu},{row.improvement:.6f}"
         )
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)

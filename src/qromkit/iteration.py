@@ -33,7 +33,9 @@ the gate order is exactly that of a fresh walk.
 
 ``emit_loads`` is the Select that every lookup builder runs on top of the
 iteration: window v XOR-loads the bits of one classical word onto a fixed
-target list.
+target list. Its data CNOTs are most of a lookup's gates, so a window finds
+the word's set bits in C, from the binary digits of ``bin``, maps them
+through a per-wire cache of interned gates and extends the gate list once.
 
 Emission is pure appending into the caller's circuit, and the recording is
 private to that circuit; there is no shared state, so concurrent emission
@@ -42,6 +44,7 @@ into distinct circuits is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Callable, Sequence
 
 from .circuit import Circuit, Gate, GateKind, QubitRef
@@ -109,24 +112,47 @@ def emit_loads(
     Set bits are walked in ascending k, and each ``(wire, k)`` gate is
     interned on first use and reused from then on, so a target is resolved
     only when some word sets its bit.
+
+    Raises ValueError, before appending anything, when a word is negative or
+    wider than ``targets``.
     """
-    rows: dict[QubitRef, dict[int, Gate]] = {}
+    if words:
+        low, high = min(words), max(words)
+        if low < 0:
+            raise ValueError(f"word {words.index(low)} is negative: {low}")
+        if high.bit_length() > len(targets):
+            raise ValueError(
+                f"word {words.index(high)} has {high.bit_length()} bits, "
+                f"more than the {len(targets)} targets"
+            )
+    rows: dict[QubitRef, _Row] = {}
 
     def window(win: IterationWindow) -> None:
         wire = win.select_wire
-        row = rows.setdefault(wire, {})
-        append = circuit.gates.append
-        bits = words[win.index_value]
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            k = low.bit_length() - 1
-            gate = row.get(k)
-            if gate is None:
-                gate = row[k] = circuit._lookup(GateKind.CNOT, wire, targets[k])
-            append(gate)
+        row = rows.get(wire)
+        if row is None:
+            row = rows[wire] = _Row(circuit, wire, targets)
+        # One byte per bit of the word, lowest first: 1 where it is set.
+        selectors = bin(words[win.index_value])[:1:-1].encode().translate(_SELECTORS)
+        circuit.gates.extend(map(row.__getitem__, compress(count(), selectors)))
 
     return emit_unary_iteration(circuit, spec, window)
+
+
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+class _Row(dict):
+    """The CNOTs from one select wire, keyed by target index; a missing one
+    is interned on lookup."""
+
+    def __init__(self, circuit: Circuit, wire: QubitRef, targets: list[QubitRef]) -> None:
+        super().__init__()
+        self.circuit, self.wire, self.targets = circuit, wire, targets
+
+    def __missing__(self, k: int) -> Gate:
+        gate = self[k] = self.circuit._lookup(GateKind.CNOT, self.wire, self.targets[k])
+        return gate
 
 
 def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:

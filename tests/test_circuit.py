@@ -1,4 +1,9 @@
+import copy
+import dataclasses
 import itertools
+import pickle
+from collections import Counter
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -315,6 +320,103 @@ def test_every_pass_names_the_first_bad_entry(data):
         assert str(err.value) == expected
 
 
+def per_gate_kinds(circuit):
+    """Reference tally: every position through ``per_gate``."""
+    return Counter(circuit.per_gate(attrgetter("kind")))
+
+
+def assert_passes_match_per_gate(circuit):
+    kinds = per_gate_kinds(circuit)
+    est = count_resources(circuit)
+    assert est == naive_count_resources(circuit)
+    assert (est.temp_and, est.cnot, est.x) == (
+        kinds[GateKind.TEMP_AND], kinds[GateKind.CNOT], kinds[GateKind.X])
+    assert est.toffoli == sum(TOFFOLI_COST[kind] * n for kind, n in kinds.items())
+    assert naive_pairing_error(circuit) is None
+    check_temp_and_pairing(circuit)
+
+
+class TestKindStamps:
+    def built(self, seed=2):
+        return build_qrom(random_table(8, 3, seed=seed), plan_qrom(8, 3, 2, 1))
+
+    def test_gates_of_another_circuit(self):
+        circuit, other = self.built(), self.built(seed=3)
+        circuit.gates = list(other.gates)
+        assert_passes_match_per_gate(circuit)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copied_circuit(self, clone):
+        original = self.built()
+        circuit = clone(original)
+        assert circuit == original
+        assert_passes_match_per_gate(circuit)
+        assert count_resources(circuit) == count_resources(original)
+        # The copy's gates carry the copy's own stamps, not foreign ones.
+        assert {g._stamp for g in circuit.gates} <= circuit._stamps
+
+    def test_hand_made_gate_equal_to_an_interned_one(self):
+        circuit = self.built()
+        circuit.gates[3] = Gate(circuit.gates[3].kind, circuit.gates[3].operands)
+        circuit.gates.append(Gate(GateKind.X, (QubitRef("output", 0),)))
+        assert_passes_match_per_gate(circuit)
+
+    def test_gate_of_another_circuit_invalid_here(self):
+        circuit = self.built()
+        wide = Circuit([RegisterSpec("output", 100, Role.OUTPUT)])
+        circuit.gates.insert(4, wide.intern(GateKind.X, QubitRef("output", 99)))
+        with pytest.raises(CircuitError) as reference:
+            per_gate_kinds(circuit)
+        assert str(reference.value) == "qubit output[99] out of range (size 3)"
+        for run in (count_resources, check_temp_and_pairing):
+            with pytest.raises(CircuitError) as err:
+                run(circuit)
+            assert str(err.value) == str(reference.value)
+
+    def test_stored_gate_sets_every_field(self):
+        # ``intern`` writes a stored gate's slots itself, not through
+        # ``Gate.__init__``; a field it missed would be unreadable.
+        c = two_reg_circuit()
+        operands = (QubitRef("a", 0), QubitRef("out", 1))
+        gate = c.intern("CNOT", *operands)
+        assert type(gate) is Gate and gate.kind is GateKind.CNOT
+        assert all(hasattr(gate, f.name) for f in dataclasses.fields(Gate))
+        assert gate._stamp is c._stamp_of[GateKind.CNOT]
+        assert gate == Gate(GateKind.CNOT, operands)
+
+    def test_stamp_is_not_part_of_a_gate_value(self):
+        circuit = self.built()
+        gate = next(g for g in circuit.gates if g.kind is GateKind.CNOT)
+        plain = Gate(gate.kind, gate.operands)
+        assert gate._stamp is not None and plain._stamp is None
+        for twin in (plain, dataclasses.replace(gate), pickle.loads(pickle.dumps(gate))):
+            assert twin == gate and hash(twin) == hash(gate) and repr(twin) == repr(gate)
+        assert dataclasses.replace(gate)._stamp is None
+        assert "_stamp" not in repr(gate)
+
+    def test_pairing_accepts_swapped_controls(self):
+        c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
+        a, b, t = QubitRef("a", 0), QubitRef("a", 1), QubitRef("w", 0)
+        c.append(GateKind.TEMP_AND, a, b, t)
+        c.append(GateKind.TEMP_AND_UNCOMPUTE, b, a, t)
+        check_temp_and_pairing(c)
+
+    def test_pairing_rejects_other_controls(self):
+        c = Circuit([RegisterSpec("a", 3, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
+        a, b, d, t = QubitRef("a", 0), QubitRef("a", 1), QubitRef("a", 2), QubitRef("w", 0)
+        c.append(GateKind.TEMP_AND, a, b, t)
+        c.append(GateKind.TEMP_AND_UNCOMPUTE, d, a, t)
+        with pytest.raises(CircuitError) as err:
+            check_temp_and_pairing(c)
+        assert str(err.value) == (
+            "gate 1: TEMP_AND_UNCOMPUTE on w[0] does not match a pending TEMP_AND "
+            "with the same controls"
+        )
+
+
 class TestCountResources:
     def test_empty(self):
         est = count_resources(two_reg_circuit())
@@ -423,6 +525,32 @@ def test_whole_circuit_passes_match_per_position_reference(picks):
     for index, fresh in picks:
         gate = Gate(*POOL_GATES[index])
         gates.append(gate if fresh else shared.setdefault(index, gate))
+    circuit.gates = gates
+    assert count_resources(circuit) == naive_count_resources(circuit)
+    expected = naive_pairing_error(circuit)
+    if expected is None:
+        check_temp_and_pairing(circuit)
+    else:
+        with pytest.raises(CircuitError) as info:
+            check_temp_and_pairing(circuit)
+        assert str(info.value) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(POOL_GATES) - 1), st.integers(0, 49)),
+        max_size=40,
+    )
+)
+def test_stamped_passes_match_per_position_reference(picks):
+    # Mostly the circuit's own interned gates, so the passes read their kind
+    # stamps; a pick of 0 puts in an equal gate made by hand instead.
+    circuit = two_reg_circuit()
+    gates = []
+    for index, how in picks:
+        kind, operands = POOL_GATES[index]
+        gates.append(circuit.intern(kind, *operands) if how else Gate(kind, operands))
     circuit.gates = gates
     assert count_resources(circuit) == naive_count_resources(circuit)
     expected = naive_pairing_error(circuit)

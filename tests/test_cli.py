@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 from qromkit import format_table, improvement_sweep, parse_circuit, sweep_rows_to_csv
+from qromkit import cli
 from qromkit.cli import MAX_SWEEP_ROWS, _sweep_grid, main
 from helpers import random_table
 
@@ -344,6 +345,25 @@ class TestSweep:
         assert code == 0
         improvement = float(out_path.read_text().strip().splitlines()[1].split(",")[-1])
         assert abs(improvement - 1.969) < 0.005
+
+    @pytest.mark.parametrize("batch", [1, 3, 7, 64])
+    def test_rows_written_in_batches_match_one_table(self, tmp_path, monkeypatch, batch):
+        monkeypatch.setattr(cli, "SWEEP_BATCH", batch)
+        out_path = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(
+            ["sweep", "--b", "8", "--budget", "31", "--n-min", "1", "--n-max", "20",
+             "--points", "100", "--out", str(out_path)]
+        )
+        assert (code, out) == (0, "rows=20\n")
+        expected = sweep_rows_to_csv(improvement_sweep(8, 31, list(range(1, 21))))
+        assert out_path.read_text() == expected
+
+    def test_csv_without_header_is_the_rows_alone(self):
+        rows = improvement_sweep(8, 31, [5, 9])
+        text = sweep_rows_to_csv(rows)
+        assert text.startswith("N,berry,alpha1,alphab,best,lambda,mu,improvement\n")
+        assert sweep_rows_to_csv(rows, header=False) == text.split("\n", 1)[1]
+        assert sweep_rows_to_csv([], header=False) == ""
 
     def test_zero_points_usage_error(self, tmp_path):
         code, _, _ = run_cli(

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qromkit import (
     Circuit,
+    CircuitError,
     GateKind,
     IterationSpec,
     IterationWindow,
@@ -12,6 +15,7 @@ from qromkit import (
     count_resources,
     emit_unary_iteration,
 )
+from qromkit.iteration import emit_loads
 from qromkit.simulate import batch_simulate, qubit_indexer
 
 
@@ -246,3 +250,85 @@ def test_emitter_raising_leaves_the_walk_prefix(emission, stop_at):
     with pytest.raises(Stop):
         emit_unary_iteration(c, spec, stopping)
     assert c.gates[start:] == full.gates[: opened[stop_at]]
+
+
+def loads_circuit(index_bits, width):
+    return Circuit(
+        [
+            RegisterSpec("idx", index_bits, Role.ADDRESS_Q),
+            RegisterSpec("work", index_bits, Role.WORK),
+            RegisterSpec("out", width, Role.OUTPUT),
+        ]
+    )
+
+
+def reference_loads(circuit, spec, targets, words):
+    """Reference: one append per set bit, in ascending bit order."""
+
+    def window(win):
+        word = words[win.index_value]
+        for k in range(word.bit_length()):
+            if word >> k & 1:
+                circuit.append(GateKind.CNOT, win.select_wire, targets[k])
+
+    emit_unary_iteration(circuit, spec, window)
+
+
+@st.composite
+def load_case(draw):
+    width = draw(st.sampled_from([1, 3, 8, 64, 65, 90]))
+    size = draw(st.integers(2, 20))
+    word = st.one_of(
+        st.just(0),
+        st.just((1 << width) - 1),
+        st.integers(0, width - 1).map(lambda k: 1 << k),
+        st.integers(0, (1 << width) - 1),
+    )
+    words = draw(st.lists(word, min_size=size, max_size=size))
+    # A target list may repeat a qubit and need not be in register order.
+    targets = draw(st.lists(st.integers(0, width - 1), min_size=width, max_size=width))
+    return width, words, [QubitRef("out", k) for k in targets], draw(st.integers(1, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(load_case())
+def test_emit_loads_matches_a_per_bit_loop(case):
+    # Ranges of 3 or more values reuse work slots as select wires, so rows
+    # are shared between windows; a second emission reuses them again.
+    width, words, targets, emissions = case
+    index_bits = max(2, (len(words) - 1).bit_length())
+    spec = IterationSpec("idx", 0, len(words))
+    walked, expected = loads_circuit(index_bits, width), loads_circuit(index_bits, width)
+    for _ in range(emissions):
+        emit_loads(walked, spec, targets, words)
+        reference_loads(expected, spec, targets, words)
+    assert walked.gates == expected.gates
+    assert len({id(g) for g in walked.gates}) == len(set(walked.gates))
+
+
+def test_emit_loads_resolves_a_target_only_when_a_word_sets_its_bit():
+    targets = [QubitRef("out", 0), QubitRef("out", 99), QubitRef("out", 1)]
+    spec = IterationSpec("idx", 0, 4)
+    c = loads_circuit(2, 2)
+    emit_loads(c, spec, targets, [1, 4, 0, 5])
+    assert sum(g.kind is GateKind.CNOT and g.operands[1] == QubitRef("out", 1)
+               for g in c.gates) == 2
+    c = loads_circuit(2, 2)
+    with pytest.raises(CircuitError, match=r"qubit out\[99\] out of range"):
+        emit_loads(c, spec, targets, [1, 4, 2, 5])
+
+
+@pytest.mark.parametrize(
+    "words,message",
+    [
+        ([1, 4, 0, 0], "word 1 has 3 bits, more than the 2 targets"),
+        ([1, -1, 0, 0], "word 1 is negative: -1"),
+        ([0, 0, 3, -5], "word 3 is negative: -5"),
+        ([2**70, 0, 1, 0], "word 0 has 71 bits, more than the 2 targets"),
+    ],
+)
+def test_emit_loads_rejects_words_before_appending(words, message):
+    c = loads_circuit(2, 2)
+    with pytest.raises(ValueError, match=message):
+        emit_loads(c, IterationSpec("idx", 0, 4), [QubitRef("out", 0), QubitRef("out", 1)], words)
+    assert c.gates == []
