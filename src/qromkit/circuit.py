@@ -15,12 +15,13 @@ read them through ``Circuit.per_gate``, which runs once per distinct
 gate, validates entries put into the list by hand, and is the only code that
 keys gates by identity. The builders also record each unary-iteration
 scaffold once per circuit (see ``qromkit.iteration``) and replay its interned
-gates. The whole-circuit passes below need only each gate's kind, so they
-leave the per-position loop to C: ``intern`` stamps every gate it stores with
-the circuit's own stamp object for its kind, and one pass reads the stamps,
-falling back to ``per_gate`` when an entry lacks the circuit's stamp.
-Resources are a tally of stamps, and the temp-AND pairing check visits only
-temp-AND positions.
+gates. Every gate the circuit stores carries the circuit's own stamp object
+for its kind and its op: its kind's code and operand qubit rows, which
+validation resolves from each register's span of rows, so rows are resolved
+once per distinct gate. The passes leave the per-position loop to C: one
+pass reads the stamps, falling back to ``per_gate`` when an entry lacks the
+circuit's stamp. Resources are a tally of stamps, the temp-AND pairing check
+visits only temp-AND positions, and the simulator streams the stored ops.
 """
 from __future__ import annotations
 
@@ -97,6 +98,18 @@ TOFFOLI_COST = {
 }
 
 
+# Op code of each gate kind in a gate's op (see ``Circuit._ops``), in the
+# order the simulator's gate loop tests them: most frequent first.
+_OP_CODES = {
+    GateKind.CNOT: 0,
+    GateKind.X: 1,
+    GateKind.TOFFOLI: 2,
+    GateKind.TEMP_AND: 3,
+    GateKind.TEMP_AND_UNCOMPUTE: 4,
+    GateKind.CSWAP: 5,
+}
+
+
 class QubitRef(NamedTuple):
     """A single qubit, addressed as (register name, offset within register)."""
 
@@ -139,8 +152,10 @@ class Gate:
     kind: GateKind
     operands: tuple[QubitRef, ...]
     # The kind stamp of the circuit that stored this gate (see
-    # ``Circuit._kind_stamps``); never part of equality, hash or repr.
+    # ``Circuit._kind_stamps``) and its op in that circuit (see
+    # ``Circuit._ops``); never part of equality, hash or repr.
     _stamp: object = field(default=None, init=False, compare=False, repr=False)
+    _op: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Simulation dispatches on identity, so bare strings must become
@@ -149,8 +164,8 @@ class Gate:
             object.__setattr__(self, "kind", GateKind(self.kind))
 
 
-_set_kind, _set_operands, _set_stamp = (
-    Gate.kind.__set__, Gate.operands.__set__, Gate._stamp.__set__)
+_set_kind, _set_operands, _set_stamp, _set_op = (
+    Gate.kind.__set__, Gate.operands.__set__, Gate._stamp.__set__, Gate._op.__set__)
 
 
 class Circuit:
@@ -164,10 +179,15 @@ class Circuit:
     def __init__(self, registers: Iterable[RegisterSpec]):
         self.registers: list[RegisterSpec] = list(registers)
         self._by_name: dict[str, RegisterSpec] = {}
+        # (first row, size) of each register, rows in declaration order.
+        self._spans: dict[str, tuple[int, int]] = {}
+        first = 0
         for reg in self.registers:
             if reg.name in self._by_name:
                 raise CircuitError(f"duplicate register name {reg.name!r}")
             self._by_name[reg.name] = reg
+            self._spans[reg.name] = (first, reg.size)
+            first += reg.size
         self.gates: list[Gate] = []
         self._interned: dict[tuple, Gate] = {}
         # One stamp per kind, set on every gate this circuit stores.
@@ -209,19 +229,8 @@ class Circuit:
         """
         if not isinstance(kind, GateKind):
             kind = GateKind(kind)
-        self._validate(kind, operands)
-        key = (kind, operands)
-        gate = self._interned.get(key)
-        if gate is None:
-            # Gate(kind, operands) with this circuit's stamp. The kind is
-            # already coerced, so the slots are written directly: __init__
-            # would also write the default stamp, and with the stamp write
-            # after it a stored gate took 2.5x as long.
-            gate = self._interned[key] = object.__new__(Gate)
-            _set_kind(gate, kind)
-            _set_operands(gate, operands)
-            _set_stamp(gate, self._stamp_of[kind])
-        return gate
+        op = self._validate(kind, operands)
+        return self._interned.get((kind, operands)) or self._store(kind, operands, op)
 
     def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
         """Append the interned gate for ``(kind, operands)`` and return it."""
@@ -231,8 +240,22 @@ class Circuit:
 
     def _lookup(self, kind: GateKind, *operands: QubitRef) -> Gate:
         """``intern`` for the builders, which resolve each gate many times and
-        pass only well-typed operands: a stored gate is returned unchecked."""
-        return self._interned.get((kind, operands)) or self.intern(kind, *operands)
+        pass only a ``GateKind`` and well-typed operands: a stored gate is
+        returned unchecked, and a new one is validated and stored."""
+        return self._interned.get((kind, operands)) or self._store(
+            kind, operands, self._validate(kind, operands))
+
+    def _store(self, kind: GateKind, operands: tuple, op: tuple) -> Gate:
+        """Store ``Gate(kind, operands)`` with this circuit's stamp and its
+        validated ``op``. The kind is already coerced, so the slots are
+        written directly: ``__init__`` would also write the default stamp,
+        and with the stamp write after it a stored gate took 2.5x as long."""
+        gate = self._interned[kind, operands] = object.__new__(Gate)
+        _set_kind(gate, kind)
+        _set_operands(gate, operands)
+        _set_stamp(gate, self._stamp_of[kind])
+        _set_op(gate, op)
+        return gate
 
     def per_gate(self, fn: Callable[[Gate], object]) -> Iterator:
         """``fn(gate)`` for every gate in list order, with ``fn`` run once per
@@ -246,28 +269,48 @@ class Circuit:
         return map(results.__getitem__, map(id, self.gates))
 
     def _kind_stamps(self) -> list[_Stamp]:
-        """This circuit's kind stamp of the gate at every position.
-
-        One C-level pass reads the stamps; only gates this circuit stored
-        carry its own. When any entry lacks one (a non-``Gate``, a gate made
-        by hand or stored by another circuit), the whole list goes through
-        ``per_gate`` instead, which validates such entries and raises for
-        the first bad one."""
-        try:
-            stamps = list(map(_stamp, self.gates))
-        except AttributeError:  # an entry that is not a Gate
-            stamps = None
-        if stamps is None or not self._stamps.issuperset(stamps):
+        """This circuit's kind stamp of the gate at every position, read in
+        one C-level pass when every entry is this circuit's own gate, and
+        otherwise through ``per_gate``, which validates entries put in by
+        hand and raises for the first bad one."""
+        stamps = self._own_stamps()
+        if stamps is None:
             stamps = list(self.per_gate(lambda gate: self._stamp_of[gate.kind]))
         return stamps
 
-    def _validate(self, kind: GateKind, operands: tuple) -> None:
+    def _ops(self) -> Iterator[tuple]:
+        """The ``(code, a, b, t)`` op of the gate at every position: its
+        ``_OP_CODES`` code and operand rows in gate order (rows number the
+        qubits register by register, in declaration order), X and CNOT
+        padded with None at the end.
+
+        When every entry is this circuit's own gate, the ops stored at
+        validation are streamed; otherwise the whole list goes through
+        ``per_gate``, with each distinct gate's op from ``_validate``, so
+        the rows another circuit stored are never read."""
+        if self._own_stamps() is None:
+            return self.per_gate(lambda gate: self._validate(gate.kind, gate.operands))
+        return map(_op, self.gates)
+
+    def _own_stamps(self) -> list[_Stamp] | None:
+        """The stamp at every position, read in one C-level pass, or None
+        when some entry lacks this circuit's own stamp: a non-``Gate``, or a
+        gate made by hand or stored by another circuit. Only gates this
+        circuit stored carry its stamps."""
+        try:
+            stamps = list(map(_stamp, self.gates))
+        except AttributeError:  # an entry that is not a Gate
+            return None
+        return stamps if self._stamps.issuperset(stamps) else None
+
+    def _validate(self, kind: GateKind, operands: tuple) -> tuple:
+        """Check one gate and return its op (see ``_ops``)."""
         arity = GATE_ARITY[kind]
         if len(operands) != arity:
             raise CircuitError(f"{kind.value} takes {arity} operands, got {len(operands)}")
-        # One pass checks types and ranges; a range error is raised only after
-        # the distinctness check, which outranks it.
-        in_range, by_name = True, self._by_name
+        # One pass checks types and finds rows; a range error is raised only
+        # after the distinctness check, which outranks it.
+        rows, spans = [], self._spans
         for ref in operands:
             if not isinstance(ref, QubitRef):
                 raise CircuitError(f"{kind.value} operand {ref!r} is not a QubitRef")
@@ -277,16 +320,30 @@ class Circuit:
                 raise CircuitError(
                     f"{kind.value} operand {ref!r} needs a str register and an int offset"
                 )
-            reg = by_name.get(register)
-            if reg is None or not 0 <= offset < reg.size:
-                in_range = False
-        if len(set(operands)) != arity:
-            raise CircuitError(f"{kind.value} operands must be pairwise distinct")
-        if not in_range:
+            span = spans.get(register)
+            if span is not None and 0 <= offset < span[1]:
+                rows.append(span[0] + offset)
+        if len(rows) == arity:
+            # In-range operands map one to one onto rows, so the rows are
+            # distinct exactly when the operands are. Unrolled, as a set of
+            # the rows and a padded tuple cost 0.3 us more per stored gate.
+            code = _OP_CODES[kind]
+            if arity == 1:
+                return (code, rows[0], None, None)
+            if arity == 2:
+                a, b = rows
+                if a != b:
+                    return (code, a, b, None)
+            else:
+                a, b, t = rows
+                if a != b and a != t and b != t:
+                    return (code, a, b, t)
+        elif len(set(operands)) == arity:  # some operand is out of range: raise for the first
             for register, offset in operands:
                 size = self.register(register).size
                 if not 0 <= offset < size:
                     raise CircuitError(f"qubit {register}[{offset}] out of range (size {size})")
+        raise CircuitError(f"{kind.value} operands must be pairwise distinct")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
@@ -308,7 +365,7 @@ class _Stamp:
         self.kind = kind
 
 
-_stamp = attrgetter("_stamp")
+_stamp, _op = attrgetter("_stamp"), attrgetter("_op")
 
 
 class _PerGate(dict):

@@ -15,8 +15,9 @@ gates many times, so the serializer formats each distinct gate once through
 ``Circuit.per_gate``, and the parser pays Python work per distinct line: it
 reads gate lines a chunk at a time, parses each raw line not seen before into
 the circuit's interned gate (``Circuit.intern`` makes two spellings of one gate
-one object), and appends the whole chunk in one C-level pass. Errors name the
-first bad line: past the header, a line's validity does not depend on its place.
+one object and resolves its qubit rows), and appends the whole chunk in one
+C-level pass. Errors name the first bad line: past the header, a line's
+validity does not depend on its place.
 """
 from __future__ import annotations
 

@@ -113,9 +113,14 @@ def emit_loads(
     interned on first use and reused from then on, so a target is resolved
     only when some word sets its bit.
 
-    Raises ValueError, before appending anything, when a word is negative or
-    wider than ``targets``.
+    Raises ValueError, before appending anything, when ``words`` ends before
+    ``spec.range_hi`` or a word is negative or wider than ``targets``.
     """
+    if len(words) < spec.range_hi:
+        raise ValueError(
+            f"{len(words)} words do not cover the iteration range, which ends at "
+            f"{spec.range_hi}"
+        )
     if words:
         low, high = min(words), max(words)
         if low < 0:

@@ -8,9 +8,9 @@ not tracked.
 ``simulate`` runs one assignment through the gate list and is the independent
 oracle. The batch engine holds each qubit row as one Python int with bit j for
 case j and runs the gate list once over all cases; it has one gate loop and
-two callers. The loop resolves each distinct gate to one ``(code, a, b, t)``
-row-index op (a lookup repeats a few hundred gates thousands of times) through
-``Circuit.per_gate``, which owns the per-gate memo, and then streams one op
+two callers. The circuit resolves each distinct gate's operands to rows once,
+when it validates the gate, into one ``(code, a, b, t)`` op (a lookup repeats
+a few hundred gates thousands of times), and the loop streams one stored op
 per gate. ``batch_simulate`` takes and returns a 0/1 matrix (one row per
 qubit in ``qubit_indexer`` order, one column per case) and packs it into rows
 for the engine. Both raise ``SimulationError`` on a temp-AND computed onto a
@@ -144,41 +144,21 @@ def batch_simulate(circuit: Circuit, bit_matrix: np.ndarray) -> np.ndarray:
         raise ValueError("bit matrix entries must be 0 or 1")
     cases = bit_matrix.shape[1]
     state = _pack_rows(bit_matrix)
-    _run_packed(circuit, qubit_indexer(circuit), state, cases)
+    _run_packed(circuit, state, cases)
     return _unpack_rows(state, cases)
 
 
-# Op code of each gate kind in the gate loop, in the order it tests them:
-# most frequent first.
-_OP_CODES = {
-    GateKind.CNOT: 0,
-    GateKind.X: 1,
-    GateKind.TOFFOLI: 2,
-    GateKind.TEMP_AND: 3,
-    GateKind.TEMP_AND_UNCOMPUTE: 4,
-    GateKind.CSWAP: 5,
-}
-
-
-def _run_packed(
-    circuit: Circuit, index: dict[QubitRef, int], state: list[int], cases: int
-) -> None:
+def _run_packed(circuit: Circuit, state: list[int], cases: int) -> None:
     """The one gate loop: apply ``circuit.gates`` in place to ``state``, one
-    Python int per qubit row (``index`` order) whose bit j is case j.
+    Python int per qubit row (``qubit_indexer`` order) whose bit j is case j.
 
-    Every gate is one or two int operations over all cases. Each distinct
-    gate is resolved once, through ``Circuit.per_gate``, to one
-    ``(code, a, b, t)`` op: the operand rows in gate order, X and CNOT padded
-    with None at the end. The loop then streams one op per gate.
+    Every gate is one or two int operations over all cases. Each gate's
+    ``(code, a, b, t)`` op of operand rows was resolved once, when the
+    circuit validated it, and the loop streams one op per gate from
+    ``Circuit._ops``.
     """
     full = (1 << cases) - 1
-    row = index.__getitem__
-
-    def resolve(gate) -> tuple:
-        # The None padding makes a gate short of operands fail, not read row 0.
-        return (_OP_CODES[gate.kind], *map(row, gate.operands), None, None)[:4]
-
-    for i, (code, a, b, t) in enumerate(circuit.per_gate(resolve)):
+    for i, (code, a, b, t) in enumerate(circuit._ops()):
         if code == 0:  # CNOT, control a, target b
             state[b] ^= state[a]
         elif code == 1:  # X on a
@@ -300,7 +280,7 @@ def verify_qrom(
     state = [0] * circuit.num_qubits
     for row, value in zip(addr_rows + dirty_rows, addr_init + dirty_init):
         state[row] = value
-    _run_packed(circuit, index, state, cases)
+    _run_packed(circuit, state, cases)
 
     # One mask per check, bit j set where case j fails it.
     masks = [

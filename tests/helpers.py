@@ -1,7 +1,9 @@
 """Shared test utilities."""
 import random
 
-from qromkit import Circuit, GateKind, LookupTable
+from qromkit import Circuit, Gate, GateKind, LookupTable
+from qromkit.circuit import _OP_CODES
+from qromkit.simulate import qubit_indexer
 
 
 def random_table(n: int, b: int, seed: int) -> LookupTable:
@@ -20,3 +22,16 @@ def inverse_circuit(circuit: Circuit) -> Circuit:
     for gate in reversed(circuit.gates):
         inv.append(swap.get(gate.kind, gate.kind), *gate.operands)
     return inv
+
+
+def indexed_op(index: dict, gate: Gate) -> tuple:
+    """Reference op: the gate's code and its operand rows from ``index``, a
+    ``qubit_indexer`` map, padded with None to four fields."""
+    return (_OP_CODES[gate.kind], *(index[ref] for ref in gate.operands), None, None)[:4]
+
+
+def indexed_ops(circuit: Circuit) -> list[tuple]:
+    """Reference op stream: ``indexed_op`` of every gate through
+    ``Circuit.per_gate``, which validates entries put in by hand."""
+    index = qubit_indexer(circuit)
+    return list(circuit.per_gate(lambda gate: indexed_op(index, gate)))

@@ -19,16 +19,22 @@ from qromkit import (
     RegisterSpec,
     ResourceEstimate,
     Role,
+    SequentialSpec,
     check_temp_and_pairing,
+    build_plain_qrom,
     build_qrom,
+    build_selectswap_dirty,
+    build_sequential_qroms,
     count_resources,
+    parse_circuit,
     plan_qrom,
     batch_simulate,
     serialize_circuit,
     verify_qrom,
 )
 from qromkit.circuit import CLEAN_ROLES, GATE_ARITY, TOFFOLI_COST
-from helpers import random_table
+from qromkit.simulate import qubit_indexer
+from helpers import indexed_op, indexed_ops, random_table
 
 
 def two_reg_circuit():
@@ -385,6 +391,8 @@ class TestKindStamps:
         assert type(gate) is Gate and gate.kind is GateKind.CNOT
         assert all(hasattr(gate, f.name) for f in dataclasses.fields(Gate))
         assert gate._stamp is c._stamp_of[GateKind.CNOT]
+        # Code 0 for CNOT; "a" holds rows 0-2 and "out" rows 3-4.
+        assert gate._op == (0, 0, 4, None)
         assert gate == Gate(GateKind.CNOT, operands)
 
     def test_stamp_is_not_part_of_a_gate_value(self):
@@ -396,6 +404,18 @@ class TestKindStamps:
             assert twin == gate and hash(twin) == hash(gate) and repr(twin) == repr(gate)
         assert dataclasses.replace(gate)._stamp is None
         assert "_stamp" not in repr(gate)
+
+    def test_op_is_not_part_of_a_gate_value(self):
+        circuit = self.built()
+        gate = next(g for g in circuit.gates if g.kind is GateKind.TOFFOLI)
+        plain = Gate(gate.kind, gate.operands)
+        assert gate._op is not None and plain._op is None
+        assert dataclasses.replace(gate)._op is None
+        other = Gate(gate.kind, gate.operands)
+        object.__setattr__(other, "_op", (9, 9, 9, 9))
+        for twin in (plain, other, dataclasses.replace(gate)):
+            assert twin == gate and hash(twin) == hash(gate) and repr(twin) == repr(gate)
+        assert "_op" not in repr(gate)
 
     def test_pairing_accepts_swapped_controls(self):
         c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
@@ -560,3 +580,67 @@ def test_stamped_passes_match_per_position_reference(picks):
         with pytest.raises(CircuitError) as info:
             check_temp_and_pairing(circuit)
         assert str(info.value) == expected
+
+
+# Register names as the gate-file format allows them, digits and "_" included.
+REGISTER_NAMES = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=6)
+
+
+@st.composite
+def layouts_with_gates(draw):
+    """A circuit over random registers (names, sizes 1 to 40, order) and
+    random valid gates of every kind, each stored through one of the three
+    ways in: ``append``, ``intern`` or the builders' ``_lookup``."""
+    names = draw(st.lists(REGISTER_NAMES, min_size=1, max_size=6, unique=True))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=len(names), max_size=len(names)))
+    roles = draw(st.lists(st.sampled_from(list(Role)), min_size=len(names), max_size=len(names)))
+    circuit = Circuit(map(RegisterSpec, names, sizes, roles))
+    qubits = [QubitRef(name, offset) for name, size in zip(names, sizes) for offset in range(size)]
+    kinds = [kind for kind in GateKind if GATE_ARITY[kind] <= len(qubits)]
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        arity = GATE_ARITY[kind]
+        operands = draw(st.lists(st.sampled_from(qubits), min_size=arity, max_size=arity,
+                                 unique=True))
+        how = draw(st.sampled_from([circuit.append, circuit.intern, circuit._lookup]))
+        gate = how(kind, *operands)
+        if how != circuit.append:
+            circuit.gates.append(gate)
+    return circuit
+
+
+def assert_stored_ops_match_indexer(circuit):
+    """Every gate's stored op is the op resolved through ``qubit_indexer``,
+    and the op stream streams exactly those."""
+    assert circuit._own_stamps() is not None
+    expected = indexed_ops(circuit)
+    assert [gate._op for gate in circuit.gates] == expected
+    assert list(circuit._ops()) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(layouts_with_gates())
+def test_stored_op_rows_follow_the_declared_layout(circuit):
+    assert_stored_ops_match_indexer(circuit)
+    index = qubit_indexer(circuit)  # interned gates that no position holds, too
+    assert all(gate._op == indexed_op(index, gate) for gate in circuit._interned.values())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_qrom(random_table(33, 5, seed=1), plan_qrom(33, 5, 4, 3)),
+        lambda: build_qrom(random_table(64, 8, seed=2), plan_qrom(64, 8, 8, 8)),
+        lambda: build_sequential_qroms(
+            SequentialSpec(tuple(random_table(16, 3, seed=s) for s in range(3)), 4)),
+        lambda: build_plain_qrom(random_table(16, 4, seed=3)),
+        lambda: build_plain_qrom(random_table(1, 4, seed=3)),
+        lambda: build_selectswap_dirty(random_table(16, 3, seed=4), 4),
+        lambda: parse_circuit(serialize_circuit(
+            build_qrom(random_table(20, 5, seed=5), plan_qrom(20, 5, 4, 2)))),
+    ],
+    ids=["build_qrom", "build_qrom_full_mu", "sequential", "plain", "plain_n1", "selectswap",
+         "parsed_gate_file"],
+)
+def test_built_and_parsed_gates_store_indexer_rows(build):
+    assert_stored_ops_match_indexer(build())

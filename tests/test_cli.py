@@ -1,11 +1,13 @@
 import contextlib
 import importlib
 import io
+import os
 import random
 import resource
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from qromkit import format_table, improvement_sweep, parse_circuit, sweep_rows_t
 from qromkit import cli
 from qromkit.cli import MAX_SWEEP_ROWS, _sweep_grid, main
 from helpers import random_table
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args):
@@ -529,11 +533,14 @@ class TestSweep:
         # would take gigabytes.
         out_path = tmp_path / "s.csv"
         limit = 1500 << 20
+        # The child imports the checkout's package, installed or not.
+        path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
         child = subprocess.run(
             [sys.executable, "-m", "qromkit", "sweep", "--b", "8", "--budget", "31",
              "--n-min", str(n_min), "--n-max", str(n_max), "--points", str(points),
              "--out", str(out_path)],
             capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
         assert (child.returncode, child.stdout, child.stderr) == (

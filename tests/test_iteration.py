@@ -332,3 +332,18 @@ def test_emit_loads_rejects_words_before_appending(words, message):
     with pytest.raises(ValueError, match=message):
         emit_loads(c, IterationSpec("idx", 0, 4), [QubitRef("out", 0), QubitRef("out", 1)], words)
     assert c.gates == []
+
+
+@pytest.mark.parametrize("words", [[], [1, 2], [1, 2, 3]])
+def test_emit_loads_rejects_words_short_of_the_range(words):
+    # Without the check, [1, 2] appended 11 gates and then ended in an
+    # IndexError at window 2.
+    c = loads_circuit(2, 2)
+    kept = c.append(GateKind.X, QubitRef("out", 0))
+    with pytest.raises(ValueError) as err:
+        emit_loads(c, IterationSpec("idx", 0, 4), [QubitRef("out", 0), QubitRef("out", 1)], words)
+    assert str(err.value) == (
+        f"{len(words)} words do not cover the iteration range, which ends at 4"
+    )
+    assert c.gates == [kept] and c.gates[0] is kept
+    assert c._scaffolds == {}

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,7 @@ from qromkit import (
 )
 from qromkit.circuit import GATE_ARITY
 from qromkit.simulate import qubit_indexer
-from helpers import inverse_circuit, random_table
+from helpers import indexed_ops, inverse_circuit, random_table
 
 
 def single_register(size=4):
@@ -329,3 +332,71 @@ class TestVerifyQrom:
             f.dirty_pattern for f in second.failures
         ]
         assert first.cases_run == second.cases_run
+
+
+OP_STREAM_TABLE = random_table(8, 3, seed=2)
+
+
+def op_stream_lookup():
+    return build_qrom(OP_STREAM_TABLE, plan_qrom(8, 3, 2, 1))
+
+
+def assert_simulates_like_scalar_and_per_gate(circuit):
+    """The gate loop's ops equal the ``per_gate`` reference, and batch
+    simulation of valid lookup inputs (random address, dirty and output
+    rows; work rows 0) equals scalar ``simulate`` case by case. The lookup
+    also still verifies."""
+    assert list(circuit._ops()) == indexed_ops(circuit)
+    index = qubit_indexer(circuit)
+    rng = np.random.default_rng(7)
+    matrix = rng.integers(0, 2, size=(circuit.num_qubits, 24), dtype=np.uint8)
+    matrix[[index[QubitRef("work", k)] for k in range(circuit.register("work").size)]] = 0
+    final = batch_simulate(circuit, matrix)
+    for j in range(matrix.shape[1]):
+        state = BitState.for_circuit(circuit)
+        for ref, row in index.items():
+            state.bits[ref] = int(matrix[row, j])
+        scalar = simulate(circuit, state)
+        assert [scalar.bits[ref] for ref in index] == final[:, j].tolist(), j
+    assert verify_qrom(circuit, OP_STREAM_TABLE, dirty_trials=3).passed
+
+
+class TestOpStream:
+    def test_own_gates_stream_stored_ops(self):
+        circuit = op_stream_lookup()
+        assert circuit._own_stamps() is not None
+        assert list(circuit._ops()) == [gate._op for gate in circuit.gates]
+        assert_simulates_like_scalar_and_per_gate(circuit)
+
+    def test_own_gates_mixed_with_equal_hand_made_ones(self):
+        circuit = op_stream_lookup()
+        circuit.gates = [
+            Gate(gate.kind, gate.operands) if i % 3 == 1 else gate
+            for i, gate in enumerate(circuit.gates)
+        ]
+        assert circuit._own_stamps() is None
+        assert_simulates_like_scalar_and_per_gate(circuit)
+
+    def test_gate_of_another_layout_is_resolved_here(self):
+        # Equal registers declared in reverse order: the other circuit's
+        # stored rows are wrong for this one and must never be read.
+        circuit = op_stream_lookup()
+        other = Circuit(list(reversed(circuit.registers)))
+        moved = 0
+        for i, gate in enumerate(circuit.gates):
+            if i % 4 == 2:
+                foreign = circuit.gates[i] = other.intern(gate.kind, *gate.operands)
+                moved += foreign._op != gate._op
+        assert moved > 0
+        assert circuit._own_stamps() is None
+        assert_simulates_like_scalar_and_per_gate(circuit)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copied_circuit_streams_its_copied_ops(self, clone):
+        circuit = clone(op_stream_lookup())
+        assert circuit._own_stamps() is not None
+        assert all(gate._op is not None for gate in circuit.gates)
+        assert_simulates_like_scalar_and_per_gate(circuit)
