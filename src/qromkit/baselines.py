@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing
 from .iteration import IterationSpec, emit_loads
-from .qrom import LookupTable, ceil_log2, padded_entries, plan_qrom, registers_for_plan, work_size
+from .qrom import (
+    LookupTable, ceil_log2, check_build_width, padded_entries, plan_qrom, registers_for_plan,
+    work_size,
+)
 
 __all__ = ["build_plain_qrom", "build_selectswap_dirty"]
 
@@ -22,6 +25,7 @@ __all__ = ["build_plain_qrom", "build_selectswap_dirty"]
 def build_plain_qrom(table: LookupTable) -> Circuit:
     """Unary-iteration lookup over all N addresses; N - 1 Toffolis."""
     n, b = table.n_entries, table.bit_width
+    check_build_width(b)
     if n == 1:
         circuit = Circuit([RegisterSpec("output", b, Role.OUTPUT)])
         for j in range(b):
@@ -48,6 +52,7 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
     borrow discipline: Select, swap-in, buffer copy, swap-out, unloading
     Select, swap-in, buffer copy, swap-out."""
     b = table.bit_width
+    check_build_width(b)
     plan = plan_qrom(table.n_entries, b, lam, b)
     registers = registers_for_plan(plan)
     registers.insert(3, RegisterSpec("buffer", b, Role.WORK))  # after "output"

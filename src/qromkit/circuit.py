@@ -10,18 +10,19 @@ Circuits are append-only while being built and treated as immutable afterwards,
 so finished circuits can be shared freely between threads. A lookup circuit
 repeats a few hundred distinct gates thousands of times, so each circuit
 interns its gates: equal gates are one shared frozen ``Gate`` object. Gates
-come in through ``Circuit.intern``, which validates every call, and passes
-read them through ``Circuit.per_gate``, which runs once per distinct
-gate, validates entries put into the list by hand, and is the only code that
-keys gates by identity. The builders also record each unary-iteration
-scaffold once per circuit (see ``qromkit.iteration``) and replay its interned
-gates. Every gate the circuit stores carries the circuit's own stamp object
-for its kind and its op: its kind's code and operand qubit rows, which
-validation resolves from each register's span of rows, so rows are resolved
-once per distinct gate. The passes leave the per-position loop to C: one
-pass reads the stamps, falling back to ``per_gate`` when an entry lacks the
-circuit's stamp. Resources are a tally of stamps, the temp-AND pairing check
-visits only temp-AND positions, and the simulator streams the stored ops.
+come in through ``Circuit.intern``, which validates every call and resolves
+the gate's op: its kind's code and operand qubit rows, from each register's
+span of rows, so rows are resolved once per distinct gate. Every gate the
+circuit stores carries the circuit's one mark. The builders also record each
+unary-iteration scaffold once per circuit (see ``qromkit.iteration``) and
+replay its interned gates.
+
+Gates go out one way: every pass reads the list through ``Circuit._stored``,
+which returns ``gates`` itself when every entry carries the mark, checked in
+one C-level pass, and otherwise validates each distinct entry put in by hand
+once, raising for the first bad one. Resources are a tally of kinds, the
+temp-AND pairing check visits only temp-AND positions, and the simulator
+streams the stored ops.
 """
 from __future__ import annotations
 
@@ -98,8 +99,8 @@ TOFFOLI_COST = {
 }
 
 
-# Op code of each gate kind in a gate's op (see ``Circuit._ops``), in the
-# order the simulator's gate loop tests them: most frequent first.
+# Op code of each gate kind in a gate's op (see ``Circuit._validate``), in
+# the order the simulator's gate loop tests them: most frequent first.
 _OP_CODES = {
     GateKind.CNOT: 0,
     GateKind.X: 1,
@@ -151,9 +152,8 @@ class Gate:
 
     kind: GateKind
     operands: tuple[QubitRef, ...]
-    # The kind stamp of the circuit that stored this gate (see
-    # ``Circuit._kind_stamps``) and its op in that circuit (see
-    # ``Circuit._ops``); never part of equality, hash or repr.
+    # The mark of the circuit that stored this gate and its op in that
+    # circuit (see ``Circuit._stored``); never part of equality, hash or repr.
     _stamp: object = field(default=None, init=False, compare=False, repr=False)
     _op: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -190,9 +190,9 @@ class Circuit:
             first += reg.size
         self.gates: list[Gate] = []
         self._interned: dict[tuple, Gate] = {}
-        # One stamp per kind, set on every gate this circuit stores.
-        self._stamp_of = {kind: _Stamp(kind) for kind in GateKind}
-        self._stamps = frozenset(self._stamp_of.values())
+        # Set on every gate this circuit stores; a copy of the circuit gets
+        # a copy of the mark, shared by its copied gates.
+        self._mark = object()
         # Unary-iteration recordings, keyed by IterationSpec; owned by
         # ``qromkit.iteration`` and never part of equality.
         self._scaffolds: dict[object, tuple] = {}
@@ -246,65 +246,53 @@ class Circuit:
             kind, operands, self._validate(kind, operands))
 
     def _store(self, kind: GateKind, operands: tuple, op: tuple) -> Gate:
-        """Store ``Gate(kind, operands)`` with this circuit's stamp and its
+        """Store ``Gate(kind, operands)`` with this circuit's mark and its
         validated ``op``. The kind is already coerced, so the slots are
         written directly: ``__init__`` would also write the default stamp,
         and with the stamp write after it a stored gate took 2.5x as long."""
         gate = self._interned[kind, operands] = object.__new__(Gate)
         _set_kind(gate, kind)
         _set_operands(gate, operands)
-        _set_stamp(gate, self._stamp_of[kind])
+        _set_stamp(gate, self._mark)
         _set_op(gate, op)
         return gate
 
-    def per_gate(self, fn: Callable[[Gate], object]) -> Iterator:
-        """``fn(gate)`` for every gate in list order, with ``fn`` run once per
-        distinct gate object: up front for each interned gate, and when first
-        met for an entry put into ``gates`` by hand, which is validated first
-        and cached by ``id``; the first bad entry raises here."""
-        results = _PerGate(fn, self.gates, self._validate)
-        # Interned gates live as long as the circuit, so no id is reused.
-        for gate in self._interned.values():
-            results[id(gate)] = fn(gate)
-        return map(results.__getitem__, map(id, self.gates))
+    def _stored(self) -> list[Gate]:
+        """The validated gate at every position; every pass reads this.
 
-    def _kind_stamps(self) -> list[_Stamp]:
-        """This circuit's kind stamp of the gate at every position, read in
-        one C-level pass when every entry is this circuit's own gate, and
-        otherwise through ``per_gate``, which validates entries put in by
-        hand and raises for the first bad one."""
-        stamps = self._own_stamps()
-        if stamps is None:
-            stamps = list(self.per_gate(lambda gate: self._stamp_of[gate.kind]))
-        return stamps
-
-    def _ops(self) -> Iterator[tuple]:
-        """The ``(code, a, b, t)`` op of the gate at every position: its
-        ``_OP_CODES`` code and operand rows in gate order (rows number the
-        qubits register by register, in declaration order), X and CNOT
-        padded with None at the end.
-
-        When every entry is this circuit's own gate, the ops stored at
-        validation are streamed; otherwise the whole list goes through
-        ``per_gate``, with each distinct gate's op from ``_validate``, so
-        the rows another circuit stored are never read."""
-        if self._own_stamps() is None:
-            return self.per_gate(lambda gate: self._validate(gate.kind, gate.operands))
-        return map(_op, self.gates)
-
-    def _own_stamps(self) -> list[_Stamp] | None:
-        """The stamp at every position, read in one C-level pass, or None
-        when some entry lacks this circuit's own stamp: a non-``Gate``, or a
-        gate made by hand or stored by another circuit. Only gates this
-        circuit stored carry its stamps."""
+        It is ``gates`` itself when every entry carries this circuit's mark,
+        which only gates it stored do, checked in one C-level pass.
+        Otherwise (a non-``Gate``, or a gate made by hand or stored by
+        another circuit, whose op is never read) each distinct entry is
+        validated and interned once, in list order, so the first bad one
+        raises, and the result holds the stored gate equal to each entry;
+        ``gates`` is never changed."""
+        gates = self.gates
         try:
-            stamps = list(map(_stamp, self.gates))
+            if {self._mark}.issuperset(map(_stamp, gates)):
+                return gates
         except AttributeError:  # an entry that is not a Gate
-            return None
-        return stamps if self._stamps.issuperset(stamps) else None
+            pass
+        stored = {}
+        # ``gates`` holds every entry, so no id is reused meanwhile.
+        for key, entry in dict(zip(map(id, gates), gates)).items():
+            if not isinstance(entry, Gate):
+                raise CircuitError(f"gate list entry {entry!r} is not a Gate")
+            stored[key] = self.intern(entry.kind, *entry.operands)
+        return list(map(stored.__getitem__, map(id, gates)))
+
+    def per_gate(self, fn: Callable[[Gate], object]) -> Iterator:
+        """``fn`` of the stored gate at every position (see ``_stored``), in
+        list order, with ``fn`` run once per distinct stored gate."""
+        stored = self._stored()
+        # Interned gates live as long as the circuit, so no id is reused.
+        results = {id(gate): fn(gate) for gate in self._interned.values()}
+        return map(results.__getitem__, map(id, stored))
 
     def _validate(self, kind: GateKind, operands: tuple) -> tuple:
-        """Check one gate and return its op (see ``_ops``)."""
+        """Check one gate and return its op: its ``_OP_CODES`` code and
+        operand rows in gate order (rows number the qubits register by
+        register, in declaration order), X and CNOT padded with None."""
         arity = GATE_ARITY[kind]
         if len(operands) != arity:
             raise CircuitError(f"{kind.value} takes {arity} operands, got {len(operands)}")
@@ -354,38 +342,7 @@ class Circuit:
         return f"Circuit({len(self.registers)} registers, {len(self.gates)} gates)"
 
 
-class _Stamp:
-    """A gate kind as stamped by one circuit. Stamps compare by identity, so
-    a gate stored by another circuit is never taken for one of this
-    circuit's."""
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: GateKind) -> None:
-        self.kind = kind
-
-
-_stamp, _op = attrgetter("_stamp"), attrgetter("_op")
-
-
-class _PerGate(dict):
-    """``fn`` of each gate, keyed by ``id``; a missing gate is validated and
-    mapped on lookup. ``gates`` keeps every keyed object alive, so no id is
-    reused meanwhile."""
-
-    def __init__(self, fn: Callable, gates: list[Gate], validate: Callable) -> None:
-        super().__init__()
-        self.fn, self.gates, self.validate, self.by_id = fn, gates, validate, None
-
-    def __missing__(self, key: int):
-        if self.by_id is None:  # only gates put into the list by hand get here
-            self.by_id = dict(zip(map(id, self.gates), self.gates))
-        gate = self.by_id[key]
-        if not isinstance(gate, Gate):
-            raise CircuitError(f"gate list entry {gate!r} is not a Gate")
-        self.validate(gate.kind, gate.operands)
-        result = self[key] = self.fn(gate)
-        return result
+_stamp, _kind = attrgetter("_stamp"), attrgetter("kind")
 
 
 @dataclass(frozen=True, slots=True)
@@ -410,10 +367,8 @@ class ResourceEstimate:
 def count_resources(circuit: Circuit) -> ResourceEstimate:
     """Count gates and qubits exactly; deterministic for a given circuit.
 
-    Gates are tallied per kind stamp in one C-level pass, then weighted per
-    kind."""
-    stamps = Counter(circuit._kind_stamps())
-    kinds = Counter({stamp.kind: times for stamp, times in stamps.items()})
+    Gates are tallied per kind in one C-level pass, then weighted per kind."""
+    kinds = Counter(map(_kind, circuit._stored()))
     toffoli = sum(TOFFOLI_COST[kind] * times for kind, times in kinds.items())
     temp_and, cnot, x = kinds[GateKind.TEMP_AND], kinds[GateKind.CNOT], kinds[GateKind.X]
     clean = sum(reg.size for reg in circuit.registers if reg.role in CLEAN_ROLES)
@@ -436,14 +391,13 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
     TEMP_AND, and must be released by a TEMP_AND_UNCOMPUTE with the same
     control pair before circuit end. Raises CircuitError on violation.
     Only temp-AND positions are visited, found in one C-level pass over the
-    kind stamps, which validates every entry first; other gates cannot
-    affect pairing. Controls match in either order.
+    kinds of the validated gates; other gates cannot affect pairing.
+    Controls match in either order.
     """
-    stamps = circuit._kind_stamps()
-    temps = {circuit._stamp_of[GateKind.TEMP_AND], circuit._stamp_of[GateKind.TEMP_AND_UNCOMPUTE]}
-    gates = circuit.gates
+    gates = circuit._stored()
+    temps = {GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE}
     held: dict[QubitRef, Gate] = {}  # target -> pending TEMP_AND
-    for i in compress(count(), map(temps.__contains__, stamps)):
+    for i in compress(count(), map(temps.__contains__, map(_kind, gates))):
         gate = gates[i]
         target = gate.operands[-1]
         if gate.kind is GateKind.TEMP_AND:

@@ -12,7 +12,8 @@ than a leading ``-`` (reported as out of range), no ``_`` separators and no
 non-ASCII digits. ``parse_circuit(serialize_circuit(c))`` reproduces the
 register list and gate list exactly. A lookup circuit repeats few distinct
 gates many times, so the serializer formats each distinct gate once through
-``Circuit.per_gate``, and the parser pays Python work per distinct line: it
+``Circuit.per_gate``, which reads the validated gates that every pass reads
+(``Circuit._stored``), and the parser pays Python work per distinct line: it
 reads gate lines a chunk at a time, parses each raw line not seen before into
 the circuit's interned gate (``Circuit.intern`` makes two spellings of one gate
 one object and resolves its qubit rows), and appends the whole chunk in one

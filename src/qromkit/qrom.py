@@ -43,6 +43,20 @@ __all__ = [
 ]
 
 
+# Widest output a builder lays out. A build lists every output qubit and runs
+# one Select and one Copy per packet, so a declared width such as 10**12,
+# which ``plan_qrom`` and the cost formulas take in O(1), must be refused
+# before that work starts. 2**16 is 1,024 times the widest lookup the paper
+# costs (b = 64) and builds in seconds at mu = 1.
+MAX_BUILD_WIDTH = 1 << 16
+
+
+def check_build_width(bit_width: int) -> None:
+    """Raise ``ValueError`` for an output wider than ``MAX_BUILD_WIDTH``."""
+    if bit_width > MAX_BUILD_WIDTH:
+        raise ValueError(f"b = {bit_width} exceeds the widest build, b = {MAX_BUILD_WIDTH}")
+
+
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -101,7 +115,6 @@ class QromPlan:
     bit_width: int
     lam: int
     mu: int
-    packet_sizes: tuple[int, ...]
     q_range: int
     q_bits: int
     r_bits: int
@@ -110,16 +123,20 @@ class QromPlan:
 
     @property
     def num_packets(self) -> int:
-        return len(self.packet_sizes)
+        return ceil_div(self.bit_width, self.mu)
 
     def packet_span(self, packet: int) -> tuple[int, int]:
-        """Output bit range [start, end) covered by a packet."""
+        """Output bit range [start, end) covered by a packet: mu bits, or
+        the rest of b for the last packet."""
+        if not 0 <= packet < self.num_packets:
+            raise ValueError(f"packet {packet} out of range 0..{self.num_packets - 1}")
         start = packet * self.mu
-        return start, start + self.packet_sizes[packet]
+        return start, min(start + self.mu, self.bit_width)
 
 
 def plan_qrom(n_entries: int, bit_width: int, lam: int, mu: int) -> QromPlan:
-    """Validate parameters and derive the packet layout and register sizes.
+    """Validate parameters and derive the packet layout and register sizes,
+    in time independent of N and b.
 
     Requires lam a power of two with 1 < lam < N and 1 <= mu <= b. The dirty
     block depth is mu*(lam-1); work qubits follow ``work_size``. Every
@@ -134,9 +151,6 @@ def plan_qrom(n_entries: int, bit_width: int, lam: int, mu: int) -> QromPlan:
     if not 1 <= mu <= bit_width:
         raise ValueError(f"mu = {mu} violates 1 <= mu <= b = {bit_width}")
 
-    sizes = [mu] * (bit_width // mu)
-    if bit_width % mu:
-        sizes.append(bit_width % mu)
     q_range = ceil_div(n_entries, lam)
     r_bits = lam.bit_length() - 1
     return QromPlan(
@@ -144,7 +158,6 @@ def plan_qrom(n_entries: int, bit_width: int, lam: int, mu: int) -> QromPlan:
         bit_width=bit_width,
         lam=lam,
         mu=mu,
-        packet_sizes=tuple(sizes),
         q_range=q_range,
         q_bits=max(ceil_log2(n_entries), 1) - r_bits,
         r_bits=r_bits,
@@ -330,6 +343,7 @@ def build_qrom(table: LookupTable, plan: QromPlan) -> Circuit:
     (ceil(b/mu)+1)(ceil(N/lam)+lam-3) + (lam-1)(b+mu), the ``cost_bit_packet``
     row, and the register sizes are exactly those of the plan.
     """
+    check_build_width(plan.bit_width)
     schedule = compute_xor_schedule(table, plan)
     slices = [
         [QubitRef("output", k) for k in range(*plan.packet_span(p))]
@@ -368,6 +382,7 @@ def build_sequential_qroms(spec: SequentialSpec) -> Circuit:
     once): exactly (m+1) * (ceil(N/lam) + b*(lam-1) + lam - 3) Toffolis.
     """
     plan = spec.plan
+    check_build_width(plan.bit_width)
     schedule = _stage_schedule(plan, [padded_entries(t, plan) for t in spec.tables])
     outputs = [
         RegisterSpec(f"output_{i + 1}", plan.bit_width, Role.OUTPUT)

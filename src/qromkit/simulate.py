@@ -5,27 +5,31 @@ basis states is exact and, by linearity, covers superpositions: if each
 |x>|0>|phi> maps to |x>|f(x)>|phi>, so does any sum of them. Amplitudes are
 not tracked.
 
-``simulate`` runs one assignment through the gate list and is the independent
-oracle. The batch engine holds each qubit row as one Python int with bit j for
-case j and runs the gate list once over all cases; it has one gate loop and
-two callers. The circuit resolves each distinct gate's operands to rows once,
-when it validates the gate, into one ``(code, a, b, t)`` op (a lookup repeats
-a few hundred gates thousands of times), and the loop streams one stored op
-per gate. ``batch_simulate`` takes and returns a 0/1 matrix (one row per
+Both engines read the gate list through ``Circuit._stored``, so an entry put
+in by hand raises the same ``CircuitError`` as in every other pass.
+``simulate`` runs one assignment through the gates, dispatching on each
+gate's kind and operands, and is the independent oracle. The batch engine
+holds each qubit row as one Python int with bit j for case j and runs the gate
+list once over all cases; it has one gate loop and two callers. The circuit
+resolves each distinct gate's operands to rows once, when it validates the
+gate, into one ``(code, a, b, t)`` op (a lookup repeats a few hundred gates
+thousands of times), and the loop streams one stored op per gate.
+``batch_simulate`` takes and returns a 0/1 matrix (one row per
 qubit in ``qubit_indexer`` order, one column per case) and packs it into rows
 for the engine. Both raise ``SimulationError`` on a temp-AND computed onto a
 nonzero target or uncomputed to a nonzero result.
 
 ``verify_qrom`` is the one lookup verifier: one table or one per output
 register, every address times seeded dirty patterns in one engine run. It
-builds only the address and dirty rows, compares final rows with expected rows
-by XOR/OR into one failure mask per check, and reaches Python per case only
-for failing cases. It raises ``ValueError`` before allocating for a circuit or
+takes each register's rows from its span, builds only the address and dirty
+rows, compares final rows with expected rows by XOR/OR into one failure mask
+per check, and reaches Python per case only for failing cases. It raises ``ValueError`` before allocating for a circuit or
 seed it cannot check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -89,10 +93,12 @@ def simulate(circuit: Circuit, initial: BitState) -> BitState:
     TEMP_AND xor the AND of both controls in; CSWAP exchanges its two targets
     when the control is 1. TEMP_AND additionally requires a zero target
     before it fires, and TEMP_AND_UNCOMPUTE must leave the target at zero.
+    The gates are read through ``Circuit._stored``, which validates entries
+    put in by hand.
     """
     state = initial.copy()
     bits = state.bits
-    for i, gate in enumerate(circuit.gates):
+    for i, gate in enumerate(circuit._stored()):
         kind = gate.kind
         ops = gate.operands
         if kind is GateKind.X:
@@ -154,11 +160,11 @@ def _run_packed(circuit: Circuit, state: list[int], cases: int) -> None:
 
     Every gate is one or two int operations over all cases. Each gate's
     ``(code, a, b, t)`` op of operand rows was resolved once, when the
-    circuit validated it, and the loop streams one op per gate from
-    ``Circuit._ops``.
+    circuit validated it, and the loop streams the op of the validated gate
+    at every position (see ``Circuit._stored``).
     """
     full = (1 << cases) - 1
-    for i, (code, a, b, t) in enumerate(circuit._ops()):
+    for i, (code, a, b, t) in enumerate(map(_op, circuit._stored())):
         if code == 0:  # CNOT, control a, target b
             state[b] ^= state[a]
         elif code == 1:  # X on a
@@ -179,6 +185,9 @@ def _run_packed(circuit: Circuit, state: list[int], cases: int) -> None:
             mask = state[a] & (state[b] ^ state[t])
             state[b] ^= mask
             state[t] ^= mask
+
+
+_op = attrgetter("_op")
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:
@@ -262,15 +271,11 @@ def verify_qrom(
         cells = f"{circuit.num_qubits} qubits x {cases} cases"
         raise ValueError(f"verifier state of {cells} exceeds {MAX_STATE_CELLS} cells")
 
-    index = qubit_indexer(circuit)
-
-    def rows(regs) -> list[int]:
-        return [index[QubitRef(reg.name, off)] for reg in regs for off in range(reg.size)]
-
-    addr_rows = rows(r_regs + q_regs)  # row i holds address bit i
-    dirty_rows = rows(circuit.registers_with_role(Role.DIRTY))
-    clean_rows = rows(reg for reg in circuit.registers if reg.role in (Role.WORK, Role.TEMP))
-    out_rows = [rows([reg]) for reg in out_regs]
+    addr_rows = _register_rows(circuit, r_regs + q_regs)  # row i holds address bit i
+    dirty_rows = _register_rows(circuit, circuit.registers_with_role(Role.DIRTY))
+    clean_rows = _register_rows(
+        circuit, [reg for reg in circuit.registers if reg.role in (Role.WORK, Role.TEMP)])
+    out_rows = [_register_rows(circuit, [reg]) for reg in out_regs]
 
     rng = np.random.default_rng(seed)
     patterns = rng.integers(0, 2, size=(trials, len(dirty_rows)), dtype=np.uint8)
@@ -327,6 +332,13 @@ def verify_qrom(
             )
         )
     return report
+
+
+def _register_rows(circuit: Circuit, regs) -> list[int]:
+    """The row of every qubit of ``regs``, register by register, in
+    ``qubit_indexer`` order, from each register's span of rows."""
+    spans = map(circuit._spans.__getitem__, (reg.name for reg in regs))
+    return [row for first, size in spans for row in range(first, first + size)]
 
 
 def _case_rows(values, width: int, trials: int) -> list[int]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qromkit import (
+    BitState,
     Circuit,
     CircuitError,
     Gate,
@@ -30,6 +31,7 @@ from qromkit import (
     plan_qrom,
     batch_simulate,
     serialize_circuit,
+    simulate,
     verify_qrom,
 )
 from qromkit.circuit import CLEAN_ROLES, GATE_ARITY, TOFFOLI_COST
@@ -162,9 +164,13 @@ class TestAppend:
             check_temp_and_pairing(c)
 
 
+PASS_IDS = ["count_resources", "check_temp_and_pairing", "verify_qrom", "batch_simulate",
+            "serialize_circuit", "simulate"]
+
+
 def passes_over_lookup(table):
-    """The five passes that read a circuit's gate list, each as a function
-    of a circuit built over ``table``."""
+    """The six passes that read a circuit's gate list, each as a function
+    of a circuit built over ``table``, in ``PASS_IDS`` order."""
     return [
         count_resources,
         check_temp_and_pairing,
@@ -173,6 +179,7 @@ def passes_over_lookup(table):
             circuit, np.zeros((circuit.num_qubits, 2), dtype=np.uint8)
         ),
         serialize_circuit,
+        lambda circuit: simulate(circuit, BitState.for_circuit(circuit)),
     ]
 
 
@@ -222,24 +229,30 @@ class TestInterning:
     def test_per_gate_maps_every_gate_once_per_object(self):
         # Interned gates, a fresh object equal to one of them, and a gate
         # never interned that sits at two positions, as fault injection
-        # leaves them.
+        # leaves them. ``fn`` sees the stored gate equal to each entry, never
+        # a hand-put object, and runs once per distinct stored gate.
         c = two_reg_circuit()
         cnot = c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
         x = c.append(GateKind.X, QubitRef("out", 0))
         unused = c.intern(GateKind.X, QubitRef("a", 2))
         fresh = Gate(GateKind.CNOT, (QubitRef("a", 0), QubitRef("out", 1)))
         stray = Gate(GateKind.X, (QubitRef("a", 1),))
-        c.gates = [cnot, stray, x, fresh, cnot, stray, x]
+        entries = [cnot, stray, x, fresh, cnot, stray, x]
+        c.gates = list(entries)
         calls = []
 
         def fn(gate):
             calls.append(gate)
             return gate
 
-        mapped = c.per_gate(fn)
-        assert [id(g) for g in calls] == [id(cnot), id(x), id(unused)]
-        assert [id(g) for g in mapped] == [id(g) for g in c.gates]
-        assert sorted(map(id, calls)) == sorted({id(g) for g in [*c.gates, unused]})
+        mapped = list(c.per_gate(fn))
+        stored_stray = c.intern(GateKind.X, QubitRef("a", 1))
+        assert stored_stray is not stray and stored_stray == stray
+        assert [id(g) for g in calls] == [id(cnot), id(x), id(unused), id(stored_stray)]
+        expected = [cnot, stored_stray, x, cnot, cnot, stored_stray, x]
+        assert [id(g) for g in mapped] == [id(g) for g in expected]
+        assert mapped == entries
+        assert [id(g) for g in c.gates] == [id(g) for g in entries]
         assert list(two_reg_circuit().per_gate(fn)) == []
 
     @pytest.mark.parametrize(
@@ -267,12 +280,7 @@ class TestInterning:
             messages.add(str(err.value))
         assert len(messages) == 1
 
-    @pytest.mark.parametrize(
-        "run",
-        passes_over_lookup(random_table(8, 3, seed=2)),
-        ids=["count_resources", "check_temp_and_pairing", "verify_qrom", "batch_simulate",
-             "serialize_circuit"],
-    )
+    @pytest.mark.parametrize("run", passes_over_lookup(random_table(8, 3, seed=2)), ids=PASS_IDS)
     def test_entry_that_is_not_a_gate_is_a_circuit_error(self, run):
         circuit = build_qrom(random_table(8, 3, seed=2), plan_qrom(8, 3, 2, 1))
         entry = (GateKind.X, (QubitRef("output", 0),))
@@ -326,6 +334,35 @@ def test_every_pass_names_the_first_bad_entry(data):
         assert str(err.value) == expected
 
 
+def test_read_passes_leave_the_gate_list_as_they_found_it():
+    # A lookup with a valid gate made by hand and never interned (at two
+    # positions, so the output flips back), gates of a circuit whose
+    # registers are declared in reverse order, and fresh objects equal to
+    # interned gates: every pass must read them and leave ``gates`` alone.
+    circuit = build_qrom(LOOKUP_TABLE, plan_qrom(8, 3, 2, 1))
+    other = Circuit(list(reversed(circuit.registers)))
+    entries = [
+        other.intern(gate.kind, *gate.operands) if i % 5 == 1
+        else Gate(gate.kind, gate.operands) if i % 5 == 3 else gate
+        for i, gate in enumerate(circuit.gates)
+    ]
+    stray = Gate(GateKind.X, (QubitRef("output", 0),))
+    entries[4:4] = [stray, stray]
+    circuit.gates = list(entries)
+    for run in passes_over_lookup(LOOKUP_TABLE):
+        results = []
+        for _ in range(2):
+            results.append(run(circuit))
+            assert len(circuit.gates) == len(entries)
+            assert all(a is b for a, b in zip(circuit.gates, entries))
+        first, second = results
+        if isinstance(first, np.ndarray):
+            assert np.array_equal(first, second)
+        else:
+            assert first == second
+    assert verify_qrom(circuit, LOOKUP_TABLE).passed
+
+
 def per_gate_kinds(circuit):
     """Reference tally: every position through ``per_gate``."""
     return Counter(circuit.per_gate(attrgetter("kind")))
@@ -342,13 +379,27 @@ def assert_passes_match_per_gate(circuit):
     check_temp_and_pairing(circuit)
 
 
+def assert_stored_equal_not_own(circuit):
+    """Some entry lacks the circuit's mark: ``_stored`` gives a new list of
+    this circuit's stored gates, equal entry by entry."""
+    entries = list(circuit.gates)
+    stored = circuit._stored()
+    assert stored is not circuit.gates and stored == entries
+    assert all(gate._stamp is circuit._mark for gate in stored)
+    assert all(a is b for a, b in zip(circuit.gates, entries))
+
+
 class TestKindStamps:
+    """Gates a circuit stored carry its one mark in their ``_stamp`` slot;
+    the passes read any other entry only after validating it here."""
+
     def built(self, seed=2):
         return build_qrom(random_table(8, 3, seed=seed), plan_qrom(8, 3, 2, 1))
 
     def test_gates_of_another_circuit(self):
         circuit, other = self.built(), self.built(seed=3)
         circuit.gates = list(other.gates)
+        assert_stored_equal_not_own(circuit)
         assert_passes_match_per_gate(circuit)
 
     @pytest.mark.parametrize(
@@ -361,13 +412,16 @@ class TestKindStamps:
         assert circuit == original
         assert_passes_match_per_gate(circuit)
         assert count_resources(circuit) == count_resources(original)
-        # The copy's gates carry the copy's own stamps, not foreign ones.
-        assert {g._stamp for g in circuit.gates} <= circuit._stamps
+        # The copy's gates carry the copy's own mark, not the original's.
+        assert circuit._mark is not original._mark
+        assert {g._stamp for g in circuit.gates} == {circuit._mark}
+        assert circuit._stored() is circuit.gates
 
     def test_hand_made_gate_equal_to_an_interned_one(self):
         circuit = self.built()
         circuit.gates[3] = Gate(circuit.gates[3].kind, circuit.gates[3].operands)
         circuit.gates.append(Gate(GateKind.X, (QubitRef("output", 0),)))
+        assert_stored_equal_not_own(circuit)
         assert_passes_match_per_gate(circuit)
 
     def test_gate_of_another_circuit_invalid_here(self):
@@ -390,7 +444,7 @@ class TestKindStamps:
         gate = c.intern("CNOT", *operands)
         assert type(gate) is Gate and gate.kind is GateKind.CNOT
         assert all(hasattr(gate, f.name) for f in dataclasses.fields(Gate))
-        assert gate._stamp is c._stamp_of[GateKind.CNOT]
+        assert gate._stamp is c._mark
         # Code 0 for CNOT; "a" holds rows 0-2 and "out" rows 3-4.
         assert gate._op == (0, 0, 4, None)
         assert gate == Gate(GateKind.CNOT, operands)
@@ -610,12 +664,11 @@ def layouts_with_gates(draw):
 
 
 def assert_stored_ops_match_indexer(circuit):
-    """Every gate's stored op is the op resolved through ``qubit_indexer``,
-    and the op stream streams exactly those."""
-    assert circuit._own_stamps() is not None
-    expected = indexed_ops(circuit)
-    assert [gate._op for gate in circuit.gates] == expected
-    assert list(circuit._ops()) == expected
+    """Every entry is the circuit's own gate, so the passes read ``gates``
+    itself, and its stored op is the op resolved through ``qubit_indexer``."""
+    assert circuit._stored() is circuit.gates
+    assert all(gate._stamp is circuit._mark for gate in circuit.gates)
+    assert [gate._op for gate in circuit.gates] == indexed_ops(circuit)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -64,6 +64,19 @@ class TestBuild:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("verb", ["build", "verify"])
+    def test_huge_width_exits_2_before_building(self, tmp_path, verb):
+        # plan_qrom takes b = 10**12 in O(1); the builder refuses it before
+        # any per-bit work, which would otherwise run over 10**12 packets.
+        path = tmp_path / "wide.table"
+        path.write_text("4 1000000000000\n1\n2\n3\n0\n")
+        args = [verb, "--table", str(path), "--lambda", "2", "--mu", "1"]
+        args += ["--out", str(tmp_path / "c")] if verb == "build" else []
+        code, out, err = run_cli(args)
+        assert (code, out) == (2, "")
+        assert err == "error: b = 1000000000000 exceeds the widest build, b = 65536\n"
+        assert not (tmp_path / "c").exists()
+
     def test_bad_table_reports_line(self, tmp_path):
         bad = tmp_path / "bad.table"
         bad.write_text("2 3\n1\n9\n")
@@ -203,14 +216,14 @@ class TestVerify:
         assert err.startswith("error: ") and message in err
 
     def test_huge_register_exits_2_before_allocating(self, table_64, tmp_path, monkeypatch):
-        # The state-size cap must fire before rows are indexed or allocated;
-        # a failing guard trips the patched indexer instead of exhausting memory.
-        def indexer_must_not_run(circuit):
-            raise AssertionError("qubit_indexer reached")
+        # The state-size cap must fire before rows are listed or allocated; a
+        # failing guard trips the patched row lister instead of exhausting memory.
+        def rows_must_not_be_listed(circuit, regs):
+            raise AssertionError("register rows listed")
 
         # The package exports a function named ``simulate``, so fetch the module.
         simulate_module = importlib.import_module("qromkit.simulate")
-        monkeypatch.setattr(simulate_module, "qubit_indexer", indexer_must_not_run)
+        monkeypatch.setattr(simulate_module, "_register_rows", rows_must_not_be_listed)
         path = tmp_path / "c.gates"
         path.write_text(
             "REGISTER addr_q 6 address_q\nREGISTER output 8 output\nREGISTER w 4000000000 work\n"
@@ -318,6 +331,12 @@ class TestEstimate:
         code, out, err = run_cli(["estimate", *args])
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    def test_huge_width_is_costed(self):
+        code, out, err = run_cli(
+            ["estimate", "--n", "64", "--b", "1000000000000", "--lambda", "4", "--mu", "1"])
+        assert (code, err) == (0, "")
+        assert "bit_packet             20000000000020" in out
 
     def test_point_and_budget_together(self):
         code, out, _ = run_cli(

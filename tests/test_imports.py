@@ -3,7 +3,8 @@ only ``circuit`` knows that gates are shared objects.
 
 No linter ships with the project, so this ``ast`` walk catches the imports
 that a deletion leaves behind, and any module that keys gates by ``id`` or
-reads ``Circuit._interned`` instead of going through ``Circuit.per_gate``.
+reads ``Circuit._interned`` instead of reading the gate list through
+``Circuit._stored`` or ``Circuit.per_gate``.
 """
 import ast
 from pathlib import Path

@@ -22,15 +22,21 @@ from qromkit import (
     registers_for_plan,
     verify_qrom,
 )
-from qromkit.qrom import ceil_div, padded_entries
+from qromkit.baselines import build_plain_qrom, build_selectswap_dirty
+from qromkit.qrom import MAX_BUILD_WIDTH, ceil_div, padded_entries
 from helpers import random_table
+
+
+def packet_widths(plan):
+    """Width of every packet, read from ``packet_span``."""
+    return [end - start for start, end in map(plan.packet_span, range(plan.num_packets))]
 
 
 class TestPlan:
     def test_example_64(self):
         plan = plan_qrom(64, 8, 4, 2)
         assert plan.num_packets == 4
-        assert plan.packet_sizes == (2, 2, 2, 2)
+        assert packet_widths(plan) == [2, 2, 2, 2]
         assert plan.dirty_qubits == 6
         assert plan.work_qubits == 4
         assert plan.q_range == 16
@@ -39,7 +45,7 @@ class TestPlan:
     def test_example_100(self):
         plan = plan_qrom(100, 5, 4, 2)
         assert plan.num_packets == 3
-        assert plan.packet_sizes == (2, 2, 1)
+        assert packet_widths(plan) == [2, 2, 1]
         assert plan.dirty_qubits == 6
         assert plan.q_range == 25
         assert plan.work_qubits == 5
@@ -60,6 +66,26 @@ class TestPlan:
     def test_rejects_bad_parameters(self, args, fragment):
         with pytest.raises(ValueError, match=fragment):
             plan_qrom(*args)
+
+    @pytest.mark.parametrize("b", [1, 2, 7, 8, 9, 64, 10**12])
+    def test_packets_tile_the_output(self, b):
+        # Packets are mu wide except the last, which takes the rest of b;
+        # a huge b is planned without listing its packets.
+        for mu in sorted({1, 2, 3, 8, b}):
+            if mu > b:
+                continue
+            plan = plan_qrom(64, b, 4, mu)
+            assert plan.num_packets == ceil_div(b, mu)
+            last = plan.num_packets - 1
+            assert plan.packet_span(0) == (0, min(mu, b))
+            assert plan.packet_span(last) == (last * mu, b)
+            if b < 100:
+                spans = list(map(plan.packet_span, range(plan.num_packets)))
+                assert [end for _, end in spans[:-1]] == [start for start, _ in spans[1:]]
+                assert set(packet_widths(plan)[:-1]) <= {mu}
+            for packet in (-1, plan.num_packets):
+                with pytest.raises(ValueError, match=f"packet {packet} out of range"):
+                    plan.packet_span(packet)
 
     def test_padded_entries_fill_last_block(self):
         table = LookupTable((3, 1, 2, 0, 1), 2)
@@ -133,7 +159,7 @@ class TestXorSchedule:
             return table.entries[x] if x < n else 0
 
         def c_bit(q, block, p, j):
-            if p < 0 or j >= plan.packet_sizes[p]:
+            if p < 0 or j >= packet_widths(plan)[p]:
                 return 0
             diff = padded(q * lam + block) ^ padded(q * lam)
             return (diff >> (p * mu + j)) & 1
@@ -141,7 +167,7 @@ class TestXorSchedule:
         last = plan.num_packets - 1
         for q in range(plan.q_range):
             for p in range(plan.num_packets):
-                width = plan.packet_sizes[p]
+                width = packet_widths(plan)[p]
                 want = (padded(q * lam) >> (p * mu)) & ((1 << width) - 1)
                 assert schedule.direct[p][q] == want
             deltas = [block_masks(plan, schedule.delta[p][q]) for p in range(plan.num_packets)]
@@ -158,6 +184,30 @@ class TestXorSchedule:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="match"):
             compute_xor_schedule(random_table(8, 2, 0), plan_qrom(16, 2, 4, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t: build_qrom(t, plan_qrom(t.n_entries, t.bit_width, 2, 1)),
+        lambda t: build_sequential_qroms(SequentialSpec((t, t), 2)),
+        build_plain_qrom,
+        lambda t: build_selectswap_dirty(t, 2),
+    ],
+    ids=["build_qrom", "sequential", "plain", "selectswap"],
+)
+def test_builders_refuse_outputs_past_the_widest_build(build):
+    wide = LookupTable((1, 2, 3, 0), MAX_BUILD_WIDTH + 1)
+    with pytest.raises(ValueError) as err:
+        build(wide)
+    assert str(err.value) == f"b = {MAX_BUILD_WIDTH + 1} exceeds the widest build, b = 65536"
+
+
+def test_plain_lookup_builds_at_the_widest_build():
+    table = LookupTable((1 << (MAX_BUILD_WIDTH - 1), 5), MAX_BUILD_WIDTH)
+    circuit = build_plain_qrom(table)
+    assert circuit.register("output").size == MAX_BUILD_WIDTH
+    assert verify_qrom(circuit, table, dirty_trials=1).passed
 
 
 def fresh_plan_circuit(plan):

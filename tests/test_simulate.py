@@ -342,11 +342,11 @@ def op_stream_lookup():
 
 
 def assert_simulates_like_scalar_and_per_gate(circuit):
-    """The gate loop's ops equal the ``per_gate`` reference, and batch
-    simulation of valid lookup inputs (random address, dirty and output
-    rows; work rows 0) equals scalar ``simulate`` case by case. The lookup
-    also still verifies."""
-    assert list(circuit._ops()) == indexed_ops(circuit)
+    """The ops the gate loop reads equal the ``per_gate`` reference, and
+    batch simulation of valid lookup inputs (random address, dirty and
+    output rows; work rows 0) equals scalar ``simulate`` case by case. The
+    lookup also still verifies."""
+    assert [gate._op for gate in circuit._stored()] == indexed_ops(circuit)
     index = qubit_indexer(circuit)
     rng = np.random.default_rng(7)
     matrix = rng.integers(0, 2, size=(circuit.num_qubits, 24), dtype=np.uint8)
@@ -361,11 +361,20 @@ def assert_simulates_like_scalar_and_per_gate(circuit):
     assert verify_qrom(circuit, OP_STREAM_TABLE, dirty_trials=3).passed
 
 
+def assert_stored_are_own_gates_equal_to_entries(circuit):
+    """Some entry is not the circuit's own gate, so the passes read a new
+    list of its own gates, equal entry by entry: the rows another circuit
+    stored are never read."""
+    stored = circuit._stored()
+    assert stored is not circuit.gates and stored == circuit.gates
+    assert all(gate._stamp is circuit._mark for gate in stored)
+
+
 class TestOpStream:
     def test_own_gates_stream_stored_ops(self):
         circuit = op_stream_lookup()
-        assert circuit._own_stamps() is not None
-        assert list(circuit._ops()) == [gate._op for gate in circuit.gates]
+        assert circuit._stored() is circuit.gates
+        assert all(gate._stamp is circuit._mark for gate in circuit.gates)
         assert_simulates_like_scalar_and_per_gate(circuit)
 
     def test_own_gates_mixed_with_equal_hand_made_ones(self):
@@ -374,7 +383,7 @@ class TestOpStream:
             Gate(gate.kind, gate.operands) if i % 3 == 1 else gate
             for i, gate in enumerate(circuit.gates)
         ]
-        assert circuit._own_stamps() is None
+        assert_stored_are_own_gates_equal_to_entries(circuit)
         assert_simulates_like_scalar_and_per_gate(circuit)
 
     def test_gate_of_another_layout_is_resolved_here(self):
@@ -388,7 +397,7 @@ class TestOpStream:
                 foreign = circuit.gates[i] = other.intern(gate.kind, *gate.operands)
                 moved += foreign._op != gate._op
         assert moved > 0
-        assert circuit._own_stamps() is None
+        assert_stored_are_own_gates_equal_to_entries(circuit)
         assert_simulates_like_scalar_and_per_gate(circuit)
 
     @pytest.mark.parametrize(
@@ -397,6 +406,6 @@ class TestOpStream:
     )
     def test_copied_circuit_streams_its_copied_ops(self, clone):
         circuit = clone(op_stream_lookup())
-        assert circuit._own_stamps() is not None
+        assert circuit._stored() is circuit.gates
         assert all(gate._op is not None for gate in circuit.gates)
         assert_simulates_like_scalar_and_per_gate(circuit)

@@ -122,10 +122,10 @@ class TestContract:
             verify_qrom(self.circuit, self.table, self.plan, dirty_trials=trials)
 
     def test_negative_seed_rejected_before_indexing(self, monkeypatch):
-        def indexer_must_not_run(circuit):
-            raise AssertionError("qubit_indexer reached")
+        def rows_must_not_be_listed(circuit, regs):
+            raise AssertionError("register rows listed")
 
-        monkeypatch.setattr(simulate_module, "qubit_indexer", indexer_must_not_run)
+        monkeypatch.setattr(simulate_module, "_register_rows", rows_must_not_be_listed)
         for seed in (-1, -(2**70)):
             with pytest.raises(ValueError, match="seed must be >= 0"):
                 verify_qrom(self.circuit, self.table, self.plan, seed=seed)
@@ -151,10 +151,10 @@ class TestContract:
             verify_qrom(circuit, self.table)
 
     def test_state_cap_checked_before_indexing(self, monkeypatch):
-        def indexer_must_not_run(circuit):
-            raise AssertionError("qubit_indexer reached")
+        def rows_must_not_be_listed(circuit, regs):
+            raise AssertionError("register rows listed")
 
-        monkeypatch.setattr(simulate_module, "qubit_indexer", indexer_must_not_run)
+        monkeypatch.setattr(simulate_module, "_register_rows", rows_must_not_be_listed)
         huge = RegisterSpec("w", simulate_module.MAX_STATE_CELLS // 16 + 1, Role.WORK)
         circuit = Circuit(self.circuit.registers + [huge])
         with pytest.raises(ValueError, match="exceeds 1073741824 cells"):
