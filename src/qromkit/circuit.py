@@ -7,22 +7,24 @@ return to 0), ``dirty`` registers hold arbitrary borrowed state, and the two
 address roles are inputs.
 
 Circuits are append-only while being built and treated as immutable afterwards,
-so finished circuits can be shared freely between threads. A lookup circuit
+so finished circuits can be shared freely between threads. A circuit owns its
+register and gate lists: ``registers`` is a tuple and ``gates`` a read-only
+copy of the gate list, so neither can be assigned or edited from outside, and
+every entry comes in through a call that validates it. A lookup circuit
 repeats a few hundred distinct gates thousands of times, so each circuit
 interns its gates: equal gates are one shared frozen ``Gate`` object. Gates
 come in through ``Circuit.intern``, which validates every call and resolves
 the gate's op: its kind's code and operand qubit rows, from each register's
-span of rows, so rows are resolved once per distinct gate. Every gate the
-circuit stores carries the circuit's one mark. The builders also record each
-unary-iteration scaffold once per circuit (see ``qromkit.iteration``) and
-replay its interned gates.
+span of rows, so rows are resolved once per distinct gate. ``append`` is
+``intern`` plus a list append; the builders resolve gates through
+``Circuit._lookup`` and add them to the private list themselves. The builders
+also record each unary-iteration scaffold once per circuit (see
+``qromkit.iteration``) and replay its interned gates.
 
-Gates go out one way: every pass reads the list through ``Circuit._stored``,
-which returns ``gates`` itself when every entry carries the mark, checked in
-one C-level pass, and otherwise validates each distinct entry put in by hand
-once, raising for the first bad one. Resources are a tally of kinds, the
-temp-AND pairing check visits only temp-AND positions, and the simulator
-streams the stored ops.
+Every entry of the private list is therefore this circuit's validated,
+interned gate, and every pass reads that list directly. Resources are a tally
+of kinds, the temp-AND pairing check visits only temp-AND positions, and the
+simulator streams the stored ops.
 """
 from __future__ import annotations
 
@@ -152,9 +154,8 @@ class Gate:
 
     kind: GateKind
     operands: tuple[QubitRef, ...]
-    # The mark of the circuit that stored this gate and its op in that
-    # circuit (see ``Circuit._stored``); never part of equality, hash or repr.
-    _stamp: object = field(default=None, init=False, compare=False, repr=False)
+    # Its op in the circuit that stored it (see ``Circuit._validate``);
+    # never part of equality, hash or repr.
     _op: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -164,8 +165,7 @@ class Gate:
             object.__setattr__(self, "kind", GateKind(self.kind))
 
 
-_set_kind, _set_operands, _set_stamp, _set_op = (
-    Gate.kind.__set__, Gate.operands.__set__, Gate._stamp.__set__, Gate._op.__set__)
+_set_kind, _set_operands, _set_op = Gate.kind.__set__, Gate.operands.__set__, Gate._op.__set__
 
 
 class Circuit:
@@ -173,29 +173,39 @@ class Circuit:
 
     Gates are validated on every ``append`` and ``intern``: operand arity must
     match the kind, operands must be pairwise distinct, and every operand must
-    resolve to a declared register qubit.
+    resolve to a declared register qubit. ``registers`` and ``gates`` are
+    read-only; only the circuit writes them.
     """
 
     def __init__(self, registers: Iterable[RegisterSpec]):
-        self.registers: list[RegisterSpec] = list(registers)
+        self._registers: tuple[RegisterSpec, ...] = tuple(registers)
         self._by_name: dict[str, RegisterSpec] = {}
         # (first row, size) of each register, rows in declaration order.
         self._spans: dict[str, tuple[int, int]] = {}
         first = 0
-        for reg in self.registers:
+        for reg in self._registers:
             if reg.name in self._by_name:
                 raise CircuitError(f"duplicate register name {reg.name!r}")
             self._by_name[reg.name] = reg
             self._spans[reg.name] = (first, reg.size)
             first += reg.size
-        self.gates: list[Gate] = []
+        # Only interned gates of this circuit: ``append`` and the builders
+        # in this package are the only writers.
+        self._gates: list[Gate] = []
         self._interned: dict[tuple, Gate] = {}
-        # Set on every gate this circuit stores; a copy of the circuit gets
-        # a copy of the mark, shared by its copied gates.
-        self._mark = object()
         # Unary-iteration recordings, keyed by IterationSpec; owned by
         # ``qromkit.iteration`` and never part of equality.
         self._scaffolds: dict[object, tuple] = {}
+
+    @property
+    def registers(self) -> tuple[RegisterSpec, ...]:
+        """The registers in declaration order."""
+        return self._registers
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """A copy of the gate list, in order."""
+        return tuple(self._gates)
 
     @property
     def num_qubits(self) -> int:
@@ -235,7 +245,7 @@ class Circuit:
     def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
         """Append the interned gate for ``(kind, operands)`` and return it."""
         gate = self.intern(kind, *operands)
-        self.gates.append(gate)
+        self._gates.append(gate)
         return gate
 
     def _lookup(self, kind: GateKind, *operands: QubitRef) -> Gate:
@@ -246,48 +256,21 @@ class Circuit:
             kind, operands, self._validate(kind, operands))
 
     def _store(self, kind: GateKind, operands: tuple, op: tuple) -> Gate:
-        """Store ``Gate(kind, operands)`` with this circuit's mark and its
-        validated ``op``. The kind is already coerced, so the slots are
-        written directly: ``__init__`` would also write the default stamp,
-        and with the stamp write after it a stored gate took 2.5x as long."""
+        """Store ``Gate(kind, operands)`` with its validated ``op``. The kind
+        is already coerced, so the slots are written directly: ``__init__``
+        would also write the default op and run ``__post_init__``."""
         gate = self._interned[kind, operands] = object.__new__(Gate)
         _set_kind(gate, kind)
         _set_operands(gate, operands)
-        _set_stamp(gate, self._mark)
         _set_op(gate, op)
         return gate
 
-    def _stored(self) -> list[Gate]:
-        """The validated gate at every position; every pass reads this.
-
-        It is ``gates`` itself when every entry carries this circuit's mark,
-        which only gates it stored do, checked in one C-level pass.
-        Otherwise (a non-``Gate``, or a gate made by hand or stored by
-        another circuit, whose op is never read) each distinct entry is
-        validated and interned once, in list order, so the first bad one
-        raises, and the result holds the stored gate equal to each entry;
-        ``gates`` is never changed."""
-        gates = self.gates
-        try:
-            if {self._mark}.issuperset(map(_stamp, gates)):
-                return gates
-        except AttributeError:  # an entry that is not a Gate
-            pass
-        stored = {}
-        # ``gates`` holds every entry, so no id is reused meanwhile.
-        for key, entry in dict(zip(map(id, gates), gates)).items():
-            if not isinstance(entry, Gate):
-                raise CircuitError(f"gate list entry {entry!r} is not a Gate")
-            stored[key] = self.intern(entry.kind, *entry.operands)
-        return list(map(stored.__getitem__, map(id, gates)))
-
     def per_gate(self, fn: Callable[[Gate], object]) -> Iterator:
-        """``fn`` of the stored gate at every position (see ``_stored``), in
-        list order, with ``fn`` run once per distinct stored gate."""
-        stored = self._stored()
+        """``fn`` of the gate at every position, in list order, with ``fn``
+        run once per interned gate."""
         # Interned gates live as long as the circuit, so no id is reused.
         results = {id(gate): fn(gate) for gate in self._interned.values()}
-        return map(results.__getitem__, map(id, stored))
+        return map(results.__getitem__, map(id, self._gates))
 
     def _validate(self, kind: GateKind, operands: tuple) -> tuple:
         """Check one gate and return its op: its ``_OP_CODES`` code and
@@ -336,13 +319,13 @@ class Circuit:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
             return NotImplemented
-        return self.registers == other.registers and self.gates == other.gates
+        return self._registers == other._registers and self._gates == other._gates
 
     def __repr__(self) -> str:
-        return f"Circuit({len(self.registers)} registers, {len(self.gates)} gates)"
+        return f"Circuit({len(self._registers)} registers, {len(self._gates)} gates)"
 
 
-_stamp, _kind = attrgetter("_stamp"), attrgetter("kind")
+_kind = attrgetter("kind")
 
 
 @dataclass(frozen=True, slots=True)
@@ -368,7 +351,7 @@ def count_resources(circuit: Circuit) -> ResourceEstimate:
     """Count gates and qubits exactly; deterministic for a given circuit.
 
     Gates are tallied per kind in one C-level pass, then weighted per kind."""
-    kinds = Counter(map(_kind, circuit._stored()))
+    kinds = Counter(map(_kind, circuit._gates))
     toffoli = sum(TOFFOLI_COST[kind] * times for kind, times in kinds.items())
     temp_and, cnot, x = kinds[GateKind.TEMP_AND], kinds[GateKind.CNOT], kinds[GateKind.X]
     clean = sum(reg.size for reg in circuit.registers if reg.role in CLEAN_ROLES)
@@ -391,10 +374,10 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
     TEMP_AND, and must be released by a TEMP_AND_UNCOMPUTE with the same
     control pair before circuit end. Raises CircuitError on violation.
     Only temp-AND positions are visited, found in one C-level pass over the
-    kinds of the validated gates; other gates cannot affect pairing.
+    gate kinds; other gates cannot affect pairing.
     Controls match in either order.
     """
-    gates = circuit._stored()
+    gates = circuit._gates
     temps = {GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE}
     held: dict[QubitRef, Gate] = {}  # target -> pending TEMP_AND
     for i in compress(count(), map(temps.__contains__, map(_kind, gates))):

@@ -6,19 +6,21 @@ Header lines declare registers, then one gate per line, targets last::
     REGISTER output 8 output
     TOFFOLI work 0 dirty 3 output 5
 
-``#`` starts a comment (full line or trailing); lines are LF-terminated.
+``#`` starts a comment (full line or trailing). A line ends at every line
+boundary of ``str.splitlines``: LF, CR, CRLF, and also U+000B, U+000C,
+U+001C to U+001E, U+0085, U+2028 and U+2029, so a comment ends there too.
 Register sizes and qubit offsets are ASCII decimal numbers: no sign other
 than a leading ``-`` (reported as out of range), no ``_`` separators and no
 non-ASCII digits. ``parse_circuit(serialize_circuit(c))`` reproduces the
 register list and gate list exactly. A lookup circuit repeats few distinct
 gates many times, so the serializer formats each distinct gate once through
-``Circuit.per_gate``, which reads the validated gates that every pass reads
-(``Circuit._stored``), and the parser pays Python work per distinct line: it
+``Circuit.per_gate``, and the parser pays Python work per distinct line: it
 reads gate lines a chunk at a time, parses each raw line not seen before into
-the circuit's interned gate (``Circuit.intern`` makes two spellings of one gate
-one object and resolves its qubit rows), and appends the whole chunk in one
-C-level pass. Errors name the first bad line: past the header, a line's
-validity does not depend on its place.
+the circuit's interned gate (``Circuit.intern`` validates it, makes two
+spellings of one gate one object and resolves its qubit rows), and appends
+the whole chunk to the circuit's private list in one C-level pass. Errors
+name the first bad line: past the header, a line's validity does not depend
+on its place.
 """
 from __future__ import annotations
 
@@ -109,7 +111,7 @@ def _parse_circuit(text: str, chunk: int) -> Circuit:
                 known[raw] = _parse_gate(circuit, line, refs) if line else None
             except ValueError as exc:
                 raise ParseError(end - len(body) + body.index(raw) + 1, str(exc)) from None
-        circuit.gates.extend(filter(None, map(known.get, body)))
+        circuit._gates.extend(filter(None, map(known.get, body)))
     return Circuit(registers) if circuit is None else circuit
 
 

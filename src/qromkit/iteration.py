@@ -97,9 +97,9 @@ def emit_unary_iteration(
         recording = circuit._scaffolds[spec] = _record_scaffold(circuit, spec)
     steps, tail = recording
     for segment, window in steps:
-        circuit.gates.extend(segment)
+        circuit._gates.extend(segment)
         emitter(window)
-    circuit.gates.extend(tail)
+    circuit._gates.extend(tail)
     return circuit
 
 
@@ -139,7 +139,7 @@ def emit_loads(
             row = rows[wire] = _Row(circuit, wire, targets)
         # One byte per bit of the word, lowest first: 1 where it is set.
         selectors = bin(words[win.index_value])[:1:-1].encode().translate(_SELECTORS)
-        circuit.gates.extend(map(row.__getitem__, compress(count(), selectors)))
+        circuit._gates.extend(map(row.__getitem__, compress(count(), selectors)))
 
     return emit_unary_iteration(circuit, spec, window)
 

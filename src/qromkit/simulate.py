@@ -5,8 +5,8 @@ basis states is exact and, by linearity, covers superpositions: if each
 |x>|0>|phi> maps to |x>|f(x)>|phi>, so does any sum of them. Amplitudes are
 not tracked.
 
-Both engines read the gate list through ``Circuit._stored``, so an entry put
-in by hand raises the same ``CircuitError`` as in every other pass.
+Both engines read the circuit's gate list, which holds only gates the circuit
+validated on the way in.
 ``simulate`` runs one assignment through the gates, dispatching on each
 gate's kind and operands, and is the independent oracle. The batch engine
 holds each qubit row as one Python int with bit j for case j and runs the gate
@@ -93,12 +93,10 @@ def simulate(circuit: Circuit, initial: BitState) -> BitState:
     TEMP_AND xor the AND of both controls in; CSWAP exchanges its two targets
     when the control is 1. TEMP_AND additionally requires a zero target
     before it fires, and TEMP_AND_UNCOMPUTE must leave the target at zero.
-    The gates are read through ``Circuit._stored``, which validates entries
-    put in by hand.
     """
     state = initial.copy()
     bits = state.bits
-    for i, gate in enumerate(circuit._stored()):
+    for i, gate in enumerate(circuit._gates):
         kind = gate.kind
         ops = gate.operands
         if kind is GateKind.X:
@@ -160,11 +158,10 @@ def _run_packed(circuit: Circuit, state: list[int], cases: int) -> None:
 
     Every gate is one or two int operations over all cases. Each gate's
     ``(code, a, b, t)`` op of operand rows was resolved once, when the
-    circuit validated it, and the loop streams the op of the validated gate
-    at every position (see ``Circuit._stored``).
+    circuit validated it, and the loop streams the op at every position.
     """
     full = (1 << cases) - 1
-    for i, (code, a, b, t) in enumerate(map(_op, circuit._stored())):
+    for i, (code, a, b, t) in enumerate(map(_op, circuit._gates)):
         if code == 0:  # CNOT, control a, target b
             state[b] ^= state[a]
         elif code == 1:  # X on a
@@ -230,9 +227,11 @@ def verify_qrom(
 
     ``table`` is one ``LookupTable`` or a sequence of them, one per output
     register in declaration order. For each x in [0, N) and ``dirty_trials``
-    seeded dirty patterns, each output register's low b bits must equal its
-    table's entry x, every dirty bit must be restored, the address unchanged
-    and all work/temp qubits 0. Failures are reported, not raised;
+    seeded dirty patterns, each output register must equal its table's entry
+    x zero-extended to the register's width (output qubits start clean, so
+    bits above b must end at 0), every dirty bit must be restored, the
+    address unchanged and all work/temp qubits 0. Failures are reported, not
+    raised;
     ``observed_output`` packs all output registers in declaration order.
     ``plan``, when given, is only cross-checked against the table dimensions.
 
@@ -289,7 +288,7 @@ def verify_qrom(
 
     # One mask per check, bit j set where case j fails it.
     masks = [
-        _differ(state, reg_rows[: t.bit_width], _case_rows(t.entries, t.bit_width, trials))
+        _differ(state, reg_rows, _case_rows(t.entries, len(reg_rows), trials))
         for reg_rows, t in zip(out_rows, tables)
     ]
     masks.append(_differ(state, dirty_rows, dirty_init))

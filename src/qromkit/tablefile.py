@@ -5,7 +5,9 @@ lines holds one entry, decimal (leading zeros allowed) or hexadecimal with an
 ``0x``/``0X`` prefix, below 2^b. No other spelling is a number: not
 ``0b``/``0o`` prefixes, ``_`` separators, a ``+`` sign or non-ASCII digits. A
 leading ``-`` is read so that a negative value is reported as out of range.
-``#`` starts a comment.
+``#`` starts a comment. Lines end where the gate-file format's lines end (see
+``qromkit.gatefile``): at every line boundary of ``str.splitlines``, so a
+comment ends at any of them too.
 
 A file as ``format_table`` writes it, the header and N bare decimal lines, is
 checked and converted in C-level passes. Any other file, and every file with

@@ -24,6 +24,16 @@ def inverse_circuit(circuit: Circuit) -> Circuit:
     return inv
 
 
+def circuit_with_gates(registers, gates) -> Circuit:
+    """A new circuit over ``registers`` holding ``gates`` in order, each put
+    in through ``Circuit.append``, which validates it. Fault injection edits
+    a copy of a circuit's gates and rebuilds the circuit with this."""
+    circuit = Circuit(registers)
+    for gate in gates:
+        circuit.append(gate.kind, *gate.operands)
+    return circuit
+
+
 def indexed_op(index: dict, gate: Gate) -> tuple:
     """Reference op: the gate's code and its operand rows from ``index``, a
     ``qubit_indexer`` map, padded with None to four fields."""
@@ -31,7 +41,6 @@ def indexed_op(index: dict, gate: Gate) -> tuple:
 
 
 def indexed_ops(circuit: Circuit) -> list[tuple]:
-    """Reference op stream: ``indexed_op`` of every gate through
-    ``Circuit.per_gate``, which validates entries put in by hand."""
+    """Reference op stream: ``indexed_op`` of the gate at every position."""
     index = qubit_indexer(circuit)
-    return list(circuit.per_gate(lambda gate: indexed_op(index, gate)))
+    return [indexed_op(index, gate) for gate in circuit.gates]

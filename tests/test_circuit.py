@@ -3,7 +3,7 @@ import dataclasses
 import itertools
 import pickle
 from collections import Counter
-from operator import attrgetter
+from operator import attrgetter, delitem, setitem
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ from qromkit import (
 )
 from qromkit.circuit import CLEAN_ROLES, GATE_ARITY, TOFFOLI_COST
 from qromkit.simulate import qubit_indexer
-from helpers import indexed_op, indexed_ops, random_table
+from helpers import circuit_with_gates, indexed_op, indexed_ops, random_table
 
 
 def two_reg_circuit():
@@ -52,7 +52,7 @@ class TestNewCircuit:
     def test_empty(self):
         c = Circuit([RegisterSpec("q", 2, Role.ADDRESS_Q)])
         assert c.num_qubits == 2
-        assert c.gates == []
+        assert c.gates == ()
 
     def test_duplicate_name(self):
         with pytest.raises(CircuitError, match="duplicate"):
@@ -109,7 +109,7 @@ class TestAppend:
             with pytest.raises(CircuitError, match="is not a QubitRef") as err:
                 emit(GateKind.CNOT, operand, QubitRef("out", 0))
             assert repr(operand) in str(err.value)
-        assert c.gates == []
+        assert c.gates == ()
 
     @pytest.mark.parametrize(
         "operand,fragment",
@@ -127,14 +127,14 @@ class TestAppend:
             with pytest.raises(CircuitError, match=fragment) as err:
                 emit(GateKind.CNOT, operand, QubitRef("out", 0))
             assert repr(operand) in str(err.value)
-        assert c.gates == [] and c._interned == {}
+        assert c.gates == () and c._interned == {}
 
     def test_unknown_kind_raises_circuit_error(self):
         c = two_reg_circuit()
         for emit in (c.append, c.intern):
             with pytest.raises(CircuitError, match="unknown gate kind 'FOO'"):
                 emit("FOO", QubitRef("a", 0))
-        assert c.gates == [] and c._interned == {}
+        assert c.gates == () and c._interned == {}
 
     def test_equal_spelling_of_a_stored_operand_raises(self):
         # Each spelling equals QubitRef("a", 1), yet raises the same error
@@ -148,8 +148,8 @@ class TestAppend:
                     emit(GateKind.X, operand)
                 messages.add(str(err.value))
             assert len(messages) == 1 and repr(operand) in messages.pop()
-        assert fresh.gates == [] and fresh._interned == {}
-        assert holding.gates == [gate] and list(holding._interned.values()) == [gate]
+        assert fresh.gates == () and fresh._interned == {}
+        assert holding.gates == (gate,) and list(holding._interned.values()) == [gate]
 
     def test_temp_and_pair_validates(self):
         c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
@@ -162,25 +162,6 @@ class TestAppend:
         c.append(GateKind.TEMP_AND, QubitRef("a", 0), QubitRef("a", 1), QubitRef("w", 0))
         with pytest.raises(CircuitError, match="unreleased"):
             check_temp_and_pairing(c)
-
-
-PASS_IDS = ["count_resources", "check_temp_and_pairing", "verify_qrom", "batch_simulate",
-            "serialize_circuit", "simulate"]
-
-
-def passes_over_lookup(table):
-    """The six passes that read a circuit's gate list, each as a function
-    of a circuit built over ``table``, in ``PASS_IDS`` order."""
-    return [
-        count_resources,
-        check_temp_and_pairing,
-        lambda circuit: verify_qrom(circuit, table),
-        lambda circuit: batch_simulate(
-            circuit, np.zeros((circuit.num_qubits, 2), dtype=np.uint8)
-        ),
-        serialize_circuit,
-        lambda circuit: simulate(circuit, BitState.for_circuit(circuit)),
-    ]
 
 
 class TestInterning:
@@ -217,7 +198,7 @@ class TestInterning:
                 c.append(kind, *operands)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-        assert c.gates == [kept] and c.gates[0] is kept
+        assert c.gates == (kept,) and c.gates[0] is kept
 
     def test_built_lookup_holds_one_object_per_distinct_gate(self):
         table = random_table(1024, 16, seed=5)
@@ -227,18 +208,15 @@ class TestInterning:
         assert distinct < len(circuit.gates) // 10
 
     def test_per_gate_maps_every_gate_once_per_object(self):
-        # Interned gates, a fresh object equal to one of them, and a gate
-        # never interned that sits at two positions, as fault injection
-        # leaves them. ``fn`` sees the stored gate equal to each entry, never
-        # a hand-put object, and runs once per distinct stored gate.
+        # Interned gates at several positions, and one interned gate that no
+        # position holds: ``fn`` runs once per interned gate, and the results
+        # follow the list.
         c = two_reg_circuit()
         cnot = c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
         x = c.append(GateKind.X, QubitRef("out", 0))
         unused = c.intern(GateKind.X, QubitRef("a", 2))
-        fresh = Gate(GateKind.CNOT, (QubitRef("a", 0), QubitRef("out", 1)))
-        stray = Gate(GateKind.X, (QubitRef("a", 1),))
-        entries = [cnot, stray, x, fresh, cnot, stray, x]
-        c.gates = list(entries)
+        c.append(GateKind.X, QubitRef("out", 0))
+        c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
         calls = []
 
         def fn(gate):
@@ -246,130 +224,13 @@ class TestInterning:
             return gate
 
         mapped = list(c.per_gate(fn))
-        stored_stray = c.intern(GateKind.X, QubitRef("a", 1))
-        assert stored_stray is not stray and stored_stray == stray
-        assert [id(g) for g in calls] == [id(cnot), id(x), id(unused), id(stored_stray)]
-        expected = [cnot, stored_stray, x, cnot, cnot, stored_stray, x]
-        assert [id(g) for g in mapped] == [id(g) for g in expected]
-        assert mapped == entries
-        assert [id(g) for g in c.gates] == [id(g) for g in entries]
+        assert [id(g) for g in calls] == [id(cnot), id(x), id(unused)]
+        assert [id(g) for g in mapped] == [id(g) for g in (cnot, x, x, cnot)]
         assert list(two_reg_circuit().per_gate(fn)) == []
-
-    @pytest.mark.parametrize(
-        "gate,message",
-        [
-            (Gate(GateKind.X, (QubitRef("nowhere", 0),)), "unknown register 'nowhere'"),
-            (Gate(GateKind.X, (QubitRef("output", 99),)), r"qubit output\[99\] out of range"),
-            (Gate(GateKind.CNOT, (QubitRef("output", 0),)), "CNOT takes 2 operands, got 1"),
-            (Gate(GateKind.TOFFOLI, (QubitRef("nowhere", 0),)), "TOFFOLI takes 3 operands, got 1"),
-            (Gate(GateKind.TEMP_AND, (QubitRef("output", 99),)), "TEMP_AND takes 3 operands, got 1"),
-        ],
-        ids=["unknown_register", "offset_out_of_range", "wrong_arity", "short_toffoli",
-             "short_temp_and"],
-    )
-    def test_gate_put_in_by_hand_is_validated(self, gate, message):
-        # The circuit would refuse these through append; a gate list edited
-        # by hand must not be counted, paired, simulated or written.
-        table = random_table(8, 3, seed=2)
-        circuit = build_qrom(table, plan_qrom(8, 3, 2, 1))
-        circuit.gates.append(gate)
-        messages = set()
-        for run in passes_over_lookup(table):
-            with pytest.raises(CircuitError, match=message) as err:
-                run(circuit)
-            messages.add(str(err.value))
-        assert len(messages) == 1
-
-    @pytest.mark.parametrize("run", passes_over_lookup(random_table(8, 3, seed=2)), ids=PASS_IDS)
-    def test_entry_that_is_not_a_gate_is_a_circuit_error(self, run):
-        circuit = build_qrom(random_table(8, 3, seed=2), plan_qrom(8, 3, 2, 1))
-        entry = (GateKind.X, (QubitRef("output", 0),))
-        circuit.gates.insert(5, entry)
-        circuit.gates.append(("second", "entry"))
-        with pytest.raises(CircuitError) as err:
-            run(circuit)
-        assert str(err.value) == f"gate list entry {entry!r} is not a Gate"
-
-
-LOOKUP_TABLE = random_table(8, 3, seed=2)
-
-
-@st.composite
-def bad_entry(draw):
-    """A gate-list entry that append would refuse, with the error it gets."""
-    pick, k = draw(st.integers(0, 3)), draw(st.integers(0, 50))
-    if pick == 0:
-        return Gate(GateKind.X, (QubitRef(f"nowhere{k}", 0),)), f"unknown register 'nowhere{k}'"
-    if pick == 1:
-        return (
-            Gate(GateKind.CNOT, (QubitRef("dirty", 0), QubitRef("output", 3 + k))),
-            f"qubit output[{3 + k}] out of range (size 3)",
-        )
-    if pick == 2:
-        kind = draw(st.sampled_from(list(GateKind)))
-        got = draw(st.integers(0, 4).filter(lambda m: m != GATE_ARITY[kind]))
-        operands = tuple(QubitRef("addr_q", j) for j in range(got))
-        return Gate(kind, operands), f"{kind.value} takes {GATE_ARITY[kind]} operands, got {got}"
-    entry = ("entry", k)
-    return entry, f"gate list entry {entry!r} is not a Gate"
-
-
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(st.data())
-def test_every_pass_names_the_first_bad_entry(data):
-    circuit = build_qrom(LOOKUP_TABLE, plan_qrom(8, 3, 2, 1))
-    entries = data.draw(st.lists(bad_entry(), min_size=1, max_size=3))
-    size = len(circuit.gates) + len(entries)
-    positions = data.draw(
-        st.lists(st.integers(0, size - 1), min_size=len(entries), max_size=len(entries),
-                 unique=True)
-    )
-    placed = sorted(zip(positions, range(len(entries))))
-    for position, which in placed:  # ascending, so each lands at its position
-        circuit.gates.insert(position, entries[which][0])
-    expected = entries[placed[0][1]][1]
-    for run in passes_over_lookup(LOOKUP_TABLE):
-        with pytest.raises(CircuitError) as err:
-            run(circuit)
-        assert str(err.value) == expected
-
-
-def test_read_passes_leave_the_gate_list_as_they_found_it():
-    # A lookup with a valid gate made by hand and never interned (at two
-    # positions, so the output flips back), gates of a circuit whose
-    # registers are declared in reverse order, and fresh objects equal to
-    # interned gates: every pass must read them and leave ``gates`` alone.
-    circuit = build_qrom(LOOKUP_TABLE, plan_qrom(8, 3, 2, 1))
-    other = Circuit(list(reversed(circuit.registers)))
-    entries = [
-        other.intern(gate.kind, *gate.operands) if i % 5 == 1
-        else Gate(gate.kind, gate.operands) if i % 5 == 3 else gate
-        for i, gate in enumerate(circuit.gates)
-    ]
-    stray = Gate(GateKind.X, (QubitRef("output", 0),))
-    entries[4:4] = [stray, stray]
-    circuit.gates = list(entries)
-    for run in passes_over_lookup(LOOKUP_TABLE):
-        results = []
-        for _ in range(2):
-            results.append(run(circuit))
-            assert len(circuit.gates) == len(entries)
-            assert all(a is b for a, b in zip(circuit.gates, entries))
-        first, second = results
-        if isinstance(first, np.ndarray):
-            assert np.array_equal(first, second)
-        else:
-            assert first == second
-    assert verify_qrom(circuit, LOOKUP_TABLE).passed
-
-
-def per_gate_kinds(circuit):
-    """Reference tally: every position through ``per_gate``."""
-    return Counter(circuit.per_gate(attrgetter("kind")))
 
 
 def assert_passes_match_per_gate(circuit):
-    kinds = per_gate_kinds(circuit)
+    kinds = Counter(circuit.per_gate(attrgetter("kind")))
     est = count_resources(circuit)
     assert est == naive_count_resources(circuit)
     assert (est.temp_and, est.cnot, est.x) == (
@@ -379,28 +240,72 @@ def assert_passes_match_per_gate(circuit):
     check_temp_and_pairing(circuit)
 
 
-def assert_stored_equal_not_own(circuit):
-    """Some entry lacks the circuit's mark: ``_stored`` gives a new list of
-    this circuit's stored gates, equal entry by entry."""
-    entries = list(circuit.gates)
-    stored = circuit._stored()
-    assert stored is not circuit.gates and stored == entries
-    assert all(gate._stamp is circuit._mark for gate in stored)
-    assert all(a is b for a, b in zip(circuit.gates, entries))
+LOOKUP_TABLE = random_table(8, 3, seed=2)
+
+
+def pass_results(circuit):
+    """The result of every pass that reads a circuit's gate or register
+    list, on a lookup built over ``LOOKUP_TABLE``."""
+    final = batch_simulate(circuit, np.zeros((circuit.num_qubits, 2), dtype=np.uint8))
+    return [
+        count_resources(circuit),
+        check_temp_and_pairing(circuit),
+        verify_qrom(circuit, LOOKUP_TABLE),
+        final.tolist(),
+        serialize_circuit(circuit),
+        simulate(circuit, BitState.for_circuit(circuit)),
+    ]
+
+
+def augment(circuit, name, value):
+    if name == "gates":
+        circuit.gates += (value,)
+    else:
+        circuit.registers += (value,)
+
+
+# Every way to write ``value`` into a circuit's list ``name`` from outside.
+OUTSIDE_WRITES = {
+    "assign": lambda c, name, value: setattr(c, name, [*getattr(c, name), value]),
+    "delete": lambda c, name, value: delattr(c, name),
+    "append": lambda c, name, value: getattr(c, name).append(value),
+    "insert": lambda c, name, value: getattr(c, name).insert(0, value),
+    "extend": lambda c, name, value: getattr(c, name).extend([value]),
+    "set_item": lambda c, name, value: setitem(getattr(c, name), 0, value),
+    "del_item": lambda c, name, value: delitem(getattr(c, name), 0),
+    "augment": augment,
+}
+
+
+class TestSealedLists:
+    """Only the circuit writes its gate and register lists: every write from
+    outside raises and leaves the circuit as it was. A valid gate on the
+    output or a new register would otherwise change what the passes see."""
+
+    @pytest.mark.parametrize("write", OUTSIDE_WRITES.values(), ids=OUTSIDE_WRITES.keys())
+    @pytest.mark.parametrize(
+        "name,value",
+        [("gates", Gate(GateKind.X, (QubitRef("output", 0),))),
+         ("registers", RegisterSpec("extra", 2, Role.WORK))],
+        ids=["gates", "registers"],
+    )
+    def test_outside_write_raises_and_changes_nothing(self, name, value, write):
+        circuit = build_qrom(LOOKUP_TABLE, plan_qrom(8, 3, 2, 1))
+        gates, registers, results = circuit.gates, circuit.registers, pass_results(circuit)
+        with pytest.raises((AttributeError, TypeError)):
+            write(circuit, name, value)
+        assert circuit.gates == gates and all(a is b for a, b in zip(circuit.gates, gates))
+        assert circuit.registers == registers and not circuit.has_register("extra")
+        assert circuit == build_qrom(LOOKUP_TABLE, plan_qrom(8, 3, 2, 1))
+        assert pass_results(circuit) == results
 
 
 class TestKindStamps:
-    """Gates a circuit stored carry its one mark in their ``_stamp`` slot;
-    the passes read any other entry only after validating it here."""
+    """Stored gates: their slots, copies of the circuit, and the passes that
+    read them."""
 
     def built(self, seed=2):
         return build_qrom(random_table(8, 3, seed=seed), plan_qrom(8, 3, 2, 1))
-
-    def test_gates_of_another_circuit(self):
-        circuit, other = self.built(), self.built(seed=3)
-        circuit.gates = list(other.gates)
-        assert_stored_equal_not_own(circuit)
-        assert_passes_match_per_gate(circuit)
 
     @pytest.mark.parametrize(
         "clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
@@ -412,29 +317,8 @@ class TestKindStamps:
         assert circuit == original
         assert_passes_match_per_gate(circuit)
         assert count_resources(circuit) == count_resources(original)
-        # The copy's gates carry the copy's own mark, not the original's.
-        assert circuit._mark is not original._mark
-        assert {g._stamp for g in circuit.gates} == {circuit._mark}
-        assert circuit._stored() is circuit.gates
-
-    def test_hand_made_gate_equal_to_an_interned_one(self):
-        circuit = self.built()
-        circuit.gates[3] = Gate(circuit.gates[3].kind, circuit.gates[3].operands)
-        circuit.gates.append(Gate(GateKind.X, (QubitRef("output", 0),)))
-        assert_stored_equal_not_own(circuit)
-        assert_passes_match_per_gate(circuit)
-
-    def test_gate_of_another_circuit_invalid_here(self):
-        circuit = self.built()
-        wide = Circuit([RegisterSpec("output", 100, Role.OUTPUT)])
-        circuit.gates.insert(4, wide.intern(GateKind.X, QubitRef("output", 99)))
-        with pytest.raises(CircuitError) as reference:
-            per_gate_kinds(circuit)
-        assert str(reference.value) == "qubit output[99] out of range (size 3)"
-        for run in (count_resources, check_temp_and_pairing):
-            with pytest.raises(CircuitError) as err:
-                run(circuit)
-            assert str(err.value) == str(reference.value)
+        assert_stored_ops_match_indexer(circuit)
+        assert not {id(g) for g in circuit.gates} & {id(g) for g in original.gates}
 
     def test_stored_gate_sets_every_field(self):
         # ``intern`` writes a stored gate's slots itself, not through
@@ -444,20 +328,9 @@ class TestKindStamps:
         gate = c.intern("CNOT", *operands)
         assert type(gate) is Gate and gate.kind is GateKind.CNOT
         assert all(hasattr(gate, f.name) for f in dataclasses.fields(Gate))
-        assert gate._stamp is c._mark
         # Code 0 for CNOT; "a" holds rows 0-2 and "out" rows 3-4.
         assert gate._op == (0, 0, 4, None)
         assert gate == Gate(GateKind.CNOT, operands)
-
-    def test_stamp_is_not_part_of_a_gate_value(self):
-        circuit = self.built()
-        gate = next(g for g in circuit.gates if g.kind is GateKind.CNOT)
-        plain = Gate(gate.kind, gate.operands)
-        assert gate._stamp is not None and plain._stamp is None
-        for twin in (plain, dataclasses.replace(gate), pickle.loads(pickle.dumps(gate))):
-            assert twin == gate and hash(twin) == hash(gate) and repr(twin) == repr(gate)
-        assert dataclasses.replace(gate)._stamp is None
-        assert "_stamp" not in repr(gate)
 
     def test_op_is_not_part_of_a_gate_value(self):
         circuit = self.built()
@@ -584,48 +457,10 @@ POOL_GATES = [
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, len(POOL_GATES) - 1), st.booleans()),
-        max_size=40,
-    )
-)
+@given(st.lists(st.integers(0, len(POOL_GATES) - 1), max_size=40))
 def test_whole_circuit_passes_match_per_position_reference(picks):
-    # Gate lists assigned straight to ``gates`` may hold equal gates that are
-    # separate objects; ``fresh`` picks a new object, otherwise a shared one.
-    circuit = two_reg_circuit()
-    shared = {}
-    gates = []
-    for index, fresh in picks:
-        gate = Gate(*POOL_GATES[index])
-        gates.append(gate if fresh else shared.setdefault(index, gate))
-    circuit.gates = gates
-    assert count_resources(circuit) == naive_count_resources(circuit)
-    expected = naive_pairing_error(circuit)
-    if expected is None:
-        check_temp_and_pairing(circuit)
-    else:
-        with pytest.raises(CircuitError) as info:
-            check_temp_and_pairing(circuit)
-        assert str(info.value) == expected
-
-
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, len(POOL_GATES) - 1), st.integers(0, 49)),
-        max_size=40,
-    )
-)
-def test_stamped_passes_match_per_position_reference(picks):
-    # Mostly the circuit's own interned gates, so the passes read their kind
-    # stamps; a pick of 0 puts in an equal gate made by hand instead.
-    circuit = two_reg_circuit()
-    gates = []
-    for index, how in picks:
-        kind, operands = POOL_GATES[index]
-        gates.append(circuit.intern(kind, *operands) if how else Gate(kind, operands))
-    circuit.gates = gates
+    circuit = circuit_with_gates(two_reg_circuit().registers,
+                                 [Gate(*POOL_GATES[index]) for index in picks])
     assert count_resources(circuit) == naive_count_resources(circuit)
     expected = naive_pairing_error(circuit)
     if expected is None:
@@ -644,7 +479,8 @@ REGISTER_NAMES = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, ma
 def layouts_with_gates(draw):
     """A circuit over random registers (names, sizes 1 to 40, order) and
     random valid gates of every kind, each stored through one of the three
-    ways in: ``append``, ``intern`` or the builders' ``_lookup``."""
+    ways in: ``append``, or ``intern`` or the builders' ``_lookup`` followed
+    by an append to the private list, as the builders do."""
     names = draw(st.lists(REGISTER_NAMES, min_size=1, max_size=6, unique=True))
     sizes = draw(st.lists(st.integers(1, 40), min_size=len(names), max_size=len(names)))
     roles = draw(st.lists(st.sampled_from(list(Role)), min_size=len(names), max_size=len(names)))
@@ -659,15 +495,14 @@ def layouts_with_gates(draw):
         how = draw(st.sampled_from([circuit.append, circuit.intern, circuit._lookup]))
         gate = how(kind, *operands)
         if how != circuit.append:
-            circuit.gates.append(gate)
+            circuit._gates.append(gate)
     return circuit
 
 
 def assert_stored_ops_match_indexer(circuit):
-    """Every entry is the circuit's own gate, so the passes read ``gates``
-    itself, and its stored op is the op resolved through ``qubit_indexer``."""
-    assert circuit._stored() is circuit.gates
-    assert all(gate._stamp is circuit._mark for gate in circuit.gates)
+    """Every position holds the circuit's own interned gate, whose stored op
+    is the op resolved through ``qubit_indexer``."""
+    assert all(gate is circuit._interned[gate.kind, gate.operands] for gate in circuit.gates)
     assert [gate._op for gate in circuit.gates] == indexed_ops(circuit)
 
 
@@ -691,9 +526,12 @@ def test_stored_op_rows_follow_the_declared_layout(circuit):
         lambda: build_selectswap_dirty(random_table(16, 3, seed=4), 4),
         lambda: parse_circuit(serialize_circuit(
             build_qrom(random_table(20, 5, seed=5), plan_qrom(20, 5, 4, 2)))),
+        lambda: copy.deepcopy(build_selectswap_dirty(random_table(16, 3, seed=4), 4)),
+        lambda: pickle.loads(pickle.dumps(
+            build_sequential_qroms(SequentialSpec((random_table(9, 2, seed=6),) * 2, 2)))),
     ],
     ids=["build_qrom", "build_qrom_full_mu", "sequential", "plain", "plain_n1", "selectswap",
-         "parsed_gate_file"],
+         "parsed_gate_file", "deepcopy", "pickle"],
 )
 def test_built_and_parsed_gates_store_indexer_rows(build):
     assert_stored_ops_match_indexer(build())

@@ -3,8 +3,8 @@ only ``circuit`` knows that gates are shared objects.
 
 No linter ships with the project, so this ``ast`` walk catches the imports
 that a deletion leaves behind, and any module that keys gates by ``id`` or
-reads ``Circuit._interned`` instead of reading the gate list through
-``Circuit._stored`` or ``Circuit.per_gate``.
+reads ``Circuit._interned`` instead of reading the circuit's gate list or
+calling ``Circuit.per_gate``.
 """
 import ast
 from pathlib import Path

@@ -58,7 +58,7 @@ def test_zero_one_range_rejected():
     c = iteration_circuit(2, 2)
     with pytest.raises(ValueError, match="no index bit"):
         emit_unary_iteration(c, IterationSpec("idx", 0, 1), lambda w: None)
-    assert c.gates == []
+    assert c.gates == ()
 
 
 def test_single_value_range_off_the_tree_rejected():
@@ -77,7 +77,7 @@ def test_two_value_range_uses_index_bit_as_wire():
     emit_unary_iteration(c, IterationSpec("idx", 1, 2), windows.append)
     assert count_resources(c).toffoli == 0
     assert windows[0].select_wire == QubitRef("idx", 0)
-    assert c.gates == []
+    assert c.gates == ()
 
 
 def emit_probe(circuit, lo, hi):
@@ -184,7 +184,7 @@ def test_second_emission_replays_the_first():
     spec = IterationSpec("idx", 0, 25)
     first, second = [], []
     emit_unary_iteration(c, spec, first.append)
-    gates_first = list(c.gates)
+    gates_first = c.gates
     emit_unary_iteration(c, spec, second.append)
     assert second == first
     assert [w.index_value for w in first] == list(range(25))
@@ -199,7 +199,7 @@ def test_second_emission_replays_the_first():
 def test_replay_interleaves_emitter_gates_like_a_fresh_walk():
     c = iteration_circuit(3, 3, probe_bits=6)
     emit_probe(c, 0, 6)
-    once = list(c.gates)
+    once = c.gates
     emit_probe(c, 0, 6)
     assert c.gates == once + once
 
@@ -213,7 +213,7 @@ def test_failed_validation_records_nothing():
             emit_unary_iteration(c, spec, lambda w: None)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
-    assert c.gates == []
+    assert c.gates == ()
 
 
 class Stop(Exception):
@@ -331,7 +331,7 @@ def test_emit_loads_rejects_words_before_appending(words, message):
     c = loads_circuit(2, 2)
     with pytest.raises(ValueError, match=message):
         emit_loads(c, IterationSpec("idx", 0, 4), [QubitRef("out", 0), QubitRef("out", 1)], words)
-    assert c.gates == []
+    assert c.gates == ()
 
 
 @pytest.mark.parametrize("words", [[], [1, 2], [1, 2, 3]])
@@ -345,5 +345,5 @@ def test_emit_loads_rejects_words_short_of_the_range(words):
     assert str(err.value) == (
         f"{len(words)} words do not cover the iteration range, which ends at 4"
     )
-    assert c.gates == [kept] and c.gates[0] is kept
+    assert c.gates == (kept,) and c.gates[0] is kept
     assert c._scaffolds == {}

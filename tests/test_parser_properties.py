@@ -31,7 +31,7 @@ from qromkit import (
 from qromkit.circuit import GATE_ARITY
 from qromkit.gatefile import _CHUNK, _line_chunks, _parse_circuit
 from qromkit.tablefile import _parse_lines, _parse_plain
-from helpers import random_table
+from helpers import circuit_with_gates, random_table
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -115,12 +115,13 @@ def test_serialize_parse_serialize_is_identity(circuit):
     parsed = parse_circuit(text)
     assert parsed == circuit
     assert serialize_circuit(parsed) == text
-    # A hand-assembled list: fresh objects equal to interned gates, one
-    # object at two positions, and gates that were never interned.
-    fresh = [Gate(gate.kind, gate.operands) for gate in parsed.gates]
+    # A list assembled from the parsed gates: each gate at several
+    # positions, and a gate that was not in the file.
     stray = Gate(GateKind.X, (next(parsed.qubits()),))
-    parsed.gates = [*fresh, stray, *reversed(parsed.gates), *fresh[:1], stray]
-    assert serialize_circuit(parsed) == line_per_gate(parsed)
+    gates = parsed.gates
+    assembled = circuit_with_gates(
+        parsed.registers, [*gates, stray, *reversed(gates), *gates[:1], stray])
+    assert serialize_circuit(assembled) == line_per_gate(assembled)
 
 
 BUILT_FILES = [

@@ -370,14 +370,14 @@ class TestEmitters:
         for stage in (-1, 2):
             with pytest.raises(ValueError, match="stage"):
                 emit_select(circuit, plan, schedule, stage, packet_slice(plan, 0))
-        assert circuit.gates == []
+        assert circuit.gates == ()
 
     def test_copy_rejects_slice_wider_than_mu(self):
         plan = plan_qrom(16, 4, 4, 2)
         circuit = fresh_plan_circuit(plan)
         with pytest.raises(ValueError, match="exceeds mu"):
             emit_copy(circuit, plan, [QubitRef("output", k) for k in range(3)])
-        assert circuit.gates == []
+        assert circuit.gates == ()
 
 
 class TestBuildQrom:

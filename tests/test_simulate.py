@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qromkit import (
     Circuit,
     BitState,
-    Gate,
     GateKind,
     LookupTable,
     QubitRef,
@@ -173,22 +172,17 @@ def differential_runs(draw):
     # Half the draws leave out the two checked temp-AND kinds, so that the
     # full-state comparison runs often on wide inputs too.
     kinds = draw(st.sampled_from([list(GateKind), UNCHECKED_KINDS]))
-    # The engine resolves operands once per gate object, so gates also come
-    # as fresh objects equal to interned ones but never interned, and some
-    # objects repeat at several positions (a later repeat of a temp-AND can
-    # fail where an earlier one held).
+    # The engine resolves operands once per interned gate, so some gates
+    # repeat at several positions (a later repeat of a temp-AND can fail
+    # where an earlier one held).
     for _ in range(draw(st.integers(0, 24))):
-        how = draw(st.sampled_from(["intern", "fresh", "repeat"]))
-        if how == "repeat" and circuit.gates:
-            circuit.gates.append(draw(st.sampled_from(tuple(circuit.gates))))
+        if draw(st.booleans()) and circuit.gates:
+            gate = draw(st.sampled_from(circuit.gates))
+            circuit.append(gate.kind, *gate.operands)
             continue
         kind = draw(st.sampled_from(kinds))
         arity = GATE_ARITY[kind]
-        operands = draw(st.permutations(qubits))[:arity]
-        if how == "fresh":
-            circuit.gates.append(Gate(kind, tuple(operands)))
-        else:
-            circuit.append(kind, *operands)
+        circuit.append(kind, *draw(st.permutations(qubits))[:arity])
     cases = draw(st.sampled_from(EDGE_CASE_COUNTS))
     # Temp qubits start at 0 in half the draws, so that some temp-ANDs hold.
     density = draw(st.sampled_from([0.0, 0.5]))
@@ -342,11 +336,11 @@ def op_stream_lookup():
 
 
 def assert_simulates_like_scalar_and_per_gate(circuit):
-    """The ops the gate loop reads equal the ``per_gate`` reference, and
+    """The ops the gate loop reads equal the ``qubit_indexer`` reference, and
     batch simulation of valid lookup inputs (random address, dirty and
     output rows; work rows 0) equals scalar ``simulate`` case by case. The
     lookup also still verifies."""
-    assert [gate._op for gate in circuit._stored()] == indexed_ops(circuit)
+    assert [gate._op for gate in circuit.gates] == indexed_ops(circuit)
     index = qubit_indexer(circuit)
     rng = np.random.default_rng(7)
     matrix = rng.integers(0, 2, size=(circuit.num_qubits, 24), dtype=np.uint8)
@@ -361,43 +355,9 @@ def assert_simulates_like_scalar_and_per_gate(circuit):
     assert verify_qrom(circuit, OP_STREAM_TABLE, dirty_trials=3).passed
 
 
-def assert_stored_are_own_gates_equal_to_entries(circuit):
-    """Some entry is not the circuit's own gate, so the passes read a new
-    list of its own gates, equal entry by entry: the rows another circuit
-    stored are never read."""
-    stored = circuit._stored()
-    assert stored is not circuit.gates and stored == circuit.gates
-    assert all(gate._stamp is circuit._mark for gate in stored)
-
-
 class TestOpStream:
     def test_own_gates_stream_stored_ops(self):
         circuit = op_stream_lookup()
-        assert circuit._stored() is circuit.gates
-        assert all(gate._stamp is circuit._mark for gate in circuit.gates)
-        assert_simulates_like_scalar_and_per_gate(circuit)
-
-    def test_own_gates_mixed_with_equal_hand_made_ones(self):
-        circuit = op_stream_lookup()
-        circuit.gates = [
-            Gate(gate.kind, gate.operands) if i % 3 == 1 else gate
-            for i, gate in enumerate(circuit.gates)
-        ]
-        assert_stored_are_own_gates_equal_to_entries(circuit)
-        assert_simulates_like_scalar_and_per_gate(circuit)
-
-    def test_gate_of_another_layout_is_resolved_here(self):
-        # Equal registers declared in reverse order: the other circuit's
-        # stored rows are wrong for this one and must never be read.
-        circuit = op_stream_lookup()
-        other = Circuit(list(reversed(circuit.registers)))
-        moved = 0
-        for i, gate in enumerate(circuit.gates):
-            if i % 4 == 2:
-                foreign = circuit.gates[i] = other.intern(gate.kind, *gate.operands)
-                moved += foreign._op != gate._op
-        assert moved > 0
-        assert_stored_are_own_gates_equal_to_entries(circuit)
         assert_simulates_like_scalar_and_per_gate(circuit)
 
     @pytest.mark.parametrize(
@@ -406,6 +366,5 @@ class TestOpStream:
     )
     def test_copied_circuit_streams_its_copied_ops(self, clone):
         circuit = clone(op_stream_lookup())
-        assert circuit._stored() is circuit.gates
         assert all(gate._op is not None for gate in circuit.gates)
         assert_simulates_like_scalar_and_per_gate(circuit)

@@ -1,7 +1,7 @@
 """The lookup verifier: pinned fault reports, the input contract, a scalar
 differential, multi-output faults, a build -> verify round trip, and reports
 equal to a matrix-based reference at case counts around byte edges, also for
-one fault gate object at two positions.
+one fault gate at two positions, and output bits above b that must end at 0.
 
 ``FAULT_REPORT_DIGEST`` pins every field of every failure that ``verify_qrom``
 reports on a fixed set of fault-injected circuits (an X on an output, dirty,
@@ -36,12 +36,14 @@ from qromkit import (
     build_qrom,
     build_selectswap_dirty,
     build_sequential_qroms,
+    parse_circuit,
     plan_qrom,
     qubit_indexer,
+    serialize_circuit,
     simulate,
     verify_qrom,
 )
-from helpers import random_table
+from helpers import circuit_with_gates, random_table
 
 # The package exports a function named ``simulate``, so fetch the module.
 simulate_module = importlib.import_module("qromkit.simulate")
@@ -52,21 +54,19 @@ FAULT_REPORT_DIGEST = "f86cbe2fa6b4c16bea20009bf4a20a68442a5b83d060e33f2d14241f4
 def faulty_variants(circuit, rng):
     """Yield (label, circuit) pairs, each with one injected fault."""
     def with_gates(gates):
-        variant = Circuit(circuit.registers)
-        variant.gates = gates
-        return variant
+        return circuit_with_gates(circuit.registers, gates)
 
-    qubits = list(circuit.qubits())
+    qubits, gates = list(circuit.qubits()), circuit.gates
     for reg in circuit.registers:
         end_x = Gate(GateKind.X, (QubitRef(reg.name, 0),))
-        yield f"x-end-{reg.name}", with_gates(circuit.gates + [end_x])
+        yield f"x-end-{reg.name}", with_gates([*gates, end_x])
     for _ in range(3):
-        at = rng.randrange(len(circuit.gates) + 1)
+        at = rng.randrange(len(gates) + 1)
         qubit = rng.choice(qubits)
-        gates = circuit.gates[:at] + [Gate(GateKind.X, (qubit,))] + circuit.gates[at:]
-        yield f"x-{at}-{qubit.register}[{qubit.offset}]", with_gates(gates)
-    drop = rng.randrange(len(circuit.gates))
-    yield f"drop-{drop}", with_gates(circuit.gates[:drop] + circuit.gates[drop + 1:])
+        yield (f"x-{at}-{qubit.register}[{qubit.offset}]",
+               with_gates([*gates[:at], Gate(GateKind.X, (qubit,)), *gates[at:]]))
+    drop = rng.randrange(len(gates))
+    yield f"drop-{drop}", with_gates(gates[:drop] + gates[drop + 1:])
 
 
 def fault_corpus():
@@ -146,7 +146,7 @@ class TestContract:
             verify_qrom(circuit, [random_table(16, 3, seed=1), random_table(15, 3, seed=2)])
 
     def test_second_address_r_rejected(self):
-        circuit = Circuit(self.circuit.registers + [RegisterSpec("addr_r2", 1, Role.ADDRESS_R)])
+        circuit = Circuit([*self.circuit.registers, RegisterSpec("addr_r2", 1, Role.ADDRESS_R)])
         with pytest.raises(ValueError, match="at most one address_q and one address_r"):
             verify_qrom(circuit, self.table)
 
@@ -156,7 +156,7 @@ class TestContract:
 
         monkeypatch.setattr(simulate_module, "_register_rows", rows_must_not_be_listed)
         huge = RegisterSpec("w", simulate_module.MAX_STATE_CELLS // 16 + 1, Role.WORK)
-        circuit = Circuit(self.circuit.registers + [huge])
+        circuit = Circuit([*self.circuit.registers, huge])
         with pytest.raises(ValueError, match="exceeds 1073741824 cells"):
             verify_qrom(circuit, self.table, dirty_trials=1)
 
@@ -233,10 +233,15 @@ def test_build_verify_round_trip(data):
     table = random_table(n, b, seed=data.draw(st.integers(0, 2**16), label="seed"))
     plan = plan_qrom(n, b, lam, mu)
     circuit = build_qrom(table, plan)
-    assert verify_qrom(circuit, table, plan, dirty_trials=2, seed=n).passed
+    report = verify_qrom(circuit, table, plan, dirty_trials=2, seed=n)
+    assert report.passed
+    # The gate-file leg: the written and re-read circuit is the same circuit
+    # and gets the same report.
+    parsed = parse_circuit(serialize_circuit(circuit))
+    assert parsed == circuit
+    assert verify_qrom(parsed, table, plan, dirty_trials=2, seed=n) == report
     for reg in circuit.registers:
-        faulty = Circuit(circuit.registers)
-        faulty.gates = list(circuit.gates)
+        faulty = circuit_with_gates(circuit.registers, circuit.gates)
         faulty.append(GateKind.X, QubitRef(reg.name, data.draw(st.integers(0, reg.size - 1))))
         report = verify_qrom(faulty, table, plan, dirty_trials=2, seed=n)
         assert len(report.failures) == report.cases_run
@@ -274,12 +279,15 @@ def reference_failures(circuit, tables, trials, seed):
     def pack(column, reg_rows):
         return sum(int(column[row]) << j for j, row in enumerate(reg_rows))
 
+    # Each entry zero-extended to its whole output register: output qubits
+    # start clean, so the bits above b must end at 0.
     expected = [
-        np.array([[(v >> j) & 1 for v in t.entries] for j in range(t.bit_width)]) for t in tables
+        np.array([[(v >> j) & 1 for v in t.entries] for j in range(len(r))])
+        for r, t in zip(out_rows, tables)
     ]
     out_bad = [
-        (final[r[: t.bit_width]] != np.repeat(e, trials, axis=1)).any(axis=0)
-        for r, t, e in zip(out_rows, tables, expected)
+        (final[r] != np.repeat(e, trials, axis=1)).any(axis=0)
+        for r, e in zip(out_rows, expected)
     ]
     dirty_bad = (final[dirty_rows] != matrix[dirty_rows]).any(axis=0)
     addr_bad = (final[addr_rows] != matrix[addr_rows]).any(axis=0)
@@ -343,19 +351,16 @@ def byte_edge_circuits():
 def test_packed_report_matches_matrix_reference(circuit, tables, trials):
     # The X goes last, so every variant simulates through and reports.
     n = tables[0].n_entries
-    faulty = Circuit(circuit.registers)
     qubit = list(circuit.qubits())[n % circuit.num_qubits]
-    faulty.gates = circuit.gates + [Gate(GateKind.X, (qubit,))]
-    # One X object, never interned, at two positions: it flips address bit 0
-    # (the output at N=1) before and after the lookup, which then reads entry
-    # x ^ 1. The engine resolves the object once and must apply it at both
-    # positions, as two equal objects would be.
+    faulty = circuit_with_gates(circuit.registers, [*circuit.gates, Gate(GateKind.X, (qubit,))])
+    # One interned X at two positions: it flips address bit 0 (the output at
+    # N=1) before and after the lookup, which then reads entry x ^ 1. The
+    # engine resolves the gate once and must apply it at both positions.
     roles = (Role.ADDRESS_R, Role.ADDRESS_Q, Role.OUTPUT)
     low = next(reg for role in roles for reg in circuit.registers_with_role(role))
     flip = Gate(GateKind.X, (QubitRef(low.name, 0),))
-    twice, pair = Circuit(circuit.registers), Circuit(circuit.registers)
-    twice.gates = [flip, *circuit.gates, flip]
-    pair.gates = [flip, *circuit.gates, Gate(GateKind.X, (QubitRef(low.name, 0),))]
+    twice = circuit_with_gates(circuit.registers, [flip, *circuit.gates, flip])
+    assert twice.gates[0] is twice.gates[-1]
     wrong = [
         LookupTable(tuple(v ^ (x % 2) for x, v in enumerate(t.entries)), t.bit_width)
         for t in tables
@@ -367,7 +372,21 @@ def test_packed_report_matches_matrix_reference(circuit, tables, trials):
             assert report.failures == reference_failures(variant, table_set, trials, n)
     assert verify_qrom(circuit, tables, dirty_trials=trials, seed=n).passed
     assert not verify_qrom(faulty, tables, dirty_trials=trials, seed=n).passed
-    assert (
-        verify_qrom(twice, tables, dirty_trials=trials, seed=n).failures
-        == verify_qrom(pair, tables, dirty_trials=trials, seed=n).failures
-    )
+
+
+def test_output_bits_above_b_must_end_at_zero():
+    # A gate file may declare an output register wider than b. Its qubits
+    # start clean, so bits above b left at 1 fail every case.
+    table = random_table(8, 3, seed=2)
+    text = serialize_circuit(build_qrom(table, plan_qrom(8, 3, 2, 1)))
+    assert text.count("REGISTER output 3 output\n") == 1
+    wide = text.replace("REGISTER output 3 output\n", "REGISTER output 5 output\n")
+    assert verify_qrom(parse_circuit(wide), table, dirty_trials=2).passed
+    circuit = parse_circuit(wide + "X output 4\nX output 3\n")
+    report = verify_qrom(circuit, table, dirty_trials=2)
+    assert len(report.failures) == report.cases_run == 16
+    for failure in report.failures:
+        entry = table.entries[failure.x]
+        assert failure.observed_output == entry | 0b11000
+        assert failure.diagnostics == f"output {entry | 0b11000:#x} != f(x) {entry:#x}"
+    assert report.failures == reference_failures(circuit, [table], 2, 0)
