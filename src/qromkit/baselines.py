@@ -57,7 +57,7 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
     registers = registers_for_plan(plan)
     registers.insert(3, RegisterSpec("buffer", b, Role.WORK))  # after "output"
     circuit = Circuit(registers)
-    append, gate = circuit._gates.append, circuit._lookup
+    append, gate = circuit._index.append, circuit._lookup
 
     # Block 0 is the clean buffer; blocks 1..lam-1 are borrowed. Window q
     # loads blocks 0..lam-1 as one word, block l in bits l*b..(l+1)*b.

@@ -8,32 +8,27 @@ address roles are inputs.
 
 Circuits are append-only while being built and treated as immutable afterwards,
 so finished circuits can be shared freely between threads. A circuit owns its
-register and gate lists: ``registers`` is a tuple and ``gates`` a read-only
-copy of the gate list, so neither can be assigned or edited from outside, and
+register and gate lists: ``registers`` and ``gates`` are read-only tuples, and
 every entry comes in through a call that validates it. A lookup circuit
-repeats a few hundred distinct gates thousands of times, so each circuit
-interns its gates: equal gates are one shared frozen ``Gate`` object. Gates
-come in through ``Circuit.intern``, which validates every call and resolves
-the gate's op: its kind's code and operand qubit rows, from each register's
-span of rows, so rows are resolved once per distinct gate. ``append`` is
-``intern`` plus a list append; the builders resolve gates through
-``Circuit._lookup`` and add them to the private list themselves. The builders
-also record each unary-iteration scaffold once per circuit (see
-``qromkit.iteration``) and replay its interned gates.
-
-Every entry of the private list is therefore this circuit's validated,
-interned gate, and every pass reads that list directly. Resources are a tally
-of kinds, the temp-AND pairing check visits only temp-AND positions, and the
-simulator streams the stored ops.
+repeats a few hundred distinct gates across millions of positions, so a
+circuit stores each distinct gate once, with its op (its kind's code and
+operand rows, resolved from the registers' spans on validation), and its gate
+list as one ``array("I")`` of indices into them. ``append`` is ``intern`` plus
+one index appended; the builders and the gate-file parser append indices
+themselves, and the builders replay each recorded unary-iteration scaffold
+(see ``qromkit.iteration``). Every pass reads the index array: resources are
+a tally of indices folded over the distinct kinds, the temp-AND pairing check
+visits only temp-AND positions, and the simulators map gates or ops over it.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, count
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "CircuitError",
@@ -154,18 +149,12 @@ class Gate:
 
     kind: GateKind
     operands: tuple[QubitRef, ...]
-    # Its op in the circuit that stored it (see ``Circuit._validate``);
-    # never part of equality, hash or repr.
-    _op: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Simulation dispatches on identity, so bare strings must become
         # enum members here.
         if not isinstance(self.kind, GateKind):
             object.__setattr__(self, "kind", GateKind(self.kind))
-
-
-_set_kind, _set_operands, _set_op = Gate.kind.__set__, Gate.operands.__set__, Gate._op.__set__
 
 
 class Circuit:
@@ -189,10 +178,13 @@ class Circuit:
             self._by_name[reg.name] = reg
             self._spans[reg.name] = (first, reg.size)
             first += reg.size
-        # Only interned gates of this circuit: ``append`` and the builders
-        # in this package are the only writers.
-        self._gates: list[Gate] = []
-        self._interned: dict[tuple, Gate] = {}
+        # The distinct gates in first-intern order, their ops, the index of
+        # each by ``(kind, operands)``, and the gate list as indices; only
+        # ``append`` and this package's builders and parser write them.
+        self._distinct: list[Gate] = []
+        self._ops: list[tuple] = []
+        self._index = array("I")
+        self._interned: dict[tuple, int] = {}
         # Unary-iteration recordings, keyed by IterationSpec; owned by
         # ``qromkit.iteration`` and never part of equality.
         self._scaffolds: dict[object, tuple] = {}
@@ -205,7 +197,7 @@ class Circuit:
     @property
     def gates(self) -> tuple[Gate, ...]:
         """A copy of the gate list, in order."""
-        return tuple(self._gates)
+        return tuple(map(self._distinct.__getitem__, self._index))
 
     @property
     def num_qubits(self) -> int:
@@ -237,40 +229,38 @@ class Circuit:
         frozen object; a ``str`` kind equals its ``GateKind``, so both
         spellings share one gate whose kind is the enum.
         """
-        if not isinstance(kind, GateKind):
-            kind = GateKind(kind)
-        op = self._validate(kind, operands)
-        return self._interned.get((kind, operands)) or self._store(kind, operands, op)
+        return self._distinct[self._checked_index(kind, operands)]
 
     def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
         """Append the interned gate for ``(kind, operands)`` and return it."""
-        gate = self.intern(kind, *operands)
-        self._gates.append(gate)
-        return gate
+        index = self._checked_index(kind, operands)
+        self._index.append(index)
+        return self._distinct[index]
 
-    def _lookup(self, kind: GateKind, *operands: QubitRef) -> Gate:
-        """``intern`` for the builders, which resolve each gate many times and
-        pass only a ``GateKind`` and well-typed operands: a stored gate is
-        returned unchecked, and a new one is validated and stored."""
-        return self._interned.get((kind, operands)) or self._store(
-            kind, operands, self._validate(kind, operands))
+    def _checked_index(self, kind: GateKind, operands: tuple) -> int:
+        """The index of the gate ``(kind, operands)``, stored if new; every call
+        is validated. ``intern``, ``append`` and the gate-file parser use it."""
+        if not isinstance(kind, GateKind):
+            kind = GateKind(kind)
+        op = self._validate(kind, operands)
+        index = self._interned.get((kind, operands))
+        return self._store(kind, operands, op) if index is None else index
 
-    def _store(self, kind: GateKind, operands: tuple, op: tuple) -> Gate:
-        """Store ``Gate(kind, operands)`` with its validated ``op``. The kind
-        is already coerced, so the slots are written directly: ``__init__``
-        would also write the default op and run ``__post_init__``."""
-        gate = self._interned[kind, operands] = object.__new__(Gate)
-        _set_kind(gate, kind)
-        _set_operands(gate, operands)
-        _set_op(gate, op)
-        return gate
+    def _lookup(self, kind: GateKind, *operands: QubitRef) -> int:
+        """``_checked_index`` for the builders, which resolve each gate many
+        times and pass only a ``GateKind`` and well-typed operands: a stored
+        gate's index is returned unchecked."""
+        index = self._interned.get((kind, operands))
+        if index is None:
+            index = self._store(kind, operands, self._validate(kind, operands))
+        return index
 
-    def per_gate(self, fn: Callable[[Gate], object]) -> Iterator:
-        """``fn`` of the gate at every position, in list order, with ``fn``
-        run once per interned gate."""
-        # Interned gates live as long as the circuit, so no id is reused.
-        results = {id(gate): fn(gate) for gate in self._interned.values()}
-        return map(results.__getitem__, map(id, self._gates))
+    def _store(self, kind: GateKind, operands: tuple, op: tuple) -> int:
+        """Store ``Gate(kind, operands)`` and its validated ``op``; return its index."""
+        index = self._interned[kind, operands] = len(self._distinct)
+        self._distinct.append(Gate(kind, operands))
+        self._ops.append(op)
+        return index
 
     def _validate(self, kind: GateKind, operands: tuple) -> tuple:
         """Check one gate and return its op: its ``_OP_CODES`` code and
@@ -319,13 +309,16 @@ class Circuit:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
             return NotImplemented
-        return self._registers == other._registers and self._gates == other._gates
+        # Two circuits may intern equal gates in different orders, so each
+        # gate here maps to the other's index of it, or to one it never
+        # holds, and the gate lists are compared as index arrays.
+        absent = len(other._distinct)
+        theirs = [other._interned.get((g.kind, g.operands), absent) for g in self._distinct]
+        gates = array("I", map(theirs.__getitem__, self._index))
+        return self._registers == other._registers and gates == other._index
 
     def __repr__(self) -> str:
-        return f"Circuit({len(self._registers)} registers, {len(self._gates)} gates)"
-
-
-_kind = attrgetter("kind")
+        return f"Circuit({len(self._registers)} registers, {len(self._index)} gates)"
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,8 +343,12 @@ class ResourceEstimate:
 def count_resources(circuit: Circuit) -> ResourceEstimate:
     """Count gates and qubits exactly; deterministic for a given circuit.
 
-    Gates are tallied per kind in one C-level pass, then weighted per kind."""
-    kinds = Counter(map(_kind, circuit._gates))
+    The gate list's indices are tallied in one numpy pass, and the tallies
+    folded over the distinct gates' kinds."""
+    tally = np.bincount(np.frombuffer(circuit._index, np.uintc), minlength=len(circuit._distinct))
+    kinds: Counter = Counter()
+    for gate, times in zip(circuit._distinct, tally.tolist()):
+        kinds[gate.kind] += times
     toffoli = sum(TOFFOLI_COST[kind] * times for kind, times in kinds.items())
     temp_and, cnot, x = kinds[GateKind.TEMP_AND], kinds[GateKind.CNOT], kinds[GateKind.X]
     clean = sum(reg.size for reg in circuit.registers if reg.role in CLEAN_ROLES)
@@ -373,15 +370,16 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
     Every TEMP_AND must target a qubit not currently held by an earlier
     TEMP_AND, and must be released by a TEMP_AND_UNCOMPUTE with the same
     control pair before circuit end. Raises CircuitError on violation.
-    Only temp-AND positions are visited, found in one C-level pass over the
-    gate kinds; other gates cannot affect pairing.
+    Only temp-AND positions are visited, found in one numpy pass over the
+    indices; other gates cannot affect pairing.
     Controls match in either order.
     """
-    gates = circuit._gates
-    temps = {GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE}
+    gates, positions = circuit._distinct, np.frombuffer(circuit._index, dtype=np.uintc)
+    kinds = {GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE}
+    temps = np.array([g.kind in kinds for g in gates], dtype=bool)
+    at = np.flatnonzero(temps[positions])
     held: dict[QubitRef, Gate] = {}  # target -> pending TEMP_AND
-    for i in compress(count(), map(temps.__contains__, map(_kind, gates))):
-        gate = gates[i]
+    for i, gate in zip(at.tolist(), map(gates.__getitem__, positions[at].tolist())):
         target = gate.operands[-1]
         if gate.kind is GateKind.TEMP_AND:
             if target in held:

@@ -13,14 +13,14 @@ Register sizes and qubit offsets are ASCII decimal numbers: no sign other
 than a leading ``-`` (reported as out of range), no ``_`` separators and no
 non-ASCII digits. ``parse_circuit(serialize_circuit(c))`` reproduces the
 register list and gate list exactly. A lookup circuit repeats few distinct
-gates many times, so the serializer formats each distinct gate once through
-``Circuit.per_gate``, and the parser pays Python work per distinct line: it
-reads gate lines a chunk at a time, parses each raw line not seen before into
-the circuit's interned gate (``Circuit.intern`` validates it, makes two
-spellings of one gate one object and resolves its qubit rows), and appends
-the whole chunk to the circuit's private list in one C-level pass. Errors
-name the first bad line: past the header, a line's validity does not depend
-on its place.
+gates many times, and stores its gate list as indices into its distinct
+gates, so the serializer formats each distinct gate once and joins the lines
+by index. The parser pays Python work per distinct line: it reads gate lines
+a chunk at a time, maps each raw line not seen before to the index of the
+circuit's gate (``Circuit._checked_index`` validates it, gives two spellings
+of one gate one index and resolves its qubit rows), and extends the circuit's
+index array by the whole chunk in one C-level pass. Errors name the first
+bad line: past the header, a line's validity does not depend on its place.
 """
 from __future__ import annotations
 
@@ -46,15 +46,12 @@ def serialize_circuit(circuit: Circuit) -> str:
     # Each line carries its own LF, so the text is made by one join; an empty
     # circuit is the single empty line "\n".
     header = [f"REGISTER {reg.name} {reg.size} {reg.role.value}\n" for reg in circuit.registers]
-    return "".join([*header, *circuit.per_gate(_gate_line)]) or "\n"
+    lines = list(map(_gate_line, circuit._distinct))
+    return "".join([*header, *map(lines.__getitem__, circuit._index)]) or "\n"
 
 
 def _gate_line(gate: Gate) -> str:
-    parts = [gate.kind.value]
-    for ref in gate.operands:
-        parts.append(ref.register)
-        parts.append(str(ref.offset))
-    return " ".join(parts) + "\n"
+    return " ".join([gate.kind.value, *(f"{reg} {at}" for reg, at in gate.operands)]) + "\n"
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -63,11 +60,12 @@ def parse_circuit(text: str) -> Circuit:
 
     Python work is paid per distinct line, not per line. In each chunk of
     about a megabyte, only the raw lines not seen before are parsed, in order
-    of first occurrence; each maps to the circuit's interned gate, or to None
-    for a blank or comment line. The whole chunk is then appended in one
-    C-level pass. Each ``(register, offset)`` token pair is turned into a
-    ``QubitRef`` once. The first bad line is reported, and the parse stops
-    in the chunk that holds it; its line number is worked out only then.
+    of first occurrence, each to its gate's index or to ``_SKIP`` for a blank
+    or comment line; the chunk's indices are appended in one C-level pass,
+    which drops ``_SKIP`` only if the chunk holds it. Each ``(register,
+    offset)`` token pair is turned into a ``QubitRef`` once. The first bad
+    line is reported, and the parse stops in the chunk that holds it; its
+    line number is worked out only then.
     """
     return _parse_circuit(text, _CHUNK)
 
@@ -75,13 +73,15 @@ def parse_circuit(text: str) -> Circuit:
 #: Characters per chunk of gate lines, give or take one line.
 _CHUNK = 1 << 20
 
+_SKIP = -1  # The index of a blank or comment line: no gate's, as those are >= 0.
+
 
 def _parse_circuit(text: str, chunk: int) -> Circuit:
     registers: list[RegisterSpec] = []
     seen_names: set[str] = set()
     circuit: Circuit | None = None
-    # Raw text of every accepted line: its gate, or None.
-    known: dict[str, Gate | None] = {}
+    # Raw text of every accepted line: its gate's index, or _SKIP.
+    known: dict[str, int] = {}
     refs: dict[tuple[str, str], QubitRef] = {}
     end = 0  # body ends on line end, so body[k] is on line end - len(body) + k + 1
     for body in _line_chunks(text, chunk):
@@ -101,17 +101,21 @@ def _parse_circuit(text: str, chunk: int) -> Circuit:
                     raise ParseError(end - len(body) + at + 1, str(exc)) from None
             else:
                 continue
-        for raw in dict.fromkeys(body):
+        distinct = dict.fromkeys(body)
+        for raw in distinct:
             if raw in known:
                 continue
             line = raw.partition("#")[0].strip()
             try:
                 if _is_register(line):
                     raise ValueError("REGISTER after first gate line")
-                known[raw] = _parse_gate(circuit, line, refs) if line else None
+                known[raw] = _parse_gate(circuit, line, refs) if line else _SKIP
             except ValueError as exc:
                 raise ParseError(end - len(body) + body.index(raw) + 1, str(exc)) from None
-        circuit._gates.extend(filter(None, map(known.get, body)))
+        indices = map(known.__getitem__, body)
+        if _SKIP in map(known.__getitem__, distinct):
+            indices = filter(_SKIP.__ne__, indices)
+        circuit._index.extend(indices)
     return Circuit(registers) if circuit is None else circuit
 
 
@@ -161,8 +165,8 @@ def _decimal(token: str, what: str) -> int:
     raise ValueError(f"{what} {token!r}")
 
 
-def _parse_gate(circuit: Circuit, line: str, refs: dict) -> Gate:
-    """The interned gate of one gate line; ``refs`` caches the ``QubitRef``
+def _parse_gate(circuit: Circuit, line: str, refs: dict) -> int:
+    """The index of one gate line's gate; ``refs`` caches the ``QubitRef``
     of each ``(register, offset)`` token pair. Raises ``ValueError`` with the
     message of a ``ParseError``."""
     kind_s, *rest = line.split()
@@ -175,4 +179,4 @@ def _parse_gate(circuit: Circuit, line: str, refs: dict) -> Gate:
         if ref is None:
             ref = refs[pair] = QubitRef(pair[0], _decimal(pair[1], "bad qubit offset"))
         operands.append(ref)
-    return circuit.intern(kind, *operands)
+    return circuit._checked_index(kind, tuple(operands))

@@ -24,18 +24,18 @@ correctly, which is what the copy stage relies on for index 0.
 
 A lookup runs the same iteration many times per circuit (one q-iteration
 per Select, one r-iteration per Copy), so each circuit records the scaffold
-of a spec once: the tree walk yields, per window, the interned gates that
-precede it, plus the gates after the last window. The same walk counts the
-temp-ANDs it spends, which fixes the alignment pairs and the work qubits.
-Every emission, the first included, replays that recording, extending the
-gate list segment by segment and calling the emitter between segments, so
-the gate order is exactly that of a fresh walk.
+of a spec once: the tree walk yields, per window, the indices of the
+circuit's gates that precede it, plus those after the last window. The same
+walk counts the temp-ANDs it spends, which fixes the alignment pairs and the
+work qubits. Every emission, the first included, replays that recording,
+extending the circuit's index array segment by segment and calling the
+emitter between segments, so the gate order is exactly that of a fresh walk.
 
 ``emit_loads`` is the Select that every lookup builder runs on top of the
 iteration: window v XOR-loads the bits of one classical word onto a fixed
 target list. Its data CNOTs are most of a lookup's gates, so a window finds
 the word's set bits in C, from the binary digits of ``bin``, maps them
-through a per-wire cache of interned gates and extends the gate list once.
+through a per-wire cache of gate indices and extends the index array once.
 
 Emission is pure appending into the caller's circuit, and the recording is
 private to that circuit; there is no shared state, so concurrent emission
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from typing import Callable, Sequence
 
-from .circuit import Circuit, Gate, GateKind, QubitRef
+from .circuit import Circuit, GateKind, QubitRef
 
 __all__ = ["IterationSpec", "IterationWindow", "emit_unary_iteration", "emit_loads"]
 
@@ -97,9 +97,9 @@ def emit_unary_iteration(
         recording = circuit._scaffolds[spec] = _record_scaffold(circuit, spec)
     steps, tail = recording
     for segment, window in steps:
-        circuit._gates.extend(segment)
+        circuit._index.extend(segment)
         emitter(window)
-    circuit._gates.extend(tail)
+    circuit._index.extend(tail)
     return circuit
 
 
@@ -139,7 +139,7 @@ def emit_loads(
             row = rows[wire] = _Row(circuit, wire, targets)
         # One byte per bit of the word, lowest first: 1 where it is set.
         selectors = bin(words[win.index_value])[:1:-1].encode().translate(_SELECTORS)
-        circuit._gates.extend(map(row.__getitem__, compress(count(), selectors)))
+        circuit._index.extend(map(row.__getitem__, compress(count(), selectors)))
 
     return emit_unary_iteration(circuit, spec, window)
 
@@ -148,16 +148,16 @@ _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 class _Row(dict):
-    """The CNOTs from one select wire, keyed by target index; a missing one
-    is interned on lookup."""
+    """The indices of the CNOTs from one select wire, keyed by target index;
+    a missing one is interned on lookup."""
 
     def __init__(self, circuit: Circuit, wire: QubitRef, targets: list[QubitRef]) -> None:
         super().__init__()
         self.circuit, self.wire, self.targets = circuit, wire, targets
 
-    def __missing__(self, k: int) -> Gate:
-        gate = self[k] = self.circuit._lookup(GateKind.CNOT, self.wire, self.targets[k])
-        return gate
+    def __missing__(self, k: int) -> int:
+        index = self[k] = self.circuit._lookup(GateKind.CNOT, self.wire, self.targets[k])
+        return index
 
 
 def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
@@ -167,7 +167,7 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
     window)`` pair per index value in ascending order, and ``tail`` the gates
     after the last window. The walk records ``(kind, *operands)`` tuples and
     counts its temp-ANDs; only once the cost and the work register check out
-    are the tuples turned into the circuit's interned gates.
+    are the tuples turned into the indices of the circuit's gates.
     """
     reg = circuit.register(spec.index_register)
     lo, hi = spec.range_lo, spec.range_hi
@@ -276,12 +276,12 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
 
 def _intern(circuit: Circuit, steps: list, tail: list) -> tuple:
     """The recording with each ``(kind, *operands)`` tuple replaced by the
-    circuit's interned gate."""
+    index of the circuit's gate."""
 
-    def gates(specs) -> tuple[Gate, ...]:
+    def indices(specs) -> tuple[int, ...]:
         return tuple(circuit._lookup(*spec) for spec in specs)
 
-    return tuple((gates(segment), win) for segment, win in steps), gates(tail)
+    return tuple((indices(segment), win) for segment, win in steps), indices(tail)
 
 
 def _overlaps(a: int, b: int, lo: int, hi: int) -> bool:

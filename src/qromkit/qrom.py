@@ -285,7 +285,7 @@ def emit_copy(circuit: Circuit, plan: QromPlan, outputs: list[QubitRef]) -> Circ
     if len(outputs) > plan.mu:
         raise ValueError(f"output slice of {len(outputs)} qubits exceeds mu = {plan.mu}")
 
-    append, gate = circuit._gates.append, circuit._lookup
+    append, gate = circuit._index.append, circuit._lookup
 
     def window(win: IterationWindow) -> None:
         sources = _dirty_block(plan, win.index_value)
@@ -309,7 +309,7 @@ def emit_restore(
     """
     _select(circuit, plan, schedule.unload, outputs=[], direct=())
     temp = QubitRef("work", plan.work_qubits - 1)
-    append, gate = circuit._gates.append, circuit._lookup
+    append, gate = circuit._index.append, circuit._lookup
 
     def fix_window(win: IterationWindow) -> None:
         for j, source in enumerate(_dirty_block(plan, win.index_value)):

@@ -5,15 +5,15 @@ basis states is exact and, by linearity, covers superpositions: if each
 |x>|0>|phi> maps to |x>|f(x)>|phi>, so does any sum of them. Amplitudes are
 not tracked.
 
-Both engines read the circuit's gate list, which holds only gates the circuit
-validated on the way in.
+Both engines read the circuit's gate list, an array of indices into the
+distinct gates the circuit validated on the way in.
 ``simulate`` runs one assignment through the gates, dispatching on each
 gate's kind and operands, and is the independent oracle. The batch engine
 holds each qubit row as one Python int with bit j for case j and runs the gate
 list once over all cases; it has one gate loop and two callers. The circuit
 resolves each distinct gate's operands to rows once, when it validates the
 gate, into one ``(code, a, b, t)`` op (a lookup repeats a few hundred gates
-thousands of times), and the loop streams one stored op per gate.
+thousands of times), and the loop maps the stored ops over the positions.
 ``batch_simulate`` takes and returns a 0/1 matrix (one row per
 qubit in ``qubit_indexer`` order, one column per case) and packs it into rows
 for the engine. Both raise ``SimulationError`` on a temp-AND computed onto a
@@ -29,7 +29,6 @@ seed it cannot check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -96,7 +95,7 @@ def simulate(circuit: Circuit, initial: BitState) -> BitState:
     """
     state = initial.copy()
     bits = state.bits
-    for i, gate in enumerate(circuit._gates):
+    for i, gate in enumerate(map(circuit._distinct.__getitem__, circuit._index)):
         kind = gate.kind
         ops = gate.operands
         if kind is GateKind.X:
@@ -153,15 +152,15 @@ def batch_simulate(circuit: Circuit, bit_matrix: np.ndarray) -> np.ndarray:
 
 
 def _run_packed(circuit: Circuit, state: list[int], cases: int) -> None:
-    """The one gate loop: apply ``circuit.gates`` in place to ``state``, one
+    """The one gate loop: apply the gate list in place to ``state``, one
     Python int per qubit row (``qubit_indexer`` order) whose bit j is case j.
 
-    Every gate is one or two int operations over all cases. Each gate's
-    ``(code, a, b, t)`` op of operand rows was resolved once, when the
-    circuit validated it, and the loop streams the op at every position.
+    Every gate is one or two int operations over all cases. Each distinct
+    gate's ``(code, a, b, t)`` op of operand rows was resolved once, when the
+    circuit validated it, and the loop maps the ops over the positions.
     """
     full = (1 << cases) - 1
-    for i, (code, a, b, t) in enumerate(map(_op, circuit._gates)):
+    for i, (code, a, b, t) in enumerate(map(circuit._ops.__getitem__, circuit._index)):
         if code == 0:  # CNOT, control a, target b
             state[b] ^= state[a]
         elif code == 1:  # X on a
@@ -182,9 +181,6 @@ def _run_packed(circuit: Circuit, state: list[int], cases: int) -> None:
             mask = state[a] & (state[b] ^ state[t])
             state[b] ^= mask
             state[t] ^= mask
-
-
-_op = attrgetter("_op")
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:

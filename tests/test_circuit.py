@@ -1,9 +1,8 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 from collections import Counter
-from operator import attrgetter, delitem, setitem
+from operator import delitem, setitem
 
 import numpy as np
 import pytest
@@ -149,7 +148,8 @@ class TestAppend:
                 messages.add(str(err.value))
             assert len(messages) == 1 and repr(operand) in messages.pop()
         assert fresh.gates == () and fresh._interned == {}
-        assert holding.gates == (gate,) and list(holding._interned.values()) == [gate]
+        assert holding.gates == (gate,) and holding._distinct == [gate]
+        assert holding._interned == {(GateKind.X, (QubitRef("a", 1),)): 0}
 
     def test_temp_and_pair_validates(self):
         c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
@@ -207,30 +207,29 @@ class TestInterning:
         assert len({id(gate) for gate in circuit.gates}) == distinct
         assert distinct < len(circuit.gates) // 10
 
-    def test_per_gate_maps_every_gate_once_per_object(self):
+    def test_positions_index_the_gates_in_first_intern_order(self):
         # Interned gates at several positions, and one interned gate that no
-        # position holds: ``fn`` runs once per interned gate, and the results
-        # follow the list.
+        # position holds: each is stored once, with its op, and every
+        # position holds its index.
         c = two_reg_circuit()
         cnot = c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
         x = c.append(GateKind.X, QubitRef("out", 0))
-        unused = c.intern(GateKind.X, QubitRef("a", 2))
+        unused = c.intern("TOFFOLI", QubitRef("a", 2), QubitRef("a", 0), QubitRef("out", 0))
         c.append(GateKind.X, QubitRef("out", 0))
         c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
-        calls = []
+        assert c._distinct == [cnot, x, unused] and type(unused) is Gate
+        assert unused.kind is GateKind.TOFFOLI
+        # Codes 0, 1 and 2 for CNOT, X and TOFFOLI; "a" holds rows 0-2 and
+        # "out" rows 3-4.
+        assert c._ops == [(0, 0, 4, None), (1, 3, None, None), (2, 2, 0, 3)]
+        assert c._index.typecode == "I" and c._index.tolist() == [0, 1, 1, 0]
+        assert [id(g) for g in c.gates] == [id(g) for g in (cnot, x, x, cnot)]
+        empty = two_reg_circuit()
+        assert (empty._distinct, empty._ops, empty._index.tolist()) == ([], [], [])
 
-        def fn(gate):
-            calls.append(gate)
-            return gate
 
-        mapped = list(c.per_gate(fn))
-        assert [id(g) for g in calls] == [id(cnot), id(x), id(unused)]
-        assert [id(g) for g in mapped] == [id(g) for g in (cnot, x, x, cnot)]
-        assert list(two_reg_circuit().per_gate(fn)) == []
-
-
-def assert_passes_match_per_gate(circuit):
-    kinds = Counter(circuit.per_gate(attrgetter("kind")))
+def assert_passes_match_per_position(circuit):
+    kinds = Counter(gate.kind for gate in circuit.gates)
     est = count_resources(circuit)
     assert est == naive_count_resources(circuit)
     assert (est.temp_and, est.cnot, est.x) == (
@@ -301,8 +300,7 @@ class TestSealedLists:
 
 
 class TestKindStamps:
-    """Stored gates: their slots, copies of the circuit, and the passes that
-    read them."""
+    """Copies of a circuit's stored gates, and the passes that read them."""
 
     def built(self, seed=2):
         return build_qrom(random_table(8, 3, seed=seed), plan_qrom(8, 3, 2, 1))
@@ -315,34 +313,12 @@ class TestKindStamps:
         original = self.built()
         circuit = clone(original)
         assert circuit == original
-        assert_passes_match_per_gate(circuit)
+        assert_passes_match_per_position(circuit)
         assert count_resources(circuit) == count_resources(original)
         assert_stored_ops_match_indexer(circuit)
+        assert (circuit._distinct, circuit._ops, circuit._index) == (
+            original._distinct, original._ops, original._index)
         assert not {id(g) for g in circuit.gates} & {id(g) for g in original.gates}
-
-    def test_stored_gate_sets_every_field(self):
-        # ``intern`` writes a stored gate's slots itself, not through
-        # ``Gate.__init__``; a field it missed would be unreadable.
-        c = two_reg_circuit()
-        operands = (QubitRef("a", 0), QubitRef("out", 1))
-        gate = c.intern("CNOT", *operands)
-        assert type(gate) is Gate and gate.kind is GateKind.CNOT
-        assert all(hasattr(gate, f.name) for f in dataclasses.fields(Gate))
-        # Code 0 for CNOT; "a" holds rows 0-2 and "out" rows 3-4.
-        assert gate._op == (0, 0, 4, None)
-        assert gate == Gate(GateKind.CNOT, operands)
-
-    def test_op_is_not_part_of_a_gate_value(self):
-        circuit = self.built()
-        gate = next(g for g in circuit.gates if g.kind is GateKind.TOFFOLI)
-        plain = Gate(gate.kind, gate.operands)
-        assert gate._op is not None and plain._op is None
-        assert dataclasses.replace(gate)._op is None
-        other = Gate(gate.kind, gate.operands)
-        object.__setattr__(other, "_op", (9, 9, 9, 9))
-        for twin in (plain, other, dataclasses.replace(gate)):
-            assert twin == gate and hash(twin) == hash(gate) and repr(twin) == repr(gate)
-        assert "_op" not in repr(gate)
 
     def test_pairing_accepts_swapped_controls(self):
         c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
@@ -480,7 +456,8 @@ def layouts_with_gates(draw):
     """A circuit over random registers (names, sizes 1 to 40, order) and
     random valid gates of every kind, each stored through one of the three
     ways in: ``append``, or ``intern`` or the builders' ``_lookup`` followed
-    by an append to the private list, as the builders do."""
+    by an append of the gate's index to the private index array, as the
+    builders do."""
     names = draw(st.lists(REGISTER_NAMES, min_size=1, max_size=6, unique=True))
     sizes = draw(st.lists(st.integers(1, 40), min_size=len(names), max_size=len(names)))
     roles = draw(st.lists(st.sampled_from(list(Role)), min_size=len(names), max_size=len(names)))
@@ -493,17 +470,24 @@ def layouts_with_gates(draw):
         operands = draw(st.lists(st.sampled_from(qubits), min_size=arity, max_size=arity,
                                  unique=True))
         how = draw(st.sampled_from([circuit.append, circuit.intern, circuit._lookup]))
-        gate = how(kind, *operands)
-        if how != circuit.append:
-            circuit._gates.append(gate)
+        stored = how(kind, *operands)
+        if how == circuit.intern:
+            circuit._index.append(circuit._interned[stored.kind, stored.operands])
+        elif how == circuit._lookup:
+            circuit._index.append(stored)
     return circuit
 
 
 def assert_stored_ops_match_indexer(circuit):
-    """Every position holds the circuit's own interned gate, whose stored op
+    """Each distinct gate is stored once, at the index ``_interned`` gives
+    it, and every position indexes one of them; the op at every position
     is the op resolved through ``qubit_indexer``."""
-    assert all(gate is circuit._interned[gate.kind, gate.operands] for gate in circuit.gates)
-    assert [gate._op for gate in circuit.gates] == indexed_ops(circuit)
+    distinct = circuit._distinct
+    assert all(type(gate) is Gate for gate in distinct)
+    assert circuit._interned == {(g.kind, g.operands): i for i, g in enumerate(distinct)}
+    assert len(circuit._interned) == len(distinct) == len(circuit._ops)
+    assert circuit._index.typecode == "I" and all(i < len(distinct) for i in circuit._index)
+    assert [circuit._ops[i] for i in circuit._index] == indexed_ops(circuit)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -511,7 +495,7 @@ def assert_stored_ops_match_indexer(circuit):
 def test_stored_op_rows_follow_the_declared_layout(circuit):
     assert_stored_ops_match_indexer(circuit)
     index = qubit_indexer(circuit)  # interned gates that no position holds, too
-    assert all(gate._op == indexed_op(index, gate) for gate in circuit._interned.values())
+    assert circuit._ops == [indexed_op(index, gate) for gate in circuit._distinct]
 
 
 @pytest.mark.parametrize(

@@ -41,10 +41,23 @@ def test_gate_line_format():
 
 
 def test_round_trip_simple():
-    c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("o", 1, Role.OUTPUT)])
-    c.append(GateKind.X, QubitRef("a", 0))
-    c.append(GateKind.CNOT, QubitRef("a", 1), QubitRef("o", 0))
+    registers = [RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("o", 1, Role.OUTPUT)]
+    x, cnot = (GateKind.X, QubitRef("a", 0)), (GateKind.CNOT, QubitRef("a", 1), QubitRef("o", 0))
+    c = Circuit(registers)
+    c.append(*x)
+    c.append(*cnot)
     assert parse_circuit(serialize_circuit(c)) == c
+    # The same gate list over gates interned in the other order is equal;
+    # the same gates at swapped positions are not.
+    reordered, swapped = Circuit(registers), Circuit(registers)
+    reordered.intern(*cnot)
+    reordered.append(*x)
+    reordered.append(*cnot)
+    assert reordered._distinct != c._distinct and reordered._index != c._index
+    assert reordered == c and c == reordered
+    swapped.append(*cnot)
+    swapped.append(*x)
+    assert swapped != c and c != swapped
 
 
 @pytest.mark.parametrize("n,b,lam,mu", [(64, 8, 4, 2), (100, 5, 4, 2), (8, 2, 2, 1)])
@@ -61,6 +74,17 @@ def test_comments_and_blank_lines():
     c = parse_circuit(text)
     assert c.num_qubits == 1
     assert len(c.gates) == 1
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, _CHUNK])
+def test_blank_and_comment_lines_drop_in_any_chunk(chunk):
+    # The first gate has index 0; chunks with and without blank or comment
+    # lines must keep it at every position.
+    gates = ["X q 0", "X q 0", "CNOT q 0 q 1", "X q 0"] * 4
+    lines = ["REGISTER q 2 work", *gates[:8], "", "# note", *gates[8:12], " ", *gates[12:]]
+    c = _parse_circuit("\n".join(lines) + "\n", chunk)
+    assert c._index.tolist()[:3] == [0, 0, 1]
+    assert serialize_circuit(c) == "".join(line + "\n" for line in [lines[0], *gates])
 
 
 @pytest.mark.parametrize(
@@ -153,6 +177,8 @@ def test_parsed_gates_are_shared_and_equal_to_built():
     circuit = build_qrom(table, plan_qrom(256, 8, 8, 2))
     text = serialize_circuit(circuit)
     again = parse_circuit(text)
+    # Built and parsed, the distinct gates are interned in different orders.
+    assert again._distinct != circuit._distinct and again._index != circuit._index
     assert again == circuit
     distinct = len(set(again.gates))
     assert distinct < len(again.gates)

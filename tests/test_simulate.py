@@ -23,7 +23,7 @@ from qromkit import (
 )
 from qromkit.circuit import GATE_ARITY
 from qromkit.simulate import qubit_indexer
-from helpers import indexed_ops, inverse_circuit, random_table
+from helpers import indexed_op, indexed_ops, inverse_circuit, random_table
 
 
 def single_register(size=4):
@@ -335,13 +335,15 @@ def op_stream_lookup():
     return build_qrom(OP_STREAM_TABLE, plan_qrom(8, 3, 2, 1))
 
 
-def assert_simulates_like_scalar_and_per_gate(circuit):
-    """The ops the gate loop reads equal the ``qubit_indexer`` reference, and
-    batch simulation of valid lookup inputs (random address, dirty and
-    output rows; work rows 0) equals scalar ``simulate`` case by case. The
-    lookup also still verifies."""
-    assert [gate._op for gate in circuit.gates] == indexed_ops(circuit)
+def assert_simulates_like_scalar_and_reference_ops(circuit):
+    """The ops the gate loop reads equal the ``qubit_indexer`` reference, at
+    every position and for every distinct gate, and batch simulation of
+    valid lookup inputs (random address, dirty and output rows; work rows 0)
+    equals scalar ``simulate`` case by case. The lookup also still
+    verifies."""
     index = qubit_indexer(circuit)
+    assert circuit._ops == [indexed_op(index, gate) for gate in circuit._distinct]
+    assert [circuit._ops[i] for i in circuit._index] == indexed_ops(circuit)
     rng = np.random.default_rng(7)
     matrix = rng.integers(0, 2, size=(circuit.num_qubits, 24), dtype=np.uint8)
     matrix[[index[QubitRef("work", k)] for k in range(circuit.register("work").size)]] = 0
@@ -358,13 +360,16 @@ def assert_simulates_like_scalar_and_per_gate(circuit):
 class TestOpStream:
     def test_own_gates_stream_stored_ops(self):
         circuit = op_stream_lookup()
-        assert_simulates_like_scalar_and_per_gate(circuit)
+        assert_simulates_like_scalar_and_reference_ops(circuit)
 
     @pytest.mark.parametrize(
         "clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
         ids=["deepcopy", "pickle"],
     )
     def test_copied_circuit_streams_its_copied_ops(self, clone):
-        circuit = clone(op_stream_lookup())
-        assert all(gate._op is not None for gate in circuit.gates)
-        assert_simulates_like_scalar_and_per_gate(circuit)
+        original = op_stream_lookup()
+        circuit = clone(original)
+        assert (circuit._distinct, circuit._ops, circuit._index) == (
+            original._distinct, original._ops, original._index)
+        assert not {id(g) for g in circuit._distinct} & {id(g) for g in original._distinct}
+        assert_simulates_like_scalar_and_reference_ops(circuit)
