@@ -13,9 +13,11 @@ every entry comes in through a call that validates it. A lookup circuit
 repeats a few hundred distinct gates across millions of positions, so a
 circuit stores each distinct gate once, with its op (its kind's code and
 operand rows, resolved from the registers' spans on validation), and its gate
-list as one ``array("I")`` of indices into them. ``append`` is ``intern`` plus
-one index appended; the builders and the gate-file parser append indices
-themselves, and the builders replay each recorded unary-iteration scaffold
+list as one ``array("I")`` of indices into them. A ``Gate`` is a named
+``(kind, operands)`` tuple, so each stored gate is also its own key in the
+circuit's index of gates. ``append`` validates and appends one gate; the
+builders and the gate-file parser append indices themselves, and the builders
+replay each recorded unary-iteration scaffold
 (see ``qromkit.iteration``). Every pass reads the index array: resources are
 a tally of indices folded over the distinct kinds, the temp-AND pairing check
 visits only temp-AND positions, and the simulators map gates or ops over it.
@@ -139,31 +141,26 @@ class RegisterSpec:
         return QubitRef(self.name, offset)
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
+class Gate(NamedTuple):
     """One gate application; operands are ordered with targets last.
 
     CNOT is (control, target), TOFFOLI/TEMP_AND are (control, control, target),
-    CSWAP is (control, target, target).
+    CSWAP is (control, target, target). A gate is a tuple: it equals
+    and hashes as ``(kind, operands)``. A circuit's gates come from its own
+    validating calls, so their kinds are ``GateKind`` members.
     """
 
     kind: GateKind
     operands: tuple[QubitRef, ...]
 
-    def __post_init__(self) -> None:
-        # Simulation dispatches on identity, so bare strings must become
-        # enum members here.
-        if not isinstance(self.kind, GateKind):
-            object.__setattr__(self, "kind", GateKind(self.kind))
-
 
 class Circuit:
     """Ordered gate list over named registers.
 
-    Gates are validated on every ``append`` and ``intern``: operand arity must
-    match the kind, operands must be pairwise distinct, and every operand must
-    resolve to a declared register qubit. ``registers`` and ``gates`` are
-    read-only; only the circuit writes them.
+    Gates are validated on every ``append``: operand arity must match the
+    kind, operands must be pairwise distinct, and every operand must resolve
+    to a declared register qubit. ``registers`` and ``gates`` are read-only;
+    only the circuit writes them.
     """
 
     def __init__(self, registers: Iterable[RegisterSpec]):
@@ -179,12 +176,12 @@ class Circuit:
             self._spans[reg.name] = (first, reg.size)
             first += reg.size
         # The distinct gates in first-intern order, their ops, the index of
-        # each by ``(kind, operands)``, and the gate list as indices; only
+        # each keyed by the gate itself, and the gate list as indices; only
         # ``append`` and this package's builders and parser write them.
         self._distinct: list[Gate] = []
         self._ops: list[tuple] = []
         self._index = array("I")
-        self._interned: dict[tuple, int] = {}
+        self._interned: dict[Gate, int] = {}
         # Unary-iteration recordings, keyed by IterationSpec; owned by
         # ``qromkit.iteration`` and never part of equality.
         self._scaffolds: dict[object, tuple] = {}
@@ -220,26 +217,22 @@ class Circuit:
             for offset in range(reg.size):
                 yield QubitRef(reg.name, offset)
 
-    def intern(self, kind: GateKind, *operands: QubitRef) -> Gate:
-        """Return this circuit's validated gate for ``(kind, operands)``
-        without appending it.
+    def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
+        """Append the gate ``(kind, operands)`` and return the stored ``Gate``.
 
         Every call is validated, so ``QubitRef("a", 1.0)`` raises even once a
         gate on ``QubitRef("a", 1)`` is stored. Equal gates are one shared
-        frozen object; a ``str`` kind equals its ``GateKind``, so both
-        spellings share one gate whose kind is the enum.
+        object; a ``str`` kind equals its ``GateKind``, so both spellings
+        share one gate whose kind is the enum.
         """
-        return self._distinct[self._checked_index(kind, operands)]
-
-    def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
-        """Append the interned gate for ``(kind, operands)`` and return it."""
         index = self._checked_index(kind, operands)
         self._index.append(index)
         return self._distinct[index]
 
     def _checked_index(self, kind: GateKind, operands: tuple) -> int:
         """The index of the gate ``(kind, operands)``, stored if new; every call
-        is validated. ``intern``, ``append`` and the gate-file parser use it."""
+        is validated, and a ``str`` kind becomes its ``GateKind`` or raises
+        ``CircuitError``. ``append`` and the gate-file parser use it."""
         if not isinstance(kind, GateKind):
             kind = GateKind(kind)
         op = self._validate(kind, operands)
@@ -256,9 +249,11 @@ class Circuit:
         return index
 
     def _store(self, kind: GateKind, operands: tuple, op: tuple) -> int:
-        """Store ``Gate(kind, operands)`` and its validated ``op``; return its index."""
-        index = self._interned[kind, operands] = len(self._distinct)
-        self._distinct.append(Gate(kind, operands))
+        """Store ``Gate(kind, operands)``, the key and the entry at once, and
+        its validated ``op``; return its index."""
+        gate = Gate(kind, operands)
+        index = self._interned[gate] = len(self._distinct)
+        self._distinct.append(gate)
         self._ops.append(op)
         return index
 
@@ -313,7 +308,7 @@ class Circuit:
         # gate here maps to the other's index of it, or to one it never
         # holds, and the gate lists are compared as index arrays.
         absent = len(other._distinct)
-        theirs = [other._interned.get((g.kind, g.operands), absent) for g in self._distinct]
+        theirs = [other._interned.get(g, absent) for g in self._distinct]
         gates = array("I", map(theirs.__getitem__, self._index))
         return self._registers == other._registers and gates == other._index
 

@@ -182,7 +182,7 @@ def cmd_estimate(args) -> int:
         raise ValueError("--n and --b must be >= 1")
     if args.budget is not None and args.budget < 0:
         raise ValueError("--budget must be >= 0")
-    if (args.lam is None) != (args.mu is None) and args.lam is None:
+    if args.lam is None and args.mu is not None:
         raise ValueError("--mu requires --lambda")
     if args.lam is None and args.budget is None:
         raise ValueError("estimate needs --lambda/--mu or --budget")

@@ -23,8 +23,9 @@ nonzero target or uncomputed to a nonzero result.
 register, every address times seeded dirty patterns in one engine run. It
 takes each register's rows from its span, builds only the address and dirty
 rows, compares final rows with expected rows by XOR/OR into one failure mask
-per check, and reaches Python per case only for failing cases. It raises ``ValueError`` before allocating for a circuit or
-seed it cannot check.
+per check, and reaches Python per case only for failing cases, whose fields
+it reads from their columns as one int each, packed in numpy. It raises
+``ValueError`` before allocating for a circuit or seed it cannot check.
 """
 from __future__ import annotations
 
@@ -294,35 +295,39 @@ def verify_qrom(
     if not any(masks):
         return report
 
-    # Only failing cases reach Python, read from unpacked flags and rows.
+    # Only failing cases reach Python: their columns of flags and final rows
+    # are cut out, and each field of a case is read as one int.
     flags = _unpack_rows(masks, cases)
-    *out_flags, dirty_flags, addr_flags, clean_flags = flags
-    all_out_rows = sum(out_rows, [])
-    observed = _unpack_rows([state[row] for row in all_out_rows + dirty_rows], cases)
-    labels = ["output"] if len(out_regs) == 1 else [reg.name for reg in out_regs]
-    spans, start = [], 0
+    failing = np.flatnonzero(flags.any(axis=0))
+    *out_flags, dirty_flags, addr_flags, clean_flags = flags[:, failing].tolist()
+    final = [state[row] for row in sum(out_rows, []) + dirty_rows]
+    observed = _unpack_rows(final, cases)[:, failing]
+    per_reg, start = [], 0
     for reg_rows in out_rows:
-        spans.append(slice(start, start + len(reg_rows)))
+        per_reg.append(_column_ints(observed[start:start + len(reg_rows)]))
         start += len(reg_rows)
-    for j in np.flatnonzero(flags.any(axis=0)):
-        x, column = int(j) // trials, observed[:, j]
+    outputs, dirty = _column_ints(observed[:start]), _column_ints(observed[start:])
+    pattern_values = _column_ints(patterns.T)
+    labels = ["output"] if len(out_regs) == 1 else [reg.name for reg in out_regs]
+    for k, j in enumerate(failing.tolist()):
+        x = j // trials
         problems = [
-            f"{label} {_pack(column[span]):#x} != f(x) {t.entries[x]:#x}"
-            for label, span, t, bad in zip(labels, spans, tables, out_flags)
-            if bad[j]
+            f"{label} {values[k]:#x} != f(x) {t.entries[x]:#x}"
+            for label, values, t, bad in zip(labels, per_reg, tables, out_flags)
+            if bad[k]
         ]
-        if dirty_flags[j]:
+        if dirty_flags[k]:
             problems.append("dirty register not restored")
-        if addr_flags[j]:
+        if addr_flags[k]:
             problems.append("address register changed")
-        if clean_flags[j]:
+        if clean_flags[k]:
             problems.append("work/temp qubit left nonzero")
         report.failures.append(
             VerificationFailure(
                 x=x,
-                dirty_pattern=_pack(patterns[int(j) % trials]),
-                observed_output=_pack(column[:start]),
-                observed_dirty=_pack(column[start:]),
+                dirty_pattern=pattern_values[j % trials],
+                observed_output=outputs[k],
+                observed_dirty=dirty[k],
                 diagnostics="; ".join(problems),
             )
         )
@@ -354,8 +359,7 @@ def _differ(state: list[int], rows: list[int], expected: list[int]) -> int:
     return mask
 
 
-def _pack(bits) -> int:
-    value = 0
-    for j, bit in enumerate(bits):
-        value |= int(bit) << j
-    return value
+def _column_ints(bits: np.ndarray) -> list[int]:
+    """One int per column of a 2-D 0/1 matrix, bit i taken from row i."""
+    packed = np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
+    return [int.from_bytes(column, "little") for column in packed]

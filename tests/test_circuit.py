@@ -104,10 +104,9 @@ class TestAppend:
     @pytest.mark.parametrize("operand", [None, ("a", 0), "a0"], ids=["none", "tuple", "str"])
     def test_malformed_operand_named(self, operand):
         c = two_reg_circuit()
-        for emit in (c.append, c.intern):
-            with pytest.raises(CircuitError, match="is not a QubitRef") as err:
-                emit(GateKind.CNOT, operand, QubitRef("out", 0))
-            assert repr(operand) in str(err.value)
+        with pytest.raises(CircuitError, match="is not a QubitRef") as err:
+            c.append(GateKind.CNOT, operand, QubitRef("out", 0))
+        assert repr(operand) in str(err.value)
         assert c.gates == ()
 
     @pytest.mark.parametrize(
@@ -122,17 +121,15 @@ class TestAppend:
     )
     def test_ill_typed_operand_raises_circuit_error(self, operand, fragment):
         c = two_reg_circuit()
-        for emit in (c.append, c.intern):
-            with pytest.raises(CircuitError, match=fragment) as err:
-                emit(GateKind.CNOT, operand, QubitRef("out", 0))
-            assert repr(operand) in str(err.value)
+        with pytest.raises(CircuitError, match=fragment) as err:
+            c.append(GateKind.CNOT, operand, QubitRef("out", 0))
+        assert repr(operand) in str(err.value)
         assert c.gates == () and c._interned == {}
 
     def test_unknown_kind_raises_circuit_error(self):
         c = two_reg_circuit()
-        for emit in (c.append, c.intern):
-            with pytest.raises(CircuitError, match="unknown gate kind 'FOO'"):
-                emit("FOO", QubitRef("a", 0))
+        with pytest.raises(CircuitError, match="unknown gate kind 'FOO'"):
+            c.append("FOO", QubitRef("a", 0))
         assert c.gates == () and c._interned == {}
 
     def test_equal_spelling_of_a_stored_operand_raises(self):
@@ -142,7 +139,7 @@ class TestAppend:
         gate = holding.append(GateKind.X, QubitRef("a", 1))
         for operand in (QubitRef("a", 1.0), QubitRef("a", True), ("a", 1)):
             messages = set()
-            for emit in (fresh.append, fresh.intern, holding.append, holding.intern):
+            for emit in (fresh.append, holding.append):
                 with pytest.raises(CircuitError) as err:
                     emit(GateKind.X, operand)
                 messages.add(str(err.value))
@@ -207,6 +204,29 @@ class TestInterning:
         assert len({id(gate) for gate in circuit.gates}) == distinct
         assert distinct < len(circuit.gates) // 10
 
+    @pytest.mark.parametrize(
+        "clone", [lambda c: c, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+        ids=["itself", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("source", ["built", "parsed", "appended"])
+    def test_each_stored_gate_is_its_own_key(self, source, clone):
+        # A gate is a (kind, operands) tuple, so the stored gate itself keys
+        # the circuit's index of gates, and plain tuples find it.
+        built = build_qrom(random_table(16, 3, seed=4), plan_qrom(16, 3, 2, 1))
+        make = {
+            "built": lambda: built,
+            "parsed": lambda: parse_circuit(serialize_circuit(built)),
+            "appended": lambda: circuit_with_gates(built.registers, built.gates),
+        }
+        circuit = clone(make[source]())
+        assert circuit == built and len(circuit._interned) == len(circuit._distinct) > 1
+        for key, index in circuit._interned.items():
+            gate = circuit._distinct[index]
+            assert key is gate and type(gate) is Gate and type(gate.kind) is GateKind
+            kind, operands = gate
+            assert gate == (kind, operands) and hash(gate) == hash((kind, operands))
+            assert circuit._interned[kind, operands] == index
+
     def test_positions_index_the_gates_in_first_intern_order(self):
         # Interned gates at several positions, and one interned gate that no
         # position holds: each is stored once, with its op, and every
@@ -214,7 +234,8 @@ class TestInterning:
         c = two_reg_circuit()
         cnot = c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
         x = c.append(GateKind.X, QubitRef("out", 0))
-        unused = c.intern("TOFFOLI", QubitRef("a", 2), QubitRef("a", 0), QubitRef("out", 0))
+        toffoli = (GateKind.TOFFOLI, QubitRef("a", 2), QubitRef("a", 0), QubitRef("out", 0))
+        unused = c._distinct[c._lookup(*toffoli)]
         c.append(GateKind.X, QubitRef("out", 0))
         c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
         assert c._distinct == [cnot, x, unused] and type(unused) is Gate
@@ -368,15 +389,11 @@ class TestCountResources:
         assert count_resources(c).toffoli == 1
 
 
-def test_string_kind_and_role_coerced():
+def test_string_role_coerced():
     reg = RegisterSpec("a", 2, "dirty")
     assert reg.role is Role.DIRTY
-    gate = Gate("CNOT", (QubitRef("a", 0), QubitRef("a", 1)))
-    assert gate.kind is GateKind.CNOT
     with pytest.raises(ValueError):
         RegisterSpec("a", 2, "mystery")
-    with pytest.raises(ValueError):
-        Gate("FREDKIN2", (QubitRef("a", 0),))
 
 
 def naive_count_resources(circuit):
@@ -454,10 +471,9 @@ REGISTER_NAMES = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, ma
 @st.composite
 def layouts_with_gates(draw):
     """A circuit over random registers (names, sizes 1 to 40, order) and
-    random valid gates of every kind, each stored through one of the three
-    ways in: ``append``, or ``intern`` or the builders' ``_lookup`` followed
-    by an append of the gate's index to the private index array, as the
-    builders do."""
+    random valid gates of every kind, each stored through one of the two
+    ways in: ``append``, or the builders' ``_lookup`` followed by an append
+    of the gate's index to the private index array, as the builders do."""
     names = draw(st.lists(REGISTER_NAMES, min_size=1, max_size=6, unique=True))
     sizes = draw(st.lists(st.integers(1, 40), min_size=len(names), max_size=len(names)))
     roles = draw(st.lists(st.sampled_from(list(Role)), min_size=len(names), max_size=len(names)))
@@ -469,12 +485,10 @@ def layouts_with_gates(draw):
         arity = GATE_ARITY[kind]
         operands = draw(st.lists(st.sampled_from(qubits), min_size=arity, max_size=arity,
                                  unique=True))
-        how = draw(st.sampled_from([circuit.append, circuit.intern, circuit._lookup]))
-        stored = how(kind, *operands)
-        if how == circuit.intern:
-            circuit._index.append(circuit._interned[stored.kind, stored.operands])
-        elif how == circuit._lookup:
-            circuit._index.append(stored)
+        if draw(st.booleans()):
+            circuit.append(kind, *operands)
+        else:
+            circuit._index.append(circuit._lookup(kind, *operands))
     return circuit
 
 

@@ -50,7 +50,7 @@ def test_round_trip_simple():
     # The same gate list over gates interned in the other order is equal;
     # the same gates at swapped positions are not.
     reordered, swapped = Circuit(registers), Circuit(registers)
-    reordered.intern(*cnot)
+    reordered._lookup(*cnot)
     reordered.append(*x)
     reordered.append(*cnot)
     assert reordered._distinct != c._distinct and reordered._index != c._index

@@ -324,15 +324,19 @@ def reference_failures(circuit, tables, trials, seed):
 
 def byte_edge_circuits():
     """(label, circuit, tables, trials) with n * trials on both sides of a
-    byte and a 64-bit word: 1, 7, 8, 9, 63, 64 and 65 cases."""
+    byte and a 64-bit word: 1, 7, 8, 9, 63, 64 and 65 cases. Outputs are
+    b = 3 bits wide, except in the last two shapes, where b > 8 makes each
+    output field of a case span two bytes, and the second's 30 dirty qubits
+    four."""
     shapes = [
         ("plain", 1, 1), ("qrom", 7, 1), ("qrom", 8, 1), ("plain", 2, 4), ("qrom", 9, 1),
         ("qrom", 3, 3), ("qrom", 63, 1), ("qrom", 21, 3), ("swap", 9, 7), ("plain", 7, 9),
         ("qrom", 64, 1), ("seq", 16, 4), ("swap", 8, 8), ("qrom", 65, 1), ("seq", 13, 5),
         ("plain", 5, 13),
     ]
-    for kind, n, trials in shapes:
-        tables = (random_table(n, 3, seed=n), random_table(n, 3, seed=n + 100))
+    shapes = [(*shape, 3) for shape in shapes] + [("qrom", 9, 7, 11), ("seq", 7, 9, 10)]
+    for kind, n, trials, b in shapes:
+        tables = (random_table(n, b, seed=n), random_table(n, b, seed=n + 100))
         if kind == "plain":
             circuit, tables = build_plain_qrom(tables[0]), tables[:1]
         elif kind == "swap":
@@ -340,7 +344,7 @@ def byte_edge_circuits():
         elif kind == "seq":
             circuit = build_sequential_qroms(SequentialSpec(tables, 4))
         else:
-            circuit, tables = build_qrom(tables[0], plan_qrom(n, 3, 2, 2)), tables[:1]
+            circuit, tables = build_qrom(tables[0], plan_qrom(n, b, 2, 2)), tables[:1]
         yield f"{kind}-{n}x{trials}", circuit, tables, trials
 
 
