@@ -11,13 +11,14 @@ so finished circuits can be shared freely between threads. A circuit owns its
 register and gate lists: ``registers`` and ``gates`` are read-only tuples, and
 every entry comes in through a call that validates it. A lookup circuit
 repeats a few hundred distinct gates across millions of positions, so a
-circuit stores each distinct gate once, with its op (its kind's code and
+circuit stores each distinct gate once, with its op (its ``GateKind`` and
 operand rows, resolved from the registers' spans on validation), and its gate
 list as one ``array("I")`` of indices into them. A ``Gate`` is a named
 ``(kind, operands)`` tuple, so each stored gate is also its own key in the
-circuit's index of gates. ``append`` validates and appends one gate; the
-builders and the gate-file parser append indices themselves, and the builders
-replay each recorded unary-iteration scaffold
+circuit's index of gates. ``append`` validates every call and appends one
+gate; the builders and the gate-file parser look gates up with ``_lookup``,
+which validates a gate once, when it is first stored, and append indices
+themselves, and the builders replay each recorded unary-iteration scaffold
 (see ``qromkit.iteration``). Every pass reads the index array: resources are
 a tally of indices folded over the distinct kinds, the temp-AND pairing check
 visits only temp-AND positions, and the simulators map gates or ops over it.
@@ -95,18 +96,6 @@ TOFFOLI_COST = {
     GateKind.CSWAP: 1,
     GateKind.TEMP_AND: 1,
     GateKind.TEMP_AND_UNCOMPUTE: 0,
-}
-
-
-# Op code of each gate kind in a gate's op (see ``Circuit._validate``), in
-# the order the simulator's gate loop tests them: most frequent first.
-_OP_CODES = {
-    GateKind.CNOT: 0,
-    GateKind.X: 1,
-    GateKind.TOFFOLI: 2,
-    GateKind.TEMP_AND: 3,
-    GateKind.TEMP_AND_UNCOMPUTE: 4,
-    GateKind.CSWAP: 5,
 }
 
 
@@ -220,29 +209,26 @@ class Circuit:
     def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
         """Append the gate ``(kind, operands)`` and return the stored ``Gate``.
 
-        Every call is validated, so ``QubitRef("a", 1.0)`` raises even once a
-        gate on ``QubitRef("a", 1)`` is stored. Equal gates are one shared
-        object; a ``str`` kind equals its ``GateKind``, so both spellings
-        share one gate whose kind is the enum.
+        The one way in that validates every call, so ``QubitRef("a", 1.0)``
+        raises even once a gate on ``QubitRef("a", 1)`` is stored. A ``str``
+        kind becomes its ``GateKind`` or raises ``CircuitError``, so both
+        spellings share one gate whose kind is the enum; equal gates are one
+        shared object.
         """
-        index = self._checked_index(kind, operands)
-        self._index.append(index)
-        return self._distinct[index]
-
-    def _checked_index(self, kind: GateKind, operands: tuple) -> int:
-        """The index of the gate ``(kind, operands)``, stored if new; every call
-        is validated, and a ``str`` kind becomes its ``GateKind`` or raises
-        ``CircuitError``. ``append`` and the gate-file parser use it."""
         if not isinstance(kind, GateKind):
             kind = GateKind(kind)
         op = self._validate(kind, operands)
         index = self._interned.get((kind, operands))
-        return self._store(kind, operands, op) if index is None else index
+        if index is None:
+            index = self._store(kind, operands, op)
+        self._index.append(index)
+        return self._distinct[index]
 
     def _lookup(self, kind: GateKind, *operands: QubitRef) -> int:
-        """``_checked_index`` for the builders, which resolve each gate many
-        times and pass only a ``GateKind`` and well-typed operands: a stored
-        gate's index is returned unchecked."""
+        """The index of the gate ``(kind, operands)``, validated and stored on
+        first use. The builders and the gate-file parser resolve each gate
+        many times, always with a ``GateKind`` and ``QubitRef(str, int)``
+        operands, so a stored gate's index is returned unchecked."""
         index = self._interned.get((kind, operands))
         if index is None:
             index = self._store(kind, operands, self._validate(kind, operands))
@@ -258,9 +244,9 @@ class Circuit:
         return index
 
     def _validate(self, kind: GateKind, operands: tuple) -> tuple:
-        """Check one gate and return its op: its ``_OP_CODES`` code and
-        operand rows in gate order (rows number the qubits register by
-        register, in declaration order), X and CNOT padded with None."""
+        """Check one gate and return its op: its ``GateKind`` and operand
+        rows in gate order (rows number the qubits register by register, in
+        declaration order), X and CNOT padded with None."""
         arity = GATE_ARITY[kind]
         if len(operands) != arity:
             raise CircuitError(f"{kind.value} takes {arity} operands, got {len(operands)}")
@@ -283,17 +269,16 @@ class Circuit:
             # In-range operands map one to one onto rows, so the rows are
             # distinct exactly when the operands are. Unrolled, as a set of
             # the rows and a padded tuple cost 0.3 us more per stored gate.
-            code = _OP_CODES[kind]
             if arity == 1:
-                return (code, rows[0], None, None)
+                return (kind, rows[0], None, None)
             if arity == 2:
                 a, b = rows
                 if a != b:
-                    return (code, a, b, None)
+                    return (kind, a, b, None)
             else:
                 a, b, t = rows
                 if a != b and a != t and b != t:
-                    return (code, a, b, t)
+                    return (kind, a, b, t)
         elif len(set(operands)) == arity:  # some operand is out of range: raise for the first
             for register, offset in operands:
                 size = self.register(register).size

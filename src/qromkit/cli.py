@@ -24,7 +24,7 @@ from .costs import (
     optimize_parameters,
     sweep_rows_to_csv,
 )
-from .gatefile import ParseError, parse_circuit, serialize_circuit
+from .gatefile import ParseError, _read_text, parse_circuit, serialize_circuit
 from .qrom import build_qrom, plan_qrom
 from .simulate import SimulationError, verify_qrom
 from .tablefile import load_table_file
@@ -142,8 +142,7 @@ def cmd_verify(args) -> int:
     table = load_table_file(args.table)
     plan = None
     if args.circuit:
-        with open(args.circuit, "r", encoding="utf-8") as handle:
-            circuit = parse_circuit(handle.read())
+        circuit = parse_circuit(_read_text(args.circuit))
         check_temp_and_pairing(circuit)
     elif args.baseline == "plain":
         circuit = build_plain_qrom(table)

@@ -17,10 +17,11 @@ gates many times, and stores its gate list as indices into its distinct
 gates, so the serializer formats each distinct gate once and joins the lines
 by index. The parser pays Python work per distinct line: it reads gate lines
 a chunk at a time, maps each raw line not seen before to the index of the
-circuit's gate (``Circuit._checked_index`` validates it, gives two spellings
-of one gate one index and resolves its qubit rows), and extends the circuit's
-index array by the whole chunk in one C-level pass. Errors name the first
-bad line: past the header, a line's validity does not depend on its place.
+circuit's gate (``Circuit._lookup`` gives two spellings of one gate one
+index, and validates the gate and resolves its qubit rows when it is first
+stored), and extends the circuit's index array by the whole chunk in one
+C-level pass. Errors name the first bad line: past the header, a line's
+validity does not depend on its place.
 """
 from __future__ import annotations
 
@@ -40,6 +41,23 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``, for either format, with CR
+    and CRLF line ends read as LF, as text-mode reading gives them, so that
+    gate lines split into chunks at LFs. A byte that does not decode is a
+    ``ParseError`` on the line that holds it."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The text before the bad byte decodes; with one more character its
+        # last line is the bad byte's line.
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"invalid UTF-8 byte {data[exc.start]:#04x}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -167,8 +185,10 @@ def _decimal(token: str, what: str) -> int:
 
 def _parse_gate(circuit: Circuit, line: str, refs: dict) -> int:
     """The index of one gate line's gate; ``refs`` caches the ``QubitRef``
-    of each ``(register, offset)`` token pair. Raises ``ValueError`` with the
-    message of a ``ParseError``."""
+    of each ``(register, offset)`` token pair. The kind is a ``GateKind`` and
+    each operand a ``QubitRef(str, int)``, so the gate is validated only when
+    it is first stored. Raises ``ValueError`` with the message of a
+    ``ParseError``."""
     kind_s, *rest = line.split()
     kind = GateKind(kind_s)  # raises CircuitError, a ValueError, on an unknown kind
     if len(rest) % 2 != 0:
@@ -179,4 +199,4 @@ def _parse_gate(circuit: Circuit, line: str, refs: dict) -> int:
         if ref is None:
             ref = refs[pair] = QubitRef(pair[0], _decimal(pair[1], "bad qubit offset"))
         operands.append(ref)
-    return circuit._checked_index(kind, tuple(operands))
+    return circuit._lookup(kind, *operands)

@@ -271,17 +271,11 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
         for _ in range(deficit):
             gate(GateKind.TEMP_AND, c1, c2, target)
             gate(GateKind.TEMP_AND_UNCOMPUTE, c1, c2, target)
-    return _intern(circuit, steps, pending)
 
-
-def _intern(circuit: Circuit, steps: list, tail: list) -> tuple:
-    """The recording with each ``(kind, *operands)`` tuple replaced by the
-    index of the circuit's gate."""
-
-    def indices(specs) -> tuple[int, ...]:
-        return tuple(circuit._lookup(*spec) for spec in specs)
-
-    return tuple((indices(segment), win) for segment, win in steps), indices(tail)
+    # Each recorded gate becomes the index of the circuit's gate.
+    lookup = circuit._lookup
+    recorded = tuple((tuple(lookup(*g) for g in segment), win) for segment, win in steps)
+    return recorded, tuple(lookup(*g) for g in pending)
 
 
 def _overlaps(a: int, b: int, lo: int, hi: int) -> bool:

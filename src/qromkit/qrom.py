@@ -243,24 +243,6 @@ def _dirty_block(plan: QromPlan, block: int) -> list[QubitRef]:
     return [QubitRef("dirty", k) for k in range(start, start + plan.mu)]
 
 
-def _select(
-    circuit: Circuit,
-    plan: QromPlan,
-    masks: tuple[int, ...],
-    outputs: list[QubitRef],
-    direct: tuple[int, ...],
-) -> None:
-    """Iterate q over all blocks, loading ``direct[q]`` into ``outputs`` and
-    the packed ``masks[q]`` into the dirty register.
-
-    The targets are ``outputs`` followed by the dirty register, so window q
-    loads one word: ``direct[q]`` in the low bits, then ``masks[q]``."""
-    width = len(outputs)
-    words = [head | mask << width for head, mask in zip(direct, masks)] if direct else masks
-    targets = list(outputs) + [QubitRef("dirty", k) for k in range(plan.dirty_qubits)]
-    emit_loads(circuit, IterationSpec("addr_q", 0, plan.q_range), targets, words)
-
-
 def emit_select(
     circuit: Circuit, plan: QromPlan, schedule: XorSchedule, stage: int, outputs: list[QubitRef]
 ) -> Circuit:
@@ -274,8 +256,12 @@ def emit_select(
     """
     if not 0 <= stage < len(schedule.direct):
         raise ValueError(f"stage {stage} out of range 0..{len(schedule.direct) - 1}")
-    _select(circuit, plan, schedule.delta[stage], outputs, schedule.direct[stage])
-    return circuit
+    # The targets are the slice, then the dirty register, so window q loads
+    # one word: the direct bits low, then the delta mask.
+    direct, delta, width = schedule.direct[stage], schedule.delta[stage], len(outputs)
+    words = [head | mask << width for head, mask in zip(direct, delta)]
+    targets = [*outputs, *(QubitRef("dirty", k) for k in range(plan.dirty_qubits))]
+    return emit_loads(circuit, IterationSpec("addr_q", 0, plan.q_range), targets, words)
 
 
 def emit_copy(circuit: Circuit, plan: QromPlan, outputs: list[QubitRef]) -> Circuit:
@@ -307,7 +293,8 @@ def emit_restore(
     borrowed-state mask the earlier copies left behind. The temp-AND target
     reuses the highest work qubit, which the r-iteration never touches.
     """
-    _select(circuit, plan, schedule.unload, outputs=[], direct=())
+    dirty = [QubitRef("dirty", k) for k in range(plan.dirty_qubits)]
+    emit_loads(circuit, IterationSpec("addr_q", 0, plan.q_range), dirty, schedule.unload)
     temp = QubitRef("work", plan.work_qubits - 1)
     append, gate = circuit._index.append, circuit._lookup
 

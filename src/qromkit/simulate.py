@@ -12,8 +12,9 @@ gate's kind and operands, and is the independent oracle. The batch engine
 holds each qubit row as one Python int with bit j for case j and runs the gate
 list once over all cases; it has one gate loop and two callers. The circuit
 resolves each distinct gate's operands to rows once, when it validates the
-gate, into one ``(code, a, b, t)`` op (a lookup repeats a few hundred gates
-thousands of times), and the loop maps the stored ops over the positions.
+gate, into one ``(kind, a, b, t)`` op headed by the gate's ``GateKind`` (a
+lookup repeats a few hundred gates thousands of times), and the loop maps the
+stored ops over the positions and dispatches on the kind's identity.
 ``batch_simulate`` takes and returns a 0/1 matrix (one row per
 qubit in ``qubit_indexer`` order, one column per case) and packs it into rows
 for the engine. Both raise ``SimulationError`` on a temp-AND computed onto a
@@ -157,22 +158,26 @@ def _run_packed(circuit: Circuit, state: list[int], cases: int) -> None:
     Python int per qubit row (``qubit_indexer`` order) whose bit j is case j.
 
     Every gate is one or two int operations over all cases. Each distinct
-    gate's ``(code, a, b, t)`` op of operand rows was resolved once, when the
-    circuit validated it, and the loop maps the ops over the positions.
+    gate's ``(kind, a, b, t)`` op of its ``GateKind`` and operand rows was
+    resolved once, when the circuit validated it, and the loop maps the ops
+    over the positions. The kinds are bound to locals once per run and
+    tested by identity, most frequent first; CSWAP is the one left.
     """
     full = (1 << cases) - 1
-    for i, (code, a, b, t) in enumerate(map(circuit._ops.__getitem__, circuit._index)):
-        if code == 0:  # CNOT, control a, target b
+    cnot, x, toffoli = GateKind.CNOT, GateKind.X, GateKind.TOFFOLI
+    temp_and, uncompute = GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE
+    for i, (kind, a, b, t) in enumerate(map(circuit._ops.__getitem__, circuit._index)):
+        if kind is cnot:  # control a, target b
             state[b] ^= state[a]
-        elif code == 1:  # X on a
+        elif kind is x:  # X on a
             state[a] ^= full
-        elif code == 2:  # TOFFOLI
+        elif kind is toffoli:
             state[t] ^= state[a] & state[b]
-        elif code == 3:  # TEMP_AND
+        elif kind is temp_and:
             if state[t]:
                 raise SimulationError(f"gate {i}: TEMP_AND target is not 0 in some case")
             state[t] = state[a] & state[b]
-        elif code == 4:  # TEMP_AND_UNCOMPUTE
+        elif kind is uncompute:
             state[t] ^= state[a] & state[b]
             if state[t]:
                 raise SimulationError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .gatefile import DECIMAL, ParseError
+from .gatefile import DECIMAL, ParseError, _read_text
 from .qrom import LookupTable
 
 __all__ = ["parse_table_text", "load_table_file", "format_table"]
@@ -104,8 +104,7 @@ def _parse_lines(lines: list[str]) -> LookupTable:
 
 
 def load_table_file(path: str) -> LookupTable:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_table_text(handle.read())
+    return parse_table_text(_read_text(path))
 
 
 def format_table(table: LookupTable) -> str:

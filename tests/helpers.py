@@ -2,7 +2,6 @@
 import random
 
 from qromkit import Circuit, Gate, GateKind, LookupTable
-from qromkit.circuit import _OP_CODES
 from qromkit.simulate import qubit_indexer
 
 
@@ -35,9 +34,9 @@ def circuit_with_gates(registers, gates) -> Circuit:
 
 
 def indexed_op(index: dict, gate: Gate) -> tuple:
-    """Reference op: the gate's code and its operand rows from ``index``, a
+    """Reference op: the gate's kind and its operand rows from ``index``, a
     ``qubit_indexer`` map, padded with None to four fields."""
-    return (_OP_CODES[gate.kind], *(index[ref] for ref in gate.operands), None, None)[:4]
+    return (gate.kind, *(index[ref] for ref in gate.operands), None, None)[:4]
 
 
 def indexed_ops(circuit: Circuit) -> list[tuple]:

@@ -240,9 +240,11 @@ class TestInterning:
         c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
         assert c._distinct == [cnot, x, unused] and type(unused) is Gate
         assert unused.kind is GateKind.TOFFOLI
-        # Codes 0, 1 and 2 for CNOT, X and TOFFOLI; "a" holds rows 0-2 and
-        # "out" rows 3-4.
-        assert c._ops == [(0, 0, 4, None), (1, 3, None, None), (2, 2, 0, 3)]
+        # Each op is headed by its gate's own GateKind; "a" holds rows 0-2
+        # and "out" rows 3-4.
+        assert c._ops == [
+            (GateKind.CNOT, 0, 4, None), (GateKind.X, 3, None, None), (GateKind.TOFFOLI, 2, 0, 3)]
+        assert all(op[0] is gate.kind for op, gate in zip(c._ops, c._distinct))
         assert c._index.typecode == "I" and c._index.tolist() == [0, 1, 1, 0]
         assert [id(g) for g in c.gates] == [id(g) for g in (cnot, x, x, cnot)]
         empty = two_reg_circuit()

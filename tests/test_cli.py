@@ -77,6 +77,27 @@ class TestBuild:
         assert err == "error: b = 1000000000000 exceeds the widest build, b = 65536\n"
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("verb", ["build", "verify"])
+    @pytest.mark.parametrize(
+        "data,error",
+        [
+            (b"4 2\n1\n\xff\n3\n0\n", "line 3: invalid UTF-8 byte 0xff"),
+            (b"4 2\r\n1\r2\r\n3\r\n0 # \xe9\r\n", "line 5: invalid UTF-8 byte 0xe9"),
+        ],
+        ids=["lf", "cr_crlf"],
+    )
+    def test_non_utf8_table_exits_1_with_line(self, tmp_path, verb, data, error):
+        # A byte that does not decode is a parse failure on its line, not a
+        # bad parameter.
+        path = tmp_path / "bad.table"
+        path.write_bytes(data)
+        args = [verb, "--table", str(path), "--lambda", "2", "--mu", "1"]
+        args += ["--out", str(tmp_path / "c")] if verb == "build" else []
+        code, out, err = run_cli(args)
+        assert (code, out) == (1, "")
+        assert err == f"error: {error}\n"
+        assert not (tmp_path / "c").exists()
+
     def test_bad_table_reports_line(self, tmp_path):
         bad = tmp_path / "bad.table"
         bad.write_text("2 3\n1\n9\n")
@@ -150,6 +171,16 @@ class TestVerify:
         code, out, err = run_cli(["verify", "--table", table_64, "--circuit", str(out_path)])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
+
+    def test_non_utf8_circuit_exits_1_with_line(self, table_64, tmp_path):
+        out_path = tmp_path / "c.gates"
+        run_cli(["build", "--table", table_64, "--lambda", "4", "--mu", "2", "--out", str(out_path)])
+        lines = len(out_path.read_text().splitlines())
+        with open(out_path, "ab") as handle:
+            handle.write(b"X output 0 # \xe9\xff\n")
+        code, out, err = run_cli(["verify", "--table", table_64, "--circuit", str(out_path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: line {lines + 1}: invalid UTF-8 byte 0xe9\n"
 
     def test_temp_and_on_nonzero_target_exits_3(self, table_64, tmp_path):
         out_path = tmp_path / "c.gates"

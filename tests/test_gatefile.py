@@ -14,7 +14,7 @@ from qromkit import (
     serialize_circuit,
 )
 from qromkit import gatefile
-from qromkit.gatefile import _CHUNK, _line_chunks, _parse_circuit
+from qromkit.gatefile import _CHUNK, _line_chunks, _parse_circuit, _read_text
 from helpers import random_table
 
 
@@ -170,6 +170,16 @@ def test_chunked_lines_equal_splitlines(chunk):
     text = "REGISTER a 2 work\r\nX a 0\n\nX a 1\rX a 0\x0cX a 1\u2028\n# end\r\n\n"
     assert sum(_line_chunks(text, chunk), []) == text.splitlines()
     assert list(_line_chunks("", chunk)) == []
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_text_ends_lines_with_lf(tmp_path, end):
+    # As in text mode, so that a gate file of CR lines still reads in chunks.
+    text = serialize_circuit(build_qrom(random_table(16, 3, seed=4), plan_qrom(16, 3, 4, 2)))
+    path = tmp_path / "c.gates"
+    path.write_bytes(text.replace("\n", end).encode())
+    assert _read_text(str(path)) == text
+    assert len(list(_line_chunks(_read_text(str(path)), 64))) > 1
 
 
 def test_parsed_gates_are_shared_and_equal_to_built():

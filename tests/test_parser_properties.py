@@ -2,9 +2,9 @@
 
 Whatever the input, the parsers either return a value or raise ParseError,
 and a parsed circuit serializes to a fixed point of serialize -> parse.
-Decorated gate files (comments, spaces, blank and repeated lines) parse like
-their plain form, and their errors match a per-line reference parser at any
-chunk size of the per-distinct-line parse. The table parser's fast path and
+Decorated gate files (comments, spaces, zero-padded offsets, blank and
+repeated lines) parse like their plain form, and their errors match a
+per-line reference parser at any chunk size of the per-distinct-line parse. The table parser's fast path and
 its per-line path agree on every input.
 """
 import re
@@ -154,11 +154,11 @@ def split_file(text):
 @st.composite
 def decorated_gate_lines(draw, gate_lines):
     """(plain, decorated) line lists: every decoration (comment, leading,
-    trailing or inner spaces, blank line, repeat) keeps the parsed circuit,
-    and a repeated line is repeated in both."""
+    trailing or inner spaces, a zero-padded offset, blank line, repeat) keeps
+    the parsed circuit, and a repeated line is repeated in both."""
     plain = [[line] for line in gate_lines]
     decorated = [[line] for line in gate_lines]
-    edits = st.tuples(st.integers(0, len(gate_lines) - 1), st.sampled_from("ctlibr"))
+    edits = st.tuples(st.integers(0, len(gate_lines) - 1), st.sampled_from("ctlizbr"))
     for at, edit in draw(st.lists(edits, max_size=40)):
         last = decorated[at][-1]
         if edit == "c":
@@ -170,6 +170,10 @@ def decorated_gate_lines(draw, gate_lines):
             decorated[at][-1] = draw(SPACES) + last
         elif edit == "i":
             decorated[at][-1] = last.replace(" ", draw(SPACES), 1)
+        elif edit == "z":
+            # Zero-pad the first qubit offset ("output 1" -> "output 01"): a
+            # new line that spells an already stored gate.
+            decorated[at][-1] = re.sub(r"(?<=\s)(?=[0-9]+(\s|#|$))", "0", last, count=1)
         elif edit == "b":
             decorated[at].insert(0, draw(st.sampled_from(["", " ", "\t", "# note", "  #"])))
         else:
