@@ -21,7 +21,8 @@ which validates a gate once, when it is first stored, and append indices
 themselves, and the builders replay each recorded unary-iteration scaffold
 (see ``qromkit.iteration``). Every pass reads the index array: resources are
 a tally of indices folded over the distinct kinds, the temp-AND pairing check
-visits only temp-AND positions, and the simulators map gates or ops over it.
+keys each distinct temp-AND gate once and compares controls as one set per
+temp-AND position, and the simulators map gates or ops over it.
 """
 from __future__ import annotations
 
@@ -349,35 +350,33 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
 
     Every TEMP_AND must target a qubit not currently held by an earlier
     TEMP_AND, and must be released by a TEMP_AND_UNCOMPUTE with the same
-    control pair before circuit end. Raises CircuitError on violation.
-    Only temp-AND positions are visited, found in one numpy pass over the
-    indices; other gates cannot affect pairing.
-    Controls match in either order.
+    control pair, in either order, before circuit end. Raises CircuitError
+    on violation. Each distinct temp-AND gate is keyed once, as
+    ``(computes, target, frozenset(controls))``; one numpy pass finds the
+    temp-AND positions, and each uncompute is one set comparison.
     """
-    gates, positions = circuit._distinct, np.frombuffer(circuit._index, dtype=np.uintc)
-    kinds = {GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE}
-    temps = np.array([g.kind in kinds for g in gates], dtype=bool)
-    at = np.flatnonzero(temps[positions])
-    held: dict[QubitRef, Gate] = {}  # target -> pending TEMP_AND
-    for i, gate in zip(at.tolist(), map(gates.__getitem__, positions[at].tolist())):
-        target = gate.operands[-1]
-        if gate.kind is GateKind.TEMP_AND:
+    temps = (GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE)
+    keys = [
+        (g.kind is GateKind.TEMP_AND, g.operands[2], frozenset(g.operands[:2]))
+        if g.kind in temps else None
+        for g in circuit._distinct
+    ]
+    positions = np.frombuffer(circuit._index, dtype=np.uintc)
+    at = np.flatnonzero(np.array([k is not None for k in keys], dtype=bool)[positions])
+    held: dict[QubitRef, frozenset] = {}  # target -> controls of its pending TEMP_AND
+    found = map(keys.__getitem__, positions[at].tolist())
+    for i, (computes, target, controls) in zip(at.tolist(), found):
+        if computes:
             if target in held:
                 raise CircuitError(
                     f"gate {i}: TEMP_AND on already-held target {target.register}[{target.offset}]"
                 )
-            held[target] = gate
-            continue
-        pending = held.get(target)
-        if pending is None or (
-            pending.operands[:2] != gate.operands[:2]
-            and frozenset(pending.operands[:2]) != frozenset(gate.operands[:2])
-        ):
+            held[target] = controls
+        elif held.pop(target, None) != controls:
             raise CircuitError(
                 f"gate {i}: TEMP_AND_UNCOMPUTE on {target.register}[{target.offset}] does "
                 "not match a pending TEMP_AND with the same controls"
             )
-        del held[target]
     if held:
         targets = ", ".join(f"{t.register}[{t.offset}]" for t in held)
         raise CircuitError(f"unreleased TEMP_AND targets at circuit end: {targets}")

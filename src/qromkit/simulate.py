@@ -309,10 +309,10 @@ def verify_qrom(
     observed = _unpack_rows(final, cases)[:, failing]
     per_reg, start = [], 0
     for reg_rows in out_rows:
-        per_reg.append(_column_ints(observed[start:start + len(reg_rows)]))
+        per_reg.append(_pack_rows(observed[start:start + len(reg_rows)].T))
         start += len(reg_rows)
-    outputs, dirty = _column_ints(observed[:start]), _column_ints(observed[start:])
-    pattern_values = _column_ints(patterns.T)
+    outputs, dirty = _pack_rows(observed[:start].T), _pack_rows(observed[start:].T)
+    pattern_values = _pack_rows(patterns)
     labels = ["output"] if len(out_regs) == 1 else [reg.name for reg in out_regs]
     for k, j in enumerate(failing.tolist()):
         x = j // trials
@@ -362,9 +362,3 @@ def _differ(state: list[int], rows: list[int], expected: list[int]) -> int:
     for row, value in zip(rows, expected):
         mask |= state[row] ^ value
     return mask
-
-
-def _column_ints(bits: np.ndarray) -> list[int]:
-    """One int per column of a 2-D 0/1 matrix, bit i taken from row i."""
-    packed = np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
-    return [int.from_bytes(column, "little") for column in packed]

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 from collections import Counter
 from operator import delitem, setitem
 
@@ -464,6 +465,57 @@ def test_whole_circuit_passes_match_per_position_reference(picks):
         with pytest.raises(CircuitError) as info:
             check_temp_and_pairing(circuit)
         assert str(info.value) == expected
+
+
+def pairing_matches_reference(circuit):
+    """Assert the check accepts where the reference does, or raises its text;
+    return the reference's text."""
+    expected = naive_pairing_error(circuit)
+    if expected is None:
+        check_temp_and_pairing(circuit)
+    else:
+        with pytest.raises(CircuitError) as info:
+            check_temp_and_pairing(circuit)
+        assert str(info.value) == expected
+    return expected
+
+
+# Built lookups, each with hundreds of temp-AND gates.
+PAIRING_BUILDS = {
+    "qrom_37_3_8_2": lambda: build_qrom(random_table(37, 3, seed=4), plan_qrom(37, 3, 8, 2)),
+    "qrom_64_5_4_1": lambda: build_qrom(random_table(64, 5, seed=5), plan_qrom(64, 5, 4, 1)),
+    "sequential_20_3_4": lambda: build_sequential_qroms(
+        SequentialSpec((random_table(20, 3, seed=6), random_table(20, 3, seed=7)), 4)),
+    "plain_29_2": lambda: build_plain_qrom(random_table(29, 2, seed=8)),
+    "plain_64_3": lambda: build_plain_qrom(random_table(64, 3, seed=9)),
+    "selectswap_37_3_8": lambda: build_selectswap_dirty(random_table(37, 3, seed=10), 8),
+    "selectswap_64_4_4": lambda: build_selectswap_dirty(random_table(64, 4, seed=11), 4),
+}
+
+
+@pytest.mark.parametrize("build", PAIRING_BUILDS.values(), ids=PAIRING_BUILDS.keys())
+def test_pairing_on_built_circuits_with_planted_faults_matches_reference(build):
+    """At a seeded sample of uncomputes, swap the two controls (accepted),
+    replace one by a qubit of the circuit outside the gate, or delete the
+    uncompute (both refused): the check and the per-position reference
+    agree, with the same text."""
+    circuit = build()
+    gates, qubits = list(circuit.gates), list(circuit.qubits())
+    uncomputes = [i for i, g in enumerate(gates) if g.kind is GateKind.TEMP_AND_UNCOMPUTE]
+    assert len(uncomputes) >= 8
+    rng = random.Random(len(gates))
+    for i in rng.sample(uncomputes, 8):
+        kind, (c0, c1, target) = gates[i]
+        outside = rng.choice([q for q in qubits if q not in gates[i].operands])
+        replaced = rng.choice([(outside, c1), (c0, outside)])
+        planted = [
+            [*gates[:i], Gate(kind, (c1, c0, target)), *gates[i + 1:]],
+            [*gates[:i], Gate(kind, (*replaced, target)), *gates[i + 1:]],
+            gates[:i] + gates[i + 1:],
+        ]
+        results = [pairing_matches_reference(circuit_with_gates(circuit.registers, edited))
+                   for edited in planted]
+        assert results[0] is None and None not in results[1:]
 
 
 # Register names as the gate-file format allows them, digits and "_" included.

@@ -1,6 +1,10 @@
+import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qromkit import (
     Circuit,
@@ -208,6 +212,77 @@ def test_plain_lookup_builds_at_the_widest_build():
     circuit = build_plain_qrom(table)
     assert circuit.register("output").size == MAX_BUILD_WIDTH
     assert verify_qrom(circuit, table, dirty_trials=1).passed
+
+
+# A table decides only which CNOTs a lookup holds. Each builder takes two
+# tables of one shape (only the sequential builder reads the second) and a
+# shape (N, b, lam, mu); the grid is N <= 64, b <= 5, every valid lam and mu
+# in {1, ceil(b/2), b}, where the builder reads them.
+TABLE_BUILDERS = {
+    "build_qrom": lambda tables, n, b, lam, mu: build_qrom(tables[0], plan_qrom(n, b, lam, mu)),
+    "sequential": lambda tables, n, b, lam, mu: build_sequential_qroms(SequentialSpec(tables, lam)),
+    "plain": lambda tables, n, b, lam, mu: build_plain_qrom(tables[0]),
+    "selectswap": lambda tables, n, b, lam, mu: build_selectswap_dirty(tables[0], lam),
+}
+TABLE_GRID_NS, TABLE_GRID_BS = (3, 5, 8, 13, 64), range(1, 6)
+
+
+def table_grid(name):
+    """The shapes ``name`` is built at, each once: lam and mu are None where
+    the builder does not read them, and mu = b where it takes none."""
+    shapes = []
+    for n, b in itertools.product(TABLE_GRID_NS, TABLE_GRID_BS):
+        if name == "plain":
+            shapes.append((n, b, None, None))
+            continue
+        mus = sorted({1, ceil_div(b, 2), b}) if name == "build_qrom" else [b]
+        lams = [1 << k for k in range(1, (n - 1).bit_length())]
+        shapes += [(n, b, lam, mu) for lam in lams for mu in mus]
+    return shapes
+
+
+@functools.cache
+def zero_table_build(name, shape):
+    n, b = shape[:2]
+    zero = LookupTable((0,) * n, b)
+    return TABLE_BUILDERS[name]((zero, zero), *shape)
+
+
+def assert_only_cnots_added(zero, other):
+    """``other`` is ``zero`` with CNOTs added: the two gate lists agree on
+    every other gate, and a greedy in-order match of ``zero``'s gates in
+    ``other`` skips nothing but CNOTs."""
+    assert other.registers == zero.registers
+    not_cnot = [g for g in zero.gates if g.kind is not GateKind.CNOT]
+    assert [g for g in other.gates if g.kind is not GateKind.CNOT] == not_cnot
+    rest = iter(other.gates)
+    for gate in zero.gates:
+        for candidate in rest:
+            if candidate == gate:
+                break
+            assert candidate.kind is GateKind.CNOT, (gate, candidate)
+        else:
+            pytest.fail(f"{gate} has no match in order")
+    assert all(g.kind is GateKind.CNOT for g in rest)
+
+
+WORDS = st.lists(st.integers(0, 31), min_size=64, max_size=64)
+
+
+@pytest.mark.parametrize("name", TABLE_BUILDERS)
+@settings(derandomize=True, deadline=None, max_examples=3)
+@example(first=[31] * 64, second=[31] * 64)
+@given(first=WORDS, second=WORDS)
+def test_table_decides_only_which_cnots_a_lookup_holds(name, first, second):
+    """At every shape of the grid, the all-zero table's circuit is the
+    all-ones table's (the explicit example) or a random table's circuit with
+    only CNOTs removed; the sequential builder gets two tables. Each table is
+    the first N words cut to b bits."""
+    for shape in table_grid(name):
+        n, b = shape[:2]
+        tables = tuple(LookupTable(tuple(w % (1 << b) for w in words[:n]), b)
+                       for words in (first, second))
+        assert_only_cnots_added(zero_table_build(name, shape), TABLE_BUILDERS[name](tables, *shape))
 
 
 def fresh_plan_circuit(plan):
