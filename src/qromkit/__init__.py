@@ -1,114 +1,24 @@
-"""Toffoli-optimized table-lookup circuit synthesis, verification, and costing."""
+"""Toffoli-optimized table-lookup circuit synthesis, verification, and costing.
 
-from .circuit import (
-    Circuit,
-    CircuitError,
-    Gate,
-    GateKind,
-    QubitRef,
-    RegisterSpec,
-    ResourceEstimate,
-    Role,
-    check_temp_and_pairing,
-    count_resources,
-)
-from .gatefile import ParseError, parse_circuit, serialize_circuit
-from .iteration import IterationSpec, IterationWindow, emit_unary_iteration
-from .qrom import (
-    LookupTable,
-    QromPlan,
-    SequentialSpec,
-    XorSchedule,
-    build_qrom,
-    build_sequential_qroms,
-    compute_xor_schedule,
-    emit_copy,
-    emit_restore,
-    emit_select,
-    plan_qrom,
-    registers_for_plan,
-)
-from .baselines import build_plain_qrom, build_selectswap_dirty
-from .costs import (
-    CostBreakdown,
-    OptimizationResult,
-    SweepRow,
-    cost_bit_packet,
-    cost_power2_packet,
-    cost_prior_art,
-    cost_sequential_fresh,
-    cost_sequential_inplace,
-    cost_uncompute,
-    improvement_sweep,
-    optimize_parameters,
-    sweep_rows_to_csv,
-)
-from .simulate import (
-    BitState,
-    SimulationError,
-    VerificationFailure,
-    VerificationReport,
-    batch_simulate,
-    qubit_indexer,
-    simulate,
-    verify_qrom,
-)
-from .tablefile import format_table, load_table_file, parse_table_text
+Exports every name in its modules' ``__all__``, each listed where it is defined.
+"""
+
+from . import baselines, circuit, costs, gatefile, iteration, qrom, simulate, tablefile
+
+# Joined before the star imports, which rebind ``simulate`` to the function.
+__all__ = [
+    name
+    for module in (circuit, gatefile, iteration, qrom, baselines, costs, simulate, tablefile)
+    for name in module.__all__
+]
+
+from .circuit import *
+from .gatefile import *
+from .iteration import *
+from .qrom import *
+from .baselines import *
+from .costs import *
+from .simulate import *
+from .tablefile import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Circuit",
-    "CircuitError",
-    "Gate",
-    "GateKind",
-    "QubitRef",
-    "RegisterSpec",
-    "ResourceEstimate",
-    "Role",
-    "check_temp_and_pairing",
-    "count_resources",
-    "ParseError",
-    "parse_circuit",
-    "serialize_circuit",
-    "IterationSpec",
-    "IterationWindow",
-    "emit_unary_iteration",
-    "LookupTable",
-    "QromPlan",
-    "SequentialSpec",
-    "XorSchedule",
-    "build_qrom",
-    "build_sequential_qroms",
-    "compute_xor_schedule",
-    "emit_copy",
-    "emit_restore",
-    "emit_select",
-    "plan_qrom",
-    "registers_for_plan",
-    "build_plain_qrom",
-    "build_selectswap_dirty",
-    "CostBreakdown",
-    "OptimizationResult",
-    "SweepRow",
-    "cost_bit_packet",
-    "cost_power2_packet",
-    "cost_prior_art",
-    "cost_sequential_fresh",
-    "cost_sequential_inplace",
-    "cost_uncompute",
-    "improvement_sweep",
-    "optimize_parameters",
-    "sweep_rows_to_csv",
-    "BitState",
-    "SimulationError",
-    "VerificationFailure",
-    "VerificationReport",
-    "batch_simulate",
-    "qubit_indexer",
-    "simulate",
-    "verify_qrom",
-    "format_table",
-    "load_table_file",
-    "parse_table_text",
-]

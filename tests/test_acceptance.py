@@ -6,6 +6,7 @@ import time
 import pytest
 
 from qromkit import (
+    LookupTable,
     SequentialSpec,
     build_qrom,
     build_selectswap_dirty,
@@ -393,5 +394,36 @@ def test_criterion_13_per_mu_prefactor_approaches_one_plus_mu_over_b():
         13,
         f"per-mu N/lam prefactor at b={b}, lam={lam}, N=2^20/2^24/2^30 falls to 1 + mu/b "
         f"({'; '.join(lines)})",
+        ok,
+    )
+
+
+@pytest.mark.slow
+def test_criterion_13_prefactor_from_built_circuits():
+    # Criterion 13 read off circuits: the all-zero table's lookup at
+    # N=2^20 and N=2^22 for each mu. A table decides only which CNOTs a
+    # lookup holds (test_table_decides_only_which_cnots_a_lookup_holds), so
+    # this Toffoli count is every table's.
+    b, lam = 8, 1024
+    pinned_n20 = {1: 3.3673, 2: 4.9890, 4: 8.9810, 8: 19.9590}
+    sizes = (2**20, 2**22)
+    factors = {}
+    for n in sizes:
+        zeros = LookupTable((0,) * n, bit_width=b)
+        for mu in pinned_n20:
+            toffoli = count_resources(build_qrom(zeros, plan_qrom(n, b, lam, mu))).toffoli
+            assert toffoli == cost_bit_packet(n, b, lam, mu).toffoli_total, (n, mu)
+            factors[n, mu] = toffoli * mu * (lam - 1) / (n * b)
+    rows = [[factors[n, mu] for mu in pinned_n20] for n in sizes]
+    ok = all(abs(f - t) <= 0.00005 for f, t in zip(rows[0], pinned_n20.values()))
+    ok = ok and all(row[i] < row[i + 1] for row in rows for i in range(len(row) - 1))
+    ok = ok and all(small > large for small, large in zip(*rows))
+    lines = [
+        f"mu={mu}: " + " / ".join(f"{factors[n, mu]:.4f}" for n in sizes) for mu in pinned_n20
+    ]
+    report(
+        13,
+        f"per-mu N/lam prefactor of built all-zero-table circuits at b={b}, lam={lam}, "
+        f"N=2^20/2^22 ({'; '.join(lines)})",
         ok,
     )

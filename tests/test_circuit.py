@@ -300,6 +300,13 @@ OUTSIDE_WRITES = {
 }
 
 
+def test_a_circuit_equals_no_other_type_and_reprs_its_sizes():
+    circuit = build_qrom(LOOKUP_TABLE, plan_qrom(8, 3, 2, 1))
+    assert (circuit == 3) is False
+    assert (circuit != object()) is True
+    assert repr(circuit) == f"Circuit(5 registers, {len(circuit.gates)} gates)"
+
+
 class TestSealedLists:
     """Only the circuit writes its gate and register lists: every write from
     outside raises and leaves the circuit as it was. A valid gate on the
