@@ -16,13 +16,17 @@ operand rows, resolved from the registers' spans on validation), and its gate
 list as one ``array("I")`` of indices into them. A ``Gate`` is a named
 ``(kind, operands)`` tuple, so each stored gate is also its own key in the
 circuit's index of gates. ``append`` validates every call and appends one
-gate; the builders and the gate-file parser look gates up with ``_lookup``,
-which validates a gate once, when it is first stored, and append indices
-themselves, and the builders replay each recorded unary-iteration scaffold
-(see ``qromkit.iteration``). Every pass reads the index array: resources are
-a tally of indices folded over the distinct kinds, the temp-AND pairing check
-keys each distinct temp-AND gate once and compares controls as one set per
-temp-AND position, and the simulators map gates or ops over it.
+gate; the builders look gates up with ``_lookup``, which validates a gate
+once, when it is first stored, and append indices themselves, and the
+builders replay each recorded unary-iteration scaffold (see
+``qromkit.iteration``). The gate-file parser resolves each distinct operand
+of a file to its row once and looks gates up with ``_lookup_rows``, which
+skips the type checks. Both ways share ``_op``, the one place for the
+arity, distinctness and range rules. Every pass reads the index array:
+resources are a tally of indices folded over the distinct kinds, the
+temp-AND pairing check keys each distinct temp-AND gate once by its op's
+rows and compares controls as one ordered row pair per temp-AND position,
+and the simulators map gates or ops over it.
 """
 from __future__ import annotations
 
@@ -227,47 +231,73 @@ class Circuit:
 
     def _lookup(self, kind: GateKind, *operands: QubitRef) -> int:
         """The index of the gate ``(kind, operands)``, validated and stored on
-        first use. The builders and the gate-file parser resolve each gate
-        many times, always with a ``GateKind`` and ``QubitRef(str, int)``
-        operands, so a stored gate's index is returned unchecked."""
+        first use. The builders resolve each gate many times, always with a
+        ``GateKind`` and ``QubitRef(str, int)`` operands, so a stored gate's
+        index is returned unchecked."""
         index = self._interned.get((kind, operands))
         if index is None:
             index = self._store(kind, operands, self._validate(kind, operands))
         return index
 
+    def _lookup_rows(self, kind: GateKind, operands: tuple, rows: list) -> int:
+        """``_lookup`` for the gate-file parser, which has already resolved
+        each ``QubitRef(str, int)`` operand to its row (``_row``), once per
+        distinct token pair of a file; on first use the gate goes through
+        ``_op`` alone."""
+        index = self._interned.get((kind, operands))
+        if index is None:
+            index = self._store(kind, operands, self._op(kind, operands, rows))
+        return index
+
     def _store(self, kind: GateKind, operands: tuple, op: tuple) -> int:
         """Store ``Gate(kind, operands)``, the key and the entry at once, and
         its validated ``op``; return its index."""
-        gate = Gate(kind, operands)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__; the
+        # result is the same Gate.
+        gate = tuple.__new__(Gate, (kind, operands))
         index = self._interned[gate] = len(self._distinct)
         self._distinct.append(gate)
         self._ops.append(op)
         return index
 
+    def _row(self, register: str, offset: int) -> int | None:
+        """The row of qubit ``register[offset]`` (rows number the qubits
+        register by register, in declaration order), or None when the
+        register is unknown or the offset out of range."""
+        span = self._spans.get(register)
+        if span is not None and 0 <= offset < span[1]:
+            return span[0] + offset
+        return None
+
     def _validate(self, kind: GateKind, operands: tuple) -> tuple:
-        """Check one gate and return its op: its ``GateKind`` and operand
-        rows in gate order (rows number the qubits register by register, in
-        declaration order), X and CNOT padded with None."""
+        """Check one gate and return its op: type-check the operands and
+        resolve their rows, then ``_op``."""
+        rows = []
+        # Type errors rank below the arity error, which ``_op`` raises.
+        if len(operands) == GATE_ARITY[kind]:
+            for ref in operands:
+                if not isinstance(ref, QubitRef):
+                    raise CircuitError(f"{kind.value} operand {ref!r} is not a QubitRef")
+                register, offset = ref
+                # Not isinstance: a bool offset would be written as "True".
+                if type(register) is not str or type(offset) is not int:
+                    raise CircuitError(
+                        f"{kind.value} operand {ref!r} needs a str register and an int offset"
+                    )
+                rows.append(self._row(register, offset))
+        return self._op(kind, operands, rows)
+
+    def _op(self, kind: GateKind, operands: tuple, rows: list) -> tuple:
+        """The op of a gate whose ``QubitRef(str, int)`` operands resolve to
+        ``rows`` (``_row``, None for an unresolved operand): its ``GateKind``
+        and operand rows in gate order, X and CNOT padded with None. Checks
+        arity, then pairwise distinctness, then range, the one place those
+        rules live."""
         arity = GATE_ARITY[kind]
         if len(operands) != arity:
             raise CircuitError(f"{kind.value} takes {arity} operands, got {len(operands)}")
-        # One pass checks types and finds rows; a range error is raised only
-        # after the distinctness check, which outranks it.
-        rows, spans = [], self._spans
-        for ref in operands:
-            if not isinstance(ref, QubitRef):
-                raise CircuitError(f"{kind.value} operand {ref!r} is not a QubitRef")
-            register, offset = ref
-            # Not isinstance: a bool offset would be written as "True".
-            if type(register) is not str or type(offset) is not int:
-                raise CircuitError(
-                    f"{kind.value} operand {ref!r} needs a str register and an int offset"
-                )
-            span = spans.get(register)
-            if span is not None and 0 <= offset < span[1]:
-                rows.append(span[0] + offset)
-        if len(rows) == arity:
-            # In-range operands map one to one onto rows, so the rows are
+        if None not in rows:
+            # Resolved operands map one to one onto rows, so the rows are
             # distinct exactly when the operands are. Unrolled, as a set of
             # the rows and a padded tuple cost 0.3 us more per stored gate.
             if arity == 1:
@@ -280,7 +310,7 @@ class Circuit:
                 a, b, t = rows
                 if a != b and a != t and b != t:
                     return (kind, a, b, t)
-        elif len(set(operands)) == arity:  # some operand is out of range: raise for the first
+        elif len(set(operands)) == arity:  # some operand is unresolved: raise for the first
             for register, offset in operands:
                 size = self.register(register).size
                 if not 0 <= offset < size:
@@ -351,32 +381,38 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
     Every TEMP_AND must target a qubit not currently held by an earlier
     TEMP_AND, and must be released by a TEMP_AND_UNCOMPUTE with the same
     control pair, in either order, before circuit end. Raises CircuitError
-    on violation. Each distinct temp-AND gate is keyed once, as
-    ``(computes, target, frozenset(controls))``; one numpy pass finds the
-    temp-AND positions, and each uncompute is one set comparison.
+    on violation. Each distinct temp-AND gate is keyed once from its op, as
+    ``(computes, target row, ordered control-row pair)``; one numpy pass
+    finds the temp-AND positions, and each uncompute is one tuple
+    comparison. A row is named as ``register[offset]`` only in an error.
     """
     temps = (GateKind.TEMP_AND, GateKind.TEMP_AND_UNCOMPUTE)
     keys = [
-        (g.kind is GateKind.TEMP_AND, g.operands[2], frozenset(g.operands[:2]))
-        if g.kind in temps else None
-        for g in circuit._distinct
+        (kind is GateKind.TEMP_AND, t, (a, b) if a < b else (b, a)) if kind in temps else None
+        for kind, a, b, t in circuit._ops
     ]
     positions = np.frombuffer(circuit._index, dtype=np.uintc)
     at = np.flatnonzero(np.array([k is not None for k in keys], dtype=bool)[positions])
-    held: dict[QubitRef, frozenset] = {}  # target -> controls of its pending TEMP_AND
+    held: dict[int, tuple] = {}  # target row -> control rows of its pending TEMP_AND
     found = map(keys.__getitem__, positions[at].tolist())
     for i, (computes, target, controls) in zip(at.tolist(), found):
         if computes:
             if target in held:
                 raise CircuitError(
-                    f"gate {i}: TEMP_AND on already-held target {target.register}[{target.offset}]"
+                    f"gate {i}: TEMP_AND on already-held target {_qubit_names(circuit)[target]}"
                 )
             held[target] = controls
         elif held.pop(target, None) != controls:
             raise CircuitError(
-                f"gate {i}: TEMP_AND_UNCOMPUTE on {target.register}[{target.offset}] does "
+                f"gate {i}: TEMP_AND_UNCOMPUTE on {_qubit_names(circuit)[target]} does "
                 "not match a pending TEMP_AND with the same controls"
             )
     if held:
-        targets = ", ".join(f"{t.register}[{t.offset}]" for t in held)
+        names = _qubit_names(circuit)
+        targets = ", ".join(names[t] for t in held)
         raise CircuitError(f"unreleased TEMP_AND targets at circuit end: {targets}")
+
+
+def _qubit_names(circuit: Circuit) -> list[str]:
+    """``register[offset]`` of every qubit, indexed by row."""
+    return [f"{register}[{offset}]" for register, offset in circuit.qubits()]

@@ -17,11 +17,14 @@ gates many times, and stores its gate list as indices into its distinct
 gates, so the serializer formats each distinct gate once and joins the lines
 by index. The parser pays Python work per distinct line: it reads gate lines
 a chunk at a time, maps each raw line not seen before to the index of the
-circuit's gate (``Circuit._lookup`` gives two spellings of one gate one
-index, and validates the gate and resolves its qubit rows when it is first
-stored), and extends the circuit's index array by the whole chunk in one
-C-level pass. Errors name the first bad line: past the header, a line's
-validity does not depend on its place.
+circuit's gate, and extends the circuit's index array by the whole chunk in
+one C-level pass. Each distinct ``(register, offset)`` token pair of a file
+is resolved once, to its ``QubitRef`` and its row in the file's own
+register layout, so the REGISTER lines may come in any order; a line's
+gate comes from ``Circuit._lookup_rows``, which gives two spellings of one
+gate one index and checks a gate on its rows when it is first stored.
+Errors name the first bad line: past the header, a line's validity does not
+depend on its place.
 """
 from __future__ import annotations
 
@@ -81,9 +84,9 @@ def parse_circuit(text: str) -> Circuit:
     of first occurrence, each to its gate's index or to ``_SKIP`` for a blank
     or comment line; the chunk's indices are appended in one C-level pass,
     which drops ``_SKIP`` only if the chunk holds it. Each ``(register,
-    offset)`` token pair is turned into a ``QubitRef`` once. The first bad
-    line is reported, and the parse stops in the chunk that holds it; its
-    line number is worked out only then.
+    offset)`` token pair is turned into a ``QubitRef`` and a row once. The
+    first bad line is reported, and the parse stops in the chunk that holds
+    it; its line number is worked out only then.
     """
     return _parse_circuit(text, _CHUNK)
 
@@ -183,20 +186,27 @@ def _decimal(token: str, what: str) -> int:
     raise ValueError(f"{what} {token!r}")
 
 
+#: Each gate kind by its name. A miss falls back to ``GateKind``, which
+#: raises the unknown-kind error.
+_KINDS = {kind.value: kind for kind in GateKind}
+
+
 def _parse_gate(circuit: Circuit, line: str, refs: dict) -> int:
     """The index of one gate line's gate; ``refs`` caches the ``QubitRef``
-    of each ``(register, offset)`` token pair. The kind is a ``GateKind`` and
-    each operand a ``QubitRef(str, int)``, so the gate is validated only when
-    it is first stored. Raises ``ValueError`` with the message of a
-    ``ParseError``."""
+    and row (``Circuit._row``) of each ``(register, offset)`` token pair.
+    The operands are ``QubitRef(str, int)`` with their rows resolved, so a
+    gate is checked only by ``Circuit._op``, when it is first stored. Raises
+    ``ValueError`` with the message of a ``ParseError``."""
     kind_s, *rest = line.split()
-    kind = GateKind(kind_s)  # raises CircuitError, a ValueError, on an unknown kind
+    kind = _KINDS.get(kind_s) or GateKind(kind_s)  # CircuitError, a ValueError
     if len(rest) % 2 != 0:
         raise ValueError("operands must be <register> <offset> pairs")
-    operands = []
+    operands, rows = [], []
     for pair in zip(rest[::2], rest[1::2]):
-        ref = refs.get(pair)
-        if ref is None:
-            ref = refs[pair] = QubitRef(pair[0], _decimal(pair[1], "bad qubit offset"))
-        operands.append(ref)
-    return circuit._lookup(kind, *operands)
+        resolved = refs.get(pair)
+        if resolved is None:
+            register, offset = pair[0], _decimal(pair[1], "bad qubit offset")
+            resolved = refs[pair] = QubitRef(register, offset), circuit._row(register, offset)
+        operands.append(resolved[0])
+        rows.append(resolved[1])
+    return circuit._lookup_rows(kind, tuple(operands), rows)

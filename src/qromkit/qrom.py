@@ -95,12 +95,16 @@ class LookupTable:
             raise ValueError("bit_width must be >= 1")
         if len(self.entries) < 1:
             raise ValueError("table must have at least one entry")
-        for x, value in enumerate(self.entries):
-            # bit_length, not 1 << bit_width: a huge declared width must not
-            # allocate a huge integer.
-            if value < 0 or value.bit_length() > self.bit_width:
-                raise ValueError(f"entry {x} = {value} does not fit in {self.bit_width} bits")
-        object.__setattr__(self, "entries", tuple(self.entries))
+        entries = tuple(self.entries)
+        # One C-level min and max pass checks every entry; the entries are
+        # walked only to name the first bad one. bit_length, not
+        # 1 << bit_width: a huge declared width must not allocate a huge
+        # integer.
+        if min(entries) < 0 or max(entries).bit_length() > self.bit_width:
+            for x, value in enumerate(entries):
+                if value < 0 or value.bit_length() > self.bit_width:
+                    raise ValueError(f"entry {x} = {value} does not fit in {self.bit_width} bits")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n_entries(self) -> int:

@@ -22,11 +22,15 @@ nonzero target or uncomputed to a nonzero result.
 
 ``verify_qrom`` is the one lookup verifier: one table or one per output
 register, every address times seeded dirty patterns in one engine run. It
-takes each register's rows from its span, builds only the address and dirty
-rows, compares final rows with expected rows by XOR/OR into one failure mask
-per check, and reaches Python per case only for failing cases, whose fields
-it reads from their columns as one int each, packed in numpy. It raises
-``ValueError`` before allocating for a circuit or seed it cannot check.
+takes each register's rows from its span and builds only the address and
+dirty rows, each in O(log N) int operations by bit doubling: address bit
+i's row repeats a period of 2 * trials * 2^i bits with its upper half set,
+and a dirty qubit's row is its trials-bit pattern column times a doubled
+row of ones. It compares final rows with expected rows by XOR/OR into one
+failure mask per check, and reaches Python per case only for failing cases,
+whose fields it reads from their columns as one int each, packed in numpy.
+It raises ``ValueError`` before allocating for a circuit or seed it cannot
+check.
 """
 from __future__ import annotations
 
@@ -281,8 +285,8 @@ def verify_qrom(
     rng = np.random.default_rng(seed)
     patterns = rng.integers(0, 2, size=(trials, len(dirty_rows)), dtype=np.uint8)
     # Case j is address j // trials with dirty pattern j % trials.
-    addr_init = _case_rows(range(n), address_bits, trials)
-    dirty_init = _pack_rows(np.tile(patterns.T, n))
+    addr_init = _address_rows(address_bits, trials, cases)
+    dirty_init = _dirty_rows(patterns, cases)
     state = [0] * circuit.num_qubits
     for row, value in zip(addr_rows + dirty_rows, addr_init + dirty_init):
         state[row] = value
@@ -354,6 +358,36 @@ def _case_rows(values, width: int, trials: int) -> list[int]:
     raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
     bits = np.unpackbits(raw, axis=1, count=width, bitorder="little").T
     return _pack_rows(np.repeat(bits, trials, axis=1))
+
+
+def _doubled(period: int, width: int, cases: int) -> int:
+    """The ``cases``-bit row that repeats the ``width``-bit ``period`` from
+    bit 0, built by doubling in O(log(cases / width)) int operations."""
+    row = period
+    while width < cases:
+        row |= row << width
+        width *= 2
+    return row & ((1 << cases) - 1)
+
+
+def _address_rows(width: int, trials: int, cases: int) -> list[int]:
+    """``width`` rows whose bit j is bit i of the address ``j // trials``:
+    row i repeats a period of ``2 * trials << i`` bits whose upper half is
+    set, and is 0 once that half starts at or past ``cases``."""
+    rows = []
+    for i in range(width):
+        half = trials << i
+        rows.append(_doubled(((1 << half) - 1) << half, 2 * half, cases) if half < cases else 0)
+    return rows
+
+
+def _dirty_rows(patterns: np.ndarray, cases: int) -> list[int]:
+    """One row per dirty qubit whose bit j is its bit in pattern
+    ``j % trials``: the qubit's ``trials``-bit column of ``patterns`` times
+    the row with bit 0 of every period set, so the copies never carry."""
+    trials = patterns.shape[0]
+    ones = _doubled(1, trials, cases)
+    return [column * ones for column in _pack_rows(patterns.T)]
 
 
 def _differ(state: list[int], rows: list[int], expected: list[int]) -> int:

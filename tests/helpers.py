@@ -1,8 +1,10 @@
 """Shared test utilities."""
 import random
 
+import numpy as np
+
 from qromkit import Circuit, Gate, GateKind, LookupTable
-from qromkit.simulate import qubit_indexer
+from qromkit.simulate import _case_rows, _pack_rows, qubit_indexer
 
 
 def random_table(n: int, b: int, seed: int) -> LookupTable:
@@ -43,3 +45,15 @@ def indexed_ops(circuit: Circuit) -> list[tuple]:
     """Reference op stream: ``indexed_op`` of the gate at every position."""
     index = qubit_indexer(circuit)
     return [indexed_op(index, gate) for gate in circuit.gates]
+
+
+def address_rows_reference(n: int, width: int, trials: int) -> list[int]:
+    """Reference verifier address rows, built from ``uint8`` bits: row i has
+    bit j set where bit i of the address ``j // trials`` is."""
+    return _case_rows(range(n), width, trials)
+
+
+def dirty_rows_reference(patterns: np.ndarray, n: int) -> list[int]:
+    """Reference verifier dirty rows: the ``(trials, qubits)`` pattern
+    matrix transposed, tiled ``n`` times across the cases and packed."""
+    return _pack_rows(np.tile(patterns.T, n))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qromkit import (
@@ -7,15 +9,21 @@ from qromkit import (
     QubitRef,
     RegisterSpec,
     Role,
+    SequentialSpec,
+    build_plain_qrom,
     build_qrom,
+    build_selectswap_dirty,
+    build_sequential_qroms,
+    check_temp_and_pairing,
     count_resources,
     parse_circuit,
     plan_qrom,
     serialize_circuit,
+    verify_qrom,
 )
 from qromkit import gatefile
 from qromkit.gatefile import _CHUNK, _line_chunks, _parse_circuit, _read_text
-from helpers import random_table
+from helpers import circuit_with_gates, indexed_ops, random_table
 
 
 def test_header_only():
@@ -202,3 +210,59 @@ def test_all_roles_round_trip():
     c = parse_circuit(text)
     assert [reg.role.value for reg in c.registers] == roles
     assert serialize_circuit(c) == text
+
+
+def row_route_builds():
+    """(label, circuit, tables) for the four builders over a small grid, the
+    tables in the circuit's output-register order."""
+    for n, b in [(5, 2), (16, 3), (37, 4)]:
+        tables = (random_table(n, b, seed=n), random_table(n, b, seed=n + 1))
+        for lam in (2, 4):
+            for mu in sorted({1, b}):
+                plan = plan_qrom(n, b, lam, mu)
+                yield f"qrom-{n}-{b}-{lam}-{mu}", build_qrom(tables[0], plan), tables[:1]
+            yield f"selectswap-{n}-{b}-{lam}", build_selectswap_dirty(tables[0], lam), tables[:1]
+            sequential = build_sequential_qroms(SequentialSpec(tables, lam))
+            yield f"sequential-{n}-{b}-{lam}", sequential, tables
+        yield f"plain-{n}-{b}", build_plain_qrom(tables[0]), tables[:1]
+
+
+ROW_ROUTE_BUILDS = [pytest.param(*case, id=label) for label, *case in row_route_builds()]
+
+
+@pytest.mark.parametrize("chunk", [7, _CHUNK])
+@pytest.mark.parametrize("circuit,tables", ROW_ROUTE_BUILDS)
+def test_parser_rows_store_what_validate_stores(circuit, tables, chunk):
+    """The parser resolves each token pair's row itself and stores gates
+    through ``Circuit._op``; ``append`` resolves rows in ``_validate``. Both
+    store gates in order of first position, so the stores are equal, and
+    the op at every position is the built circuit's."""
+    parsed = _parse_circuit(serialize_circuit(circuit), chunk)
+    appended = circuit_with_gates(circuit.registers, circuit.gates)
+    assert parsed._distinct == appended._distinct
+    assert parsed._ops == appended._ops and parsed._index == appended._index
+    assert [parsed._ops[i] for i in parsed._index] == [circuit._ops[i] for i in circuit._index]
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["reversed", "shuffled"])
+@pytest.mark.parametrize("circuit,tables", ROW_ROUTE_BUILDS)
+def test_permuted_register_lines_parse_pair_and_verify(circuit, tables, shuffle):
+    """A gate file whose REGISTER lines come in an order the builders never
+    write parses to the built gate list over that register order, with
+    rows from the file's own layout, and passes the pairing check and the
+    verifier."""
+    text = serialize_circuit(circuit)
+    lines = text.splitlines(keepends=True)
+    order = list(reversed(range(len(circuit.registers))))
+    if shuffle:
+        random.Random(len(text)).shuffle(order)
+    permuted = "".join([*(lines[k] for k in order), *lines[len(order):]])
+    parsed = parse_circuit(permuted)
+    registers = [circuit.registers[k] for k in order]
+    assert parsed == circuit_with_gates(registers, circuit.gates)
+    assert [parsed._ops[i] for i in parsed._index] == indexed_ops(parsed)
+    check_temp_and_pairing(parsed)
+    by_name = {reg.name: t for reg, t in zip(circuit.registers_with_role(Role.OUTPUT), tables)}
+    permuted_tables = [by_name[reg.name] for reg in parsed.registers_with_role(Role.OUTPUT)]
+    report = verify_qrom(parsed, permuted_tables, dirty_trials=3, seed=1)
+    assert report.passed and report.cases_run == 3 * tables[0].n_entries

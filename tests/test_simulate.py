@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qromkit import (
@@ -22,8 +22,15 @@ from qromkit import (
     verify_qrom,
 )
 from qromkit.circuit import GATE_ARITY
-from qromkit.simulate import qubit_indexer
-from helpers import indexed_op, indexed_ops, inverse_circuit, random_table
+from qromkit.simulate import _address_rows, _dirty_rows, qubit_indexer
+from helpers import (
+    address_rows_reference,
+    dirty_rows_reference,
+    indexed_op,
+    indexed_ops,
+    inverse_circuit,
+    random_table,
+)
 
 
 def single_register(size=4):
@@ -269,6 +276,27 @@ def test_batch_matches_scalar_with_cswaps():
         scalar = simulate(circuit, state)
         for ref, row in index.items():
             assert scalar.bits[ref] == final[row, j]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    n=st.integers(1, 300),
+    trials=st.integers(1, 9),
+    extra_width=st.integers(0, 3),
+    dirty=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, trials=1, extra_width=0, dirty=0, seed=0)
+@example(n=256, trials=8, extra_width=3, dirty=40, seed=1)
+@example(n=300, trials=9, extra_width=3, dirty=40, seed=2)
+def test_doubled_input_rows_match_packed_reference(n, trials, extra_width, dirty, seed):
+    # Address widths from ceil(log2 n) up to 3 more; the upper rows of a
+    # wide address register are all 0.
+    width = (n - 1).bit_length() + extra_width
+    patterns = np.random.default_rng(seed).integers(0, 2, size=(trials, dirty), dtype=np.uint8)
+    cases = n * trials
+    assert _address_rows(width, trials, cases) == address_rows_reference(n, width, trials)
+    assert _dirty_rows(patterns, cases) == dirty_rows_reference(patterns, n)
 
 
 class TestVerifyQrom:
