@@ -17,6 +17,7 @@ import sys
 from .baselines import build_plain_qrom, build_selectswap_dirty
 from .circuit import Role, check_temp_and_pairing, count_resources
 from .costs import (
+    _check_scan,
     cost_bit_packet,
     cost_prior_art,
     cost_uncompute,
@@ -227,6 +228,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--b must be >= 1")
     if args.budget < 0:
         raise ValueError("--budget must be >= 0")
+    _check_scan(args.b, args.budget)
     if args.points < 1:
         raise ValueError("--points must be >= 1")
     if not 1 <= args.n_min <= args.n_max:

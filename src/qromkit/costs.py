@@ -12,7 +12,8 @@ the optimizer also scans.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import isqrt
 
 from .qrom import QromPlan, ceil_div, is_power_of_two, plan_qrom, work_size
 
@@ -34,6 +35,13 @@ __all__ = [
 
 PRIOR_ART_KINDS = ("plain", "low_clean", "low_dirty", "berry")
 UNCOMPUTE_KINDS = ("prior", "select_copy")
+
+# Most points the optimizer may scan at one depth lam: one per packet count
+# ceil(b/mu) with mu <= min(b, budget // (lam-1)), so at most that many and at
+# most 2*isqrt(b) + 1 (isqrt(b) counts from mu <= isqrt(b), isqrt(b) + 1 from
+# the rest). Depth 2 allows the most. The cap admits any b below 2**30, and
+# any b at a budget of 2**16 or less.
+MAX_SCAN_POINTS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,19 +109,14 @@ def cost_bit_packet(n: int, b: int, lam: int, mu: int) -> CostBreakdown:
 def cost_power2_packet(n: int, b: int, lam: int, alpha: int) -> CostBreakdown:
     """Power-of-two form (1+1/alpha)N/lam + (b+b/alpha)(alpha*lam-1)
     + (alpha+1)(alpha*lam-3); alpha rounds of b/alpha bits at depth
-    alpha*lam. Equals cost_bit_packet(n, b, alpha*lam, b/alpha) exactly."""
+    alpha*lam. Exactly cost_bit_packet(n, b, alpha*lam, b/alpha), which is
+    returned under its own label."""
     for name, value in (("N", n), ("b", b), ("alpha", alpha)):
         if not is_power_of_two(value):
             raise ValueError(f"{name} = {value} is not a power of 2")
     if alpha > b:
         raise ValueError(f"alpha = {alpha} exceeds b = {b}")
-    depth = alpha * lam
-    # With N, b and alpha powers of two, the plan's checks on depth hold
-    # exactly when lam is a power of two with 1 < alpha*lam < N.
-    plan = plan_qrom(n, b, depth, b // alpha)
-    select = (alpha + 1) * (n // depth) + (alpha + 1) * (depth - 3)
-    copy = (b + b // alpha) * (depth - 1)
-    return _row("power2_packet", select, copy, plan.dirty_qubits, plan.work_qubits, b)
+    return replace(cost_bit_packet(n, b, alpha * lam, b // alpha), formula_id="power2_packet")
 
 
 def cost_sequential_fresh(n: int, b: int, lam: int, m: int) -> CostBreakdown:
@@ -192,6 +195,17 @@ def _check_budget_point(n: int, b: int, dirty_budget: int) -> None:
         raise ValueError(f"N = {n} and b = {b} must both be >= 1")
     if dirty_budget < 0:
         raise ValueError(f"dirty budget = {dirty_budget} must be >= 0")
+    _check_scan(b, dirty_budget)
+
+
+def _check_scan(b: int, dirty_budget: int) -> None:
+    """Raise ValueError when the scan may pass ``MAX_SCAN_POINTS`` at depth 2."""
+    points = min(b, dirty_budget, 2 * isqrt(b) + 1)
+    if points > MAX_SCAN_POINTS:
+        raise ValueError(
+            f"b = {b} at dirty budget {dirty_budget} may scan {points} points per depth, "
+            f"more than the {MAX_SCAN_POINTS} the optimizer allows"
+        )
 
 
 def _feasible_points(n: int, b: int, dirty_budget: int) -> Iterator[tuple[int, int, int]]:
@@ -199,8 +213,9 @@ def _feasible_points(n: int, b: int, dirty_budget: int) -> Iterator[tuple[int, i
     can be optimal: power-of-two lam in (1, N) and, of the mu in [1, b] with
     mu*(lam-1) <= budget, the least of each packet count ceil(b/mu), since
     at one packet count each unit of mu costs lam - 1 more Toffolis. That is
-    about 2*sqrt(b) points per lam, mu = 1 and mu = b among them; lam then mu
-    ascend, so ``min`` breaks ties toward smaller lam, then smaller mu."""
+    about 2*sqrt(b) points per lam (see ``MAX_SCAN_POINTS``), mu = 1 and
+    mu = b among them; lam then mu ascend, so ``min`` breaks ties toward
+    smaller lam, then smaller mu."""
     lam = 2
     while lam < n and lam - 1 <= dirty_budget:
         mu, top = 1, min(b, dirty_budget // (lam - 1))
@@ -219,8 +234,9 @@ def optimize_parameters(n: int, b: int, dirty_budget: int) -> OptimizationResult
     mu*(lam-1) <= dirty_budget, scanning only the points that can win (see
     ``_feasible_points``); ties break toward smaller lam, then smaller mu.
     With no feasible point the result falls back to the plain N - 1
-    lookup and is flagged infeasible. Raises ValueError for N < 1, b < 1 or
-    a negative budget; a budget of 0 is valid and infeasible.
+    lookup and is flagged infeasible. Raises ValueError for N < 1, b < 1, a
+    negative budget or a scan past ``MAX_SCAN_POINTS``; a budget of 0 is
+    valid and infeasible.
     """
     _check_budget_point(n, b, dirty_budget)
     best = min(_feasible_points(n, b, dirty_budget), default=None)
@@ -252,7 +268,7 @@ def improvement_sweep(b: int, dirty_budget: int, n_values: list[int]) -> list[Sw
     Columns: the prior headline optimum, the full-width (mu = b) and
     single-bit (mu = 1) optima, the overall optimum with its parameters, and
     the improvement ratio. Infeasible columns fall back to the plain N - 1
-    count. Raises ValueError for any N < 1, b < 1 or a negative budget.
+    count. Raises ValueError as ``optimize_parameters`` does, for any N.
     """
     _check_budget_point(min(n_values, default=1), b, dirty_budget)
     rows = []

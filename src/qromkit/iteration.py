@@ -4,18 +4,20 @@ The emitter is invoked once per index value, in ascending order, with a select
 wire that is 1 exactly when the index register holds that value. Windows are
 realized by a depth-first walk of the bit-prefix tree: the first child of a
 node is computed with a temp-AND, its sibling is reached with a single CNOT,
-and the temp-AND is released for free on the way back up. At the root the
-index bits themselves serve as wires (X-conjugated for the 0 branch). Every
-range therefore needs at least one index bit to branch on, so ``[0, 1)`` is
-rejected, and every window has a wire.
+and the temp-AND is released for free on the way back up. The root's index
+bit itself is its children's wire (X-conjugated for the 0 branch), so the
+root spends no temp-AND. Every range therefore needs at least one index bit
+to branch on, so ``[0, 1)`` is rejected, and every window has a wire.
 
 Costing convention: scaffolding spends exactly ``range_size - 1`` Toffolis.
 The bare tree needs one less than that for ranges starting at 0, so the
 emitter appends one temp-AND compute/uncompute alignment pair (net one
 Toffoli, identity action) to match the standard controlled-iteration account
-that all cost formulas in this package assume. The clean-qubit budget of
-ceil(log2(range size)) work qubits covers both the tree wires and the
-alignment target.
+that all cost formulas in this package assume. The tree branches on
+L = ceil(log2(range_hi)) index bits; its wires take work slots 0 to L - 2
+and the alignment target slot L - 1. So a range needs L - 1 work qubits, or
+L with alignment pairs, except that ``[0, 2)`` on a 1-qubit index register
+needs 2: its pair's second control is work slot 1.
 
 Callers promise that the index register holds a value below ``range_hi``;
 select wires for values pruned above ``range_hi`` are not discriminated from
@@ -168,6 +170,13 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
     after the last window. The walk records ``(kind, *operands)`` tuples and
     counts its temp-ANDs; only once the cost and the work register check out
     are the tuples turned into the indices of the circuit's gates.
+
+    At the root the top index bit is the children's wire, X-negated around a
+    0 branch that meets the range; the 1 branch always holds ``range_hi - 1``.
+    An inner node ANDs its wire with its bit into its work slot, runs a 0
+    branch that meets the range under the X-negated bit, then CNOTs across
+    to the 1 branch. A 1 branch wholly above the range is pruned, and the 0
+    branch reuses the node's wire.
     """
     reg = circuit.register(spec.index_register)
     lo, hi = spec.range_lo, spec.range_hi
@@ -182,70 +191,44 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
     steps: list[tuple[tuple[tuple, ...], IterationWindow]] = []
     pending: list[tuple] = []
 
-    def gate(kind: GateKind, *operands: QubitRef) -> None:
-        pending.append((kind, *operands))
-
-    def window(value: int, wire: QubitRef) -> None:
-        steps.append((tuple(pending), IterationWindow(value, wire)))
-        pending.clear()
-
     levels = (hi - 1).bit_length()
     ands = 0
 
-    def wire_slot(parent_height: int) -> QubitRef:
-        # Child wires of a height-h parent live in slot levels-1-h; slots
-        # increase toward the leaves, so they are disjoint along any path.
-        # The work register is checked once the walk has sized it.
-        return QubitRef("work", levels - 1 - parent_height)
-
-    def walk(height: int, base: int, wire: QubitRef | None) -> None:
-        # ``wire`` is None only at the root, which has height levels >= 1.
+    def walk(height: int, base: int, wire: QubitRef) -> None:
+        # Every node visited meets [lo, hi), so its 0 branch meets it when
+        # lo < mid and its 1 branch when mid < hi.
         nonlocal ands
         if height == 0:
-            window(base, wire)
+            steps.append((tuple(pending), IterationWindow(base, wire)))
+            pending.clear()
             return
-        half = 1 << (height - 1)
-        bit = reg[height - 1]
-        left = _overlaps(base, base + half, lo, hi)
-        right = _overlaps(base + half, base + 2 * half, lo, hi)
-
-        if left and right:
-            if wire is None:
-                # Root split: the index bit itself is the child wire.
-                gate(GateKind.X, bit)
-                walk(height - 1, base, bit)
-                gate(GateKind.X, bit)
-                walk(height - 1, base + half, bit)
-                return
-            child = wire_slot(height)
-            gate(GateKind.X, bit)
-            gate(GateKind.TEMP_AND, wire, bit, child)
-            ands += 1
-            walk(height - 1, base, child)
-            gate(GateKind.X, bit)
-            # Sibling transition: flips the conditioned bit inside the AND.
-            gate(GateKind.CNOT, wire, child)
-            walk(height - 1, base + half, child)
-            gate(GateKind.TEMP_AND_UNCOMPUTE, wire, bit, child)
-            return
-
-        if left:
-            # Pruned sibling holds only values >= hi: reuse the wire below.
+        mid = base + (1 << (height - 1))
+        if mid >= hi:
+            # The 1 branch holds only values >= hi: reuse the wire below.
             walk(height - 1, base, wire)
             return
-
-        # Pruned sibling holds values < lo, which are reachable: the bit
-        # must stay conditioned so those inputs never open a window.
-        if wire is None:
-            walk(height - 1, base + half, bit)
-            return
-        child = wire_slot(height)
-        gate(GateKind.TEMP_AND, wire, bit, child)
+        # A 0 branch below lo is skipped, but its values are reachable, so the
+        # bit stays in the AND. A height-h node's children use work slot
+        # levels-1-h: slots grow toward the leaves, so no path reuses one.
+        bit, child = reg[height - 1], QubitRef("work", levels - 1 - height)
+        if lo < mid:
+            pending.append((GateKind.X, bit))
+        pending.append((GateKind.TEMP_AND, wire, bit, child))
         ands += 1
-        walk(height - 1, base + half, child)
-        gate(GateKind.TEMP_AND_UNCOMPUTE, wire, bit, child)
+        if lo < mid:
+            walk(height - 1, base, child)
+            pending.append((GateKind.X, bit))
+            # Sibling transition: flips the conditioned bit inside the AND.
+            pending.append((GateKind.CNOT, wire, child))
+        walk(height - 1, mid, child)
+        pending.append((GateKind.TEMP_AND_UNCOMPUTE, wire, bit, child))
 
-    walk(levels, 0, None)
+    top, mid = reg[levels - 1], 1 << (levels - 1)
+    if lo < mid:
+        pending.append((GateKind.X, top))
+        walk(levels - 1, 0, top)
+        pending.append((GateKind.X, top))
+    walk(levels - 1, mid, top)
 
     cost = hi - lo - 1
     deficit = cost - ands
@@ -254,29 +237,21 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
     work = circuit.register("work")
     needed = levels - 1
     if deficit:
-        # Alignment pair target, plus a second control when the index
-        # register cannot supply two.
-        needed = max(needed, levels, 2 if reg.size < 2 else 0)
+        # Each alignment pair targets the slot above the tree's. Its controls
+        # are the top two index bits, or a 1-qubit register's bit and work
+        # slot 1.
+        if reg.size > 1:
+            needed, controls = levels, (reg[reg.size - 1], reg[reg.size - 2])
+        else:
+            needed, controls = 2, (reg[0], QubitRef("work", 1))
+        pair = (*controls, QubitRef("work", levels - 1))
+        pending += [(GateKind.TEMP_AND, *pair), (GateKind.TEMP_AND_UNCOMPUTE, *pair)] * deficit
     if work.size < needed:
         raise ValueError(
             f"insufficient work qubits: need {needed}, register {work.name!r} has {work.size}"
         )
 
-    if deficit:
-        target = work[levels - 1]
-        if reg.size >= 2:
-            c1, c2 = reg[reg.size - 1], reg[reg.size - 2]
-        else:
-            c1, c2 = reg[0], work[1]
-        for _ in range(deficit):
-            gate(GateKind.TEMP_AND, c1, c2, target)
-            gate(GateKind.TEMP_AND_UNCOMPUTE, c1, c2, target)
-
     # Each recorded gate becomes the index of the circuit's gate.
     lookup = circuit._lookup
     recorded = tuple((tuple(lookup(*g) for g in segment), win) for segment, win in steps)
     return recorded, tuple(lookup(*g) for g in pending)
-
-
-def _overlaps(a: int, b: int, lo: int, hi: int) -> bool:
-    return max(a, lo) < min(b, hi)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import lshift, rshift, xor
+from operator import countOf, lshift, rshift, xor
 
 from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing
 from .iteration import IterationSpec, IterationWindow, emit_loads, emit_unary_iteration
@@ -95,16 +95,21 @@ class LookupTable:
             raise ValueError("bit_width must be >= 1")
         if len(self.entries) < 1:
             raise ValueError("table must have at least one entry")
-        entries = tuple(self.entries)
-        # One C-level min and max pass checks every entry; the entries are
-        # walked only to name the first bad one. bit_length, not
-        # 1 << bit_width: a huge declared width must not allocate a huge
-        # integer.
-        if min(entries) < 0 or max(entries).bit_length() > self.bit_width:
+        entries = self.entries
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+            object.__setattr__(self, "entries", entries)
+        # C-level type, min and max passes check every entry; the entries are
+        # walked only to name the first bad one. A bool is refused, as
+        # ``format_table`` would write True. bit_length, not 1 << bit_width:
+        # a huge declared width must not allocate a huge integer.
+        if (countOf(map(type, entries), int) < len(entries) or min(entries) < 0
+                or max(entries).bit_length() > self.bit_width):
             for x, value in enumerate(entries):
+                if type(value) is not int:
+                    raise ValueError(f"entry {x} = {value!r} is not an int")
                 if value < 0 or value.bit_length() > self.bit_width:
                     raise ValueError(f"entry {x} = {value} does not fit in {self.bit_width} bits")
-        object.__setattr__(self, "entries", entries)
 
     @property
     def n_entries(self) -> int:

@@ -92,10 +92,14 @@ def test_criterion_3_power2_identity():
                 for alpha in (1, 2, 4, 8, 16, 32, 64):
                     if alpha > b or not 1 < alpha * lam < n:
                         continue
-                    lhs = cost_power2_packet(n, b, lam, alpha).toffoli_total
-                    rhs = cost_bit_packet(n, b, alpha * lam, b // alpha).toffoli_total
-                    if lhs != rhs:
-                        bad.append((n, b, lam, alpha))
+                    # The paper's power-of-two expression, written out.
+                    depth = alpha * lam
+                    select = (alpha + 1) * (n // depth + depth - 3)
+                    paper = (select, (b + b // alpha) * (depth - 1))
+                    for row in (cost_power2_packet(n, b, lam, alpha),
+                                cost_bit_packet(n, b, depth, b // alpha)):
+                        if (row.select_toffoli, row.copy_toffoli) != paper:
+                            bad.append((n, b, lam, alpha, row.formula_id))
     report(3, "power-of-two packet formula equals the general formula exactly", not bad)
 
 

@@ -355,8 +355,10 @@ class TestEstimate:
             ["--n", "2", "--b", "1", "--lambda", "2"],
             ["--n", "64", "--b", "8", "--lambda", "4", "--mu", "9"],
             ["--n", "64", "--b", "8", "--budget", "-1"],
+            ["--n", "1048576", "--b", "1073741824", "--budget", "1073741824"],
         ],
-        ids=["zero_n", "zero_b", "negative_n", "lambda_not_below_n", "mu_above_b", "negative_budget"],
+        ids=["zero_n", "zero_b", "negative_n", "lambda_not_below_n", "mu_above_b", "negative_budget",
+             "scan_above_bound"],
     )
     def test_invalid_point_exits_2_with_empty_stdout(self, args):
         code, out, err = run_cli(["estimate", *args])
@@ -435,8 +437,10 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "b,budget,message",
-        [("8", "-5", "--budget must be >= 0"), ("0", "5", "--b must be >= 1")],
-        ids=["negative_budget", "zero_b"],
+        [("8", "-5", "--budget must be >= 0"), ("0", "5", "--b must be >= 1"),
+         ("1073741824", "1073741824", "b = 1073741824 at dirty budget 1073741824 may scan "
+          "65537 points per depth, more than the 65536 the optimizer allows")],
+        ids=["negative_budget", "zero_b", "scan_above_bound"],
     )
     def test_invalid_flag_exits_2_without_output(self, tmp_path, b, budget, message):
         out_path = tmp_path / "s.csv"

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from math import isqrt
 
 import pytest
 
@@ -21,6 +23,7 @@ from qromkit import (
     plan_qrom,
     sweep_rows_to_csv,
 )
+from qromkit.costs import MAX_SCAN_POINTS, _check_scan, _feasible_points
 from qromkit.qrom import ceil_div
 from helpers import random_table
 
@@ -103,10 +106,14 @@ class TestPower2Packet:
                     for alpha in (1, 2, 4, 8, 16, 64):
                         if alpha > b or not 1 < alpha * lam < n:
                             continue
-                        assert (
-                            cost_power2_packet(n, b, lam, alpha).toffoli_total
-                            == cost_bit_packet(n, b, alpha * lam, b // alpha).toffoli_total
-                        ), (n, b, lam, alpha)
+                        # The paper's power-of-two expression, written out.
+                        depth = alpha * lam
+                        select = (alpha + 1) * (n // depth + depth - 3)
+                        copy = (b + b // alpha) * (depth - 1)
+                        for row in (cost_power2_packet(n, b, lam, alpha),
+                                    cost_bit_packet(n, b, depth, b // alpha)):
+                            assert (row.select_toffoli, row.copy_toffoli) == (select, copy), (
+                                n, b, lam, alpha, row.formula_id)
 
     def test_rejects_non_powers(self):
         with pytest.raises(ValueError):
@@ -319,6 +326,34 @@ class TestSweep:
         # A scan of every mu would take 10**8 steps per lam.
         result = optimize_parameters(10**6, 10**8, 10**8)
         assert (result.lam, result.mu, result.cost.toffoli_total) == (2, 7142858, 114642843)
+
+    def test_scan_per_depth_within_documented_bound(self):
+        # MAX_SCAN_POINTS caps min(b, budget // (lam-1), 2*isqrt(b) + 1),
+        # which must bound the points scanned at every depth.
+        for b in range(1, 400):
+            for budget in (1, 7, 31, 100, b, 3 * b):
+                per_depth = Counter(lam for _, lam, _ in _feasible_points(64, b, budget))
+                for lam, points in per_depth.items():
+                    assert points <= min(b, budget // (lam - 1), 2 * isqrt(b) + 1), (b, budget)
+
+    def test_scan_bound_edges(self):
+        # The largest b accepted at any budget is 2**30 - 1 (2*32767 + 1
+        # points); every b is accepted at a budget of MAX_SCAN_POINTS.
+        assert MAX_SCAN_POINTS == 1 << 16
+        _check_scan(2**30 - 1, 2**30 - 1)
+        _check_scan(2**62, MAX_SCAN_POINTS)
+        for b, budget in ((2**30, 2**30), (2**62, MAX_SCAN_POINTS + 1), (2**62, 2**62)):
+            with pytest.raises(ValueError, match=f"more than the {MAX_SCAN_POINTS}"):
+                _check_scan(b, budget)
+
+    @pytest.mark.parametrize("b,budget", [(2**30, 2**30), (2**62, 2**62), (10**12, 10**12)])
+    def test_scan_above_bound_refused_before_scanning(self, b, budget):
+        # Unbounded before: 28.4 s at b = 10**12 and a MemoryError from the
+        # sweep's list of points at b = 2**62.
+        with pytest.raises(ValueError, match="points per depth, more than the 65536"):
+            optimize_parameters(2**20, b, budget)
+        with pytest.raises(ValueError, match="points per depth, more than the 65536"):
+            improvement_sweep(b, budget, [4, 2**20])
 
     def test_single_point_budget_31(self):
         rows = improvement_sweep(8, 31, [2**20])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from qromkit import (
     count_resources,
     emit_unary_iteration,
 )
+from qromkit.gatefile import serialize_circuit
 from qromkit.iteration import emit_loads
 from qromkit.simulate import batch_simulate, qubit_indexer
 
@@ -214,6 +217,47 @@ def test_failed_validation_records_nothing():
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert c.gates == ()
+
+
+SMALL_SCAFFOLD_DIGEST = "addad597bb3d8797dd3d6c1138ffa5815e97f8b7d77f17b2278f56c787ed2d53"
+
+
+def scaffold_outcome(lo, hi, index_bits, work_bits):
+    """The gate file of [lo, hi) iterated with a probe CNOT from each
+    window's wire, on a work register of ``work_bits`` qubits (none at 0),
+    or the text of the ValueError that refuses it."""
+    regs = [RegisterSpec("idx", index_bits, Role.ADDRESS_Q), RegisterSpec("probe", 1, Role.OUTPUT)]
+    if work_bits:
+        regs.append(RegisterSpec("work", work_bits, Role.WORK))
+    c = Circuit(regs)
+
+    def probe(win):
+        c.append(GateKind.CNOT, win.select_wire, QubitRef("probe", 0))
+
+    try:
+        emit_unary_iteration(c, IterationSpec("idx", lo, hi), probe)
+    except ValueError as err:
+        return f"refused: {err}\n"
+    return serialize_circuit(c)
+
+
+def test_every_small_scaffold_is_pinned():
+    # Every range 0 <= lo < hi <= 33 on the narrowest index register and on
+    # one qubit more. The work register grows from none until the range is
+    # accepted, so each accepted range is pinned at the size it needs and
+    # refused one qubit smaller; a range refused for another reason is
+    # pinned by its message at every size.
+    digest = hashlib.sha256()
+    for hi in range(1, 34):
+        narrowest = max(1, (hi - 1).bit_length())
+        for lo in range(hi):
+            for index_bits in (narrowest, narrowest + 1):
+                for work_bits in range(index_bits + 2):
+                    text = scaffold_outcome(lo, hi, index_bits, work_bits)
+                    digest.update(f"[{lo}, {hi}) idx {index_bits} work {work_bits}\n{text}".encode())
+                    if not text.startswith("refused"):
+                        break
+    assert digest.hexdigest() == SMALL_SCAFFOLD_DIGEST
 
 
 class Stop(Exception):

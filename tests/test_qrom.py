@@ -1,7 +1,9 @@
 import functools
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -579,3 +581,20 @@ class TestLookupTable:
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError, match="bit_width must be >= 1"):
             LookupTable((0,), 0)
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            (1.5, "entry 1 = 1.5 is not an int"),
+            ("3", "entry 1 = '3' is not an int"),
+            (None, "entry 1 = None is not an int"),
+            (True, "entry 1 = True is not an int"),
+            (np.int64(3), f"entry 1 = {np.int64(3)!r} is not an int"),
+        ],
+        ids=["float", "str", "none", "bool", "numpy_int"],
+    )
+    def test_non_int_entry_rejected(self, entry, message):
+        # Each used to be accepted, or to escape as a TypeError from min or
+        # from the first build's shift.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LookupTable((2, entry, 0, 3.0, 1), 2)
