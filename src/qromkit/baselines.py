@@ -12,8 +12,8 @@ the borrowed bits out of the output. Exactly 2*(ceil(N/lam) - 1) +
 """
 from __future__ import annotations
 
-from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing
-from .iteration import IterationSpec, emit_loads
+from .circuit import Circuit, GateKind, RegisterSpec, Role, check_temp_and_pairing
+from .iteration import IterationSpec, _load_rows
 from .qrom import (
     LookupTable, ceil_log2, check_build_width, padded_entries, plan_qrom, registers_for_plan,
     work_size,
@@ -28,9 +28,9 @@ def build_plain_qrom(table: LookupTable) -> Circuit:
     check_build_width(b)
     if n == 1:
         circuit = Circuit([RegisterSpec("output", b, Role.OUTPUT)])
-        for j in range(b):
+        for j, row in enumerate(circuit._span("output", b)):
             if (table.entries[0] >> j) & 1:
-                circuit.append(GateKind.X, QubitRef("output", j))
+                circuit._index.append(circuit._intern(GateKind.X, row))
         return circuit
 
     circuit = Circuit(
@@ -41,8 +41,8 @@ def build_plain_qrom(table: LookupTable) -> Circuit:
         ]
     )
 
-    outputs = [QubitRef("output", j) for j in range(b)]
-    emit_loads(circuit, IterationSpec("addr_q", 0, n), outputs, table.entries)
+    outputs = circuit._span("output", b)
+    _load_rows(circuit, IterationSpec("addr_q", 0, n), outputs, table.entries)
     check_temp_and_pairing(circuit)
     return circuit
 
@@ -57,15 +57,13 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
     registers = registers_for_plan(plan)
     registers.insert(3, RegisterSpec("buffer", b, Role.WORK))  # after "output"
     circuit = Circuit(registers)
-    append, gate = circuit._index.append, circuit._lookup
+    append, intern = circuit._index.append, circuit._intern
 
     # Block 0 is the clean buffer; blocks 1..lam-1 are borrowed. Window q
     # loads blocks 0..lam-1 as one word, block l in bits l*b..(l+1)*b.
-    blocks = [QubitRef("buffer", j) for j in range(b)]
-    blocks += [QubitRef("dirty", k) for k in range(plan.dirty_qubits)]
-
-    def block_qubit(block: int, j: int) -> QubitRef:
-        return blocks[block * b + j]
+    buffer, output = circuit._span("buffer", b), circuit._span("output", b)
+    blocks = [*buffer, *circuit._span("dirty", plan.dirty_qubits)]
+    controls = circuit._span("addr_r", plan.r_bits)
 
     padded = padded_entries(table, plan)
     words = [
@@ -74,22 +72,22 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
     ]
 
     def select() -> None:
-        emit_loads(circuit, IterationSpec("addr_q", 0, plan.q_range), blocks, words)
+        _load_rows(circuit, IterationSpec("addr_q", 0, plan.q_range), blocks, words)
 
     def swap_network(inverse: bool) -> None:
         # Layer beta halves the distance-2^beta pairs; the forward order
         # routes block r to the buffer, the reversed order undoes it.
         layers = range(plan.r_bits - 1, -1, -1) if inverse else range(plan.r_bits)
         for beta in layers:
-            step, control = 1 << beta, QubitRef("addr_r", beta)
+            step, control = 1 << beta, controls[beta]
             for base in range(0, lam, 2 * step):
                 for j in range(b):
-                    pair = block_qubit(base, j), block_qubit(base + step, j)
-                    append(gate(GateKind.CSWAP, control, *pair))
+                    pair = blocks[base * b + j], blocks[(base + step) * b + j]
+                    append(intern(GateKind.CSWAP, control, *pair))
 
     def buffer_copy() -> None:
-        for j in range(b):
-            append(gate(GateKind.CNOT, QubitRef("buffer", j), QubitRef("output", j)))
+        for source, target in zip(buffer, output):
+            append(intern(GateKind.CNOT, source, target))
 
     select()
     swap_network(inverse=False)

@@ -11,30 +11,31 @@ so finished circuits can be shared freely between threads. A circuit owns its
 register and gate lists: ``registers`` and ``gates`` are read-only tuples, and
 every entry comes in through a call that validates it. A lookup circuit
 repeats a few hundred distinct gates across millions of positions, so a
-circuit stores each distinct gate once, with its op (its ``GateKind`` and
-operand rows, resolved from the registers' spans on validation), and its gate
-list as one ``array("I")`` of indices into them. A ``Gate`` is a named
-``(kind, operands)`` tuple, so each stored gate is also its own key in the
-circuit's index of gates. ``append`` validates every call and appends one
-gate; the builders look gates up with ``_lookup``, which validates a gate
-once, when it is first stored, and append indices themselves, and the
-builders replay each recorded unary-iteration scaffold (see
-``qromkit.iteration``). The gate-file parser resolves each distinct operand
-of a file to its row once and looks gates up with ``_lookup_rows``, which
-skips the type checks. Both ways share ``_op``, the one place for the
-arity, distinctness and range rules. Every pass reads the index array:
-resources are a tally of indices folded over the distinct kinds, the
-temp-AND pairing check keys each distinct temp-AND gate once by its op's
-rows and compares controls as one ordered row pair per temp-AND position,
-and the simulators map gates or ops over it.
+circuit interns each distinct gate by its op, ``(kind, a, b, t)``: its
+``GateKind`` and operand rows (rows number the qubits register by register,
+in declaration order), X and CNOT padded with None. The gate list is one
+``array("I")`` of indices into the ops. ``_intern`` is the one way in: it
+checks arity, distinctness and range on an op's rows the first time it sees
+the op. The builders hand it rows read from the register spans, and replay
+each recorded unary-iteration scaffold (see ``qromkit.iteration``);
+``append`` type-checks its ``QubitRef`` operands and the gate-file parser
+resolves each distinct operand of a file to its row once, and both raise the
+errors that name an operand (``_op``) before interning. ``Gate`` objects are
+a view: ``gates`` and ``_distinct`` make one ``Gate`` per op from the rows
+when first read, and no build, CLI or verify path makes one. Every pass
+reads the ops and the index array: resources are a tally of indices folded
+over the ops' kinds, the temp-AND pairing check keys each distinct temp-AND
+op once and compares controls as one ordered row pair per temp-AND
+position, and the simulators map gates or ops over it.
 """
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,13 +170,15 @@ class Circuit:
             self._by_name[reg.name] = reg
             self._spans[reg.name] = (first, reg.size)
             first += reg.size
-        # The distinct gates in first-intern order, their ops, the index of
-        # each keyed by the gate itself, and the gate list as indices; only
-        # ``append`` and this package's builders and parser write them.
-        self._distinct: list[Gate] = []
+        self._row_count = first
+        # The distinct ops in first-intern order, the index of each keyed by
+        # the op itself, and the gate list as indices; only ``_intern`` and
+        # this package's builders and parser write them.
         self._ops: list[tuple] = []
         self._index = array("I")
-        self._interned: dict[Gate, int] = {}
+        self._interned: dict[tuple, int] = {}
+        # One Gate per op, made on first read (``_distinct``).
+        self._view: list[Gate] = []
         # Unary-iteration recordings, keyed by IterationSpec; owned by
         # ``qromkit.iteration`` and never part of equality.
         self._scaffolds: dict[object, tuple] = {}
@@ -191,8 +194,18 @@ class Circuit:
         return tuple(map(self._distinct.__getitem__, self._index))
 
     @property
+    def _distinct(self) -> list[Gate]:
+        """One ``Gate`` per op, in first-intern order, made from the ops not
+        yet viewed. The list is built aside and published in one assignment,
+        so threads that race here each read a whole list."""
+        view = self._view
+        if len(view) < len(self._ops):
+            view = self._view = view + list(map(_Qubits(self).gate, self._ops[len(view):]))
+        return view
+
+    @property
     def num_qubits(self) -> int:
-        return sum(reg.size for reg in self.registers)
+        return self._row_count
 
     def register(self, name: str) -> RegisterSpec:
         try:
@@ -212,66 +225,75 @@ class Circuit:
                 yield QubitRef(reg.name, offset)
 
     def append(self, kind: GateKind, *operands: QubitRef) -> Gate:
-        """Append the gate ``(kind, operands)`` and return the stored ``Gate``.
+        """Append the gate ``(kind, operands)`` and return its ``Gate``, the
+        object ``gates`` holds.
 
-        The one way in that validates every call, so ``QubitRef("a", 1.0)``
-        raises even once a gate on ``QubitRef("a", 1)`` is stored. A ``str``
-        kind becomes its ``GateKind`` or raises ``CircuitError``, so both
-        spellings share one gate whose kind is the enum; equal gates are one
-        shared object.
+        The one public way in, and it validates every call, so
+        ``QubitRef("a", 1.0)`` raises even once a gate on ``QubitRef("a", 1)``
+        is stored. A ``str`` kind becomes its ``GateKind`` or raises
+        ``CircuitError``, so both spellings share one gate whose kind is the
+        enum; equal gates are one shared object.
         """
         if not isinstance(kind, GateKind):
             kind = GateKind(kind)
-        op = self._validate(kind, operands)
-        index = self._interned.get((kind, operands))
-        if index is None:
-            index = self._store(kind, operands, op)
+        index = self._intern(kind, *self._validate(kind, operands))
         self._index.append(index)
+        view = self._view
+        if index == len(view) == len(self._ops) - 1:
+            # A new op on a view that holds every earlier one: view it here,
+            # so that appending gate by gate does not copy the view each time.
+            view.append(tuple.__new__(Gate, (kind, operands)))
         return self._distinct[index]
 
-    def _lookup(self, kind: GateKind, *operands: QubitRef) -> int:
-        """The index of the gate ``(kind, operands)``, validated and stored on
-        first use. The builders resolve each gate many times, always with a
-        ``GateKind`` and ``QubitRef(str, int)`` operands, so a stored gate's
-        index is returned unchecked."""
-        index = self._interned.get((kind, operands))
+    def _intern(self, kind: GateKind, a: int, b: int | None = None, t: int | None = None) -> int:
+        """The index of the op ``(kind, a, b, t)`` over int rows, stored on
+        first use: the one way a gate comes into a circuit. ``kind`` is a
+        ``GateKind``; X and CNOT leave the rows they do not take as None. An
+        op is checked once, when first stored (see ``_refuse``)."""
+        op = (kind, a, b, t)
+        index = self._interned.get(op)
         if index is None:
-            index = self._store(kind, operands, self._validate(kind, operands))
+            # Unrolled by arity: builders store tens of thousands of ops, and
+            # a generic check of the rows costs twice as much.
+            arity, n = GATE_ARITY[kind], self._row_count
+            if arity == 3:
+                valid = (None not in op and a != b != t != a
+                         and 0 <= a < n and 0 <= b < n and 0 <= t < n)
+            elif arity == 2:
+                valid = (t is None and a is not None and b is not None and a != b
+                         and 0 <= a < n and 0 <= b < n)
+            else:
+                valid = a is not None and b is None and t is None and 0 <= a < n
+            if not valid:
+                self._refuse(op)
+            index = self._interned[op] = len(self._ops)
+            self._ops.append(op)
         return index
 
-    def _lookup_rows(self, kind: GateKind, operands: tuple, rows: list) -> int:
-        """``_lookup`` for the gate-file parser, which has already resolved
-        each ``QubitRef(str, int)`` operand to its row (``_row``), once per
-        distinct token pair of a file; on first use the gate goes through
-        ``_op`` alone."""
-        index = self._interned.get((kind, operands))
-        if index is None:
-            index = self._store(kind, operands, self._op(kind, operands, rows))
-        return index
-
-    def _store(self, kind: GateKind, operands: tuple, op: tuple) -> int:
-        """Store ``Gate(kind, operands)``, the key and the entry at once, and
-        its validated ``op``; return its index."""
-        # tuple.__new__ skips the NamedTuple's Python-level __new__; the
-        # result is the same Gate.
-        gate = tuple.__new__(Gate, (kind, operands))
-        index = self._interned[gate] = len(self._distinct)
-        self._distinct.append(gate)
-        self._ops.append(op)
-        return index
+    def _refuse(self, op: tuple) -> None:
+        """Raise the error of an op that ``_intern`` refuses: arity, then
+        pairwise distinctness, then range."""
+        kind, n = op[0], self._row_count
+        arity = GATE_ARITY[kind]
+        rows = op[1:arity + 1]
+        if None in rows or op.count(None) != 3 - arity:
+            raise CircuitError(f"{kind.value} takes {arity} operands, got {3 - op.count(None)}")
+        if len(set(rows)) != arity:
+            raise CircuitError(f"{kind.value} operands must be pairwise distinct")
+        row = next(row for row in rows if not 0 <= row < n)
+        raise CircuitError(f"qubit row {row} out of range ({n} qubits)")
 
     def _row(self, register: str, offset: int) -> int | None:
-        """The row of qubit ``register[offset]`` (rows number the qubits
-        register by register, in declaration order), or None when the
-        register is unknown or the offset out of range."""
+        """The row of qubit ``register[offset]``, or None when the register
+        is unknown or the offset out of range."""
         span = self._spans.get(register)
         if span is not None and 0 <= offset < span[1]:
             return span[0] + offset
         return None
 
-    def _validate(self, kind: GateKind, operands: tuple) -> tuple:
-        """Check one gate and return its op: type-check the operands and
-        resolve their rows, then ``_op``."""
+    def _validate(self, kind: GateKind, operands: tuple) -> list:
+        """The rows of ``operands`` as the operands of a ``kind`` gate:
+        type-check them and resolve their rows, then ``_op``."""
         rows = []
         # Type errors rank below the arity error, which ``_op`` raises.
         if len(operands) == GATE_ARITY[kind]:
@@ -285,51 +307,82 @@ class Circuit:
                         f"{kind.value} operand {ref!r} needs a str register and an int offset"
                     )
                 rows.append(self._row(register, offset))
-        return self._op(kind, operands, rows)
+        self._op(kind, operands, rows)
+        return rows
 
-    def _op(self, kind: GateKind, operands: tuple, rows: list) -> tuple:
-        """The op of a gate whose ``QubitRef(str, int)`` operands resolve to
-        ``rows`` (``_row``, None for an unresolved operand): its ``GateKind``
-        and operand rows in gate order, X and CNOT padded with None. Checks
-        arity, then pairwise distinctness, then range, the one place those
-        rules live."""
+    def _span(self, name: str, count: int) -> Sequence[int | None]:
+        """The rows of ``name[0]`` to ``name[count - 1]``, read from the
+        register's span, with None for each offset that names no qubit (every
+        offset of an unknown register). A builder checks a gate on a None
+        row with ``_validate``, which raises ``append``'s error for it."""
+        first, size = self._spans.get(name, (0, 0))
+        rows = range(first, first + min(count, size))
+        return rows if count <= size else [*rows, *[None] * (count - size)]
+
+    def _rows(self, refs) -> list[int | None]:
+        """The row of each of ``refs`` that is a ``QubitRef(str, int)``
+        naming a qubit, and None for any other (see ``_span``)."""
+        return [
+            self._row(*ref)
+            if isinstance(ref, QubitRef) and type(ref[0]) is str and type(ref[1]) is int else None
+            for ref in refs
+        ]
+
+    def _op(self, kind: GateKind, operands, rows: list) -> None:
+        """Raise the errors that name an operand, for a gate whose
+        ``(str, int)`` operands resolve to ``rows`` (``_row``, None for an
+        unresolved operand): arity, then, when some operand is unresolved,
+        pairwise distinctness and range. ``_intern`` checks resolved rows."""
         arity = GATE_ARITY[kind]
         if len(operands) != arity:
             raise CircuitError(f"{kind.value} takes {arity} operands, got {len(operands)}")
-        if None not in rows:
-            # Resolved operands map one to one onto rows, so the rows are
-            # distinct exactly when the operands are. Unrolled, as a set of
-            # the rows and a padded tuple cost 0.3 us more per stored gate.
-            if arity == 1:
-                return (kind, rows[0], None, None)
-            if arity == 2:
-                a, b = rows
-                if a != b:
-                    return (kind, a, b, None)
-            else:
-                a, b, t = rows
-                if a != b and a != t and b != t:
-                    return (kind, a, b, t)
-        elif len(set(operands)) == arity:  # some operand is unresolved: raise for the first
-            for register, offset in operands:
+        if None in rows:
+            if len(set(operands)) != arity:
+                raise CircuitError(f"{kind.value} operands must be pairwise distinct")
+            for register, offset in operands:  # raise for the first unresolved one
                 size = self.register(register).size
                 if not 0 <= offset < size:
                     raise CircuitError(f"qubit {register}[{offset}] out of range (size {size})")
-        raise CircuitError(f"{kind.value} operands must be pairwise distinct")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
             return NotImplemented
-        # Two circuits may intern equal gates in different orders, so each
-        # gate here maps to the other's index of it, or to one it never
-        # holds, and the gate lists are compared as index arrays.
-        absent = len(other._distinct)
-        theirs = [other._interned.get(g, absent) for g in self._distinct]
-        gates = array("I", map(theirs.__getitem__, self._index))
-        return self._registers == other._registers and gates == other._index
+        if self._registers != other._registers:
+            return False
+        # Over equal registers, equal ops are equal gates. Two circuits may
+        # intern them in different orders, so each op here maps to the
+        # other's index of it, or to one it never holds, and the gate lists
+        # are compared as index arrays.
+        absent = len(other._ops)
+        theirs = [other._interned.get(op, absent) for op in self._ops]
+        return array("I", map(theirs.__getitem__, self._index)) == other._index
 
     def __repr__(self) -> str:
         return f"Circuit({len(self._registers)} registers, {len(self._index)} gates)"
+
+
+class _Qubits(dict):
+    """Each row's ``QubitRef``, made on first lookup by bisecting the
+    registers' first rows: a register may declare far more qubits than any
+    gate touches, so no table of every row is built."""
+
+    def __init__(self, circuit: Circuit) -> None:
+        super().__init__()
+        self.names = list(circuit._spans)
+        self.firsts = [first for first, _ in circuit._spans.values()]
+
+    def __missing__(self, row: int) -> QubitRef:
+        k = bisect_right(self.firsts, row) - 1
+        ref = self[row] = QubitRef(self.names[k], row - self.firsts[k])
+        return ref
+
+    def gate(self, op: tuple) -> Gate:
+        """The ``Gate`` of ``op``."""
+        kind = op[0]
+        operands = tuple(map(self.__getitem__, op[1:GATE_ARITY[kind] + 1]))
+        # tuple.__new__ skips the NamedTuple's Python-level __new__; the
+        # result is the same Gate.
+        return tuple.__new__(Gate, (kind, operands))
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,11 +408,11 @@ def count_resources(circuit: Circuit) -> ResourceEstimate:
     """Count gates and qubits exactly; deterministic for a given circuit.
 
     The gate list's indices are tallied in one numpy pass, and the tallies
-    folded over the distinct gates' kinds."""
-    tally = np.bincount(np.frombuffer(circuit._index, np.uintc), minlength=len(circuit._distinct))
+    folded over the kinds of the distinct ops."""
+    tally = np.bincount(np.frombuffer(circuit._index, np.uintc), minlength=len(circuit._ops))
     kinds: Counter = Counter()
-    for gate, times in zip(circuit._distinct, tally.tolist()):
-        kinds[gate.kind] += times
+    for op, times in zip(circuit._ops, tally.tolist()):
+        kinds[op[0]] += times
     toffoli = sum(TOFFOLI_COST[kind] * times for kind, times in kinds.items())
     temp_and, cnot, x = kinds[GateKind.TEMP_AND], kinds[GateKind.CNOT], kinds[GateKind.X]
     clean = sum(reg.size for reg in circuit.registers if reg.role in CLEAN_ROLES)
@@ -399,20 +452,19 @@ def check_temp_and_pairing(circuit: Circuit) -> None:
         if computes:
             if target in held:
                 raise CircuitError(
-                    f"gate {i}: TEMP_AND on already-held target {_qubit_names(circuit)[target]}"
+                    f"gate {i}: TEMP_AND on already-held target {_qubit_name(circuit, target)}"
                 )
             held[target] = controls
         elif held.pop(target, None) != controls:
             raise CircuitError(
-                f"gate {i}: TEMP_AND_UNCOMPUTE on {_qubit_names(circuit)[target]} does "
+                f"gate {i}: TEMP_AND_UNCOMPUTE on {_qubit_name(circuit, target)} does "
                 "not match a pending TEMP_AND with the same controls"
             )
     if held:
-        names = _qubit_names(circuit)
-        targets = ", ".join(names[t] for t in held)
+        targets = ", ".join(_qubit_name(circuit, t) for t in held)
         raise CircuitError(f"unreleased TEMP_AND targets at circuit end: {targets}")
 
 
-def _qubit_names(circuit: Circuit) -> list[str]:
-    """``register[offset]`` of every qubit, indexed by row."""
-    return [f"{register}[{offset}]" for register, offset in circuit.qubits()]
+def _qubit_name(circuit: Circuit, row: int) -> str:
+    """``register[offset]`` of the qubit at ``row``."""
+    return "{}[{}]".format(*_Qubits(circuit)[row])

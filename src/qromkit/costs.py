@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from math import isqrt
+from math import inf, isqrt
 
 from .qrom import QromPlan, ceil_div, is_power_of_two, plan_qrom, work_size
 
@@ -273,23 +273,30 @@ def improvement_sweep(b: int, dirty_budget: int, n_values: list[int]) -> list[Sw
     _check_budget_point(min(n_values, default=1), b, dirty_budget)
     rows = []
     for n in n_values:
-        points = list(_feasible_points(n, b, dirty_budget))
+        # One pass over the points; ``min`` keeps the first of equal points,
+        # so ties go to smaller lam, then smaller mu. The prior art borrows
+        # b(lam-1) qubits, so it fits the budget at exactly the depths of the
+        # mu = b points.
+        best, berry, alpha1, alphab = (inf,), inf, inf, inf
+        for point in _feasible_points(n, b, dirty_budget):
+            toffoli, lam, mu = point
+            best = min(best, point)
+            if mu == 1:
+                alphab = min(alphab, toffoli)
+            if mu == b:
+                alpha1 = min(alpha1, toffoli)
+                berry = min(berry, cost_prior_art("berry", n, b, lam).toffoli_total)
+        # Infeasible columns fall back to the plain N - 1 count.
         plain = cost_prior_art("plain", n, b).toffoli_total
-        # The prior art borrows b(lam-1) qubits, so it fits the budget at
-        # exactly the depths of the mu = b points.
-        full_width = [(toffoli, lam) for toffoli, lam, mu in points if mu == b]
-        single_bit = [toffoli for toffoli, _, mu in points if mu == 1]
-        berry = min(
-            (cost_prior_art("berry", n, b, lam).toffoli_total for _, lam in full_width),
-            default=plain,
-        )
-        best = min(points, default=(plain, 0, 0))
+        berry, alpha1, alphab = (plain if v == inf else v for v in (berry, alpha1, alphab))
+        if best[0] == inf:
+            best = (plain, 0, 0)
         rows.append(
             SweepRow(
                 n=n,
                 berry=berry,
-                alpha1=min((toffoli for toffoli, _ in full_width), default=plain),
-                alphab=min(single_bit, default=plain),
+                alpha1=alpha1,
+                alphab=alphab,
                 best=best[0],
                 lam=best[1],
                 mu=best[2],

@@ -13,16 +13,19 @@ Register sizes and qubit offsets are ASCII decimal numbers: no sign other
 than a leading ``-`` (reported as out of range), no ``_`` separators and no
 non-ASCII digits. ``parse_circuit(serialize_circuit(c))`` reproduces the
 register list and gate list exactly. A lookup circuit repeats few distinct
-gates many times, and stores its gate list as indices into its distinct
-gates, so the serializer formats each distinct gate once and joins the lines
-by index. The parser pays Python work per distinct line: it reads gate lines
-a chunk at a time, maps each raw line not seen before to the index of the
-circuit's gate, and extends the circuit's index array by the whole chunk in
-one C-level pass. Each distinct ``(register, offset)`` token pair of a file
-is resolved once, to its ``QubitRef`` and its row in the file's own
-register layout, so the REGISTER lines may come in any order; a line's
-gate comes from ``Circuit._lookup_rows``, which gives two spellings of one
-gate one index and checks a gate on its rows when it is first stored.
+gates many times, interns each by its op (kind and operand rows) and stores
+its gate list as indices into the ops, so the serializer formats each
+distinct op's line once, from a ``"name offset"`` token per row, and joins
+the lines by index; it makes no ``Gate``. The parser pays Python work per
+distinct line: it reads gate lines a chunk at a time, maps each raw line not
+seen before to the index of the circuit's gate, and extends the circuit's
+index array by the whole chunk in one C-level pass. Each distinct
+``(register, offset)`` token pair of a file is resolved once, to its
+``QubitRef`` and its row in the file's own register layout, so the REGISTER
+lines may come in any order; a line's rows go through ``Circuit._op``, which
+raises the errors that name an operand, and then ``Circuit._intern``, which
+gives two spellings of one gate one index and checks an op on its rows when
+it is first stored.
 Errors name the first bad line: past the header, a line's validity does not
 depend on its place.
 """
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import re
 
-from .circuit import Circuit, Gate, GateKind, QubitRef, RegisterSpec, Role
+from .circuit import GATE_ARITY, Circuit, GateKind, QubitRef, RegisterSpec, Role, _Qubits
 
 __all__ = ["ParseError", "serialize_circuit", "parse_circuit"]
 
@@ -67,12 +70,25 @@ def serialize_circuit(circuit: Circuit) -> str:
     # Each line carries its own LF, so the text is made by one join; an empty
     # circuit is the single empty line "\n".
     header = [f"REGISTER {reg.name} {reg.size} {reg.role.value}\n" for reg in circuit.registers]
-    lines = list(map(_gate_line, circuit._distinct))
+    lines = list(map(_Tokens(circuit).line, circuit._ops))
     return "".join([*header, *map(lines.__getitem__, circuit._index)]) or "\n"
 
 
-def _gate_line(gate: Gate) -> str:
-    return " ".join([gate.kind.value, *(f"{reg} {at}" for reg, at in gate.operands)]) + "\n"
+class _Tokens(dict):
+    """The ``"name offset"`` token of each row, made on first use."""
+
+    def __init__(self, circuit: Circuit) -> None:
+        super().__init__()
+        self.qubits = _Qubits(circuit)
+
+    def __missing__(self, row: int) -> str:
+        token = self[row] = "{} {}".format(*self.qubits[row])
+        return token
+
+    def line(self, op: tuple) -> str:
+        """The gate line of ``op``, with its LF."""
+        kind = op[0]
+        return " ".join([kind.value, *map(self.__getitem__, op[1:GATE_ARITY[kind] + 1])]) + "\n"
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -195,8 +211,9 @@ def _parse_gate(circuit: Circuit, line: str, refs: dict) -> int:
     """The index of one gate line's gate; ``refs`` caches the ``QubitRef``
     and row (``Circuit._row``) of each ``(register, offset)`` token pair.
     The operands are ``QubitRef(str, int)`` with their rows resolved, so a
-    gate is checked only by ``Circuit._op``, when it is first stored. Raises
-    ``ValueError`` with the message of a ``ParseError``."""
+    line goes through ``Circuit._op``'s operand errors and then
+    ``Circuit._intern``. Raises ``ValueError`` with the message of a
+    ``ParseError``."""
     kind_s, *rest = line.split()
     kind = _KINDS.get(kind_s) or GateKind(kind_s)  # CircuitError, a ValueError
     if len(rest) % 2 != 0:
@@ -209,4 +226,5 @@ def _parse_gate(circuit: Circuit, line: str, refs: dict) -> int:
             resolved = refs[pair] = QubitRef(register, offset), circuit._row(register, offset)
         operands.append(resolved[0])
         rows.append(resolved[1])
-    return circuit._lookup_rows(kind, tuple(operands), rows)
+    circuit._op(kind, operands, rows)
+    return circuit._intern(kind, *rows)

@@ -27,17 +27,23 @@ correctly, which is what the copy stage relies on for index 0.
 A lookup runs the same iteration many times per circuit (one q-iteration
 per Select, one r-iteration per Copy), so each circuit records the scaffold
 of a spec once: the tree walk yields, per window, the indices of the
-circuit's gates that precede it, plus those after the last window. The same
-walk counts the temp-ANDs it spends, which fixes the alignment pairs and the
-work qubits. Every emission, the first included, replays that recording,
-extending the circuit's index array segment by segment and calling the
-emitter between segments, so the gate order is exactly that of a fresh walk.
+circuit's gates that precede it, plus those after the last window. The walk
+records ops over rows read from the register spans, ``(kind, a, b, t)`` as
+the circuit interns them, and counts the temp-ANDs it spends, which fixes
+the alignment pairs and the work qubits; only then are the ops interned.
+Every emission, the first included, replays that recording, extending the
+circuit's index array segment by segment and calling the emitter between
+segments, so the gate order is exactly that of a fresh walk. A window's
+``select_wire`` stays a ``QubitRef``; an emitter that interns ops reads the
+wire's row from the circuit.
 
 ``emit_loads`` is the Select that every lookup builder runs on top of the
 iteration: window v XOR-loads the bits of one classical word onto a fixed
 target list. Its data CNOTs are most of a lookup's gates, so a window finds
 the word's set bits in C, from the binary digits of ``bin``, maps them
 through a per-wire cache of gate indices and extends the index array once.
+No ``Gate`` object is made: gates are interned by op (see
+``qromkit.circuit``).
 
 Emission is pure appending into the caller's circuit, and the recording is
 private to that circuit; there is no shared state, so concurrent emission
@@ -118,6 +124,21 @@ def emit_loads(
     Raises ValueError, before appending anything, when ``words`` ends before
     ``spec.range_hi`` or a word is negative or wider than ``targets``.
     """
+    return _load_rows(circuit, spec, [None] * len(targets), words, targets.__getitem__)
+
+
+def _load_rows(
+    circuit: Circuit,
+    spec: IterationSpec,
+    targets: Sequence[int | None],
+    words: Sequence[int],
+    ref: Callable[[int], QubitRef] | None = None,
+) -> Circuit:
+    """``emit_loads`` onto the target rows ``targets``, which the builders
+    read from the register spans. A None target k is ``ref(k)``, not yet
+    known to name a qubit: the first gate onto it is checked as ``append``
+    checks it, which raises if it names none, and its row is written back
+    into ``targets``."""
     if len(words) < spec.range_hi:
         raise ValueError(
             f"{len(words)} words do not cover the iteration range, which ends at "
@@ -132,13 +153,13 @@ def emit_loads(
                 f"word {words.index(high)} has {high.bit_length()} bits, "
                 f"more than the {len(targets)} targets"
             )
-    rows: dict[QubitRef, _Row] = {}
+    wires: dict[QubitRef, _Row] = {}
 
     def window(win: IterationWindow) -> None:
         wire = win.select_wire
-        row = rows.get(wire)
+        row = wires.get(wire)
         if row is None:
-            row = rows[wire] = _Row(circuit, wire, targets)
+            row = wires[wire] = _Row(circuit, wire, targets, ref)
         # One byte per bit of the word, lowest first: 1 where it is set.
         selectors = bin(words[win.index_value])[:1:-1].encode().translate(_SELECTORS)
         circuit._index.extend(map(row.__getitem__, compress(count(), selectors)))
@@ -151,14 +172,19 @@ _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 class _Row(dict):
     """The indices of the CNOTs from one select wire, keyed by target index;
-    a missing one is interned on lookup."""
+    a missing one is interned on lookup (see ``_load_rows``)."""
 
-    def __init__(self, circuit: Circuit, wire: QubitRef, targets: list[QubitRef]) -> None:
+    def __init__(self, circuit: Circuit, wire: QubitRef, targets: list, ref) -> None:
         super().__init__()
-        self.circuit, self.wire, self.targets = circuit, wire, targets
+        self.circuit, self.wire, self.row = circuit, wire, circuit._row(*wire)
+        self.targets, self.ref = targets, ref
 
     def __missing__(self, k: int) -> int:
-        index = self[k] = self.circuit._lookup(GateKind.CNOT, self.wire, self.targets[k])
+        target = self.targets[k]
+        if target is None:
+            target = self.targets[k] = self.circuit._validate(
+                GateKind.CNOT, (self.wire, self.ref(k)))[1]
+        index = self[k] = self.circuit._intern(GateKind.CNOT, self.row, target)
         return index
 
 
@@ -167,9 +193,10 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
 
     Returns ``(steps, tail)``: ``steps`` is one ``(gates before the window,
     window)`` pair per index value in ascending order, and ``tail`` the gates
-    after the last window. The walk records ``(kind, *operands)`` tuples and
-    counts its temp-ANDs; only once the cost and the work register check out
-    are the tuples turned into the indices of the circuit's gates.
+    after the last window. The walk records ops over rows, ``(kind, a, b,
+    t)`` with the rows a gate takes, and counts its temp-ANDs; only once the
+    cost and the work register check out are the ops interned and turned
+    into the indices of the circuit's gates.
 
     At the root the top index bit is the children's wire, X-negated around a
     0 branch that meets the range; the 1 branch always holds ``range_hi - 1``.
@@ -193,10 +220,14 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
 
     levels = (hi - 1).bit_length()
     ands = 0
+    # The rows of the index bits and of the work slots. The work register is
+    # checked after the walk, before any recorded op is used, so no op with
+    # a None slot, one the register lacks, is interned.
+    bits, slots = circuit._span(reg.name, reg.size), circuit._span("work", max(levels, 2))
 
-    def walk(height: int, base: int, wire: QubitRef) -> None:
+    def walk(height: int, base: int, wire: QubitRef, row: int) -> None:
         # Every node visited meets [lo, hi), so its 0 branch meets it when
-        # lo < mid and its 1 branch when mid < hi.
+        # lo < mid and its 1 branch when mid < hi. ``row`` is ``wire``'s.
         nonlocal ands
         if height == 0:
             steps.append((tuple(pending), IterationWindow(base, wire)))
@@ -205,30 +236,31 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
         mid = base + (1 << (height - 1))
         if mid >= hi:
             # The 1 branch holds only values >= hi: reuse the wire below.
-            walk(height - 1, base, wire)
+            walk(height - 1, base, wire, row)
             return
         # A 0 branch below lo is skipped, but its values are reachable, so the
         # bit stays in the AND. A height-h node's children use work slot
         # levels-1-h: slots grow toward the leaves, so no path reuses one.
-        bit, child = reg[height - 1], QubitRef("work", levels - 1 - height)
+        slot = levels - 1 - height
+        bit, child, child_wire = bits[height - 1], slots[slot], QubitRef("work", slot)
         if lo < mid:
             pending.append((GateKind.X, bit))
-        pending.append((GateKind.TEMP_AND, wire, bit, child))
+        pending.append((GateKind.TEMP_AND, row, bit, child))
         ands += 1
         if lo < mid:
-            walk(height - 1, base, child)
+            walk(height - 1, base, child_wire, child)
             pending.append((GateKind.X, bit))
             # Sibling transition: flips the conditioned bit inside the AND.
-            pending.append((GateKind.CNOT, wire, child))
-        walk(height - 1, mid, child)
-        pending.append((GateKind.TEMP_AND_UNCOMPUTE, wire, bit, child))
+            pending.append((GateKind.CNOT, row, child))
+        walk(height - 1, mid, child_wire, child)
+        pending.append((GateKind.TEMP_AND_UNCOMPUTE, row, bit, child))
 
-    top, mid = reg[levels - 1], 1 << (levels - 1)
+    top, row, mid = reg[levels - 1], bits[levels - 1], 1 << (levels - 1)
     if lo < mid:
-        pending.append((GateKind.X, top))
-        walk(levels - 1, 0, top)
-        pending.append((GateKind.X, top))
-    walk(levels - 1, mid, top)
+        pending.append((GateKind.X, row))
+        walk(levels - 1, 0, top, row)
+        pending.append((GateKind.X, row))
+    walk(levels - 1, mid, top, row)
 
     cost = hi - lo - 1
     deficit = cost - ands
@@ -241,17 +273,17 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
         # are the top two index bits, or a 1-qubit register's bit and work
         # slot 1.
         if reg.size > 1:
-            needed, controls = levels, (reg[reg.size - 1], reg[reg.size - 2])
+            needed, controls = levels, (bits[-1], bits[-2])
         else:
-            needed, controls = 2, (reg[0], QubitRef("work", 1))
-        pair = (*controls, QubitRef("work", levels - 1))
+            needed, controls = 2, (bits[0], slots[1])
+        pair = (*controls, slots[levels - 1])
         pending += [(GateKind.TEMP_AND, *pair), (GateKind.TEMP_AND_UNCOMPUTE, *pair)] * deficit
     if work.size < needed:
         raise ValueError(
             f"insufficient work qubits: need {needed}, register {work.name!r} has {work.size}"
         )
 
-    # Each recorded gate becomes the index of the circuit's gate.
-    lookup = circuit._lookup
-    recorded = tuple((tuple(lookup(*g) for g in segment), win) for segment, win in steps)
-    return recorded, tuple(lookup(*g) for g in pending)
+    # Each recorded op becomes the index of the circuit's gate.
+    intern = circuit._intern
+    recorded = tuple((tuple(intern(*op) for op in segment), win) for segment, win in steps)
+    return recorded, tuple(intern(*op) for op in pending)

@@ -21,11 +21,12 @@ to run across a parameter grid in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from operator import countOf, lshift, rshift, xor
 
 from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing
-from .iteration import IterationSpec, IterationWindow, emit_loads, emit_unary_iteration
+from .iteration import IterationSpec, IterationWindow, _load_rows, emit_unary_iteration
 
 __all__ = [
     "LookupTable",
@@ -246,12 +247,6 @@ def registers_for_plan(plan: QromPlan) -> list[RegisterSpec]:
     ]
 
 
-def _dirty_block(plan: QromPlan, block: int) -> list[QubitRef]:
-    """The mu qubits of borrowed block ``block`` (1..lam-1)."""
-    start = (block - 1) * plan.mu
-    return [QubitRef("dirty", k) for k in range(start, start + plan.mu)]
-
-
 def emit_select(
     circuit: Circuit, plan: QromPlan, schedule: XorSchedule, stage: int, outputs: list[QubitRef]
 ) -> Circuit:
@@ -269,8 +264,12 @@ def emit_select(
     # one word: the direct bits low, then the delta mask.
     direct, delta, width = schedule.direct[stage], schedule.delta[stage], len(outputs)
     words = [head | mask << width for head, mask in zip(direct, delta)]
-    targets = [*outputs, *(QubitRef("dirty", k) for k in range(plan.dirty_qubits))]
-    return emit_loads(circuit, IterationSpec("addr_q", 0, plan.q_range), targets, words)
+    targets = circuit._rows(outputs) + [*circuit._span("dirty", plan.dirty_qubits)]
+
+    def ref(k: int) -> QubitRef:
+        return outputs[k] if k < width else QubitRef("dirty", k - width)
+
+    return _load_rows(circuit, IterationSpec("addr_q", 0, plan.q_range), targets, words, ref)
 
 
 def emit_copy(circuit: Circuit, plan: QromPlan, outputs: list[QubitRef]) -> Circuit:
@@ -280,12 +279,18 @@ def emit_copy(circuit: Circuit, plan: QromPlan, outputs: list[QubitRef]) -> Circ
     if len(outputs) > plan.mu:
         raise ValueError(f"output slice of {len(outputs)} qubits exceeds mu = {plan.mu}")
 
-    append, gate = circuit._index.append, circuit._lookup
+    append, intern, row = circuit._index.append, circuit._intern, circuit._row
+    dirty = circuit._span("dirty", plan.dirty_qubits)
+    targets = circuit._rows(outputs)
 
     def window(win: IterationWindow) -> None:
-        sources = _dirty_block(plan, win.index_value)
-        for source, target in zip(sources, outputs):
-            append(gate(GateKind.TOFFOLI, win.select_wire, source, target))
+        wire, start = row(*win.select_wire), (win.index_value - 1) * plan.mu
+        for j, (source, target) in enumerate(zip(dirty[start:], targets)):
+            if source is None or target is None:
+                # An operand that names no qubit: raise append's error.
+                refs = (win.select_wire, QubitRef("dirty", start + j), outputs[j])
+                circuit._validate(GateKind.TOFFOLI, refs)
+            append(intern(GateKind.TOFFOLI, wire, source, target))
 
     return emit_unary_iteration(circuit, IterationSpec("addr_r", 1, plan.lam), window)
 
@@ -302,18 +307,34 @@ def emit_restore(
     borrowed-state mask the earlier copies left behind. The temp-AND target
     reuses the highest work qubit, which the r-iteration never touches.
     """
-    dirty = [QubitRef("dirty", k) for k in range(plan.dirty_qubits)]
-    emit_loads(circuit, IterationSpec("addr_q", 0, plan.q_range), dirty, schedule.unload)
-    temp = QubitRef("work", plan.work_qubits - 1)
-    append, gate = circuit._index.append, circuit._lookup
+    dirty = circuit._span("dirty", plan.dirty_qubits)
+    unload = IterationSpec("addr_q", 0, plan.q_range)
+    _load_rows(circuit, unload, dirty, schedule.unload, partial(QubitRef, "dirty"))
+    append, intern, row, check = (
+        circuit._index.append, circuit._intern, circuit._row, circuit._validate)
+    temp_ref = QubitRef("work", plan.work_qubits - 1)
+    temp, outputs = row(*temp_ref), [circuit._rows(refs) for refs in slices]
+    # fixes[j] holds the indices of the CNOTs from the temp-AND onto bit j of
+    # every slice that has one, interned in the first window.
+    fixes: list[list[int]] = []
+
+    def fix(j: int, rows: list, refs: list[QubitRef]) -> int:
+        if rows[j] is None:
+            check(GateKind.CNOT, (temp_ref, refs[j]))  # raises append's error
+        return intern(GateKind.CNOT, temp, rows[j])
 
     def fix_window(win: IterationWindow) -> None:
-        for j, source in enumerate(_dirty_block(plan, win.index_value)):
-            append(gate(GateKind.TEMP_AND, win.select_wire, source, temp))
-            for outputs in slices:
-                if j < len(outputs):
-                    append(gate(GateKind.CNOT, temp, outputs[j]))
-            append(gate(GateKind.TEMP_AND_UNCOMPUTE, win.select_wire, source, temp))
+        wire, start = row(*win.select_wire), (win.index_value - 1) * plan.mu
+        for j, source in enumerate(dirty[start:start + plan.mu]):
+            if source is None or temp is None:
+                # An operand that names no qubit: raise append's error.
+                check(GateKind.TEMP_AND, (win.select_wire, QubitRef("dirty", start + j), temp_ref))
+            append(intern(GateKind.TEMP_AND, wire, source, temp))
+            if j == len(fixes):
+                fixes.append(
+                    [fix(j, rows, refs) for rows, refs in zip(outputs, slices) if j < len(refs)])
+            circuit._index.extend(fixes[j])
+            append(intern(GateKind.TEMP_AND_UNCOMPUTE, wire, source, temp))
 
     return emit_unary_iteration(circuit, IterationSpec("addr_r", 1, plan.lam), fix_window)
 

@@ -6,15 +6,15 @@ basis states is exact and, by linearity, covers superpositions: if each
 not tracked.
 
 Both engines read the circuit's gate list, an array of indices into the
-distinct gates the circuit validated on the way in.
-``simulate`` runs one assignment through the gates, dispatching on each
-gate's kind and operands, and is the independent oracle. The batch engine
-holds each qubit row as one Python int with bit j for case j and runs the gate
-list once over all cases; it has one gate loop and two callers. The circuit
-resolves each distinct gate's operands to rows once, when it validates the
-gate, into one ``(kind, a, b, t)`` op headed by the gate's ``GateKind`` (a
-lookup repeats a few hundred gates thousands of times), and the loop maps the
-stored ops over the positions and dispatches on the kind's identity.
+distinct ops the circuit interned: each op is ``(kind, a, b, t)``, headed by
+its ``GateKind`` and holding its operand rows, checked once when first
+stored (a lookup repeats a few hundred gates thousands of times).
+``simulate`` runs one assignment through the gates, the ``Gate`` view of the
+ops, dispatching on each gate's kind and ``QubitRef`` operands, and is the
+independent oracle. The batch engine holds each qubit row as one Python int
+with bit j for case j and runs the gate list once over all cases; it has one
+gate loop and two callers. The loop maps the stored ops over the positions
+and dispatches on the kind's identity, and makes no ``Gate``.
 ``batch_simulate`` takes and returns a 0/1 matrix (one row per
 qubit in ``qubit_indexer`` order, one column per case) and packs it into rows
 for the engine. Both raise ``SimulationError`` on a temp-AND computed onto a
@@ -162,10 +162,10 @@ def _run_packed(circuit: Circuit, state: list[int], cases: int) -> None:
     Python int per qubit row (``qubit_indexer`` order) whose bit j is case j.
 
     Every gate is one or two int operations over all cases. Each distinct
-    gate's ``(kind, a, b, t)`` op of its ``GateKind`` and operand rows was
-    resolved once, when the circuit validated it, and the loop maps the ops
-    over the positions. The kinds are bound to locals once per run and
-    tested by identity, most frequent first; CSWAP is the one left.
+    gate is interned as its ``(kind, a, b, t)`` op of its ``GateKind`` and
+    operand rows, and the loop maps the ops over the positions. The kinds
+    are bound to locals once per run and tested by identity, most frequent
+    first; CSWAP is the one left.
     """
     full = (1 << cases) - 1
     cnot, x, toffoli = GateKind.CNOT, GateKind.X, GateKind.TOFFOLI
@@ -346,16 +346,20 @@ def verify_qrom(
 def _register_rows(circuit: Circuit, regs) -> list[int]:
     """The row of every qubit of ``regs``, register by register, in
     ``qubit_indexer`` order, from each register's span of rows."""
-    spans = map(circuit._spans.__getitem__, (reg.name for reg in regs))
-    return [row for first, size in spans for row in range(first, first + size)]
+    return [row for reg in regs for row in circuit._span(reg.name, reg.size)]
 
 
 def _case_rows(values, width: int, trials: int) -> list[int]:
     """``width`` rows whose bit j is bit i of ``values[j // trials]``, built
-    from ``uint8`` bits."""
-    nbytes = width // 8 + 1  # at least one byte, so width 0 still has n values
-    data = b"".join(value.to_bytes(nbytes, "little") for value in values)
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
+    from ``uint8`` bits: the bytes of one little-endian ``uint64`` per value
+    when ``width`` is at most 64, and a join of each value's bytes for wider
+    values, which fit in ``width`` bits."""
+    if width <= 64:
+        raw = np.fromiter(values, "<u8", len(values)).view(np.uint8).reshape(-1, 8)
+    else:
+        nbytes = width // 8 + 1
+        data = b"".join(value.to_bytes(nbytes, "little") for value in values)
+        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
     bits = np.unpackbits(raw, axis=1, count=width, bitorder="little").T
     return _pack_rows(np.repeat(bits, trials, axis=1))
 

@@ -2,6 +2,8 @@ import copy
 import itertools
 import pickle
 import random
+import sys
+import threading
 from collections import Counter
 from operator import delitem, setitem
 
@@ -147,7 +149,9 @@ class TestAppend:
             assert len(messages) == 1 and repr(operand) in messages.pop()
         assert fresh.gates == () and fresh._interned == {}
         assert holding.gates == (gate,) and holding._distinct == [gate]
-        assert holding._interned == {(GateKind.X, (QubitRef("a", 1),)): 0}
+        # "a" holds rows 0-2, so a[1] is row 1.
+        assert holding._interned == {(GateKind.X, 1, None, None): 0}
+        assert holding._ops == [(GateKind.X, 1, None, None)]
 
     def test_temp_and_pair_validates(self):
         c = Circuit([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("w", 1, Role.WORK)])
@@ -211,8 +215,11 @@ class TestInterning:
     )
     @pytest.mark.parametrize("source", ["built", "parsed", "appended"])
     def test_each_stored_gate_is_its_own_key(self, source, clone):
-        # A gate is a (kind, operands) tuple, so the stored gate itself keys
-        # the circuit's index of gates, and plain tuples find it.
+        # Each stored gate is held as its op, a (kind, a, b, t) tuple over
+        # rows, so the stored op itself keys the circuit's index of gates,
+        # plain tuples find it, and the gate at its index is the op's view
+        # over the qubit rows, which equals and hashes as its plain
+        # (kind, operands) tuple.
         built = build_qrom(random_table(16, 3, seed=4), plan_qrom(16, 3, 2, 1))
         make = {
             "built": lambda: built,
@@ -220,13 +227,20 @@ class TestInterning:
             "appended": lambda: circuit_with_gates(built.registers, built.gates),
         }
         circuit = clone(make[source]())
-        assert circuit == built and len(circuit._interned) == len(circuit._distinct) > 1
+        assert circuit == built
+        assert len(circuit._interned) == len(circuit._ops) == len(circuit._distinct) > 1
+        rows = qubit_indexer(circuit)
         for key, index in circuit._interned.items():
-            gate = circuit._distinct[index]
-            assert key is gate and type(gate) is Gate and type(gate.kind) is GateKind
-            kind, operands = gate
-            assert gate == (kind, operands) and hash(gate) == hash((kind, operands))
-            assert circuit._interned[kind, operands] == index
+            op, gate = circuit._ops[index], circuit._distinct[index]
+            assert key is op and type(op) is tuple and type(op[0]) is GateKind
+            assert type(gate) is Gate and type(gate.kind) is GateKind
+            kind_g, operands = gate
+            assert gate == (kind_g, operands) and hash(gate) == hash((kind_g, operands))
+            assert op == indexed_op(rows, gate)
+            kind, a, b, t = op
+            assert circuit._interned[kind, a, b, t] == index
+            assert circuit._intern(kind, a, b, t) == index
+        assert len(circuit._ops) == len(circuit._interned)
 
     def test_positions_index_the_gates_in_first_intern_order(self):
         # Interned gates at several positions, and one interned gate that no
@@ -236,13 +250,15 @@ class TestInterning:
         cnot = c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
         x = c.append(GateKind.X, QubitRef("out", 0))
         toffoli = (GateKind.TOFFOLI, QubitRef("a", 2), QubitRef("a", 0), QubitRef("out", 0))
-        unused = c._distinct[c._lookup(*toffoli)]
+        # "a" holds rows 0-2 and "out" rows 3-4.
+        stored = c._intern(GateKind.TOFFOLI, 2, 0, 3)
+        unused = c._distinct[stored]
+        assert unused == Gate(toffoli[0], toffoli[1:])
         c.append(GateKind.X, QubitRef("out", 0))
         c.append(GateKind.CNOT, QubitRef("a", 0), QubitRef("out", 1))
         assert c._distinct == [cnot, x, unused] and type(unused) is Gate
         assert unused.kind is GateKind.TOFFOLI
-        # Each op is headed by its gate's own GateKind; "a" holds rows 0-2
-        # and "out" rows 3-4.
+        # Each op is headed by its gate's own GateKind.
         assert c._ops == [
             (GateKind.CNOT, 0, 4, None), (GateKind.X, 3, None, None), (GateKind.TOFFOLI, 2, 0, 3)]
         assert all(op[0] is gate.kind for op, gate in zip(c._ops, c._distinct))
@@ -532,9 +548,9 @@ REGISTER_NAMES = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, ma
 @st.composite
 def layouts_with_gates(draw):
     """A circuit over random registers (names, sizes 1 to 40, order) and
-    random valid gates of every kind, each stored through one of the two
-    ways in: ``append``, or the builders' ``_lookup`` followed by an append
-    of the gate's index to the private index array, as the builders do."""
+    random valid gates of every kind, each stored through ``append`` or as
+    the builders store it: ``_intern`` on the operands' rows followed by an
+    append of the op's index to the private index array."""
     names = draw(st.lists(REGISTER_NAMES, min_size=1, max_size=6, unique=True))
     sizes = draw(st.lists(st.integers(1, 40), min_size=len(names), max_size=len(names)))
     roles = draw(st.lists(st.sampled_from(list(Role)), min_size=len(names), max_size=len(names)))
@@ -549,18 +565,23 @@ def layouts_with_gates(draw):
         if draw(st.booleans()):
             circuit.append(kind, *operands)
         else:
-            circuit._index.append(circuit._lookup(kind, *operands))
+            # ``qubits`` lists the qubits in row order.
+            circuit._index.append(circuit._intern(kind, *map(qubits.index, operands)))
     return circuit
 
 
 def assert_stored_ops_match_indexer(circuit):
-    """Each distinct gate is stored once, at the index ``_interned`` gives
-    it, and every position indexes one of them; the op at every position
-    is the op resolved through ``qubit_indexer``."""
+    """Each distinct op is stored once, as its own key at the index
+    ``_interned`` gives it, its gate is the op resolved back through
+    ``qubit_indexer``, and every position indexes one of them; the op at
+    every position is the op resolved through ``qubit_indexer``."""
     distinct = circuit._distinct
     assert all(type(gate) is Gate for gate in distinct)
-    assert circuit._interned == {(g.kind, g.operands): i for i, g in enumerate(distinct)}
+    assert circuit._interned == {op: i for i, op in enumerate(circuit._ops)}
+    assert all(key is op for key, op in zip(circuit._interned, circuit._ops))
     assert len(circuit._interned) == len(distinct) == len(circuit._ops)
+    index = qubit_indexer(circuit)
+    assert circuit._ops == [indexed_op(index, gate) for gate in distinct]
     assert circuit._index.typecode == "I" and all(i < len(distinct) for i in circuit._index)
     assert [circuit._ops[i] for i in circuit._index] == indexed_ops(circuit)
 
@@ -594,3 +615,165 @@ def test_stored_op_rows_follow_the_declared_layout(circuit):
 )
 def test_built_and_parsed_gates_store_indexer_rows(build):
     assert_stored_ops_match_indexer(build())
+
+
+def one_way_in_builds():
+    """(label, build) for the four builders with N <= 64: every lam, and mu
+    in {1, ceil(b/2), b} where the builder takes mu."""
+    for n, b in [(5, 3), (16, 2), (37, 5), (64, 4)]:
+        tables = (random_table(n, b, seed=n), random_table(n, b, seed=n + 1))
+        yield f"plain-{n}-{b}", lambda t=tables[0]: build_plain_qrom(t)
+        lam = 2
+        while lam < n:
+            for mu in sorted({1, -(-b // 2), b}):
+                yield (f"qrom-{n}-{b}-{lam}-{mu}",
+                       lambda t=tables[0], p=plan_qrom(n, b, lam, mu): build_qrom(t, p))
+            yield (f"selectswap-{n}-{b}-{lam}",
+                   lambda t=tables[0], lam=lam: build_selectswap_dirty(t, lam))
+            yield (f"sequential-{n}-{b}-{lam}",
+                   lambda lam=lam: build_sequential_qroms(SequentialSpec(tables, lam)))
+            lam *= 2
+
+
+ONE_WAY_IN_BUILDS = [pytest.param(build, id=label) for label, build in one_way_in_builds()]
+
+
+class TestOneWayIn:
+    """Builders, ``append`` and the parser all store gates through
+    ``Circuit._intern``, keyed by op over rows."""
+
+    @pytest.mark.parametrize("build", ONE_WAY_IN_BUILDS)
+    def test_reappended_gates_hold_the_built_ops(self, build):
+        built = build()
+        fresh = Circuit(built.registers)
+        returned = [fresh.append(gate.kind, *gate.operands) for gate in built.gates]
+        assert [fresh._ops[i] for i in fresh._index] == [built._ops[i] for i in built._index]
+        assert fresh.gates == built.gates and fresh == built
+        assert len(returned) == len(fresh.gates)
+        assert all(mine is held for mine, held in zip(returned, fresh.gates))
+
+    @pytest.mark.parametrize(
+        "rows,fragment",
+        [
+            ((GateKind.X, 5), r"qubit row 5 out of range \(5 qubits\)"),
+            ((GateKind.CNOT, 0, -1), r"qubit row -1 out of range \(5 qubits\)"),
+            ((GateKind.TOFFOLI, 0, 1, 7), r"qubit row 7 out of range \(5 qubits\)"),
+            ((GateKind.CNOT, 3, 3), "CNOT operands must be pairwise distinct"),
+            ((GateKind.TEMP_AND, 0, 4, 0), "TEMP_AND operands must be pairwise distinct"),
+            ((GateKind.X, 0, 1), "X takes 1 operands, got 2"),
+            ((GateKind.CNOT, 0), "CNOT takes 2 operands, got 1"),
+            ((GateKind.CSWAP, 0, None, 2), "CSWAP takes 3 operands, got 2"),
+            ((GateKind.TOFFOLI, 0, 1), "TOFFOLI takes 3 operands, got 2"),
+            ((GateKind.CNOT, 0, 1, 2), "CNOT takes 2 operands, got 3"),
+            ((GateKind.X, None), "X takes 1 operands, got 0"),
+        ],
+        ids=["x-past-end", "negative", "toffoli-past-end", "cnot-equal", "temp-and-equal", "x-two",
+             "cnot-one", "cswap-gap", "toffoli-two", "cnot-three", "x-none"],
+    )
+    def test_row_entry_refuses_and_stores_nothing(self, rows, fragment):
+        c = two_reg_circuit()
+        kept = c.append(GateKind.X, QubitRef("out", 0))
+        for _ in range(2):
+            with pytest.raises(CircuitError, match=fragment):
+                c._intern(*rows)
+        assert c._ops == [(GateKind.X, 3, None, None)] and len(c._interned) == 1
+        assert c.gates == (kept,) and c.gates[0] is kept
+
+    def test_builds_and_passes_make_no_gate(self):
+        table = random_table(37, 5, seed=3)
+        circuit = build_qrom(table, plan_qrom(37, 5, 4, 2))
+        count_resources(circuit)
+        check_temp_and_pairing(circuit)
+        text = serialize_circuit(circuit)
+        parsed = parse_circuit(text)
+        check_temp_and_pairing(parsed)
+        assert verify_qrom(parsed, table, dirty_trials=2).passed
+        assert verify_qrom(circuit, table, dirty_trials=2).passed
+        assert circuit._view == [] and parsed._view == []
+        assert len(circuit._distinct) == len(circuit._ops)
+        assert serialize_circuit(circuit) == text
+
+
+class TestLazyView:
+    """``gates`` is a view of the ops, made on first read."""
+
+    @staticmethod
+    def assert_one_gate_per_op(circuit, gates):
+        assert len({id(gate) for gate in gates}) == len(set(gates)) == len(circuit._ops)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+        ids=["deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("viewed", [False, True], ids=["unviewed", "viewed"])
+    def test_copied_circuit_views_equal_gates(self, clone, viewed):
+        original = build_selectswap_dirty(random_table(20, 3, seed=8), 4)
+        if viewed:
+            original.gates
+        circuit = clone(original)
+        gates = circuit.gates
+        assert gates == original.gates and circuit == original
+        self.assert_one_gate_per_op(circuit, gates)
+        assert circuit.gates == gates and all(a is b for a, b in zip(circuit.gates, gates))
+
+    @pytest.mark.parametrize("readers", [2, 6])
+    def test_threads_read_equal_gates(self, readers):
+        # Readers race to make the view of a circuit no one has read yet,
+        # switching threads every microsecond: each reads one whole list,
+        # and the view ends with exactly one Gate per op.
+        build = lambda: build_qrom(random_table(64, 5, seed=9), plan_qrom(64, 5, 4, 2))
+        expected = circuit_with_gates(build().registers, build().gates).gates
+        circuit = build()
+        start, results = threading.Barrier(readers), [None] * readers
+
+        def read(k):
+            start.wait()
+            results[k] = circuit.gates
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(readers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for gates in results:
+            assert gates == expected
+            self.assert_one_gate_per_op(circuit, gates)
+        assert len(circuit._view) == len(circuit._ops)
+        self.assert_one_gate_per_op(circuit, circuit.gates)
+
+    def test_equal_op_streams_over_other_registers_differ(self):
+        def over(registers):
+            c = Circuit(registers)
+            c._index.extend([c._intern(GateKind.CNOT, 0, 3), c._intern(GateKind.X, 1)])
+            return c
+
+        base = over(two_reg_circuit().registers)
+        renamed = over([RegisterSpec("b", 3, Role.ADDRESS_Q), RegisterSpec("out", 2, Role.OUTPUT)])
+        recast = over([RegisterSpec("a", 3, Role.DIRTY), RegisterSpec("out", 2, Role.OUTPUT)])
+        resized = over([RegisterSpec("a", 2, Role.ADDRESS_Q), RegisterSpec("out", 3, Role.OUTPUT)])
+        for other in (renamed, recast, resized):
+            assert [other._ops[i] for i in other._index] == [base._ops[i] for i in base._index]
+            assert other != base and base != other
+        assert base == over(two_reg_circuit().registers)
+
+    def test_huge_register_rows_view_and_serialize(self):
+        # Rows map to qubits by bisecting the registers' first rows, so a
+        # register of 10**12 qubits costs nothing to view or name.
+        spare = 10**12
+        text = f"REGISTER spare {spare} dirty\nREGISTER w 1 work\nREGISTER a 2 address_q\n"
+        text += "X spare 999999999999\nTEMP_AND a 0 a 1 w 0\nTEMP_AND_UNCOMPUTE a 1 a 0 w 0\n"
+        circuit = parse_circuit(text)
+        assert circuit._ops[1] == (GateKind.TEMP_AND, spare + 1, spare + 2, spare)
+        assert circuit.gates[0] == Gate(GateKind.X, (QubitRef("spare", spare - 1),))
+        assert circuit.gates[2].operands == (QubitRef("a", 1), QubitRef("a", 0), QubitRef("w", 0))
+        assert serialize_circuit(circuit) == text
+        check_temp_and_pairing(circuit)
+        unpaired = parse_circuit(text.replace("a 1 a 0 w 0", "a 1 spare 5 w 0"))
+        with pytest.raises(CircuitError, match=r"gate 2: TEMP_AND_UNCOMPUTE on w\[0\] does not"):
+            check_temp_and_pairing(unpaired)

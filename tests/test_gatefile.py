@@ -58,7 +58,7 @@ def test_round_trip_simple():
     # The same gate list over gates interned in the other order is equal;
     # the same gates at swapped positions are not.
     reordered, swapped = Circuit(registers), Circuit(registers)
-    reordered._lookup(*cnot)
+    reordered._intern(GateKind.CNOT, 1, 2)  # "a" holds rows 0-1, "o" row 2
     reordered.append(*x)
     reordered.append(*cnot)
     assert reordered._distinct != c._distinct and reordered._index != c._index
@@ -233,8 +233,9 @@ ROW_ROUTE_BUILDS = [pytest.param(*case, id=label) for label, *case in row_route_
 @pytest.mark.parametrize("chunk", [7, _CHUNK])
 @pytest.mark.parametrize("circuit,tables", ROW_ROUTE_BUILDS)
 def test_parser_rows_store_what_validate_stores(circuit, tables, chunk):
-    """The parser resolves each token pair's row itself and stores gates
-    through ``Circuit._op``; ``append`` resolves rows in ``_validate``. Both
+    """The parser resolves each token pair's row itself and stores ops
+    through ``Circuit._op`` and ``_intern``; ``append`` resolves rows in
+    ``_validate``. Both
     store gates in order of first position, so the stores are equal, and
     the op at every position is the built circuit's."""
     parsed = _parse_circuit(serialize_circuit(circuit), chunk)

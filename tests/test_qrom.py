@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qromkit import (
     Circuit,
+    CircuitError,
     GateKind,
     LookupTable,
     QubitRef,
@@ -455,6 +457,61 @@ class TestEmitters:
         with pytest.raises(ValueError, match="exceeds mu"):
             emit_copy(circuit, plan, [QubitRef("output", k) for k in range(3)])
         assert circuit.gates == ()
+
+    def test_select_checks_an_output_only_when_a_word_sets_its_bit(self):
+        # Bit 1 of every entry is 0, so no window of stage 0 writes the
+        # slice's second qubit, and it may name no qubit at all.
+        plan = plan_qrom(16, 4, 4, 2)
+        unset = compute_xor_schedule(LookupTable((0, 1, 4, 5, 9, 13) * 2 + (1,) * 4, 4), plan)
+        reached = compute_xor_schedule(random_table(16, 4, seed=3), plan)
+        far = [QubitRef("output", 0), QubitRef("output", 99)]
+        built, expected = fresh_plan_circuit(plan), fresh_plan_circuit(plan)
+        emit_select(built, plan, unset, 0, far)
+        emit_select(expected, plan, unset, 0, packet_slice(plan, 0))
+        assert built.gates == expected.gates
+        with pytest.raises(CircuitError, match=r"^qubit output\[99\] out of range \(size 4\)$"):
+            emit_select(fresh_plan_circuit(plan), plan, reached, 0, far)
+
+    def test_emitters_name_the_first_missing_qubit_they_use(self):
+        plan = plan_qrom(16, 4, 4, 2)
+        registers = registers_for_plan(plan)
+        # The dirty register lacks the last block's second qubit, which a
+        # one-qubit slice never reads.
+        registers[3] = RegisterSpec("dirty", plan.dirty_qubits - 1, Role.DIRTY)
+        short = Circuit(registers)
+        emit_copy(short, plan, [QubitRef("output", 0)])
+        full = fresh_plan_circuit(plan)
+        emit_copy(full, plan, [QubitRef("output", 0)])
+        assert short.gates == full.gates
+        registers[3] = RegisterSpec("dirty", plan.dirty_qubits - 2, Role.DIRTY)
+        with pytest.raises(CircuitError, match=r"^qubit dirty\[4\] out of range \(size 4\)$"):
+            emit_copy(Circuit(registers), plan, [QubitRef("output", 0)])
+        # The restore's temp-AND target is the plan's last work qubit.
+        wide = dataclasses.replace(plan, work_qubits=plan.work_qubits + 2)
+        schedule = compute_xor_schedule(random_table(16, 4, seed=3), plan)
+        with pytest.raises(CircuitError, match=r"^qubit work\[3\] out of range \(size 2\)$"):
+            emit_restore(fresh_plan_circuit(plan), wide, schedule, all_packets(plan))
+
+    @pytest.mark.parametrize("emitter", ["select", "copy", "restore"])
+    def test_emitters_check_operands_as_append_does(self, emitter):
+        # As with append, a mistyped operand raises even when a gate on the
+        # qubit it spells is already stored.
+        plan = plan_qrom(16, 4, 4, 2)
+        schedule = compute_xor_schedule(random_table(16, 4, seed=3), plan)
+        emit = {
+            "select": lambda c, outputs: emit_select(c, plan, schedule, 0, outputs),
+            "copy": lambda c, outputs: emit_copy(c, plan, outputs),
+            "restore": lambda c, outputs: emit_restore(c, plan, schedule, [outputs]),
+        }[emitter]
+        circuit = fresh_plan_circuit(plan)
+        emit(circuit, packet_slice(plan, 0))
+        kind = "TOFFOLI" if emitter == "copy" else "CNOT"
+        for bad, message in [
+            (QubitRef("output", 0.0), "needs a str register and an int offset"),
+            (("output", 0), "is not a QubitRef"),
+        ]:
+            with pytest.raises(CircuitError, match=f"^{kind} operand .* {message}$"):
+                emit(circuit, [bad, QubitRef("output", 1)])
 
 
 class TestBuildQrom:

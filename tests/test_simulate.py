@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qromkit import (
     verify_qrom,
 )
 from qromkit.circuit import GATE_ARITY
-from qromkit.simulate import _address_rows, _dirty_rows, qubit_indexer
+from qromkit.simulate import _address_rows, _case_rows, _dirty_rows, qubit_indexer
 from helpers import (
     address_rows_reference,
     dirty_rows_reference,
@@ -297,6 +298,22 @@ def test_doubled_input_rows_match_packed_reference(n, trials, extra_width, dirty
     cases = n * trials
     assert _address_rows(width, trials, cases) == address_rows_reference(n, width, trials)
     assert _dirty_rows(patterns, cases) == dirty_rows_reference(patterns, n)
+
+
+@pytest.mark.parametrize("extra_width", [0, 2])
+@pytest.mark.parametrize("trials", [1, 4])
+@pytest.mark.parametrize("b", [1, 8, 63, 64, 65, 130])
+def test_case_rows_match_a_per_bit_reference(b, trials, extra_width):
+    # Rows up to 64 wide come from uint64 bytes, wider ones from a join of
+    # each value's bytes; rows above b are all 0. The zero and all-ones
+    # entries pin the lowest and highest bits.
+    rng = random.Random(b * 10 + trials)
+    values = (0, (1 << b) - 1, *(rng.getrandbits(b) for _ in range(35)))
+    width, cases = b + extra_width, len(values) * trials
+    expected = [
+        sum((values[j // trials] >> i & 1) << j for j in range(cases)) for i in range(width)
+    ]
+    assert _case_rows(values, width, trials) == expected
 
 
 class TestVerifyQrom:
