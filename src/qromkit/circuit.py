@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -103,6 +103,12 @@ TOFFOLI_COST = {
     GateKind.TEMP_AND: 1,
     GateKind.TEMP_AND_UNCOMPUTE: 0,
 }
+
+# A code per kind, in declaration order, for folding tallies in numpy; the
+# Toffoli cost of each code; and the kinds ResourceEstimate counts apart.
+_KIND_CODE = {kind: code for code, kind in enumerate(GateKind)}
+_TOFFOLI_BY_CODE = [TOFFOLI_COST[kind] for kind in _KIND_CODE]
+_COUNTED = (GateKind.TEMP_AND, GateKind.CNOT, GateKind.X)
 
 
 class QubitRef(NamedTuple):
@@ -408,13 +414,15 @@ def count_resources(circuit: Circuit) -> ResourceEstimate:
     """Count gates and qubits exactly; deterministic for a given circuit.
 
     The gate list's indices are tallied in one numpy pass, and the tallies
-    folded over the kinds of the distinct ops."""
-    tally = np.bincount(np.frombuffer(circuit._index, np.uintc), minlength=len(circuit._ops))
-    kinds: Counter = Counter()
-    for op, times in zip(circuit._ops, tally.tolist()):
-        kinds[op[0]] += times
-    toffoli = sum(TOFFOLI_COST[kind] * times for kind, times in kinds.items())
-    temp_and, cnot, x = kinds[GateKind.TEMP_AND], kinds[GateKind.CNOT], kinds[GateKind.X]
+    folded over the kind codes of the distinct ops in a second, weighted
+    one."""
+    ops = circuit._ops
+    tally = np.bincount(np.frombuffer(circuit._index, np.uintc), minlength=len(ops))
+    codes = np.fromiter(map(_KIND_CODE.__getitem__, map(itemgetter(0), ops)), np.intp, len(ops))
+    # Float weights sum exactly below 2^53 gates.
+    kinds = np.bincount(codes, weights=tally, minlength=len(_KIND_CODE)).astype(np.int64).tolist()
+    toffoli = sum(map(mul, _TOFFOLI_BY_CODE, kinds))
+    temp_and, cnot, x = (kinds[_KIND_CODE[kind]] for kind in _COUNTED)
     clean = sum(reg.size for reg in circuit.registers if reg.role in CLEAN_ROLES)
     dirty = sum(reg.size for reg in circuit.registers if reg.role is Role.DIRTY)
     return ResourceEstimate(

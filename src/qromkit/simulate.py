@@ -21,19 +21,26 @@ for the engine. Both raise ``SimulationError`` on a temp-AND computed onto a
 nonzero target or uncomputed to a nonzero result.
 
 ``verify_qrom`` is the one lookup verifier: one table or one per output
-register, every address times seeded dirty patterns in one engine run. It
-takes each register's rows from its span and builds only the address and
-dirty rows, each in O(log N) int operations by bit doubling: address bit
-i's row repeats a period of 2 * trials * 2^i bits with its upper half set,
-and a dirty qubit's row is its trials-bit pattern column times a doubled
-row of ones. It compares final rows with expected rows by XOR/OR into one
-failure mask per check, and reaches Python per case only for failing cases,
-whose fields it reads from their columns as one int each, packed in numpy.
-It raises ``ValueError`` before allocating for a circuit or seed it cannot
-check.
+register, every address times seeded dirty patterns in one engine run. Its
+set-up is kept small, since a small circuit simulates in tens of
+microseconds. It groups the registers by role in one pass for its input
+checks and, once they pass, lists each role's rows in one pass over the
+register spans. It builds only the address and dirty rows, each in
+O(log N) int operations by bit doubling: address bit i's row repeats a
+period of 2 * trials * 2^i bits with its upper half set, and a dirty
+qubit's row is its trials-bit pattern column times a doubled row of ones.
+The patterns and their columns come from a memo keyed by (seed, trials,
+dirty count), which keeps the last ``DRAW_MEMO_ENTRIES`` draws of at most
+``DRAW_MEMO_CELLS`` cells, read-only: a draw depends on its key alone, so a
+report never depends on earlier calls. It compares final rows with
+expected rows by XOR/OR into one failure mask per check, and reaches Python
+per case only for failing cases, whose fields it reads from their columns
+as one int each, packed in numpy. It raises ``ValueError`` before
+allocating for a circuit or seed it cannot check.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +60,10 @@ __all__ = [
 ]
 
 MAX_STATE_CELLS = 1 << 30  # qubits x cases cap on verify_qrom's state, one bit per cell
+DRAW_MEMO_ENTRIES = 64  # dirty-pattern draws kept between verify_qrom calls
+DRAW_MEMO_CELLS = 1 << 12  # trials x dirty qubits of the largest draw kept
+
+_ROLES = tuple(Role)  # iterating the enum itself costs a microsecond per call
 
 
 class SimulationError(RuntimeError):
@@ -246,11 +257,18 @@ def verify_qrom(
     ``address_r`` register, together at least ceil(log2 N) qubits; each output
     register at least b wide; ``dirty_trials >= 1``; ``seed >= 0``; and at most
     ``MAX_STATE_CELLS`` qubits times cases.
+
+    The dirty patterns are ``default_rng(seed).integers(0, 2, size=(trials,
+    D), dtype=uint8)`` for the D dirty qubits, pattern k in row k, and case j
+    is address ``j // trials`` with pattern ``j % trials``. The draw is
+    memoized per (seed, trials, D) within a process (see ``_dirty_draw``);
+    it is the same draw with or without the memo.
     """
     tables = [table] if isinstance(table, LookupTable) else list(table)
-    out_regs = circuit.registers_with_role(Role.OUTPUT)
-    q_regs = circuit.registers_with_role(Role.ADDRESS_Q)
-    r_regs = circuit.registers_with_role(Role.ADDRESS_R)
+    by_role = {role: [] for role in _ROLES}
+    for reg in circuit.registers:
+        by_role[reg.role].append(reg)
+    out_regs, q_regs, r_regs = by_role[Role.OUTPUT], by_role[Role.ADDRESS_Q], by_role[Role.ADDRESS_R]
     if not out_regs or len(tables) != len(out_regs):
         raise ValueError(f"{len(tables)} tables for {len(out_regs)} output registers")
     n = tables[0].n_entries
@@ -276,17 +294,11 @@ def verify_qrom(
         cells = f"{circuit.num_qubits} qubits x {cases} cases"
         raise ValueError(f"verifier state of {cells} exceeds {MAX_STATE_CELLS} cells")
 
-    addr_rows = _register_rows(circuit, r_regs + q_regs)  # row i holds address bit i
-    dirty_rows = _register_rows(circuit, circuit.registers_with_role(Role.DIRTY))
-    clean_rows = _register_rows(
-        circuit, [reg for reg in circuit.registers if reg.role in (Role.WORK, Role.TEMP)])
-    out_rows = [_register_rows(circuit, [reg]) for reg in out_regs]
-
-    rng = np.random.default_rng(seed)
-    patterns = rng.integers(0, 2, size=(trials, len(dirty_rows)), dtype=np.uint8)
+    out_rows, addr_rows, dirty_rows, clean_rows = _role_rows(circuit)
+    patterns, columns = _dirty_draw(seed, trials, len(dirty_rows))
     # Case j is address j // trials with dirty pattern j % trials.
     addr_init = _address_rows(address_bits, trials, cases)
-    dirty_init = _dirty_rows(patterns, cases)
+    dirty_init = _dirty_rows(columns, trials, cases)
     state = [0] * circuit.num_qubits
     for row, value in zip(addr_rows + dirty_rows, addr_init + dirty_init):
         state[row] = value
@@ -343,10 +355,48 @@ def verify_qrom(
     return report
 
 
-def _register_rows(circuit: Circuit, regs) -> list[int]:
-    """The row of every qubit of ``regs``, register by register, in
-    ``qubit_indexer`` order, from each register's span of rows."""
-    return [row for reg in regs for row in circuit._span(reg.name, reg.size)]
+def _role_rows(circuit: Circuit) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+    """The rows the verifier reads, listed in one pass over the register
+    spans, each in ``qubit_indexer`` order: every output register's rows, the
+    address rows (``address_r`` before ``address_q``, so row i holds address
+    bit i), the dirty rows, and the work and temp rows."""
+    out_rows, r_rows, q_rows, dirty_rows, clean_rows = [], [], [], [], []
+    lists = {Role.ADDRESS_R: r_rows, Role.ADDRESS_Q: q_rows, Role.DIRTY: dirty_rows,
+             Role.WORK: clean_rows, Role.TEMP: clean_rows}
+    span = circuit._span
+    for reg in circuit.registers:
+        rows = span(reg.name, reg.size)
+        if reg.role is Role.OUTPUT:
+            out_rows.append(list(rows))
+        else:
+            lists[reg.role] += rows
+    return out_rows, r_rows + q_rows, dirty_rows, clean_rows
+
+
+def _draw(seed: int, trials: int, dirty: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The documented draw of dirty patterns,
+    ``default_rng(seed).integers(0, 2, size=(trials, dirty), dtype=uint8)``
+    with row k pattern k, made read-only, and each dirty qubit's
+    ``trials``-bit column of it as an int, bit k from pattern k."""
+    patterns = np.random.default_rng(seed).integers(0, 2, size=(trials, dirty), dtype=np.uint8)
+    patterns.flags.writeable = False
+    return patterns, tuple(_pack_rows(patterns.T))
+
+
+# Every verify call over one (seed, trials, dirty count) draws the same
+# patterns, so small draws are kept, by key, the last DRAW_MEMO_ENTRIES used.
+# ``typed``: a seed that numpy refuses, such as 1.0, must not find the draw
+# of an equal int.
+_memo_draw = functools.lru_cache(maxsize=DRAW_MEMO_ENTRIES, typed=True)(_draw)
+
+
+def _dirty_draw(seed: int, trials: int, dirty: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``_draw``, memoized for draws of at most ``DRAW_MEMO_CELLS`` cells;
+    a bigger draw is made afresh and not kept. The result is shared between
+    calls and threads, and read-only."""
+    if trials * dirty > DRAW_MEMO_CELLS:
+        return _draw(seed, trials, dirty)
+    return _memo_draw(seed, trials, dirty)
 
 
 def _case_rows(values, width: int, trials: int) -> list[int]:
@@ -385,13 +435,12 @@ def _address_rows(width: int, trials: int, cases: int) -> list[int]:
     return rows
 
 
-def _dirty_rows(patterns: np.ndarray, cases: int) -> list[int]:
+def _dirty_rows(columns, trials: int, cases: int) -> list[int]:
     """One row per dirty qubit whose bit j is its bit in pattern
-    ``j % trials``: the qubit's ``trials``-bit column of ``patterns`` times
-    the row with bit 0 of every period set, so the copies never carry."""
-    trials = patterns.shape[0]
+    ``j % trials``: the qubit's ``trials``-bit column times the row with bit
+    0 of every period set, so the copies never carry."""
     ones = _doubled(1, trials, cases)
-    return [column * ones for column in _pack_rows(patterns.T)]
+    return [column * ones for column in columns]
 
 
 def _differ(state: list[int], rows: list[int], expected: list[int]) -> int:

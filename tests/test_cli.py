@@ -249,16 +249,20 @@ class TestVerify:
     def test_huge_register_exits_2_before_allocating(self, table_64, tmp_path, monkeypatch):
         # The state-size cap must fire before rows are listed or allocated; a
         # failing guard trips the patched row lister instead of exhausting memory.
-        def rows_must_not_be_listed(circuit, regs):
+        def rows_must_not_be_listed(circuit):
             raise AssertionError("register rows listed")
 
         # The package exports a function named ``simulate``, so fetch the module.
         simulate_module = importlib.import_module("qromkit.simulate")
-        monkeypatch.setattr(simulate_module, "_register_rows", rows_must_not_be_listed)
+        monkeypatch.setattr(simulate_module, "_role_rows", rows_must_not_be_listed)
         path = tmp_path / "c.gates"
-        path.write_text(
-            "REGISTER addr_q 6 address_q\nREGISTER output 8 output\nREGISTER w 4000000000 work\n"
-        )
+        registers = "REGISTER addr_q 6 address_q\nREGISTER output 8 output\nREGISTER w {} work\n"
+        # Control: under the cap, the verifier lists rows through the patched
+        # seam, so the refusal below cannot pass by bypassing it.
+        path.write_text(registers.format(4))
+        with pytest.raises(AssertionError, match="register rows listed"):
+            run_cli(["verify", "--table", table_64, "--circuit", str(path)])
+        path.write_text(registers.format(4000000000))
         code, out, err = run_cli(["verify", "--table", table_64, "--circuit", str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("error: verifier state of 4000000014 qubits x 640 cases")

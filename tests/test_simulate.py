@@ -23,7 +23,7 @@ from qromkit import (
     verify_qrom,
 )
 from qromkit.circuit import GATE_ARITY
-from qromkit.simulate import _address_rows, _case_rows, _dirty_rows, qubit_indexer
+from qromkit.simulate import _address_rows, _case_rows, _dirty_draw, _dirty_rows, qubit_indexer
 from helpers import (
     address_rows_reference,
     dirty_rows_reference,
@@ -297,7 +297,8 @@ def test_doubled_input_rows_match_packed_reference(n, trials, extra_width, dirty
     patterns = np.random.default_rng(seed).integers(0, 2, size=(trials, dirty), dtype=np.uint8)
     cases = n * trials
     assert _address_rows(width, trials, cases) == address_rows_reference(n, width, trials)
-    assert _dirty_rows(patterns, cases) == dirty_rows_reference(patterns, n)
+    columns = _dirty_draw(seed, trials, dirty)[1]
+    assert _dirty_rows(columns, trials, cases) == dirty_rows_reference(patterns, n)
 
 
 @pytest.mark.parametrize("extra_width", [0, 2])

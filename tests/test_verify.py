@@ -1,5 +1,5 @@
-"""The lookup verifier: pinned fault reports, the input contract, a scalar
-differential, multi-output faults, a build -> verify round trip, and reports
+"""The lookup verifier: pinned fault reports, the memo of dirty-pattern
+draws, the input contract, a scalar differential, multi-output faults, a build -> verify round trip, and reports
 equal to a matrix-based reference at case counts around byte edges, also for
 one fault gate at two positions, and output bits above b that must end at 0.
 
@@ -12,7 +12,10 @@ verifier's output.
 """
 import hashlib
 import importlib
+import os
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from qromkit import (
     SequentialSpec,
     SimulationError,
     VerificationFailure,
+    VerificationReport,
     batch_simulate,
     build_plain_qrom,
     build_qrom,
@@ -86,11 +90,15 @@ def fault_corpus():
         bases.append((f"plain-{n}-{b}", build_plain_qrom(table), table, None))
     for name, circuit, table, plan in bases:
         for label, variant in faulty_variants(circuit, rng):
-            yield f"{name}/{label}", variant, table, plan
+            yield f"{name}/{label}", variant, table, plan, circuit
 
 
-def report_lines():
-    for k, (label, circuit, table, plan) in enumerate(fault_corpus()):
+def report_lines(before=lambda k, clean, table, plan: None):
+    """One line per pinned report; ``before`` runs ahead of each verify,
+    given the case number, which is its seed, and the clean circuit the
+    fault was injected into."""
+    for k, (label, circuit, table, plan, clean) in enumerate(fault_corpus()):
+        before(k, clean, table, plan)
         try:
             report = verify_qrom(circuit, table, plan, dirty_trials=3, seed=k)
         except SimulationError as exc:
@@ -103,11 +111,117 @@ def report_lines():
         yield f"{label} {report.cases_run} {failures!r}"
 
 
-def test_fault_reports_unchanged():
+def report_digest(before=lambda k, clean, table, plan: None):
     digest = hashlib.sha256()
-    for line in report_lines():
+    for line in report_lines(before):
         digest.update(line.encode() + b"\n")
-    assert digest.hexdigest() == FAULT_REPORT_DIGEST
+    return digest.hexdigest()
+
+
+def test_fault_reports_unchanged():
+    assert report_digest() == FAULT_REPORT_DIGEST
+
+
+class TestDrawMemo:
+    """The memo of seeded dirty-pattern draws: each draw equals the
+    documented one, is read-only and shared, big draws are not kept, and no
+    report depends on what the memo holds."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 9), dirty=st.integers(0, 40))
+    def test_draw_is_the_documented_draw(self, seed, trials, dirty):
+        expected = np.random.default_rng(seed).integers(0, 2, size=(trials, dirty), dtype=np.uint8)
+        for _ in range(2):  # made, then found in the memo
+            patterns, columns = simulate_module._dirty_draw(seed, trials, dirty)
+            assert patterns.dtype == np.uint8 and np.array_equal(patterns, expected)
+            assert columns == tuple(
+                sum(int(bit) << k for k, bit in enumerate(expected[:, i])) for i in range(dirty)
+            )
+            with pytest.raises(ValueError, match="read-only"):
+                patterns[...] = 0
+            assert np.array_equal(patterns, expected)
+        assert simulate_module._dirty_draw(seed, trials, dirty)[0] is patterns
+
+    def test_draw_above_the_size_bound_is_not_kept(self):
+        memo = simulate_module._memo_draw
+        memo.cache_clear()
+        cells = simulate_module.DRAW_MEMO_CELLS
+        kept = simulate_module._dirty_draw(5, 4, cells // 4)
+        assert memo.cache_info().currsize == 1
+        assert simulate_module._dirty_draw(5, 4, cells // 4) is kept
+        big = simulate_module._dirty_draw(5, 4, cells // 4 + 1)
+        again = simulate_module._dirty_draw(5, 4, cells // 4 + 1)
+        assert memo.cache_info().currsize == 1 and big is not again
+        assert np.array_equal(big[0], again[0]) and big[1] == again[1]
+        assert not big[0].flags.writeable
+        expected = np.random.default_rng(5).integers(0, 2, size=(4, cells // 4 + 1), dtype=np.uint8)
+        assert np.array_equal(big[0], expected)
+
+    def test_a_seed_numpy_refuses_does_not_find_an_equal_ints_draw(self):
+        simulate_module._dirty_draw(1, 2, 3)
+        with pytest.raises(TypeError):
+            simulate_module._dirty_draw(1.0, 2, 3)
+
+    def test_memo_holds_a_bounded_number_of_draws(self):
+        memo = simulate_module._memo_draw
+        memo.cache_clear()
+        for seed in range(simulate_module.DRAW_MEMO_ENTRIES + 5):
+            simulate_module._dirty_draw(seed, 2, 3)
+        assert memo.cache_info().currsize == simulate_module.DRAW_MEMO_ENTRIES
+
+    def test_faults_after_clean_circuits_with_the_same_key(self):
+        # Each faulty circuit is verified right after its clean circuit with
+        # the same seed, trials and dirty count, so its draw comes from the
+        # memo; with the memo cleared each time, it is drawn afresh.
+        def clean_first(k, clean, table, plan):
+            assert verify_qrom(clean, table, plan, dirty_trials=3, seed=k).passed
+
+        def cleared(k, clean, table, plan):
+            simulate_module._memo_draw.cache_clear()
+
+        assert report_digest(clean_first) == FAULT_REPORT_DIGEST
+        assert report_digest(cleared) == FAULT_REPORT_DIGEST
+
+    def test_threads_report_as_a_sequential_run(self):
+        # More threads than cores verify different circuits, switching every
+        # microsecond; seeds repeat across them, so they race on the same
+        # draws, made and found in the memo.
+        jobs = [
+            (circuit, table, plan, k % 3)
+            for k, (_, circuit, table, plan, _) in enumerate(fault_corpus())
+        ]
+        workers = min((os.cpu_count() or 1) + 1, len(jobs))
+
+        def outcome(circuit, table, plan, seed):
+            try:
+                return verify_qrom(circuit, table, plan, dirty_trials=3, seed=seed)
+            except SimulationError as exc:
+                return str(exc)
+
+        simulate_module._memo_draw.cache_clear()
+        expected = [outcome(*job) for job in jobs]
+        simulate_module._memo_draw.cache_clear()
+        results = [None] * len(jobs)
+        start = threading.Barrier(workers)
+
+        def run(first):
+            start.wait()
+            for k in range(first, len(jobs), workers):
+                results[k] = outcome(*jobs[k])
+
+        threads = [threading.Thread(target=run, args=(first,)) for first in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+        assert sum(isinstance(r, VerificationReport) and not r.passed for r in expected) > 20
 
 
 class TestContract:
@@ -121,11 +235,19 @@ class TestContract:
         with pytest.raises(ValueError, match="dirty_trials must be >= 1"):
             verify_qrom(self.circuit, self.table, self.plan, dirty_trials=trials)
 
-    def test_negative_seed_rejected_before_indexing(self, monkeypatch):
-        def rows_must_not_be_listed(circuit, regs):
+    def trip_row_listing(self, monkeypatch):
+        """Make the verifier's one row-listing seam raise, and check that a
+        valid call under the state cap reaches it: a check made with the
+        seam tripped then fails if the verifier ever lists rows elsewhere."""
+        def rows_must_not_be_listed(circuit):
             raise AssertionError("register rows listed")
 
-        monkeypatch.setattr(simulate_module, "_register_rows", rows_must_not_be_listed)
+        monkeypatch.setattr(simulate_module, "_role_rows", rows_must_not_be_listed)
+        with pytest.raises(AssertionError, match="register rows listed"):
+            verify_qrom(self.circuit, self.table, self.plan, dirty_trials=1)
+
+    def test_negative_seed_rejected_before_indexing(self, monkeypatch):
+        self.trip_row_listing(monkeypatch)
         for seed in (-1, -(2**70)):
             with pytest.raises(ValueError, match="seed must be >= 0"):
                 verify_qrom(self.circuit, self.table, self.plan, seed=seed)
@@ -151,10 +273,7 @@ class TestContract:
             verify_qrom(circuit, self.table)
 
     def test_state_cap_checked_before_indexing(self, monkeypatch):
-        def rows_must_not_be_listed(circuit, regs):
-            raise AssertionError("register rows listed")
-
-        monkeypatch.setattr(simulate_module, "_register_rows", rows_must_not_be_listed)
+        self.trip_row_listing(monkeypatch)
         huge = RegisterSpec("w", simulate_module.MAX_STATE_CELLS // 16 + 1, Role.WORK)
         circuit = Circuit([*self.circuit.registers, huge])
         with pytest.raises(ValueError, match="exceeds 1073741824 cells"):
