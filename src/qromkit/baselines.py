@@ -71,9 +71,6 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
         for q in range(plan.q_range)
     ]
 
-    def select() -> None:
-        _load_rows(circuit, IterationSpec("addr_q", 0, plan.q_range), blocks, words)
-
     def swap_network(inverse: bool) -> None:
         # Layer beta halves the distance-2^beta pairs; the forward order
         # routes block r to the buffer, the reversed order undoes it.
@@ -85,17 +82,11 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
                     pair = blocks[base * b + j], blocks[(base + step) * b + j]
                     append(intern(GateKind.CSWAP, control, *pair))
 
-    def buffer_copy() -> None:
+    for _ in range(2):  # the loading half, then the identical unloading half
+        _load_rows(circuit, IterationSpec("addr_q", 0, plan.q_range), blocks, words)
+        swap_network(inverse=False)
         for source, target in zip(buffer, output):
             append(intern(GateKind.CNOT, source, target))
-
-    select()
-    swap_network(inverse=False)
-    buffer_copy()
-    swap_network(inverse=True)
-    select()
-    swap_network(inverse=False)
-    buffer_copy()
-    swap_network(inverse=True)
+        swap_network(inverse=True)
     check_temp_and_pairing(circuit)
     return circuit

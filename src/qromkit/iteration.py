@@ -118,13 +118,13 @@ def emit_loads(
     ``words[v]`` onto ``targets[k]`` with a CNOT from the select wire.
 
     Set bits are walked in ascending k, and each ``(wire, k)`` gate is
-    interned on first use and reused from then on, so a target is resolved
-    only when some word sets its bit.
+    interned on first use and reused from then on, so a target that names no
+    qubit raises ``append``'s error only when some word sets its bit.
 
     Raises ValueError, before appending anything, when ``words`` ends before
     ``spec.range_hi`` or a word is negative or wider than ``targets``.
     """
-    return _load_rows(circuit, spec, [None] * len(targets), words, targets.__getitem__)
+    return _load_rows(circuit, spec, circuit._rows(targets), words, targets.__getitem__)
 
 
 def _load_rows(
@@ -135,10 +135,8 @@ def _load_rows(
     ref: Callable[[int], QubitRef] | None = None,
 ) -> Circuit:
     """``emit_loads`` onto the target rows ``targets``, which the builders
-    read from the register spans. A None target k is ``ref(k)``, not yet
-    known to name a qubit: the first gate onto it is checked as ``append``
-    checks it, which raises if it names none, and its row is written back
-    into ``targets``."""
+    read from the register spans. A None target k names no qubit: the first
+    gate onto it raises ``append``'s error for ``ref(k)`` (see ``_Row``)."""
     if len(words) < spec.range_hi:
         raise ValueError(
             f"{len(words)} words do not cover the iteration range, which ends at "
@@ -171,19 +169,22 @@ _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 class _Row(dict):
-    """The indices of the CNOTs from one select wire, keyed by target index;
-    a missing one is interned on lookup (see ``_load_rows``)."""
+    """The indices of the CNOTs from ``wire`` onto the rows ``targets``,
+    keyed by target index and interned on first lookup; a None target k
+    names no qubit and raises ``append``'s error for ``ref(k)``. The Select
+    keeps one per select wire, the restore one per slice from its temp-AND."""
+
+    # Slots, and no dict.__init__ call: a restore makes one per output slice.
+    __slots__ = ("circuit", "wire", "row", "targets", "ref")
 
     def __init__(self, circuit: Circuit, wire: QubitRef, targets: list, ref) -> None:
-        super().__init__()
         self.circuit, self.wire, self.row = circuit, wire, circuit._row(*wire)
         self.targets, self.ref = targets, ref
 
     def __missing__(self, k: int) -> int:
         target = self.targets[k]
         if target is None:
-            target = self.targets[k] = self.circuit._validate(
-                GateKind.CNOT, (self.wire, self.ref(k)))[1]
+            self.circuit._validate(GateKind.CNOT, (self.wire, self.ref(k)))  # raises
         index = self[k] = self.circuit._intern(GateKind.CNOT, self.row, target)
         return index
 

@@ -26,7 +26,7 @@ from itertools import repeat
 from operator import countOf, lshift, rshift, xor
 
 from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing
-from .iteration import IterationSpec, IterationWindow, _load_rows, emit_unary_iteration
+from .iteration import IterationSpec, IterationWindow, _load_rows, _Row, emit_unary_iteration
 
 __all__ = [
     "LookupTable",
@@ -94,12 +94,12 @@ class LookupTable:
     def __post_init__(self) -> None:
         if self.bit_width < 1:
             raise ValueError("bit_width must be >= 1")
-        if len(self.entries) < 1:
-            raise ValueError("table must have at least one entry")
         entries = self.entries
         if type(entries) is not tuple:
             entries = tuple(entries)
             object.__setattr__(self, "entries", entries)
+        if not entries:
+            raise ValueError("table must have at least one entry")
         # C-level type, min and max passes check every entry; the entries are
         # walked only to name the first bad one. A bool is refused, as
         # ``format_table`` would write True. bit_length, not 1 << bit_width:
@@ -306,34 +306,27 @@ def emit_restore(
     in a temp-AND and CNOTs it onto bit j of every slice, clearing the
     borrowed-state mask the earlier copies left behind. The temp-AND target
     reuses the highest work qubit, which the r-iteration never touches.
+    Each slice's fan-out comes from an ``iteration._Row``, as the Select's
+    loads do, so an output is checked only when first written.
     """
     dirty = circuit._span("dirty", plan.dirty_qubits)
     unload = IterationSpec("addr_q", 0, plan.q_range)
     _load_rows(circuit, unload, dirty, schedule.unload, partial(QubitRef, "dirty"))
-    append, intern, row, check = (
-        circuit._index.append, circuit._intern, circuit._row, circuit._validate)
+    append, intern, row = circuit._index.append, circuit._intern, circuit._row
     temp_ref = QubitRef("work", plan.work_qubits - 1)
-    temp, outputs = row(*temp_ref), [circuit._rows(refs) for refs in slices]
-    # fixes[j] holds the indices of the CNOTs from the temp-AND onto bit j of
-    # every slice that has one, interned in the first window.
-    fixes: list[list[int]] = []
-
-    def fix(j: int, rows: list, refs: list[QubitRef]) -> int:
-        if rows[j] is None:
-            check(GateKind.CNOT, (temp_ref, refs[j]))  # raises append's error
-        return intern(GateKind.CNOT, temp, rows[j])
+    temp = row(*temp_ref)
+    fans = [_Row(circuit, temp_ref, circuit._rows(refs), refs.__getitem__) for refs in slices]
 
     def fix_window(win: IterationWindow) -> None:
         wire, start = row(*win.select_wire), (win.index_value - 1) * plan.mu
         for j, source in enumerate(dirty[start:start + plan.mu]):
             if source is None or temp is None:
                 # An operand that names no qubit: raise append's error.
-                check(GateKind.TEMP_AND, (win.select_wire, QubitRef("dirty", start + j), temp_ref))
+                circuit._validate(
+                    GateKind.TEMP_AND, (win.select_wire, QubitRef("dirty", start + j), temp_ref))
             append(intern(GateKind.TEMP_AND, wire, source, temp))
-            if j == len(fixes):
-                fixes.append(
-                    [fix(j, rows, refs) for rows, refs in zip(outputs, slices) if j < len(refs)])
-            circuit._index.extend(fixes[j])
+            # A list, so that a bad output raises before bit j's CNOTs go in.
+            circuit._index.extend([fan[j] for fan in fans if j < len(fan.targets)])
             append(intern(GateKind.TEMP_AND_UNCOMPUTE, wire, source, temp))
 
     return emit_unary_iteration(circuit, IterationSpec("addr_r", 1, plan.lam), fix_window)
@@ -380,9 +373,9 @@ class SequentialSpec:
     plan: QromPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.tables) < 1:
-            raise ValueError("need at least one table")
         object.__setattr__(self, "tables", tuple(self.tables))
+        if not self.tables:
+            raise ValueError("need at least one table")
         first = self.tables[0]
         for t in self.tables[1:]:
             if t.n_entries != first.n_entries or t.bit_width != first.bit_width:

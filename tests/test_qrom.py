@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -30,6 +31,7 @@ from qromkit import (
     registers_for_plan,
     verify_qrom,
 )
+from qromkit import qrom
 from qromkit.baselines import build_plain_qrom, build_selectswap_dirty
 from qromkit.qrom import MAX_BUILD_WIDTH, ceil_div, padded_entries
 from helpers import random_table
@@ -513,6 +515,75 @@ class TestEmitters:
             with pytest.raises(CircuitError, match=f"^{kind} operand .* {message}$"):
                 emit(circuit, [bad, QubitRef("output", 1)])
 
+    @pytest.mark.parametrize(
+        "slice_index,bad,extra_work,message,gates",
+        [
+            (2, QubitRef("output", 99), 0, "qubit output[99] out of range (size 5)", 26),
+            (2, QubitRef("output", 99), 1, "qubit work[2] out of range (size 2)", 25),
+            (1, QubitRef("output", 2.0), 0,
+             "CNOT operand QubitRef(register='output', offset=2.0) needs a str register "
+             "and an int offset", 26),
+        ],
+        ids=["third_slice_out_of_range", "missing_temp_first", "second_slice_mistyped"],
+    )
+    def test_restore_checks_outputs_lazily_across_slices(
+        self, slice_index, bad, extra_work, message, gates
+    ):
+        # Slices of 2, 2 and 1 qubits. The first fix-up window holds dirty
+        # bit 0 in the temp-AND, then fans it out to bit 0 of every slice, so
+        # a bad output raises right after that temp-AND and before any of the
+        # bit's CNOTs. A plan with one more work qubit than the circuit puts
+        # the temp-AND on a missing qubit, which raises first.
+        plan = plan_qrom(16, 5, 4, 2)
+        schedule = compute_xor_schedule(random_table(16, 5, seed=4), plan)
+        slices = all_packets(plan)
+        assert [len(refs) for refs in slices] == [2, 2, 1]
+        slices[slice_index][0] = bad
+        wide = dataclasses.replace(plan, work_qubits=plan.work_qubits + extra_work)
+        circuit = fresh_plan_circuit(plan)
+        with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+            emit_restore(circuit, wide, schedule, slices)
+        assert len(circuit.gates) == gates
+        held = [g.operands[1] for g in circuit.gates if g.kind is GateKind.TEMP_AND
+                and g.operands[1].register == "dirty"]
+        assert held == ([] if extra_work else [QubitRef("dirty", 0)])
+
+    def test_every_stage_engine_gate_comes_from_one_stage_emitter(self, monkeypatch):
+        # Per-stage gate counts wrap the three emitters on the module and
+        # charge each the gates added while it runs. The charges add up to
+        # the circuit only if no emitter calls another and the engine appends
+        # nothing between them.
+        calls, added = collections.Counter(), collections.Counter()
+
+        def traced(name, emit):
+            def wrapper(circuit, *args):
+                before = len(circuit.gates)
+                result = emit(circuit, *args)
+                calls[name] += 1
+                added[name] += len(circuit.gates) - before
+                return result
+            return wrapper
+
+        for name in ("emit_select", "emit_copy", "emit_restore"):
+            monkeypatch.setattr(qrom, name, traced(name, getattr(qrom, name)))
+        for n, b in ((5, 2), (16, 5), (33, 3)):
+            tables = tuple(random_table(n, b, seed=seed) for seed in range(3))
+            for lam in (lam for lam in (2, 4, 8) if lam < n):
+                builds = [
+                    (functools.partial(build_qrom, tables[0], plan_qrom(n, b, lam, mu)),
+                     ceil_div(b, mu))
+                    for mu in range(1, b + 1)
+                ] + [
+                    (functools.partial(build_sequential_qroms, SequentialSpec(tables[:m], lam)), m)
+                    for m in (1, 3)
+                ]
+                for build, stages in builds:
+                    calls.clear()
+                    added.clear()
+                    circuit = build()
+                    assert calls == {"emit_select": stages, "emit_copy": stages, "emit_restore": 1}
+                    assert sum(added.values()) == len(circuit.gates)
+
 
 class TestBuildQrom:
     @pytest.mark.parametrize(
@@ -619,6 +690,20 @@ class TestSequential:
         with pytest.raises(ValueError, match="need at least one table"):
             SequentialSpec((), 2)
 
+    @pytest.mark.parametrize(
+        "make", [lambda ts: (t for t in ts), lambda ts: map(dataclasses.replace, ts), list],
+        ids=["generator", "map", "list"],
+    )
+    def test_tables_from_any_iterable(self, make):
+        tables = tuple(random_table(8, 2, seed) for seed in range(3))
+        spec = SequentialSpec(make(tables), 2)
+        assert type(spec.tables) is tuple
+        assert spec == SequentialSpec(tables, 2)
+
+    def test_no_tables_from_an_empty_generator_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one table$"):
+            SequentialSpec((t for t in ()), 2)
+
     def test_bad_lambda_rejected(self):
         with pytest.raises(ValueError, match="power of 2"):
             SequentialSpec((random_table(8, 2, 0),), 3)
@@ -638,6 +723,24 @@ class TestLookupTable:
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError, match="bit_width must be >= 1"):
             LookupTable((0,), 0)
+
+    @pytest.mark.parametrize(
+        "make", [lambda xs: (x for x in xs), lambda xs: map(int, xs), list],
+        ids=["generator", "map", "list"],
+    )
+    def test_entries_from_any_iterable(self, make):
+        # A generator or a map has no len(): the entries are made a tuple
+        # before they are counted.
+        table = LookupTable(make((3, 0, 2)), 2)
+        assert type(table.entries) is tuple
+        assert table == LookupTable((3, 0, 2), 2)
+
+    def test_empty_generator_rejected_as_an_empty_tuple(self):
+        with pytest.raises(ValueError, match="^table must have at least one entry$"):
+            LookupTable((x for x in ()), 2)
+        # The width is still checked first.
+        with pytest.raises(ValueError, match="^bit_width must be >= 1$"):
+            LookupTable((x for x in ()), 0)
 
     @pytest.mark.parametrize(
         "entry,message",
