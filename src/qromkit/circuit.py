@@ -183,8 +183,10 @@ class Circuit:
         self._ops: list[tuple] = []
         self._index = array("I")
         self._interned: dict[tuple, int] = {}
-        # One Gate per op, made on first read (``_distinct``).
+        # One Gate per op, made on first read (``_distinct``), and one kind
+        # code per op, made on first count (``count_resources``).
         self._view: list[Gate] = []
+        self._codes = array("B")
         # Unary-iteration recordings, keyed by IterationSpec; owned by
         # ``qromkit.iteration`` and never part of equality.
         self._scaffolds: dict[object, tuple] = {}
@@ -415,12 +417,17 @@ def count_resources(circuit: Circuit) -> ResourceEstimate:
 
     The gate list's indices are tallied in one numpy pass, and the tallies
     folded over the kind codes of the distinct ops in a second, weighted
-    one."""
-    ops = circuit._ops
+    one. The codes are kept on the circuit, and a call codes only the ops
+    interned since the last; like ``_distinct``, it builds the longer array
+    aside and publishes it in one assignment."""
+    ops, codes = circuit._ops, circuit._codes
+    if len(codes) < len(ops):
+        new = map(_KIND_CODE.__getitem__, map(itemgetter(0), ops[len(codes):]))
+        codes = circuit._codes = codes + array("B", new)
     tally = np.bincount(np.frombuffer(circuit._index, np.uintc), minlength=len(ops))
-    codes = np.fromiter(map(_KIND_CODE.__getitem__, map(itemgetter(0), ops)), np.intp, len(ops))
     # Float weights sum exactly below 2^53 gates.
-    kinds = np.bincount(codes, weights=tally, minlength=len(_KIND_CODE)).astype(np.int64).tolist()
+    kinds = np.bincount(np.frombuffer(codes, np.uint8), weights=tally, minlength=len(_KIND_CODE))
+    kinds = kinds.astype(np.int64).tolist()
     toffoli = sum(map(mul, _TOFFOLI_BY_CODE, kinds))
     temp_and, cnot, x = (kinds[_KIND_CODE[kind]] for kind in _COUNTED)
     clean = sum(reg.size for reg in circuit.registers if reg.role in CLEAN_ROLES)

@@ -25,15 +25,18 @@ unreachable larger values. Values below ``range_lo`` are always discriminated
 correctly, which is what the copy stage relies on for index 0.
 
 A lookup runs the same iteration many times per circuit (one q-iteration
-per Select, one r-iteration per Copy), so each circuit records the scaffold
-of a spec once: the tree walk yields, per window, the indices of the
-circuit's gates that precede it, plus those after the last window. The walk
-records ops over rows read from the register spans, ``(kind, a, b, t)`` as
-the circuit interns them, and counts the temp-ANDs it spends, which fixes
-the alignment pairs and the work qubits; only then are the ops interned.
-Every emission, the first included, replays that recording, extending the
-circuit's index array segment by segment and calling the emitter between
-segments, so the gate order is exactly that of a fresh walk. A window's
+per Select, one r-iteration per Copy), and a sweep builds many circuits of
+few shapes. So a process walks each spec once per index register size into
+a template, over rows in which index bit i is row i and work slot s is row
+size + s. It keeps, per window, the positions of the distinct ops before
+it, plus those after the last window, and counts the temp-ANDs it spends,
+which fixes the alignment pairs and the work qubits. A circuit records a
+spec once: it checks its work register, interns the template's ops, moved
+onto its register rows, in first-walk order, and maps the positions to the
+indices of its gates. Every emission, the first included, replays that
+recording, extending the circuit's index array segment by segment and
+calling the emitter between segments, so the gate order is exactly that of
+a fresh walk. A window's
 ``select_wire`` stays a ``QubitRef``; an emitter that interns ops reads the
 wire's row from the circuit.
 
@@ -45,12 +48,15 @@ through a per-wire cache of gate indices and extends the index array once.
 No ``Gate`` object is made: gates are interned by op (see
 ``qromkit.circuit``).
 
-Emission is pure appending into the caller's circuit, and the recording is
-private to that circuit; there is no shared state, so concurrent emission
-into distinct circuits is safe.
+Emission is pure appending into the caller's circuit. Circuits share only
+the memo of templates: the last ``SCAFFOLD_MEMO_ENTRIES`` used, of at most
+``SCAFFOLD_MEMO_WINDOWS`` windows each (a longer range is walked afresh).
+Templates are immutable, so concurrent emission into distinct circuits is
+safe.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Callable, Sequence
@@ -58,6 +64,9 @@ from typing import Callable, Sequence
 from .circuit import Circuit, GateKind, QubitRef
 
 __all__ = ["IterationSpec", "IterationWindow", "emit_unary_iteration", "emit_loads"]
+
+SCAFFOLD_MEMO_ENTRIES = 64  # scaffold templates kept between circuits
+SCAFFOLD_MEMO_WINDOWS = 1 << 8  # windows of the largest template kept
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +101,9 @@ def emit_unary_iteration(
     ``range_hi - range_lo - 1`` Toffolis.
 
     The first call for a spec on a circuit validates the range and records
-    the scaffold; every call, the first included, replays that recording. A
-    failed validation records nothing.
+    the scaffold from the spec's template; every call, the first included,
+    replays that recording. A failed validation records nothing on the
+    circuit.
 
     Raises ValueError on an empty or out-of-bounds range, on ``[0, 1)``
     (no index bit to branch on), on insufficient work qubits, and on ranges
@@ -190,14 +200,35 @@ class _Row(dict):
 
 
 def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
-    """Walk the iteration tree once without appending anything.
+    """The circuit's ``(steps, tail)`` for ``spec``: its template's, each op
+    position mapped to the index of the circuit's gate. On a circuit that
+    holds no op yet, the positions are the indices, and the template serves.
+    """
+    reg = circuit.register(spec.index_register)
+    lo, hi = spec.range_lo, spec.range_hi
+    kept = type(lo) is type(hi) is int and hi - lo <= SCAFFOLD_MEMO_WINDOWS
+    ops, steps, tail, needed = (_memo_template if kept else _template)(spec, reg.size)
+    work = circuit.register("work")
+    if work.size < needed:
+        raise ValueError(
+            f"insufficient work qubits: need {needed}, register {work.name!r} has {work.size}"
+        )
+    rows = [*circuit._span(reg.name, reg.size), *circuit._span("work", needed)]
+    indices = [circuit._intern(op[0], *map(rows.__getitem__, op[1:])) for op in ops]
+    if indices == list(range(len(ops))):
+        return steps, tail
+    at = indices.__getitem__
+    return tuple((tuple(map(at, segment)), win) for segment, win in steps), tuple(map(at, tail))
 
-    Returns ``(steps, tail)``: ``steps`` is one ``(gates before the window,
-    window)`` pair per index value in ascending order, and ``tail`` the gates
-    after the last window. The walk records ops over rows, ``(kind, a, b,
-    t)`` with the rows a gate takes, and counts its temp-ANDs; only once the
-    cost and the work register check out are the ops interned and turned
-    into the indices of the circuit's gates.
+
+def _template(spec: IterationSpec, size: int) -> tuple:
+    """Walk the iteration tree of ``spec`` on a ``size``-qubit index register,
+    over rows in which index bit i is row i and work slot s is row size + s.
+
+    Returns ``(ops, steps, tail, needed)``: the distinct ops ``(kind, *rows)``
+    in first-walk order; per index value in ascending order, the positions
+    in ``ops`` of the ops before its window, with the window; the positions
+    of the ops after the last window; and the work qubits needed.
 
     At the root the top index bit is the children's wire, X-negated around a
     0 branch that meets the range; the 1 branch always holds ``range_hi - 1``.
@@ -206,25 +237,21 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
     to the 1 branch. A 1 branch wholly above the range is pruned, and the 0
     branch reuses the node's wire.
     """
-    reg = circuit.register(spec.index_register)
     lo, hi = spec.range_lo, spec.range_hi
     if not 0 <= lo < hi:
         raise ValueError(f"empty or negative range [{lo}, {hi})")
     if hi == 1:
         raise ValueError("range [0, 1) has no index bit to branch on")
-    if hi > 1 << reg.size:
+    if hi > 1 << size:
         raise ValueError(
-            f"range [{lo}, {hi}) does not fit in {reg.size}-qubit register {reg.name!r}"
+            f"range [{lo}, {hi}) does not fit in {size}-qubit register {spec.index_register!r}"
         )
     steps: list[tuple[tuple[tuple, ...], IterationWindow]] = []
     pending: list[tuple] = []
 
     levels = (hi - 1).bit_length()
     ands = 0
-    # The rows of the index bits and of the work slots. The work register is
-    # checked after the walk, before any recorded op is used, so no op with
-    # a None slot, one the register lacks, is interned.
-    bits, slots = circuit._span(reg.name, reg.size), circuit._span("work", max(levels, 2))
+    bits, slots = range(size), range(size, size + max(levels, 2))
 
     def walk(height: int, base: int, wire: QubitRef, row: int) -> None:
         # Every node visited meets [lo, hi), so its 0 branch meets it when
@@ -256,7 +283,7 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
         walk(height - 1, mid, child_wire, child)
         pending.append((GateKind.TEMP_AND_UNCOMPUTE, row, bit, child))
 
-    top, row, mid = reg[levels - 1], bits[levels - 1], 1 << (levels - 1)
+    top, row, mid = QubitRef(spec.index_register, levels - 1), bits[levels - 1], 1 << (levels - 1)
     if lo < mid:
         pending.append((GateKind.X, row))
         walk(levels - 1, 0, top, row)
@@ -267,24 +294,25 @@ def _record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:
     deficit = cost - ands
     if deficit < 0:
         raise ValueError(f"range [{lo}, {hi}) cannot be scaffolded in exactly {cost} Toffolis")
-    work = circuit.register("work")
     needed = levels - 1
     if deficit:
         # Each alignment pair targets the slot above the tree's. Its controls
         # are the top two index bits, or a 1-qubit register's bit and work
         # slot 1.
-        if reg.size > 1:
+        if size > 1:
             needed, controls = levels, (bits[-1], bits[-2])
         else:
             needed, controls = 2, (bits[0], slots[1])
         pair = (*controls, slots[levels - 1])
         pending += [(GateKind.TEMP_AND, *pair), (GateKind.TEMP_AND_UNCOMPUTE, *pair)] * deficit
-    if work.size < needed:
-        raise ValueError(
-            f"insufficient work qubits: need {needed}, register {work.name!r} has {work.size}"
-        )
 
-    # Each recorded op becomes the index of the circuit's gate.
-    intern = circuit._intern
-    recorded = tuple((tuple(intern(*op) for op in segment), win) for segment, win in steps)
-    return recorded, tuple(intern(*op) for op in pending)
+    ops = tuple(dict.fromkeys([*(op for segment, _ in steps for op in segment), *pending]))
+    at = {op: k for k, op in enumerate(ops)}.__getitem__
+    steps = tuple((tuple(map(at, segment)), win) for segment, win in steps)
+    return ops, steps, tuple(map(at, pending)), needed
+
+
+# Every circuit of a shape walks the same tree, so a process keeps the last
+# SCAFFOLD_MEMO_ENTRIES templates used. ``typed``: a bool register size must
+# not share an int's template.
+_memo_template = functools.lru_cache(maxsize=SCAFFOLD_MEMO_ENTRIES, typed=True)(_template)

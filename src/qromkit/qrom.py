@@ -272,12 +272,17 @@ def emit_select(
     return _load_rows(circuit, IterationSpec("addr_q", 0, plan.q_range), targets, words, ref)
 
 
+def _check_slice(plan: QromPlan, outputs: list[QubitRef]) -> None:
+    """Raise ``ValueError`` for an output slice wider than ``plan.mu``."""
+    if len(outputs) > plan.mu:
+        raise ValueError(f"output slice of {len(outputs)} qubits exceeds mu = {plan.mu}")
+
+
 def emit_copy(circuit: Circuit, plan: QromPlan, outputs: list[QubitRef]) -> Circuit:
     """One multiplexed Copy: iterate r over 1..lam-1 and, per window, Toffoli
     bit j of the addressed dirty block onto ``outputs[j]``. (lam-1) * slice
     width Toffolis plus the lam-2 scaffold; no data CNOTs."""
-    if len(outputs) > plan.mu:
-        raise ValueError(f"output slice of {len(outputs)} qubits exceeds mu = {plan.mu}")
+    _check_slice(plan, outputs)
 
     append, intern, row = circuit._index.append, circuit._intern, circuit._row
     dirty = circuit._span("dirty", plan.dirty_qubits)
@@ -307,8 +312,12 @@ def emit_restore(
     borrowed-state mask the earlier copies left behind. The temp-AND target
     reuses the highest work qubit, which the r-iteration never touches.
     Each slice's fan-out comes from an ``iteration._Row``, as the Select's
-    loads do, so an output is checked only when first written.
+    loads do, so an output is checked only when first written. A slice
+    wider than mu is refused, as ``emit_copy`` refuses it, before anything
+    is appended.
     """
+    for outputs in slices:
+        _check_slice(plan, outputs)
     dirty = circuit._span("dirty", plan.dirty_qubits)
     unload = IterationSpec("addr_q", 0, plan.q_range)
     _load_rows(circuit, unload, dirty, schedule.unload, partial(QubitRef, "dirty"))

@@ -37,6 +37,7 @@ from qromkit import (
     verify_qrom,
 )
 from qromkit.circuit import CLEAN_ROLES, GATE_ARITY, TOFFOLI_COST
+from qromkit.qrom import compute_xor_schedule, emit_copy, emit_select, registers_for_plan
 from qromkit.simulate import qubit_indexer
 from helpers import circuit_with_gates, indexed_op, indexed_ops, random_table
 
@@ -413,6 +414,37 @@ class TestCountResources:
         c = Circuit([RegisterSpec("a", 3, Role.ADDRESS_Q)])
         c.append(GateKind.CSWAP, QubitRef("a", 0), QubitRef("a", 1), QubitRef("a", 2))
         assert count_resources(c).toffoli == 1
+
+    @pytest.mark.parametrize(
+        "clone", [lambda c: c, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+        ids=["itself", "deepcopy", "pickle"],
+    )
+    def test_kind_codes_follow_the_ops_between_calls(self, clone):
+        # The circuit keeps one kind code per op and a count codes only the
+        # ops interned since the last one: appends, lookup passes and an op
+        # that no position holds come in between counts, on the circuit or
+        # on a copy of it taken after each count.
+        plan = plan_qrom(16, 3, 4, 1)
+        schedule = compute_xor_schedule(random_table(16, 3, seed=6), plan)
+        out = [QubitRef("output", k) for k in range(3)]
+        steps = [
+            lambda c: None,
+            lambda c: c.append(GateKind.X, out[0]),
+            lambda c: emit_select(c, plan, schedule, 0, out[:1]),
+            lambda c: c.append(GateKind.X, out[0]),
+            lambda c: c._intern(GateKind.TOFFOLI, 0, 1, 2),
+            lambda c: emit_copy(c, plan, out[:1]),
+            lambda c: c.append(GateKind.CSWAP, out[0], out[1], out[2]),
+            lambda c: emit_select(c, plan, schedule, 1, out[1:2]),
+            lambda c: None,
+        ]
+        circuit, codes = Circuit(registers_for_plan(plan)), list(GateKind)
+        for step in steps:
+            step(circuit)
+            assert count_resources(circuit) == naive_count_resources(circuit)
+            assert list(circuit._codes) == [codes.index(op[0]) for op in circuit._ops]
+            circuit = clone(circuit)
+        assert len(circuit._ops) > 10 and count_resources(circuit).toffoli > 0
 
 
 def test_string_role_coerced():

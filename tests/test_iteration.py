@@ -1,4 +1,7 @@
+import dataclasses
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,12 +17,15 @@ from qromkit import (
     QubitRef,
     RegisterSpec,
     Role,
+    SequentialSpec,
     count_resources,
     emit_unary_iteration,
 )
+from qromkit import baselines, iteration, qrom
 from qromkit.gatefile import serialize_circuit
-from qromkit.iteration import emit_loads
+from qromkit.iteration import SCAFFOLD_MEMO_ENTRIES, SCAFFOLD_MEMO_WINDOWS, emit_loads
 from qromkit.simulate import batch_simulate, qubit_indexer
+from helpers import random_table, reference_record_scaffold
 
 
 def iteration_circuit(index_bits, work_bits, probe_bits=0):
@@ -246,14 +252,17 @@ def test_every_small_scaffold_is_pinned():
     # one qubit more. The work register grows from none until the range is
     # accepted, so each accepted range is pinned at the size it needs and
     # refused one qubit smaller; a range refused for another reason is
-    # pinned by its message at every size.
+    # pinned by its message at every size. Each case runs cold, from an
+    # empty template memo, then warm, and both runs write the same text.
     digest = hashlib.sha256()
     for hi in range(1, 34):
         narrowest = max(1, (hi - 1).bit_length())
         for lo in range(hi):
             for index_bits in (narrowest, narrowest + 1):
                 for work_bits in range(index_bits + 2):
+                    iteration._memo_template.cache_clear()
                     text = scaffold_outcome(lo, hi, index_bits, work_bits)
+                    assert scaffold_outcome(lo, hi, index_bits, work_bits) == text
                     digest.update(f"[{lo}, {hi}) idx {index_bits} work {work_bits}\n{text}".encode())
                     if not text.startswith("refused"):
                         break
@@ -391,3 +400,177 @@ def test_emit_loads_rejects_words_short_of_the_range(words):
     )
     assert c.gates == (kept,) and c.gates[0] is kept
     assert c._scaffolds == {}
+
+
+class TestTemplateMemo:
+    """Each (spec, index register size) is walked once per process into a
+    template over template rows, which every circuit moves onto its own
+    register rows; ``reference_record_scaffold`` walks the circuit's rows."""
+
+    @staticmethod
+    def relaid(registers, work_first=False, spares=False, wider=False):
+        """``registers`` with the work register declared first, a spare
+        register before each other one, or each address register one qubit
+        wider, so that the index and work rows move."""
+        regs = [
+            dataclasses.replace(reg, size=reg.size + 1)
+            if wider and reg.role in (Role.ADDRESS_Q, Role.ADDRESS_R) else reg
+            for reg in registers
+        ]
+        if work_first:
+            regs.sort(key=lambda reg: reg.name != "work")
+        if spares:
+            regs = [r for k, reg in enumerate(regs)
+                    for r in (RegisterSpec(f"spare{k}", k + 1, Role.DIRTY), reg)]
+        return regs
+
+    LAYOUTS = {
+        "work_first": dict(work_first=True),
+        "spares": dict(spares=True),
+        "wider": dict(wider=True),
+        "all": dict(work_first=True, spares=True, wider=True),
+    }
+
+    BUILDERS = {
+        "plain": lambda: baselines.build_plain_qrom(random_table(13, 3, seed=1)),
+        "qrom": lambda: qrom.build_qrom(random_table(27, 5, seed=2), qrom.plan_qrom(27, 5, 4, 2)),
+        "qrom_lam2": lambda: qrom.build_qrom(random_table(6, 2, seed=3), qrom.plan_qrom(6, 2, 2, 1)),
+        "selectswap": lambda: baselines.build_selectswap_dirty(random_table(20, 3, seed=4), 4),
+        "sequential": lambda: qrom.build_sequential_qroms(
+            SequentialSpec(tuple(random_table(12, 2, seed=s) for s in (5, 6, 7)), 2)),
+    }
+
+    def build(self, monkeypatch, builder, layout):
+        """``builder``'s circuit with its registers relaid as ``layout``."""
+        def make(registers):
+            return Circuit(self.relaid(registers, **layout))
+
+        monkeypatch.setattr(qrom, "Circuit", make)
+        monkeypatch.setattr(baselines, "Circuit", make)
+        return self.BUILDERS[builder]()
+
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_builders_match_a_walk_over_their_own_rows(self, monkeypatch, builder, layout, memo):
+        flags = self.LAYOUTS[layout]
+        with monkeypatch.context() as patch:
+            patch.setattr(iteration, "_record_scaffold", reference_record_scaffold)
+            expected = self.build(patch, builder, flags)
+        iteration._memo_template.cache_clear()
+        if memo == "warm":
+            # Same index register sizes, other rows: every template is kept.
+            other = dict(wider=flags.get("wider", False),
+                         work_first=not flags.get("work_first"), spares=not flags.get("spares"))
+            self.build(monkeypatch, builder, other)
+        misses = iteration._memo_template.cache_info().misses
+        circuit = self.build(monkeypatch, builder, flags)
+        walked = iteration._memo_template.cache_info().misses - misses
+        assert walked == 0 if memo == "warm" else walked > 0
+        assert circuit._ops == expected._ops
+        assert circuit._index == expected._index
+        assert serialize_circuit(circuit) == serialize_circuit(expected)
+
+    @pytest.mark.parametrize(
+        "lo,hi,index_bits,work_bits,message",
+        [
+            (2, 2, 2, 2, "empty or negative range [2, 2)"),
+            (3, 2, 2, 2, "empty or negative range [3, 2)"),
+            (0, 1, 2, 2, "range [0, 1) has no index bit to branch on"),
+            (0, 8, 2, 2, "range [0, 8) does not fit in 2-qubit register 'idx'"),
+            (5, 6, 3, 2, "range [5, 6) cannot be scaffolded in exactly 0 Toffolis"),
+            (3, 8, 3, 3, "range [3, 8) cannot be scaffolded in exactly 4 Toffolis"),
+            (0, 16, 4, 1, "insufficient work qubits: need 4, register 'work' has 1"),
+        ],
+    )
+    def test_refusals_repeat_and_record_nothing(self, lo, hi, index_bits, work_bits, message):
+        # A range or cost refusal keeps no template. A work refusal keeps the
+        # template, which holds no circuit's rows, and records nothing on
+        # the circuit: a circuit with enough work qubits then replays it.
+        iteration._memo_template.cache_clear()
+        c = iteration_circuit(index_bits, work_bits)
+        spec = IterationSpec("idx", lo, hi)
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                emit_unary_iteration(c, spec, lambda w: None)
+            assert str(info.value) == message
+            assert (c.gates, c._ops, c._scaffolds) == ((), [], {})
+        work = message.startswith("insufficient")
+        assert iteration._memo_template.cache_info().currsize == work
+        if work:
+            fresh = iteration_circuit(index_bits, index_bits)
+            emit_unary_iteration(fresh, spec, lambda w: None)
+            assert iteration._memo_template.cache_info().hits == 2
+
+    def test_entry_cap_holds(self):
+        iteration._memo_template.cache_clear()
+        for hi in range(2, SCAFFOLD_MEMO_ENTRIES + 12):
+            run_iteration(0, hi, index_bits=7, work_bits=7)
+        assert iteration._memo_template.cache_info().currsize == SCAFFOLD_MEMO_ENTRIES
+
+    @staticmethod
+    def record(lo, hi, bits):
+        """The recording of ``[lo, hi)`` on a fresh circuit, whose gate
+        indices are the template's op positions."""
+        return iteration._record_scaffold(iteration_circuit(bits, bits), IterationSpec("idx", lo, hi))
+
+    def test_window_cap_holds(self):
+        # The widest range kept is walked once, and its template serves every
+        # fresh circuit; one value more is walked afresh for each circuit and
+        # not kept, and records the same gates.
+        iteration._memo_template.cache_clear()
+        bits, widest = SCAFFOLD_MEMO_WINDOWS.bit_length(), SCAFFOLD_MEMO_WINDOWS
+        assert self.record(0, widest, bits)[0] is self.record(0, widest, bits)[0]
+        assert iteration._memo_template.cache_info().currsize == 1
+        first, second = self.record(0, widest + 1, bits), self.record(0, widest + 1, bits)
+        assert first == second and first[0] is not second[0]
+        assert first[0][0][1] is not second[0][0][1]  # the windows, too
+        assert iteration._memo_template.cache_info().currsize == 1
+        c, seen = run_iteration(0, widest + 1, bits, bits)
+        assert seen == list(range(widest + 1))
+        assert count_resources(c).toffoli == widest
+        assert iteration._memo_template.cache_info().currsize == 1
+
+    def test_ints_only_share_a_template(self):
+        # A bool or float bound equals an int but is walked on its own.
+        iteration._memo_template.cache_clear()
+        assert self.record(1, 4, 2)[0] is self.record(1, 4, 2)[0]
+        with pytest.raises(AttributeError):
+            self.record(1, 4.0, 2)
+        assert self.record(True, 4, 2)[0] is not self.record(True, 4, 2)[0]
+        assert self.record(True, 4, 2) == self.record(1, 4, 2)
+        assert iteration._memo_template.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("threads", [2, 5])
+    def test_threads_on_other_layouts_write_the_sequential_files(self, threads):
+        # Threads race to walk, keep and read the same templates, switching
+        # every microsecond; each writes the gate file a sequential run does.
+        plan = qrom.plan_qrom(40, 3, 4, 1)
+        schedule = qrom.compute_xor_schedule(random_table(40, 3, seed=9), plan)
+        slices = [[QubitRef("output", k)] for k in range(3)]
+        layouts = [{}, *self.LAYOUTS.values()][:threads]
+
+        def build(layout):
+            circuit = Circuit(self.relaid(qrom.registers_for_plan(plan), **layout))
+            return serialize_circuit(qrom._run_stages(circuit, plan, schedule, slices))
+
+        expected = [build(layout) for layout in layouts]
+        iteration._memo_template.cache_clear()
+        start, results = threading.Barrier(threads), [None] * threads
+
+        def run(k):
+            start.wait()
+            results[k] = [build(layouts[k]) for _ in range(3)]
+
+        workers = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == [[text] * 3 for text in expected]

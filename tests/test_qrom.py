@@ -460,6 +460,27 @@ class TestEmitters:
             emit_copy(circuit, plan, [QubitRef("output", k) for k in range(3)])
         assert circuit.gates == ()
 
+    @pytest.mark.parametrize("before", [0, 1], ids=["alone", "after_a_slice"])
+    def test_restore_refuses_a_slice_wider_than_mu_as_copy_does(self, before):
+        # A 4-qubit slice at mu = 2 once made the restore append 41 gates and
+        # leave bits 2 and 3 masked. Both emitters refuse it with one text,
+        # before appending anything to a circuit that already holds a Select.
+        plan = plan_qrom(16, 4, 4, 2)
+        schedule = compute_xor_schedule(random_table(16, 4, seed=3), plan)
+        circuit = fresh_plan_circuit(plan)
+        emit_select(circuit, plan, schedule, 0, packet_slice(plan, 0))
+        wide = [QubitRef("output", k) for k in range(4)]
+        slices = [packet_slice(plan, 0)] * before + [wide]
+        kept = (circuit.gates, list(circuit._ops), dict(circuit._scaffolds))
+        messages = []
+        for emit in (lambda: emit_copy(circuit, plan, wide),
+                     lambda: emit_restore(circuit, plan, schedule, slices)):
+            with pytest.raises(ValueError) as err:
+                emit()
+            messages.append(str(err.value))
+            assert (circuit.gates, circuit._ops, circuit._scaffolds) == kept
+        assert messages == ["output slice of 4 qubits exceeds mu = 2"] * 2
+
     def test_select_checks_an_output_only_when_a_word_sets_its_bit(self):
         # Bit 1 of every entry is 0, so no window of stage 0 writes the
         # slice's second qubit, and it may name no qubit at all.
