@@ -121,8 +121,9 @@ def cost_power2_packet(n: int, b: int, lam: int, alpha: int) -> CostBreakdown:
 
 def cost_sequential_fresh(n: int, b: int, lam: int, m: int) -> CostBreakdown:
     """m back-to-back lookups into fresh outputs:
-    (m+1)(ceil(N/lam) + b(lam-1) + lam - 3). m = 0 is the degenerate
-    single-load bound, not a physical circuit."""
+    (m+1)(ceil(N/lam) + b(lam-1) + lam - 3), the ``cost_bit_packet`` row of
+    the m*b-bit lookup at mu = b that ``build_sequential_qroms`` builds. m = 0
+    is the degenerate single-load bound, not a physical circuit."""
     plan = plan_qrom(n, b, lam, b)
     if m < 0:
         raise ValueError("m must be >= 0")

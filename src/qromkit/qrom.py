@@ -12,8 +12,8 @@ temp-AND-assisted Copy restores every borrowed qubit and completes every
 slice.
 
 ``build_qrom`` cuts one table's output into mu-bit packets, one stage each;
-``build_sequential_qroms`` gives each of m tables one full-width stage on its
-own output register. Both run the same Select/Copy/restore engine.
+``build_sequential_qroms`` is ``build_qrom`` of m tables' concatenated words
+at mu = b, with one output register per table.
 
 Builders are pure functions of (table, plan): no shared mutable state, safe
 to run across a parameter grid in parallel.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
-from operator import countOf, lshift, rshift, xor
+from operator import countOf, lshift, or_, rshift, xor
 
 from .circuit import Circuit, GateKind, QubitRef, RegisterSpec, Role, check_temp_and_pairing
 from .iteration import IterationSpec, IterationWindow, _load_rows, _Row, emit_unary_iteration
@@ -197,15 +197,19 @@ class XorSchedule:
     unload: tuple[int, ...]
 
 
-def _stage_schedule(plan: QromPlan, stage_values: list[list[int]]) -> XorSchedule:
-    """Schedule of a run of stages; ``stage_values[s][x]`` is stage s's slice
-    of f(x) for x in [0, q_range * lam)."""
+def compute_xor_schedule(table: LookupTable, plan: QromPlan) -> XorSchedule:
+    """Schedule of a run of stages, stage p being packet p of the table."""
+    if table.n_entries != plan.n_entries or table.bit_width != plan.bit_width:
+        raise ValueError("table dimensions do not match plan")
+    padded = padded_entries(table, plan)
     lam, shifts = plan.lam, range(0, plan.dirty_qubits, plan.mu)
     # Heads fit in mu bits, so head * spread is the head copied into every block.
     spread = sum(1 << shift for shift in shifts)
     direct, delta = [], []
     prev = (0,) * plan.q_range
-    for values in stage_values:
+    for start, end in map(plan.packet_span, range(plan.num_packets)):
+        mask = (1 << (end - start)) - 1
+        values = list(map(mask.__and__, map(rshift, padded, repeat(start))))
         heads = values[::lam]
         c = tuple(
             sum(map(lshift, values[q * lam + 1:(q + 1) * lam], shifts)) ^ head * spread
@@ -215,19 +219,6 @@ def _stage_schedule(plan: QromPlan, stage_values: list[list[int]]) -> XorSchedul
         delta.append(tuple(map(xor, c, prev)))
         prev = c
     return XorSchedule(tuple(direct), tuple(delta), prev)
-
-
-def compute_xor_schedule(table: LookupTable, plan: QromPlan) -> XorSchedule:
-    """Schedule of ``build_qrom``: stage p is packet p of the table."""
-    if table.n_entries != plan.n_entries or table.bit_width != plan.bit_width:
-        raise ValueError("table dimensions do not match plan")
-    padded = padded_entries(table, plan)
-    stages = []
-    for p in range(plan.num_packets):
-        start, end = plan.packet_span(p)
-        mask = (1 << (end - start)) - 1
-        stages.append(list(map(mask.__and__, map(rshift, padded, repeat(start)))))
-    return _stage_schedule(plan, stages)
 
 
 def padded_entries(table: LookupTable, plan: QromPlan) -> list[int]:
@@ -354,6 +345,18 @@ def _run_stages(
     return circuit
 
 
+def _build(table: LookupTable, plan: QromPlan, outputs: list[RegisterSpec]) -> Circuit:
+    """The staged builder: ``registers_for_plan(plan)`` with ``outputs`` in
+    place of ``output``, their bits cut into the plan's packets, one stage
+    each, then the restore pass."""
+    schedule = compute_xor_schedule(table, plan)
+    registers = registers_for_plan(plan)
+    registers[2:3] = outputs
+    bits = [reg[j] for reg in outputs for j in range(reg.size)]
+    slices = [bits[start:end] for start, end in map(plan.packet_span, range(plan.num_packets))]
+    return _run_stages(Circuit(registers), plan, schedule, slices)
+
+
 def build_qrom(table: LookupTable, plan: QromPlan) -> Circuit:
     """Full lookup circuit: one stage per mu-bit packet of ``output``, then
     the restore pass.
@@ -363,12 +366,7 @@ def build_qrom(table: LookupTable, plan: QromPlan) -> Circuit:
     row, and the register sizes are exactly those of the plan.
     """
     check_build_width(plan.bit_width)
-    schedule = compute_xor_schedule(table, plan)
-    slices = [
-        [QubitRef("output", k) for k in range(*plan.packet_span(p))]
-        for p in range(plan.num_packets)
-    ]
-    return _run_stages(Circuit(registers_for_plan(plan)), plan, schedule, slices)
+    return _build(table, plan, [RegisterSpec("output", plan.bit_width, Role.OUTPUT)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -394,20 +392,18 @@ class SequentialSpec:
 
 
 def build_sequential_qroms(spec: SequentialSpec) -> Circuit:
-    """Back-to-back lookups with one shared unload.
-
-    Table i is one full-width stage on register ``output_{i+1}``, so m tables
-    need m+1 Selects and m+1 Copies (the last Copy fixes all outputs at
-    once): exactly (m+1) * (ceil(N/lam) + b*(lam-1) + lam - 3) Toffolis.
+    """Back-to-back lookups with one shared unload: ``build_qrom`` of the
+    m*b-bit table whose word x holds table i's entry x at bits i*b, at mu = b,
+    with registers ``output_1..output_m`` of b qubits in place of ``output``:
+    exactly (m+1) * (ceil(N/lam) + b*(lam-1) + lam - 3) Toffolis. One table's
+    b is checked against ``MAX_BUILD_WIDTH`` before all m*b output qubits are.
     """
-    plan = spec.plan
-    check_build_width(plan.bit_width)
-    schedule = _stage_schedule(plan, [padded_entries(t, plan) for t in spec.tables])
-    outputs = [
-        RegisterSpec(f"output_{i + 1}", plan.bit_width, Role.OUTPUT)
-        for i in range(len(spec.tables))
-    ]
-    registers = registers_for_plan(plan)
-    registers[2:3] = outputs  # one output register per table in place of "output"
-    slices = [[reg[j] for j in range(reg.size)] for reg in outputs]
-    return _run_stages(Circuit(registers), plan, schedule, slices)
+    m, b = len(spec.tables), spec.plan.bit_width
+    check_build_width(b)
+    check_build_width(m * b)
+    words = spec.tables[0].entries
+    for i, t in enumerate(spec.tables[1:], 1):
+        words = map(or_, words, map(lshift, t.entries, repeat(i * b)))
+    plan = plan_qrom(spec.plan.n_entries, m * b, spec.lam, b)
+    outputs = [RegisterSpec(f"output_{i + 1}", b, Role.OUTPUT) for i in range(m)]
+    return _build(LookupTable(tuple(words), m * b), plan, outputs)

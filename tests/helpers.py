@@ -12,6 +12,15 @@ def random_table(n: int, b: int, seed: int) -> LookupTable:
     return LookupTable(tuple(rng.randrange(1 << b) for _ in range(n)), b)
 
 
+def wide_table(tables) -> LookupTable:
+    """The m*b-bit table of same-shape ``tables``: word x holds table i's
+    entry x at bits i*b."""
+    b = tables[0].bit_width
+    rows = zip(*(t.entries for t in tables))
+    return LookupTable(tuple(sum(v << i * b for i, v in enumerate(row)) for row in rows),
+                       len(tables) * b)
+
+
 def inverse_circuit(circuit: Circuit) -> Circuit:
     """Reverse the gate list; every kind is self-inverse except temp-AND
     pairs, which swap compute and uncompute."""

@@ -15,6 +15,7 @@ from qromkit import (
     cost_bit_packet,
     cost_power2_packet,
     cost_prior_art,
+    cost_sequential_fresh,
     cost_uncompute,
     count_resources,
     format_table,
@@ -27,7 +28,7 @@ from qromkit import (
 )
 from qromkit.cli import main as cli_main
 from qromkit.qrom import ceil_div, ceil_log2
-from helpers import random_table
+from helpers import random_table, wide_table
 
 N_VALUES = (8, 12, 16, 33, 64, 100, 256)
 B_VALUES = (1, 2, 3, 5, 8, 16)
@@ -156,6 +157,20 @@ def test_criterion_6_sequential():
                     if not verify_qrom(circuit, tables, dirty_trials=4, seed=42).passed:
                         bad.append(("sim", m, n, b, lam))
     report(6, "sequential lookups: exact (m+1)-round count and simultaneous outputs", not bad)
+
+
+@pytest.mark.slow
+def test_criterion_6_sequential_n16():
+    # Criterion 6 at scale: four tables at N=2^16, b=8, lam=32 are the
+    # wide lookup of their 32-bit words at mu = 8, row for row.
+    n, b, lam, m = 1 << 16, 8, 32, 4
+    tables = tuple(random_table(n, b, seed=160 + i) for i in range(m))
+    circuit = build_sequential_qroms(SequentialSpec(tables, lam))
+    assert count_resources(circuit).toffoli == cost_sequential_fresh(n, b, lam, m).toffoli_total
+    single = build_qrom(wide_table(tables), plan_qrom(n, m * b, lam, b))
+    assert circuit._ops == single._ops and circuit._index == single._index
+    rep = verify_qrom(circuit, tables, dirty_trials=1, seed=16)
+    assert rep.passed and rep.cases_run == n
 
 
 def test_criterion_7_baseline_differential():

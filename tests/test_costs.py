@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -131,6 +132,19 @@ class TestSequentialFormulas:
 
     def test_fresh_m1_equals_select_copy(self):
         assert cost_sequential_fresh(64, 4, 4, 1).toffoli_total == select_copy_toffoli(64, 4, 4)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_fresh_is_the_wide_bit_packet_row(self, m):
+        # m lookups are one m*b-bit lookup at mu = b, term by term; only
+        # the label differs. m = 0 has no wide lookup: it stays the
+        # formula-only single-load bound.
+        for n, b, lam in ACCEPTANCE_GRID:
+            fresh = cost_sequential_fresh(n, b, lam, m)
+            assert fresh.formula_id == "sequential_fresh"
+            assert replace(fresh, formula_id="bit_packet") == cost_bit_packet(n, m * b, lam, b), (
+                n, b, lam, m)
+        with pytest.raises(ValueError, match="dimensions"):
+            cost_bit_packet(64, 0, 4, 4)
 
     def test_inplace_values(self):
         assert cost_sequential_inplace(64, 4, 4, 2).toffoli_total == 100

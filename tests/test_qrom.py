@@ -34,7 +34,7 @@ from qromkit import (
 from qromkit import qrom
 from qromkit.baselines import build_plain_qrom, build_selectswap_dirty
 from qromkit.qrom import MAX_BUILD_WIDTH, ceil_div, padded_entries
-from helpers import random_table
+from helpers import random_table, wide_table
 
 
 def packet_widths(plan):
@@ -211,6 +211,22 @@ def test_builders_refuse_outputs_past_the_widest_build(build):
     with pytest.raises(ValueError) as err:
         build(wide)
     assert str(err.value) == f"b = {MAX_BUILD_WIDTH + 1} exceeds the widest build, b = 65536"
+
+
+def test_sequential_build_refuses_its_total_width(monkeypatch):
+    # Each table fits the cap, but the run lays out m*b output qubits; one
+    # table repeated must not buy an unbounded layout. The refusal comes
+    # before the wide words or any register is made.
+    spec = SequentialSpec((LookupTable((1, 2, 3, 0), (MAX_BUILD_WIDTH >> 1) + 1),) * 2, 2)
+
+    def refuse(*args):
+        pytest.fail("a lookup past the widest build was started")
+
+    monkeypatch.setattr(qrom, "LookupTable", refuse)
+    monkeypatch.setattr(qrom, "_build", refuse)
+    with pytest.raises(ValueError) as err:
+        build_sequential_qroms(spec)
+    assert str(err.value) == "b = 65538 exceeds the widest build, b = 65536"
 
 
 def test_plain_lookup_builds_at_the_widest_build():
@@ -730,6 +746,29 @@ class TestSequential:
             SequentialSpec((random_table(8, 2, 0),), 3)
         with pytest.raises(ValueError, match="1 < lam < N"):
             SequentialSpec((random_table(8, 2, 0),), 8)
+
+
+# (N, lam) with lam a power of two and 1 < lam < N.
+SEQUENTIAL_SHAPES = st.integers(3, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, (n - 1).bit_length() - 1).map(lambda k: 1 << k)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(shape=SEQUENTIAL_SHAPES, b=st.integers(1, 5), m=st.integers(1, 4),
+       seed=st.integers(0, 1 << 16))
+def test_sequential_run_is_the_wide_lookup(shape, b, m, seed):
+    """m tables read at one address are one m*b-bit lookup at mu = b: the same
+    ops on the same rows, with ``output_i`` on the wide output's bits
+    (i-1)*b..i*b-1."""
+    n, lam = shape
+    tables = tuple(random_table(n, b, seed=seed + i) for i in range(m))
+    seq = build_sequential_qroms(SequentialSpec(tables, lam))
+    single = build_qrom(wide_table(tables), plan_qrom(n, m * b, lam, b))
+    assert seq._ops == single._ops
+    assert seq._index == single._index
+    assert [seq._row(f"output_{i + 1}", j) for i in range(m) for j in range(b)] == [
+        single._row("output", k) for k in range(m * b)]
+    assert verify_qrom(seq, tables, dirty_trials=2).passed
 
 
 class TestLookupTable:
