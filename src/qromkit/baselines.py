@@ -15,8 +15,8 @@ from __future__ import annotations
 from .circuit import Circuit, GateKind, RegisterSpec, Role, check_temp_and_pairing
 from .iteration import IterationSpec, _load_rows
 from .qrom import (
-    LookupTable, ceil_log2, check_build_width, padded_entries, plan_qrom, registers_for_plan,
-    work_size,
+    LookupTable, _bit_matrix, _row_ints, ceil_log2, check_build_width, plan_qrom,
+    registers_for_plan, work_size,
 )
 
 __all__ = ["build_plain_qrom", "build_selectswap_dirty"]
@@ -65,11 +65,8 @@ def build_selectswap_dirty(table: LookupTable, lam: int) -> Circuit:
     blocks = [*buffer, *circuit._span("dirty", plan.dirty_qubits)]
     controls = circuit._span("addr_r", plan.r_bits)
 
-    padded = padded_entries(table, plan)
-    words = [
-        sum(padded[q * lam + block] << (block * b) for block in range(lam))
-        for q in range(plan.q_range)
-    ]
+    bits = _bit_matrix(table.entries, plan.q_range * lam, b)
+    words = _row_ints(bits.reshape(plan.q_range, lam * b))
 
     def swap_network(inverse: bool) -> None:
         # Layer beta halves the distance-2^beta pairs; the forward order

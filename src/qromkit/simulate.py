@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, GateKind, QubitRef, Role
-from .qrom import LookupTable
+from .qrom import LookupTable, _bit_matrix
 
 __all__ = [
     "SimulationError",
@@ -400,17 +400,9 @@ def _dirty_draw(seed: int, trials: int, dirty: int) -> tuple[np.ndarray, tuple[i
 
 
 def _case_rows(values, width: int, trials: int) -> list[int]:
-    """``width`` rows whose bit j is bit i of ``values[j // trials]``, built
-    from ``uint8`` bits: the bytes of one little-endian ``uint64`` per value
-    when ``width`` is at most 64, and a join of each value's bytes for wider
-    values, which fit in ``width`` bits."""
-    if width <= 64:
-        raw = np.fromiter(values, "<u8", len(values)).view(np.uint8).reshape(-1, 8)
-    else:
-        nbytes = width // 8 + 1
-        data = b"".join(value.to_bytes(nbytes, "little") for value in values)
-        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
-    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little").T
+    """``width`` rows whose bit j is bit i of ``values[j // trials]``, from
+    the values' ``qrom._bit_matrix``; each value fits in ``width`` bits."""
+    bits = _bit_matrix(values, len(values), width).T
     return _pack_rows(np.repeat(bits, trials, axis=1))
 
 

@@ -1,9 +1,13 @@
 """Shared test utilities."""
 import random
+from itertools import repeat
+from operator import lshift, rshift, xor
 
 import numpy as np
 
-from qromkit import Circuit, Gate, GateKind, IterationSpec, IterationWindow, LookupTable, QubitRef
+from qromkit import (
+    Circuit, Gate, GateKind, IterationSpec, IterationWindow, LookupTable, QubitRef, XorSchedule,
+)
 from qromkit.simulate import _case_rows, _pack_rows, qubit_indexer
 
 
@@ -19,6 +23,31 @@ def wide_table(tables) -> LookupTable:
     rows = zip(*(t.entries for t in tables))
     return LookupTable(tuple(sum(v << i * b for i, v in enumerate(row)) for row in rows),
                        len(tables) * b)
+
+
+def reference_xor_schedule(table: LookupTable, plan) -> XorSchedule:
+    """Reference ``compute_xor_schedule``: one Python pass per packet over
+    the padded entries, packing each window's blocks with shifts."""
+    if table.n_entries != plan.n_entries or table.bit_width != plan.bit_width:
+        raise ValueError("table dimensions do not match plan")
+    padded = list(table.entries) + [0] * (plan.q_range * plan.lam - table.n_entries)
+    lam, shifts = plan.lam, range(0, plan.dirty_qubits, plan.mu)
+    # Heads fit in mu bits, so head * spread is the head copied into every block.
+    spread = sum(1 << shift for shift in shifts)
+    direct, delta = [], []
+    prev = (0,) * plan.q_range
+    for start, end in map(plan.packet_span, range(plan.num_packets)):
+        mask = (1 << (end - start)) - 1
+        values = list(map(mask.__and__, map(rshift, padded, repeat(start))))
+        heads = values[::lam]
+        c = tuple(
+            sum(map(lshift, values[q * lam + 1:(q + 1) * lam], shifts)) ^ head * spread
+            for q, head in enumerate(heads)
+        )
+        direct.append(tuple(heads))
+        delta.append(tuple(map(xor, c, prev)))
+        prev = c
+    return XorSchedule(tuple(direct), tuple(delta), prev)
 
 
 def inverse_circuit(circuit: Circuit) -> Circuit:

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per shipping criterion, each printing a
 PASS/FAIL line (run with ``pytest -s`` to see them)."""
+import hashlib
 import random
 import time
 
@@ -169,6 +170,9 @@ def test_criterion_6_sequential_n16():
     assert count_resources(circuit).toffoli == cost_sequential_fresh(n, b, lam, m).toffoli_total
     single = build_qrom(wide_table(tables), plan_qrom(n, m * b, lam, b))
     assert circuit._ops == single._ops and circuit._index == single._index
+    # The gate file of the builder before its schedule became array passes.
+    digest = hashlib.sha256(serialize_circuit(circuit).encode()).hexdigest()
+    assert digest == "0dd61a1b26dc80132a2651fc95206878ef6703f627923b8ba1fd34fdb0f1ef2e"
     rep = verify_qrom(circuit, tables, dirty_trials=1, seed=16)
     assert rep.passed and rep.cases_run == n
 
@@ -220,9 +224,10 @@ def test_criterion_8_improvement_factors():
     )
 
 
-def _headline_circuit_round_trip(n, seed):
+def _headline_circuit_round_trip(n, seed, digest=None):
     # The paper's headline shape: b = 8 under 31 dirty qubits, built, written
-    # to a gate file, read back and verified over every address.
+    # to a gate file, read back and verified over every address. ``digest``,
+    # if given, is the gate file's SHA-256.
     b = 8
     result = optimize_parameters(n, b, 31)
     assert (result.lam, result.mu) == (32, 1)
@@ -232,7 +237,10 @@ def _headline_circuit_round_trip(n, seed):
     estimate = count_resources(circuit)
     assert estimate.toffoli == cost_bit_packet(n, b, 32, 1).toffoli_total
     assert estimate.dirty_qubits <= 31
-    parsed = parse_circuit(serialize_circuit(circuit))
+    text = serialize_circuit(circuit)
+    if digest is not None:
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    parsed = parse_circuit(text)
     assert parsed == circuit
     check_temp_and_pairing(parsed)
     rep = verify_qrom(parsed, table, plan, dirty_trials=1, seed=seed)
@@ -240,7 +248,12 @@ def _headline_circuit_round_trip(n, seed):
 
 
 def test_headline_point_circuit_verified():
-    _headline_circuit_round_trip(1 << 16, seed=16)
+    # The digest is the gate file of the builder before its schedule became
+    # array passes, so the large-table path is pinned byte for byte.
+    _headline_circuit_round_trip(
+        1 << 16, seed=16,
+        digest="0e6238a77db371877ba11dccf76d467918ae89492eb2e4390f5abe3eca5f7fb9",
+    )
 
 
 @pytest.mark.slow

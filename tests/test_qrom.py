@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 import re
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ from qromkit import (
 )
 from qromkit import qrom
 from qromkit.baselines import build_plain_qrom, build_selectswap_dirty
-from qromkit.qrom import MAX_BUILD_WIDTH, ceil_div, padded_entries
-from helpers import random_table, wide_table
+from qromkit.qrom import MAX_BUILD_WIDTH, _bit_matrix, _row_ints, ceil_div
+from helpers import random_table, reference_xor_schedule, wide_table
 
 
 def packet_widths(plan):
@@ -77,6 +78,26 @@ class TestPlan:
         with pytest.raises(ValueError, match=fragment):
             plan_qrom(*args)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((5, 2, 2, 1.0), "mu = 1.0 is not an int"),
+            ((5, 2, 2.0, 1), "lam = 2.0 is not an int"),
+            ((5, 2.0, 2, 1), "bit_width = 2.0 is not an int"),
+            ((5.0, 2, 2, 1), "n_entries = 5.0 is not an int"),
+            ((5, True, 2, 1), "bit_width = True is not an int"),
+            ((5, 2, 2, np.int64(1)), f"mu = {np.int64(1)!r} is not an int"),
+            # The first non-int is named, before any range check.
+            ((0, 2, 3, 1.0), "mu = 1.0 is not an int"),
+        ],
+        ids=["float_mu", "float_lam", "float_b", "float_n", "bool_b", "numpy_mu", "first"],
+    )
+    def test_rejects_non_int_parameters(self, args, message):
+        # Each used to escape as a TypeError, from is_power_of_two's & or from
+        # the first build's array shapes, or to plan a build that raised one.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            plan_qrom(*args)
+
     @pytest.mark.parametrize("b", [1, 2, 7, 8, 9, 64, 10**12])
     def test_packets_tile_the_output(self, b):
         # Packets are mu wide except the last, which takes the rest of b;
@@ -96,11 +117,6 @@ class TestPlan:
             for packet in (-1, plan.num_packets):
                 with pytest.raises(ValueError, match=f"packet {packet} out of range"):
                     plan.packet_span(packet)
-
-    def test_padded_entries_fill_last_block(self):
-        table = LookupTable((3, 1, 2, 0, 1), 2)
-        assert padded_entries(table, plan_qrom(5, 2, 2, 1)) == [3, 1, 2, 0, 1, 0]
-        assert padded_entries(table, plan_qrom(5, 2, 4, 1)) == [3, 1, 2, 0, 1, 0, 0, 0]
 
     def test_register_sizes_sum(self):
         plan = plan_qrom(64, 8, 4, 2)
@@ -194,6 +210,50 @@ class TestXorSchedule:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="match"):
             compute_xor_schedule(random_table(8, 2, 0), plan_qrom(16, 2, 4, 1))
+
+    def test_entries_past_the_table_read_zero(self):
+        entries = (3, 1, 2, 0, 1)
+        assert _row_ints(_bit_matrix(entries, 6, 2)) == [3, 1, 2, 0, 1, 0]
+        assert _row_ints(_bit_matrix(entries, 8, 2)) == [3, 1, 2, 0, 1, 0, 0, 0]
+        # Columns past the values' width, in the wide branch, read 0 too.
+        assert _row_ints(_bit_matrix(entries, 8, 70)) == [3, 1, 2, 0, 1, 0, 0, 0]
+        # Window 1 of lam = 4 is f(4..7) = (1, 0, 0, 0): stage 0 loads the
+        # head 1 and c = 1 into all three blocks; stage 1 reads bit 1 only.
+        schedule = compute_xor_schedule(LookupTable(entries, 2), plan_qrom(5, 2, 4, 1))
+        assert [direct[1] for direct in schedule.direct] == [1, 0]
+        assert [delta[1] for delta in schedule.delta] == [0b111, 0b111]
+        assert schedule.unload[1] == 0
+
+
+# (N, b, lam, mu) of every valid plan with N in 3..300 and b in 1..80. N = 2
+# has no lam with 1 < lam < N.
+SCHEDULE_PLANS = st.tuples(st.integers(3, 300), st.integers(1, 80)).flatmap(
+    lambda nb: st.tuples(
+        st.just(nb[0]), st.just(nb[1]),
+        st.integers(1, (nb[0] - 1).bit_length() - 1).map(lambda k: 1 << k),
+        st.integers(1, nb[1])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(shape=SCHEDULE_PLANS, seed=st.integers(0, 1 << 16))
+@example(shape=(300, 80, 128, 80), seed=1)  # b > 64, mu(lam-1) > 64, N % lam != 0
+@example(shape=(67, 70, 2, 70), seed=2)  # one packet of 70 bits
+@example(shape=(5, 9, 4, 3), seed=3)  # N % lam != 0, narrow words
+def test_schedule_matches_reference(shape, seed):
+    """Both schedule paths equal the per-packet Python reference field for
+    field, and every mask is a Python int: a numpy integer would make
+    ``emit_select``'s ``head | mask << width`` wrap at 64 bits."""
+    n, b, lam, mu = shape
+    table, plan = random_table(n, b, seed), plan_qrom(n, b, lam, mu)
+    want = reference_xor_schedule(table, plan)
+    # The size switch, then each path forced for every size.
+    for minimum in (qrom._ARRAY_SCHEDULE_MIN, 0, 1 << 62):
+        with unittest.mock.patch.object(qrom, "_ARRAY_SCHEDULE_MIN", minimum):
+            got = compute_xor_schedule(table, plan)
+        assert got == want
+        for field in (*got.direct, *got.delta, got.unload):
+            assert type(field) is tuple
+            assert all(type(mask) is int for mask in field)
 
 
 @pytest.mark.parametrize(
@@ -754,18 +814,24 @@ SEQUENTIAL_SHAPES = st.integers(3, 40).flatmap(lambda n: st.tuples(
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(shape=SEQUENTIAL_SHAPES, b=st.integers(1, 5), m=st.integers(1, 4),
+@given(shape=SEQUENTIAL_SHAPES, b=st.integers(1, 24), m=st.integers(1, 4),
        seed=st.integers(0, 1 << 16))
+@example(shape=(33, 8), b=17, m=4, seed=5)  # m*b = 68 > 64
+@example(shape=(40, 32), b=24, m=3, seed=6)  # masks of 24*31 bits
 def test_sequential_run_is_the_wide_lookup(shape, b, m, seed):
     """m tables read at one address are one m*b-bit lookup at mu = b: the same
     ops on the same rows, with ``output_i`` on the wide output's bits
-    (i-1)*b..i*b-1."""
+    (i-1)*b..i*b-1, on either schedule path. Draws with m*b > 64 run the
+    schedule's wide words."""
     n, lam = shape
     tables = tuple(random_table(n, b, seed=seed + i) for i in range(m))
-    seq = build_sequential_qroms(SequentialSpec(tables, lam))
     single = build_qrom(wide_table(tables), plan_qrom(n, m * b, lam, b))
-    assert seq._ops == single._ops
-    assert seq._index == single._index
+    # Each schedule path, forced for every size, then the size switch.
+    for minimum in (0, 1 << 62, qrom._ARRAY_SCHEDULE_MIN):
+        with unittest.mock.patch.object(qrom, "_ARRAY_SCHEDULE_MIN", minimum):
+            seq = build_sequential_qroms(SequentialSpec(tables, lam))
+        assert seq._ops == single._ops
+        assert seq._index == single._index
     assert [seq._row(f"output_{i + 1}", j) for i in range(m) for j in range(b)] == [
         single._row("output", k) for k in range(m * b)]
     assert verify_qrom(seq, tables, dirty_trials=2).passed
@@ -783,6 +849,18 @@ class TestLookupTable:
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError, match="bit_width must be >= 1"):
             LookupTable((0,), 0)
+
+    @pytest.mark.parametrize(
+        "width,message",
+        [(True, "bit_width = True is not an int"), (2.0, "bit_width = 2.0 is not an int"),
+         (np.int64(2), f"bit_width = {np.int64(2)!r} is not an int")],
+        ids=["bool", "float", "numpy_int"],
+    )
+    def test_non_int_width_rejected(self, width, message):
+        # A width of True was accepted and written out as "5 True", which
+        # the table loader refuses; 2.0 failed at the build as a TypeError.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LookupTable((0, 1, 1, 0, 1), width)
 
     @pytest.mark.parametrize(
         "make", [lambda xs: (x for x in xs), lambda xs: map(int, xs), list],
