@@ -16,19 +16,19 @@ every stage's loads from a fixed number of array passes over it.
 ``build_qrom`` cuts one table's output into mu-bit packets, one stage each;
 ``build_sequential_qroms`` is ``build_qrom`` of m tables' concatenated words
 at mu = b, with one output register per table, its schedule taken from the
-tables' bit matrices stacked, one per stage. Schedules too small to repay
-the array passes' fixed cost are computed in Python.
+tables' bit matrices stacked, one per stage. ``_bit_matrix`` and
+``_row_ints`` are the one codec between ints and 0/1 bit matrices, bit j
+in column j, that the builders and the verifier share.
 
 Builders are pure functions of (table, plan): no shared mutable state, safe
 to run across a parameter grid in parallel.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice, repeat
-from operator import countOf, lshift, rshift, xor
+from operator import countOf
 
 import numpy as np
 
@@ -210,20 +210,12 @@ class XorSchedule:
     its initial state. The masks telescope: XOR of all ``delta[s][q]`` equals
     ``unload[q]``. Every mask is a Python ``int``, so one wider than 64 bits
     shifts into a Select's word without wrapping. ``compute_xor_schedule``
-    builds them with array passes over one bit matrix of the table, or in
-    Python for a small table.
+    builds them with array passes over one bit matrix of the table.
     """
 
     direct: tuple[tuple[int, ...], ...]
     delta: tuple[tuple[int, ...], ...]
     unload: tuple[int, ...]
-
-
-# The fewest (padded entry, stage) pairs, q_range*lam*num_packets, whose
-# schedule is computed by array passes. Below it the passes' fixed cost, a
-# few dozen numpy calls, exceeds one Python pass per stage: with the array
-# path for every size, the benchmark's grid of N <= 64 built 4-6% slower.
-_ARRAY_SCHEDULE_MIN = 512
 
 
 def compute_xor_schedule(table: LookupTable, plan: QromPlan) -> XorSchedule:
@@ -235,42 +227,13 @@ def compute_xor_schedule(table: LookupTable, plan: QromPlan) -> XorSchedule:
     with no Python loop over windows or packets. The passes hold a few
     bytes per padded table bit at once, all freed before the build emits a
     gate: 3.9 at N = 2^20, b = 8, lam = 32, and up to about 23 at b = 1,
-    lam = 2, where the lists of per-window masks dominate. A schedule of
-    fewer than ``_ARRAY_SCHEDULE_MIN`` padded entries times packets is
-    computed in Python, one pass per packet.
+    lam = 2, where the lists of per-window masks dominate.
     """
     if table.n_entries != plan.n_entries or table.bit_width != plan.bit_width:
         raise ValueError("table dimensions do not match plan")
     rows, packets, mu = plan.q_range * plan.lam, plan.num_packets, plan.mu
-    if rows * packets < _ARRAY_SCHEDULE_MIN:
-        padded = table.entries + (0,) * (rows - plan.n_entries)
-        return _small_schedule(
-            [list(map(((1 << (end - start)) - 1).__and__, map(rshift, padded, repeat(start))))
-             for start, end in map(plan.packet_span, range(packets))],
-            plan,
-        )
     bits = _bit_matrix(table.entries, rows, packets * mu)
     return _schedule(bits.reshape(rows, packets, mu).transpose(1, 0, 2), plan)
-
-
-def _small_schedule(stages: list[Sequence[int]], plan: QromPlan) -> XorSchedule:
-    """``XorSchedule`` from each stage's slice of f(x) for x in
-    [0, q_range*lam), one Python pass per stage: the path for small tables."""
-    lam, shifts = plan.lam, range(0, plan.dirty_qubits, plan.mu)
-    # Heads fit in mu bits, so head * spread is the head copied into every block.
-    spread = sum(1 << shift for shift in shifts)
-    direct, delta = [], []
-    prev = (0,) * plan.q_range
-    for values in stages:
-        heads = values[::lam]
-        c = tuple(
-            sum(map(lshift, values[q * lam + 1:(q + 1) * lam], shifts)) ^ head * spread
-            for q, head in enumerate(heads)
-        )
-        direct.append(tuple(heads))
-        delta.append(tuple(map(xor, c, prev)))
-        prev = c
-    return XorSchedule(tuple(direct), tuple(delta), prev)
 
 
 def _schedule(slices: np.ndarray, plan: QromPlan) -> XorSchedule:
@@ -316,7 +279,7 @@ def _row_ints(bits: np.ndarray) -> list:
     """Python ints of the bit rows along the last axis of ``bits``, bit j
     from column j, as nested lists over the other axes. Rows of up to 64
     bits are read as one little-endian word each; wider rows are read from
-    their bytes."""
+    their bytes, and nested only past one leading axis."""
     packed = np.packbits(bits, axis=-1, bitorder="little")
     shape, size = packed.shape[:-1], packed.shape[-1]
     if size <= 8:
@@ -327,7 +290,7 @@ def _row_ints(bits: np.ndarray) -> list:
     rows = map(data.__getitem__, map(slice, range(0, len(data), size),
                                      range(size, len(data) + 1, size)))
     ints = list(map(int.from_bytes, rows, repeat("little")))
-    return np.array(ints, dtype=object).reshape(shape).tolist()
+    return ints if len(shape) == 1 else np.array(ints, dtype=object).reshape(shape).tolist()
 
 
 def registers_for_plan(plan: QromPlan) -> list[RegisterSpec]:
@@ -501,10 +464,8 @@ def build_sequential_qroms(spec: SequentialSpec) -> Circuit:
     registers ``output_1..output_m`` of b qubits in place of ``output``:
     exactly (m+1) * (ceil(N/lam) + b*(lam-1) + lam - 3) Toffolis. Stage i
     is table i, so the schedule is taken from the m tables' bit matrices
-    stacked, one per stage, and no m*b-bit word is made; below the same size
-    switch as ``compute_xor_schedule`` it is computed in Python from the
-    tables' entries. One table's b is checked against ``MAX_BUILD_WIDTH``
-    before all m*b output qubits are.
+    stacked, one per stage, and no m*b-bit word is made. One table's b is
+    checked against ``MAX_BUILD_WIDTH`` before all m*b output qubits are.
     """
     m, b = len(spec.tables), spec.plan.bit_width
     check_build_width(b)
@@ -512,10 +473,7 @@ def build_sequential_qroms(spec: SequentialSpec) -> Circuit:
     plan = plan_qrom(spec.plan.n_entries, m * b, spec.lam, b)
     rows = plan.q_range * plan.lam
     pad = (0,) * (rows - plan.n_entries)
-    if rows * m < _ARRAY_SCHEDULE_MIN:
-        schedule = _small_schedule([t.entries + pad for t in spec.tables], plan)
-    else:
-        entries = chain.from_iterable(chain(t.entries, pad) for t in spec.tables)
-        schedule = _schedule(_bit_matrix(entries, m * rows, b).reshape(m, rows, b), plan)
+    entries = chain.from_iterable(chain(t.entries, pad) for t in spec.tables)
+    schedule = _schedule(_bit_matrix(entries, m * rows, b).reshape(m, rows, b), plan)
     outputs = [RegisterSpec(f"output_{i + 1}", b, Role.OUTPUT) for i in range(m)]
     return _build(schedule, plan, outputs)

@@ -15,10 +15,11 @@ independent oracle. The batch engine holds each qubit row as one Python int
 with bit j for case j and runs the gate list once over all cases; it has one
 gate loop and two callers. The loop maps the stored ops over the positions
 and dispatches on the kind's identity, and makes no ``Gate``.
-``batch_simulate`` takes and returns a 0/1 matrix (one row per
-qubit in ``qubit_indexer`` order, one column per case) and packs it into rows
-for the engine. Both raise ``SimulationError`` on a temp-AND computed onto a
-nonzero target or uncomputed to a nonzero result.
+``batch_simulate`` takes and returns a 0/1 matrix (one row per qubit in
+``qubit_indexer`` order, one column per case) and turns it into rows for the
+engine and back with qrom's ints/bit-matrix codec, ``_row_ints`` and
+``_bit_matrix``, which the builders share. Both raise ``SimulationError`` on
+a temp-AND computed onto a nonzero target or uncomputed to a nonzero result.
 
 ``verify_qrom`` is the one lookup verifier: one table or one per output
 register, every address times seeded dirty patterns in one engine run. Its
@@ -35,8 +36,8 @@ dirty count), which keeps the last ``DRAW_MEMO_ENTRIES`` draws of at most
 report never depends on earlier calls. It compares final rows with
 expected rows by XOR/OR into one failure mask per check, and reaches Python
 per case only for failing cases, whose fields it reads from their columns
-as one int each, packed in numpy. It raises ``ValueError`` before
-allocating for a circuit or seed it cannot check.
+as one int each through the same codec. It raises ``ValueError`` before
+allocating for a circuit, trial count or seed it cannot check.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, GateKind, QubitRef, Role
-from .qrom import LookupTable, _bit_matrix
+from .qrom import LookupTable, _bit_matrix, _check_int, _row_ints
 
 __all__ = [
     "SimulationError",
@@ -151,8 +152,8 @@ def batch_simulate(circuit: Circuit, bit_matrix: np.ndarray) -> np.ndarray:
     (num_qubits, num_cases) and rows ordered by ``qubit_indexer``; anything
     else raises ``ValueError``. A fresh ``uint8`` final matrix is returned.
     Semantics and temp-AND checks match ``simulate`` exactly, applied across
-    all cases. The matrix is packed into rows, run on the bit-packed engine
-    and unpacked.
+    all cases. The matrix is packed into rows with ``qrom._row_ints``, run on
+    the bit-packed engine and unpacked with ``qrom._bit_matrix``.
     """
     if bit_matrix.ndim != 2 or bit_matrix.shape[0] != circuit.num_qubits:
         raise ValueError(
@@ -163,9 +164,9 @@ def batch_simulate(circuit: Circuit, bit_matrix: np.ndarray) -> np.ndarray:
     if bit_matrix.size and (bit_matrix.min() < 0 or bit_matrix.max() > 1):
         raise ValueError("bit matrix entries must be 0 or 1")
     cases = bit_matrix.shape[1]
-    state = _pack_rows(bit_matrix)
+    state = _row_ints(bit_matrix)
     _run_packed(circuit, state, cases)
-    return _unpack_rows(state, cases)
+    return _bit_matrix(state, len(state), cases)
 
 
 def _run_packed(circuit: Circuit, state: list[int], cases: int) -> None:
@@ -202,20 +203,6 @@ def _run_packed(circuit: Circuit, state: list[int], cases: int) -> None:
             mask = state[a] & (state[b] ^ state[t])
             state[b] ^= mask
             state[t] ^= mask
-
-
-def _pack_rows(bits: np.ndarray) -> list[int]:
-    """One int per row of a 2-D 0/1 matrix, bit j taken from column j."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _unpack_rows(rows: list[int], cases: int) -> np.ndarray:
-    """The ``uint8`` 0/1 matrix with one row per int, inverse of ``_pack_rows``."""
-    width = (cases + 7) // 8
-    data = b"".join(value.to_bytes(width, "little") for value in rows)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=cases, bitorder="little")
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +242,8 @@ def verify_qrom(
     Input contract, raising ``ValueError`` before any allocation: one table
     per output register, all with the same N; at most one ``address_q`` and one
     ``address_r`` register, together at least ceil(log2 N) qubits; each output
-    register at least b wide; ``dirty_trials >= 1``; ``seed >= 0``; and at most
+    register at least b wide; ``dirty_trials`` an ``int`` >= 1 and ``seed`` an
+    ``int`` >= 0, a bool or numpy integer refused; and at most
     ``MAX_STATE_CELLS`` qubits times cases.
 
     The dirty patterns are ``default_rng(seed).integers(0, 2, size=(trials,
@@ -285,8 +273,10 @@ def verify_qrom(
     address_bits = sum(reg.size for reg in q_regs + r_regs)
     if (n - 1).bit_length() > address_bits:
         raise ValueError(f"{address_bits} address qubits cannot address {n} entries")
+    _check_int("dirty_trials", dirty_trials)
     if dirty_trials < 1:
         raise ValueError("dirty_trials must be >= 1")
+    _check_int("seed", seed)
     if seed < 0:
         raise ValueError("seed must be >= 0")
     trials, cases = dirty_trials, n * dirty_trials
@@ -318,17 +308,17 @@ def verify_qrom(
 
     # Only failing cases reach Python: their columns of flags and final rows
     # are cut out, and each field of a case is read as one int.
-    flags = _unpack_rows(masks, cases)
+    flags = _bit_matrix(masks, len(masks), cases)
     failing = np.flatnonzero(flags.any(axis=0))
     *out_flags, dirty_flags, addr_flags, clean_flags = flags[:, failing].tolist()
     final = [state[row] for row in sum(out_rows, []) + dirty_rows]
-    observed = _unpack_rows(final, cases)[:, failing]
+    observed = _bit_matrix(final, len(final), cases)[:, failing]
     per_reg, start = [], 0
     for reg_rows in out_rows:
-        per_reg.append(_pack_rows(observed[start:start + len(reg_rows)].T))
+        per_reg.append(_row_ints(observed[start:start + len(reg_rows)].T))
         start += len(reg_rows)
-    outputs, dirty = _pack_rows(observed[:start].T), _pack_rows(observed[start:].T)
-    pattern_values = _pack_rows(patterns)
+    outputs, dirty = _row_ints(observed[:start].T), _row_ints(observed[start:].T)
+    pattern_values = _row_ints(patterns)
     labels = ["output"] if len(out_regs) == 1 else [reg.name for reg in out_regs]
     for k, j in enumerate(failing.tolist()):
         x = j // trials
@@ -380,13 +370,13 @@ def _draw(seed: int, trials: int, dirty: int) -> tuple[np.ndarray, tuple[int, ..
     ``trials``-bit column of it as an int, bit k from pattern k."""
     patterns = np.random.default_rng(seed).integers(0, 2, size=(trials, dirty), dtype=np.uint8)
     patterns.flags.writeable = False
-    return patterns, tuple(_pack_rows(patterns.T))
+    return patterns, tuple(_row_ints(patterns.T))
 
 
 # Every verify call over one (seed, trials, dirty count) draws the same
 # patterns, so small draws are kept, by key, the last DRAW_MEMO_ENTRIES used.
 # ``typed``: a seed that numpy refuses, such as 1.0, must not find the draw
-# of an equal int.
+# of an equal int, even from a caller that skips ``verify_qrom``'s checks.
 _memo_draw = functools.lru_cache(maxsize=DRAW_MEMO_ENTRIES, typed=True)(_draw)
 
 
@@ -403,7 +393,7 @@ def _case_rows(values, width: int, trials: int) -> list[int]:
     """``width`` rows whose bit j is bit i of ``values[j // trials]``, from
     the values' ``qrom._bit_matrix``; each value fits in ``width`` bits."""
     bits = _bit_matrix(values, len(values), width).T
-    return _pack_rows(np.repeat(bits, trials, axis=1))
+    return _row_ints(np.repeat(bits, trials, axis=1))
 
 
 def _doubled(period: int, width: int, cases: int) -> int:

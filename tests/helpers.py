@@ -8,7 +8,7 @@ import numpy as np
 from qromkit import (
     Circuit, Gate, GateKind, IterationSpec, IterationWindow, LookupTable, QubitRef, XorSchedule,
 )
-from qromkit.simulate import _case_rows, _pack_rows, qubit_indexer
+from qromkit.simulate import qubit_indexer
 
 
 def random_table(n: int, b: int, seed: int) -> LookupTable:
@@ -86,15 +86,18 @@ def indexed_ops(circuit: Circuit) -> list[tuple]:
 
 
 def address_rows_reference(n: int, width: int, trials: int) -> list[int]:
-    """Reference verifier address rows, built from ``uint8`` bits: row i has
-    bit j set where bit i of the address ``j // trials`` is."""
-    return _case_rows(range(n), width, trials)
+    """Reference verifier address rows, bit by bit: row i has bit j set
+    where bit i of the address ``j // trials`` is."""
+    cases = n * trials
+    return [sum((j // trials >> i & 1) << j for j in range(cases)) for i in range(width)]
 
 
 def dirty_rows_reference(patterns: np.ndarray, n: int) -> list[int]:
-    """Reference verifier dirty rows: the ``(trials, qubits)`` pattern
-    matrix transposed, tiled ``n`` times across the cases and packed."""
-    return _pack_rows(np.tile(patterns.T, n))
+    """Reference verifier dirty rows, bit by bit: for a ``(trials, qubits)``
+    pattern matrix, row q has bit j set where qubit q is set in pattern
+    ``j % trials``, over ``n`` addresses."""
+    trials, cases = len(patterns), n * len(patterns)
+    return [sum(column[j % trials] << j for j in range(cases)) for column in patterns.T.tolist()]
 
 
 def reference_record_scaffold(circuit: Circuit, spec: IterationSpec) -> tuple:

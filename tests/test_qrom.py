@@ -4,7 +4,6 @@ import functools
 import itertools
 import random
 import re
-import unittest.mock
 
 import numpy as np
 import pytest
@@ -225,6 +224,39 @@ class TestXorSchedule:
         assert schedule.unload[1] == 0
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rows=st.integers(0, 70), width=st.integers(0, 200), seed=st.integers(0, 1 << 32))
+@example(rows=70, width=200, seed=1)
+@example(rows=0, width=0, seed=2)
+@example(rows=65, width=64, seed=3)
+@example(rows=64, width=65, seed=4)
+@example(rows=9, width=8, seed=5)
+@example(rows=7, width=9, seed=6)
+def test_codec_matches_a_per_bit_reference(rows, width, seed):
+    """``_bit_matrix`` and ``_row_ints``, the one ints/bit-matrix codec of
+    the builders and the verifier, against per-bit Python: rows past the
+    values read 0, a transposed (strided) matrix reads its columns, and a
+    3-D matrix reads as nested lists. Every result is a Python int."""
+    rng = random.Random(seed)
+    values = [rng.getrandbits(width) for _ in range(rng.randint(0, rows))]
+    if values:
+        values[0] = (1 << width) - 1  # the top bit
+    padded = values + [0] * (rows - len(values))
+    reference = [[value >> j & 1 for j in range(width)] for value in padded]
+    bits = _bit_matrix(values, rows, width)
+    assert bits.dtype == np.uint8 and bits.tolist() == reference
+    ints = _row_ints(bits)
+    assert ints == padded and all(type(v) is int for v in ints)
+    columns = _row_ints(bits.T)
+    assert columns == [sum(row[j] << x for x, row in enumerate(reference)) for j in range(width)]
+    assert all(type(v) is int for v in columns)
+    split = rng.choice([k for k in range(1, rows + 1) if rows % k == 0] or [1])
+    nested = _row_ints(bits.reshape(split, rows // split, width))
+    step = rows // split
+    assert nested == [padded[i * step:(i + 1) * step] for i in range(split)]
+    assert all(type(v) is int for row in nested for v in row)
+
+
 # (N, b, lam, mu) of every valid plan with N in 3..300 and b in 1..80. N = 2
 # has no lam with 1 < lam < N.
 SCHEDULE_PLANS = st.tuples(st.integers(3, 300), st.integers(1, 80)).flatmap(
@@ -240,20 +272,16 @@ SCHEDULE_PLANS = st.tuples(st.integers(3, 300), st.integers(1, 80)).flatmap(
 @example(shape=(67, 70, 2, 70), seed=2)  # one packet of 70 bits
 @example(shape=(5, 9, 4, 3), seed=3)  # N % lam != 0, narrow words
 def test_schedule_matches_reference(shape, seed):
-    """Both schedule paths equal the per-packet Python reference field for
-    field, and every mask is a Python int: a numpy integer would make
+    """The schedule equals the per-packet Python reference field for field,
+    and every mask is a Python int: a numpy integer would make
     ``emit_select``'s ``head | mask << width`` wrap at 64 bits."""
     n, b, lam, mu = shape
     table, plan = random_table(n, b, seed), plan_qrom(n, b, lam, mu)
-    want = reference_xor_schedule(table, plan)
-    # The size switch, then each path forced for every size.
-    for minimum in (qrom._ARRAY_SCHEDULE_MIN, 0, 1 << 62):
-        with unittest.mock.patch.object(qrom, "_ARRAY_SCHEDULE_MIN", minimum):
-            got = compute_xor_schedule(table, plan)
-        assert got == want
-        for field in (*got.direct, *got.delta, got.unload):
-            assert type(field) is tuple
-            assert all(type(mask) is int for mask in field)
+    got = compute_xor_schedule(table, plan)
+    assert got == reference_xor_schedule(table, plan)
+    for field in (*got.direct, *got.delta, got.unload):
+        assert type(field) is tuple
+        assert all(type(mask) is int for mask in field)
 
 
 @pytest.mark.parametrize(
@@ -821,17 +849,13 @@ SEQUENTIAL_SHAPES = st.integers(3, 40).flatmap(lambda n: st.tuples(
 def test_sequential_run_is_the_wide_lookup(shape, b, m, seed):
     """m tables read at one address are one m*b-bit lookup at mu = b: the same
     ops on the same rows, with ``output_i`` on the wide output's bits
-    (i-1)*b..i*b-1, on either schedule path. Draws with m*b > 64 run the
-    schedule's wide words."""
+    (i-1)*b..i*b-1. Draws with m*b > 64 run the schedule's wide words."""
     n, lam = shape
     tables = tuple(random_table(n, b, seed=seed + i) for i in range(m))
     single = build_qrom(wide_table(tables), plan_qrom(n, m * b, lam, b))
-    # Each schedule path, forced for every size, then the size switch.
-    for minimum in (0, 1 << 62, qrom._ARRAY_SCHEDULE_MIN):
-        with unittest.mock.patch.object(qrom, "_ARRAY_SCHEDULE_MIN", minimum):
-            seq = build_sequential_qroms(SequentialSpec(tables, lam))
-        assert seq._ops == single._ops
-        assert seq._index == single._index
+    seq = build_sequential_qroms(SequentialSpec(tables, lam))
+    assert seq._ops == single._ops
+    assert seq._index == single._index
     assert [seq._row(f"output_{i + 1}", j) for i in range(m) for j in range(b)] == [
         single._row("output", k) for k in range(m * b)]
     assert verify_qrom(seq, tables, dirty_trials=2).passed

@@ -14,6 +14,7 @@ import hashlib
 import importlib
 import os
 import random
+import re
 import sys
 import threading
 
@@ -252,6 +253,29 @@ class TestContract:
             with pytest.raises(ValueError, match="seed must be >= 0"):
                 verify_qrom(self.circuit, self.table, self.plan, seed=seed)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("dirty_trials", True), ("dirty_trials", 2.5), ("dirty_trials", np.int64(2)),
+         ("seed", True), ("seed", 1.5), ("seed", np.int64(1))],
+        ids=["trials_bool", "trials_float", "trials_numpy_int", "seed_bool", "seed_float",
+             "seed_numpy_int"],
+    )
+    def test_non_int_trials_or_seed_rejected_before_indexing(self, monkeypatch, name, value):
+        # A bool trials or a float raised a bare TypeError deep in the call,
+        # seed=True ran seed 1, and a numpy trials count leaked into
+        # cases_run.
+        self.trip_row_listing(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} = {value!r} is not an int')}$"):
+            verify_qrom(self.circuit, self.table, self.plan, **{name: value})
+
+    def test_trials_then_seed_checked_in_order(self):
+        with pytest.raises(ValueError, match="^dirty_trials = 2.5 is not an int$"):
+            verify_qrom(self.circuit, self.table, dirty_trials=2.5, seed=-1)
+        with pytest.raises(ValueError, match="^dirty_trials must be >= 1$"):
+            verify_qrom(self.circuit, self.table, dirty_trials=0, seed=True)
+        with pytest.raises(ValueError, match="^seed = 1.5 is not an int$"):
+            verify_qrom(self.circuit, self.table, dirty_trials=1, seed=1.5)
+
     def test_table_count_must_match_outputs(self):
         with pytest.raises(ValueError, match="2 tables for 1 output registers"):
             verify_qrom(self.circuit, [self.table, self.table])
@@ -444,16 +468,18 @@ def reference_failures(circuit, tables, trials, seed):
 def byte_edge_circuits():
     """(label, circuit, tables, trials) with n * trials on both sides of a
     byte and a 64-bit word: 1, 7, 8, 9, 63, 64 and 65 cases. Outputs are
-    b = 3 bits wide, except in the last two shapes, where b > 8 makes each
+    b = 3 bits wide, except in the last four shapes. There b > 8 makes each
     output field of a case span two bytes, and the second's 30 dirty qubits
-    four."""
+    four; the third's 70-bit output field and the fourth's 66 dirty qubits
+    are read through the codec's branch for rows wider than 64 bits."""
     shapes = [
         ("plain", 1, 1), ("qrom", 7, 1), ("qrom", 8, 1), ("plain", 2, 4), ("qrom", 9, 1),
         ("qrom", 3, 3), ("qrom", 63, 1), ("qrom", 21, 3), ("swap", 9, 7), ("plain", 7, 9),
         ("qrom", 64, 1), ("seq", 16, 4), ("swap", 8, 8), ("qrom", 65, 1), ("seq", 13, 5),
         ("plain", 5, 13),
     ]
-    shapes = [(*shape, 3) for shape in shapes] + [("qrom", 9, 7, 11), ("seq", 7, 9, 10)]
+    shapes = [(*shape, 3) for shape in shapes] + [
+        ("qrom", 9, 7, 11), ("seq", 7, 9, 10), ("qrom", 5, 3, 70), ("seq", 6, 3, 22)]
     for kind, n, trials, b in shapes:
         tables = (random_table(n, b, seed=n), random_table(n, b, seed=n + 100))
         if kind == "plain":
